@@ -44,7 +44,7 @@ from .metrics import (
     dynamic_power,
     propagation_delay,
 )
-from .netlist import NetlistError, parse_netlist, print_netlist, validate
+from .netlist import NetlistError, SourceElement, parse_netlist, print_netlist, validate
 from .numbers import parse_spice_number
 from .report import AnalysisReport
 from .stability import (
@@ -174,6 +174,9 @@ def _cmd_dc(args, tech):
 
 def _cmd_sweep(args, tech):
     net = _read_netlist(args.netlist)
+    sources = {e.id for e in net.elements if isinstance(e, SourceElement) and not e.degenerate}
+    if args.source not in sources:
+        raise ConfigError(f"no stamped source named {args.source!r}")
     result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
     if args.out:
         sweep_to_csv(result, args.out)
@@ -202,6 +205,8 @@ def _cmd_tran(args, tech):
 
 
 def _cmd_snm(args, tech):
+    if args.grid <= 0:
+        raise ConfigError("grid must be positive")
     net = _read_netlist(args.netlist)
     data = butterfly(net, tech, args.mode, args.vdd, args.grid)
     if args.out:
@@ -243,13 +248,12 @@ def _cmd_write_margin(args, tech):
 
 
 def _cmd_power(args, tech):
+    try:
+        power = dynamic_power(args.cl, args.vdd, args.fsw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rep = _report(args, tech)
-    rep.add(
-        "dynamic_power",
-        dynamic_power(args.cl, args.vdd, args.fsw),
-        "W",
-        provenance="power",
-    )
+    rep.add("dynamic_power", power, "W", provenance="power")
     return _emit(rep)
 
 

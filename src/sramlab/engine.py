@@ -1,4 +1,4 @@
-"""Dense modified-nodal-analysis solver.
+"""Modified-nodal-analysis solver.
 
 DC operating points use damped Newton iteration with a source-stepping
 continuation fallback; sweeps warm-start each point from the last; transient
@@ -6,12 +6,20 @@ runs fixed-step backward Euler (default) or trapezoidal companions for the
 capacitors.  Unknown ordering is named nodes first, in netlist first-use
 order, then one branch current per voltage source.  Extended vectors carry a
 trailing ground slot pinned at zero so every stamp writes unconditionally.
+
+Each Newton step is solved exactly, but not as one dense system.  A voltage
+source from ground to a node that no other grounded source drives fixes that
+node's step outright; the remaining unknowns fall apart into the connected
+components of their coupling graph, and each component is solved as its own
+dense block, all blocks of one size in a single stacked call.  The branch
+current of an eliminated source then follows from its node's KCL row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,6 +43,8 @@ RELTOL = 1e-3
 VNTOL = 1e-6  # V
 MAX_STEP = 0.3  # V per unknown per Newton iteration
 MAX_ITER = 100
+
+_SINGULAR = "singular system matrix; some node has no conductive path to ground"
 
 
 class EngineError(Exception):
@@ -161,11 +171,76 @@ class MnaSystem:
             g[k, b] -= 1.0
         self.g_static = g
         self._overrides: dict[str, float] = {}
+        self._plan_step(resistors)
 
     def _slot(self, node: Node) -> int:
         if node.is_ground:
             return self.ground
         return self.node_index[node.name]
+
+    def _plan_step(self, resistors: list[ResElement]) -> None:
+        # Eliminated sources: grounded, and the only grounded source on
+        # their node.  sign is +1 when the node is the + terminal.
+        size, ground = self.size, self.ground
+        drives: dict[int, list[tuple[int, float]]] = {}
+        for e in self.vsources:
+            a, b = self._slot(e.n_plus), self._slot(e.n_minus)
+            if (a == ground) != (b == ground):
+                node, sign = (a, 1.0) if b == ground else (b, -1.0)
+                drives.setdefault(node, []).append((self.branch_index[e.id], sign))
+        fixed = sorted((node, *ks[0]) for node, ks in drives.items() if len(ks) == 1)
+        self._drv_node = np.array([f[0] for f in fixed], dtype=np.int64)
+        self._drv_branch = np.array([f[1] for f in fixed], dtype=np.int64)
+        self._drv_sign = np.array([f[2] for f in fixed])
+        eliminated = set(self._drv_node.tolist()) | set(self._drv_branch.tolist())
+
+        # Connected components of the free unknowns (union-find); a driven
+        # node or ground joins nothing.
+        parent = list(range(size))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        def join(slots) -> None:
+            free = [root(s) for s in slots if s != ground and s not in eliminated]
+            for r in free[1:]:
+                parent[r] = root(free[0])
+
+        for row in self.mos_idx.tolist():
+            join(row)
+        for e in resistors + self.caps:
+            join((self._slot(e.n1), self._slot(e.n2)))
+        for e in self.vsources:
+            k = self.branch_index[e.id]
+            if k not in eliminated:
+                join((self._slot(e.n_plus), self._slot(e.n_minus), k))
+        components: dict[int, list[int]] = {}
+        for i in range(size):
+            if i not in eliminated:
+                components.setdefault(root(i), []).append(i)
+        by_size: dict[int, list[list[int]]] = {}
+        for members in components.values():
+            by_size.setdefault(len(members), []).append(members)
+
+        # Flat indices into jac.reshape(-1): each size class of blocks, the
+        # free-by-driven coupling, and the full rows of the driven nodes.
+        # Blocks also keep their unknowns' positions in the free vector.
+        n_ext = size + 1
+        free = np.array(sorted(set(range(size)) - eliminated), dtype=np.int64)
+        self._free = free
+        self._blocks = []
+        for m in sorted(by_size):
+            idx = np.array(by_size[m], dtype=np.int64)
+            pos = np.searchsorted(free, idx)
+            flat = idx[:, :, None] * n_ext + idx[:, None, :]
+            if m == 1:
+                pos, idx, flat = pos[:, 0], idx[:, 0], flat[:, 0, 0]
+            self._blocks.append((m, pos, idx, flat))
+        self._free_drv_flat = free[:, None] * n_ext + self._drv_node[None, :]
+        self._drv_row_flat = self._drv_node[:, None] * n_ext + np.arange(size)[None, :]
 
     # -- source drive -------------------------------------------------
 
@@ -207,6 +282,35 @@ class MnaSystem:
             return "<none>"
         return self.nodes[int(np.argmax(np.abs(res[: self.n_nodes])))]
 
+    def newton_step(self, jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """Solve jac[:n, :n] @ delta = -res[:n] over the n unknowns.
+
+        jac and res are the extended, C-contiguous Jacobian and residual of
+        this system.  The step is exact: it equals the dense solve to
+        rounding.  A singular block raises FloatingNodeError.
+        """
+        jf = jac.reshape(-1)
+        # Worked in the negated step e = -delta, which saves negations.
+        e = np.zeros(self.size)
+        e_drv = res[self._drv_branch] * self._drv_sign
+        e[self._drv_node] = e_drv
+        rhs = res[self._free] - jf[self._free_drv_flat].dot(e_drv)
+        for m, pos, idx, flat in self._blocks:
+            if m == 1:
+                pivot = jf[flat]
+                if np.count_nonzero(pivot) < pivot.size:
+                    raise FloatingNodeError(_SINGULAR)
+                e[idx] = rhs[pos] / pivot
+                continue
+            try:
+                e[idx] = np.linalg.solve(jf[flat], rhs[pos][..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise FloatingNodeError(_SINGULAR) from exc
+        # The eliminated branch entries of e are still zero here, so each
+        # driven row's product leaves out its own source's term.
+        e[self._drv_branch] = self._drv_sign * (res[self._drv_node] - jf[self._drv_row_flat].dot(e))
+        return -e
+
     def _newton(self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray) -> tuple[np.ndarray, int]:
         x = x0.copy()
         res = np.zeros(self.size + 1)
@@ -222,12 +326,7 @@ class MnaSystem:
             branch_ok = np.abs(res[self.n_nodes : self.size]).max(initial=0.0) < VNTOL
             if node_ok and branch_ok and step_small:
                 return x, it
-            try:
-                delta = np.linalg.solve(jac[: self.size, : self.size], -res[: self.size])
-            except np.linalg.LinAlgError as exc:
-                raise FloatingNodeError(
-                    "singular system matrix; some node has no conductive path to ground"
-                ) from exc
+            delta = self.newton_step(jac, res)
             if not np.all(np.isfinite(delta)):
                 raise ConvergenceError("Newton step produced non-finite values")
             applied = np.clip(delta, -MAX_STEP, MAX_STEP)
@@ -336,11 +435,12 @@ def solve_dc(
 
 
 def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive uniform grid; the last point lands on `stop` exactly."""
+    """Inclusive uniform grid from `start` toward `stop`, up or down, in
+    steps of `step`; the last point lands on `stop` exactly."""
     if step <= 0:
         raise ValueError("sweep step must be positive")
-    n = max(1, int(round((stop - start) / step)))
-    values = start + step * np.arange(n + 1)
+    n = max(1, int(round(abs(stop - start) / step)))
+    values = start + math.copysign(step, stop - start) * np.arange(n + 1)
     values[-1] = stop
     return values
 
@@ -418,16 +518,22 @@ def transient(
     xs = np.zeros((n_steps + 1, sys.size))
     xs[0] = x0
 
-    cap_slots = [(sys._slot(c.n1), sys._slot(c.n2), c.value) for c in sys.caps]
+    cap_a = np.array([sys._slot(c.n1) for c in sys.caps], dtype=np.int64)
+    cap_b = np.array([sys._slot(c.n2) for c in sys.caps], dtype=np.int64)
+    cap_c = np.array([c.value for c in sys.caps])
+    # Scatter targets interleaved per capacitor, so shared slots accumulate
+    # in capacitor order.
+    cap_ab = np.stack((cap_a, cap_b), axis=1).reshape(-1)
+    n_ext = sys.size + 1
+    cap_flat = np.stack(
+        (cap_a * n_ext + cap_a, cap_a * n_ext + cap_b, cap_b * n_ext + cap_b, cap_b * n_ext + cap_a),
+        axis=1,
+    ).reshape(-1)
 
     def companion_matrix(factor: float) -> np.ndarray:
         g = sys.g_static.copy()
-        for a, b, cval in cap_slots:
-            geq = factor * cval
-            g[a, a] += geq
-            g[a, b] -= geq
-            g[b, b] += geq
-            g[b, a] -= geq
+        geq = factor * cap_c
+        np.add.at(g.reshape(-1), cap_flat, np.stack((geq, -geq, geq, -geq), axis=1).reshape(-1))
         return g
 
     factor = 2.0 / dt if method == "trap" else 1.0 / dt
@@ -438,31 +544,29 @@ def transient(
     # global order at two.
     g_start = companion_matrix(1.0 / dt) if method == "trap" else g_dyn
 
-    i_hist = np.zeros(len(cap_slots))  # trapezoidal branch-current history
+    i_hist = np.zeros(cap_c.size)  # trapezoidal branch-current history
     x = x0.copy()
     for k in range(1, n_steps + 1):
         startup = method == "trap" and k == 1
         fac_k = 1.0 / dt if startup else factor
         b_vec = sys.rhs(times[k])
         x_ext_prev = np.append(x, 0.0)
-        for j, (a, b, cval) in enumerate(cap_slots):
-            hist = fac_k * cval * (x_ext_prev[a] - x_ext_prev[b])
-            if method == "trap" and not startup:
-                hist += i_hist[j]
-            b_vec[a] -= hist
-            b_vec[b] += hist
+        v_prev = x_ext_prev[cap_a] - x_ext_prev[cap_b]
+        hist = fac_k * cap_c * v_prev
+        if method == "trap" and not startup:
+            hist += i_hist
+        np.add.at(b_vec, cap_ab, np.stack((-hist, hist), axis=1).reshape(-1))
         try:
             x, _ = sys._newton(x, b_vec, g_start if startup else g_dyn)
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} (at t={times[k]:g} s)") from exc
         if method == "trap":
             x_ext = np.append(x, 0.0)
-            for j, (a, b, cval) in enumerate(cap_slots):
-                dv = (x_ext[a] - x_ext[b]) - (x_ext_prev[a] - x_ext_prev[b])
-                if startup:
-                    i_hist[j] = cval * dv / dt
-                else:
-                    i_hist[j] = factor * cval * dv - i_hist[j]
+            dv = (x_ext[cap_a] - x_ext[cap_b]) - v_prev
+            if startup:
+                i_hist = cap_c * dv / dt
+            else:
+                i_hist = factor * cap_c * dv - i_hist
         xs[k] = x
 
     nodes = {name: xs[:, i].copy() for name, i in sys.node_index.items()}

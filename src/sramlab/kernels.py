@@ -212,6 +212,13 @@ else:  # pragma: no cover
     _stamp_numba = None
 
 
+# Terminal columns (drain, gate, source, bulk) of the eight Jacobian entries
+# and two residual entries each device stamps.
+_JAC_ROW = np.array([0, 0, 0, 0, 2, 2, 2, 2])
+_JAC_COL = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+_RES_ROW = np.array([0, 2])
+
+
 def _stamp_numpy(x_ext, idx, par, vt, jac, res):
     d = idx[:, 0]
     g = idx[:, 1]
@@ -328,16 +335,16 @@ def _stamp_numpy(x_ext, idx, par, vt, jac, res):
     dsv = -gm2 - gds2 + gmb2
     dbv = -gmb2
 
-    np.add.at(res, d, i_term)
-    np.add.at(res, s_n, -i_term)
-    np.add.at(jac, (d, d), dd)
-    np.add.at(jac, (d, g), dgv)
-    np.add.at(jac, (d, s_n), dsv)
-    np.add.at(jac, (d, b), dbv)
-    np.add.at(jac, (s_n, d), -dd)
-    np.add.at(jac, (s_n, g), -dgv)
-    np.add.at(jac, (s_n, s_n), -dsv)
-    np.add.at(jac, (s_n, b), -dbv)
+    # One scatter per array, ordered entry by entry across all devices
+    # (every drain-drain term, then every drain-gate term, ...), so repeated
+    # indices accumulate in a fixed order.
+    if not jac.flags.c_contiguous:
+        raise ValueError("jac must be C-contiguous")
+    terminals = idx.T
+    flat = terminals[_JAC_ROW] * jac.shape[1] + terminals[_JAC_COL]
+    vals = np.concatenate((dd, dgv, dsv, dbv, -dd, -dgv, -dsv, -dbv))
+    np.add.at(jac.reshape(-1), flat.reshape(-1), vals)
+    np.add.at(res, terminals[_RES_ROW].reshape(-1), np.concatenate((i_term, -i_term)))
 
 
 def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
@@ -346,7 +353,7 @@ def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
     x_ext holds the solver unknowns plus one trailing slot pinned at 0.0 for
     ground; idx rows index (drain, gate, source, bulk) into it.  jac and res
     carry the same trailing slot, so stamps landing on ground are simply
-    ignored by the caller.
+    ignored by the caller.  jac must be C-contiguous.
     """
     if idx.shape[0] == 0:
         return

@@ -86,6 +86,28 @@ def test_config_errors_exit_2(run, tmp_path):
     assert "unknown key" in err
 
 
+def test_power_negative_input_exits_2(run):
+    code, out, err = run("power", "--cl", "-1", "--vdd", "1.8", "--fsw", "100meg")
+    assert code == 2 and out == ""
+    assert err == "error: capacitance, supply, and frequency must be nonnegative\n"
+
+
+def test_snm_zero_grid_exits_2(run, cell_file):
+    code, out, err = run("snm", "--netlist", cell_file, "--grid", "0")
+    assert code == 2 and out == ""
+    assert err == "error: grid must be positive\n"
+
+
+def test_sweep_unknown_source_exits_2(run, tmp_path):
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    code, out, err = run(
+        "sweep", str(f), "--source", "VX", "--from", "0", "--to", "1", "--step", "0.1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: no stamped source named 'VX'\n"
+
+
 # ---------------------------------------------------------------------
 # Netlist plumbing
 
@@ -225,6 +247,16 @@ def test_sweep_writes_csv(run, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "V1"
     assert len(rows) == 12
+
+
+def test_sweep_runs_downward(run, tmp_path):
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    code, out, _ = run("sweep", str(f), "--source", "V1", "--from", "1", "--to", "0", "--step", "0.25")
+    assert code == 0
+    body = body_of(out)
+    assert "points 5" in body
+    assert "start 1 V" in body and "stop 0 V" in body
 
 
 def test_tran_reports_and_writes(run, tmp_path):

@@ -1,10 +1,16 @@
 import io
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sramlab
 from sramlab import engine
+from sramlab.cli import main
 from sramlab.devices import (
     BiasPoint,
     TechnologyParams,
@@ -25,7 +31,7 @@ from sramlab.engine import (
     waveform_to_csv,
 )
 from sramlab.kernels import mos_stamp
-from sramlab.netlist import parse_netlist
+from sramlab.netlist import GROUND, Node, SourceElement, parse_netlist, with_elements
 
 DIVIDER = """* resistive divider
 V1 in 0 DC 1.8
@@ -140,6 +146,49 @@ def test_floating_node_raises():
         solve_dc(net)
 
 
+@pytest.mark.parametrize(
+    "text, block",
+    [
+        # adrift hangs off a driven node by a capacitor only: a 1x1 block.
+        ("* floating\nV1 in 0 DC 1\nC1 in adrift 1p\n.END", 1),
+        # The capacitor joins adrift to a resistive node: a 2x2 block.
+        ("* floating\nV1 in 0 DC 1\nR1 in a 1k\nR2 a 0 1k\nC1 a adrift 1p\n.END", 2),
+    ],
+)
+def test_floating_node_raises_in_any_block(text, block):
+    net = parse_netlist(text)
+    assert [m for m, *_ in MnaSystem(net)._blocks] == [block]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingNodeError, match="no conductive path"):
+            solve_dc(net)
+
+
+def test_node_driven_twice_raises_on_both_paths():
+    # Two grounded sources on one node form a source loop: neither is
+    # eliminated and their block is singular, as the dense matrix is.
+    sys = MnaSystem(parse_netlist("* twice\nV1 a 0 DC 1\nV2 a 0 DC 1\nR1 a 0 1k\n.END"))
+    assert sys._drv_node.size == 0
+    x_ext = np.zeros(sys.size + 1)
+    jac = sys.g_static.copy()
+    res = sys.g_static @ x_ext + sys.rhs()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac[: sys.size, : sys.size], -res[: sys.size])
+    with pytest.raises(FloatingNodeError):
+        sys.newton_step(jac, res)
+
+
+def test_singular_extract_keeps_exit_code_and_message(capsys):
+    corpus = Path(sramlab.__file__).parent / "corpus"
+    code = main(["tran", str(corpus / "array_extract.sp"), "--tstop", "20n", "--dt", "0.2n"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: singular system matrix; some node has no conductive path to ground\n"
+    )
+
+
 def test_newton_failure_names_worst_node(monkeypatch):
     sys = MnaSystem(parse_netlist(DIODE))
     monkeypatch.setattr(engine, "MAX_ITER", 2)
@@ -202,6 +251,92 @@ def assembled_jacobian(sys, x, b):
     return jac[: sys.size, : sys.size]
 
 
+# ---------------------------------------------------------------------
+# Reduced Newton step against the dense solve
+
+STEP_NODES = ["a", "b", "c", "d", "e", "f"]
+node_or_ground = st.sampled_from(STEP_NODES + ["0"])
+
+
+@st.composite
+def reduction_cases(draw):
+    """A random small netlist, a state, and a gmin shunt per node.
+
+    Voltage sources are kept only while they form no loop through the
+    nodes and ground, which would make the system singular.  Sources may
+    still share a node: a grounded one with any number of floating ones.
+    """
+    lines = ["* reduction case"]
+    parent = {n: n for n in STEP_NODES + ["0"]}
+
+    def root(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    value = st.floats(-2.0, 2.0)
+    pairs = st.tuples(node_or_ground, node_or_ground)
+    for k, (n1, n2) in enumerate(draw(st.lists(pairs, max_size=6))):
+        if root(n1) != root(n2):
+            parent[root(n1)] = root(n2)
+            lines.append(f"V{k} {n1} {n2} DC {draw(value)!r}")
+    for k, (n1, n2) in enumerate(draw(st.lists(pairs, max_size=6))):
+        if n1 != n2:
+            lines.append(f"R{k} {n1} {n2} {10 ** draw(st.floats(0.0, 5.0))!r}")
+    for k, (n1, n2) in enumerate(draw(st.lists(pairs, max_size=2))):
+        if n1 != n2:
+            lines.append(f"C{k} {n1} {n2} 1p")
+    if draw(st.booleans()):
+        lines.append(f"I0 0 {draw(st.sampled_from(STEP_NODES))} DC {draw(st.floats(0.0, 1e-4))!r}")
+    terminals = st.tuples(*[node_or_ground] * 4)
+    for k, (d, g, s, b) in enumerate(draw(st.lists(terminals, max_size=4))):
+        pol = draw(st.sampled_from(["NMOS", "PMOS"]))
+        lines.append(f"M{k} {d} {g} {s} {b} {pol} W={draw(st.floats(1.0, 20.0)):.3f}u L=2u")
+    lines.append(".END")
+    net = parse_netlist("\n".join(lines))
+    sys = MnaSystem(net)
+    x = np.array(draw(st.lists(st.floats(-0.5, 2.0), min_size=sys.size, max_size=sys.size)))
+    exponents = st.lists(st.floats(-12.0, 0.0), min_size=sys.n_nodes, max_size=sys.n_nodes)
+    gmin = 10 ** np.array(draw(exponents))
+    return sys, x, gmin
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_cases())
+def test_reduced_step_matches_dense_solve(case):
+    sys, x, gmin = case
+    assume(sys.size > 0)
+    g = sys.g_static.copy()
+    d = np.arange(sys.n_nodes)
+    g[d, d] += gmin
+    x_ext = np.append(x, 0.0)
+    jac = g.copy()
+    res = g @ x_ext + sys.rhs()
+    mos_stamp(x_ext, sys.mos_idx, sys.mos_par, sys.vt, jac, res)
+    a = jac[: sys.size, : sys.size]
+    dense = np.linalg.solve(a, -res[: sys.size])
+    # Each solve is exact to rounding: within a few n·κ·eps of the true
+    # step, normwise, where κ is the condition number.  MNA mixes volts and
+    # amps, so κ is large unless the conductances are near 1 S; where it is
+    # small the two steps must agree to 1e-12.
+    tol = max(1e-12, 10 * sys.size * np.linalg.cond(a) * np.finfo(float).eps)
+    step = sys.newton_step(jac, res)
+    np.testing.assert_allclose(step, dense, rtol=0, atol=tol * np.abs(dense).max())
+
+
+def test_reduction_plan_on_an_array_tile():
+    # Grounded drives on every rail: what is left is one 2x2 block per
+    # cell (its two storage nodes).
+    rows, cols = 2, 3
+    gnd = Node(GROUND)
+    rails = ["VDD"] + [f"WL{r}" for r in range(rows)]
+    rails += [f"{side}{c}" for c in range(cols) for side in ("BL", "BLB")]
+    drives = [SourceElement(f"V{n}", Node(n), gnd, "DC", (1.8,)) for n in rails]
+    sys = MnaSystem(with_elements(sramlab.build_array(rows, cols), drives))
+    assert [(m, idx.shape[0]) for m, _, idx, _ in sys._blocks] == [(2, rows * cols)]
+    assert sys._drv_node.size == len(rails)
+
+
 def test_fd_jacobian_on_random_circuits():
     rng = np.random.default_rng(77)
     for idx in range(20):
@@ -234,6 +369,15 @@ def test_sweep_grid_endpoints():
     assert grid[-1] == 1.0
     with pytest.raises(ValueError):
         sweep_grid(0.0, 1.0, 0.0)
+
+
+def test_sweep_grid_descending():
+    grid = sweep_grid(1.0, 0.0, 0.25)
+    np.testing.assert_array_equal(grid, [1.0, 0.75, 0.5, 0.25, 0.0])
+    grid = sweep_grid(1.8, 0.0, 0.05)
+    assert grid.size == 37
+    assert grid[0] == 1.8 and grid[-1] == 0.0
+    assert np.all(np.diff(grid) < 0)
 
 
 def test_dc_sweep_inverter_transfer():
