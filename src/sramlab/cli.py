@@ -113,13 +113,13 @@ def _cmd_parse(args, tech):
     net = _read_netlist(args.netlist)
     rep = _report(args, tech)
     if net.title:
-        rep.add("title", net.title, provenance="parse")
-    rep.add("nodes", net.node_count, provenance="parse")
-    rep.add("elements", net.element_count, provenance="parse")
+        rep.add("title", net.title)
+    rep.add("nodes", net.node_count)
+    rep.add("elements", net.element_count)
     if net.declared_node_count is not None:
-        rep.add("declared_nodes", net.declared_node_count, provenance="parse")
+        rep.add("declared_nodes", net.declared_node_count)
     if net.declared_element_count is not None:
-        rep.add("declared_elements", net.declared_element_count, provenance="parse")
+        rep.add("declared_elements", net.declared_element_count)
     return _emit(rep)
 
 
@@ -153,8 +153,8 @@ def _cmd_generate(args, tech):
         with open(args.out, "w") as fh:
             fh.write(text)
         rep = _report(args, tech)
-        rep.add("nodes", net.node_count, provenance="generate")
-        rep.add("elements", net.element_count, provenance="generate")
+        rep.add("nodes", net.node_count)
+        rep.add("elements", net.element_count)
         return _emit(rep)
     sys.stdout.write(text)
     return 0
@@ -165,10 +165,10 @@ def _cmd_dc(args, tech):
     sol = solve_dc(net, tech)
     rep = _report(args, tech)
     for name in sorted(sol.voltages):
-        rep.add(f"V({name})", sol.voltages[name], "V", provenance="dc")
+        rep.add(f"V({name})", sol.voltages[name], "V")
     for sid in sorted(sol.branch_currents):
-        rep.add(f"I({sid})", sol.branch_currents[sid], "A", provenance="dc")
-    rep.add("iterations", sol.iterations, provenance="dc")
+        rep.add(f"I({sid})", sol.branch_currents[sid], "A")
+    rep.add("iterations", sol.iterations)
     return _emit(rep)
 
 
@@ -181,9 +181,9 @@ def _cmd_sweep(args, tech):
     if args.out:
         sweep_to_csv(result, args.out)
     rep = _report(args, tech)
-    rep.add("points", result.values.size, provenance="sweep")
-    rep.add("start", float(result.values[0]), "V", provenance="sweep")
-    rep.add("stop", float(result.values[-1]), "V", provenance="sweep")
+    rep.add("points", result.values.size)
+    rep.add("start", float(result.values[0]), "V")
+    rep.add("stop", float(result.values[-1]), "V")
     return _emit(rep)
 
 
@@ -199,8 +199,8 @@ def _cmd_tran(args, tech):
     if args.out:
         waveform_to_csv(wave, args.out)
     rep = _report(args, tech)
-    rep.add("points", wave.time.size, provenance="tran")
-    rep.add("t_stop", float(wave.time[-1]), "s", provenance="tran")
+    rep.add("points", wave.time.size)
+    rep.add("t_stop", float(wave.time[-1]), "s")
     return _emit(rep)
 
 
@@ -212,15 +212,9 @@ def _cmd_snm(args, tech):
     if args.out:
         butterfly_to_csv(data, args.out)
     rep = _report(args, tech)
-    rep.add("snm_high", data.snm_high, "V", provenance="snm")
-    rep.add("snm_low", data.snm_low, "V", provenance="snm")
-    rep.add(
-        "snm",
-        data.snm,
-        "V",
-        verdict="pass" if data.snm > 0 else "fail",
-        provenance="snm",
-    )
+    rep.add("snm_high", data.snm_high, "V")
+    rep.add("snm_low", data.snm_low, "V")
+    rep.add("snm", data.snm, "V", verdict="pass" if data.snm > 0 else "fail")
     return _emit(rep)
 
 
@@ -230,12 +224,12 @@ def _cmd_drv(args, tech):
     closed = brute = None
     if args.method in ("closed-form", "both"):
         closed = drv_closed_form(drv_inputs_from_cell(net, tech))
-        rep.add("drv_closed_form", closed, "V", provenance="drv")
+        rep.add("drv_closed_form", closed, "V")
     if args.method in ("bruteforce", "both"):
         brute = drv_bruteforce(net, tech, args.resolution, args.vmax)
-        rep.add("drv_bruteforce", brute, "V", provenance="drv")
+        rep.add("drv_bruteforce", brute, "V")
     if closed is not None and brute is not None:
-        rep.add("drv_delta", abs(closed - brute), "V", provenance="drv")
+        rep.add("drv_delta", abs(closed - brute), "V")
     return _emit(rep)
 
 
@@ -243,7 +237,7 @@ def _cmd_write_margin(args, tech):
     net = _read_netlist(args.netlist)
     wm = write_margin(net, tech, args.vdd, args.wl)
     rep = _report(args, tech)
-    rep.add("write_margin", wm, "V", provenance="write-margin")
+    rep.add("write_margin", wm, "V")
     return _emit(rep)
 
 
@@ -253,7 +247,7 @@ def _cmd_power(args, tech):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rep = _report(args, tech)
-    rep.add("dynamic_power", power, "W", provenance="power")
+    rep.add("dynamic_power", power, "W")
     return _emit(rep)
 
 
@@ -263,9 +257,9 @@ def _cmd_delay(args, tech):
         if args.tplh is None or args.tphl is None:
             raise ConfigError("--tplh and --tphl must be given together")
         m = DelayMeasurement(args.tplh, args.tphl, args.vdd / 2, args.vdd / 2)
-        rep.add("t_plh", m.t_plh, "s", provenance="delay")
-        rep.add("t_phl", m.t_phl, "s", provenance="delay")
-        rep.add("t_p", m.t_p, "s", provenance="delay")
+        rep.add("t_plh", m.t_plh, "s")
+        rep.add("t_phl", m.t_phl, "s")
+        rep.add("t_p", m.t_p, "s")
     elif args.waveform:
         try:
             wave = waveform_from_csv(args.waveform)
@@ -274,22 +268,17 @@ def _cmd_delay(args, tech):
                 f"cannot read waveform {args.waveform}: {exc.strerror}"
             ) from None
         m = propagation_delay(wave, args.node, 0.0, args.vdd, args.input)
-        rep.add("t_plh", m.t_plh, "s", provenance="delay")
-        rep.add("t_phl", m.t_phl, "s", provenance="delay")
-        rep.add("t_p", m.t_p, "s", provenance="delay")
+        rep.add("t_plh", m.t_plh, "s")
+        rep.add("t_phl", m.t_phl, "s")
+        rep.add("t_p", m.t_p, "s")
     elif args.cbit is not None:
         current = args.icell
         if current is None:
             if not args.netlist:
                 raise ConfigError("bitline mode needs --icell or --netlist")
             current = read_current(_read_netlist(args.netlist), tech, args.vdd)
-            rep.add("i_cell", current, "A", provenance="delay")
-        rep.add(
-            "bitline_delay",
-            bitline_delay(args.cbit, args.dv, current),
-            "s",
-            provenance="delay",
-        )
+            rep.add("i_cell", current, "A")
+        rep.add("bitline_delay", bitline_delay(args.cbit, args.dv, current), "s")
     else:
         raise ConfigError(
             "delay needs --tplh/--tphl, --waveform, or --cbit arguments"
@@ -301,21 +290,19 @@ def _cmd_ratios(args, tech):
     geom = _geometry(args)
     r = check_ratios(geom.pd, geom.pu, geom.pg)
     rep = _report(args, tech)
-    rep.add("cr_left", r.cr_left, provenance="ratios")
-    rep.add("cr_right", r.cr_right, provenance="ratios")
-    rep.add("pr_left", r.pr_left, provenance="ratios")
-    rep.add("pr_right", r.pr_right, provenance="ratios")
+    rep.add("cr_left", r.cr_left)
+    rep.add("cr_right", r.cr_right)
+    rep.add("pr_left", r.pr_left)
+    rep.add("pr_right", r.pr_right)
     rep.add(
         "read_stable",
         "true" if r.read_stable else "false",
         verdict="pass" if r.read_stable else "fail",
-        provenance="ratios",
     )
     rep.add(
         "write_stable",
         "true" if r.write_stable else "false",
         verdict="pass" if r.write_stable else "fail",
-        provenance="ratios",
     )
     return _emit(rep)
 
@@ -325,17 +312,20 @@ def _cmd_area(args, tech):
     result = area_report(rects)
     rep = _report(args, tech)
     for i, a in enumerate(result.areas):
-        rep.add(f"area_{i}", a, "lambda^2", provenance="area")
-    rep.add("total", result.total, "lambda^2", provenance="area")
+        rep.add(f"area_{i}", a, "lambda^2")
+    rep.add("total", result.total, "lambda^2")
     if not args.rect:
         # The drawn regions sum below the quoted figure; both are reported.
-        rep.add("quoted_total", DEFAULT_LAYOUT_QUOTED_TOTAL, "lambda^2", provenance="area")
+        rep.add("quoted_total", DEFAULT_LAYOUT_QUOTED_TOTAL, "lambda^2")
     return _emit(rep)
 
 
 def _cmd_montecarlo(args, tech):
     net = _read_netlist(args.netlist)
-    vm = VariationModel(a_vth=args.a_vth, n_samples=args.samples, seed=args.seed)
+    try:
+        vm = VariationModel(a_vth=args.a_vth, n_samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     summary = monte_carlo_snm(net, tech, vm, args.mode, args.vdd, args.grid)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -344,11 +334,11 @@ def _cmd_montecarlo(args, tech):
             for i, v in enumerate(summary.samples):
                 writer.writerow([i, repr(float(v))])
     rep = _report(args, tech)
-    rep.add("samples", args.samples, provenance="montecarlo")
-    rep.add("snm_mean", summary.mean, "V", provenance="montecarlo")
-    rep.add("snm_stddev", summary.stddev, "V", provenance="montecarlo")
-    rep.add("snm_min", summary.minimum, "V", provenance="montecarlo")
-    rep.add("failures", summary.failures, provenance="montecarlo")
+    rep.add("samples", args.samples)
+    rep.add("snm_mean", summary.mean, "V")
+    rep.add("snm_stddev", summary.stddev, "V")
+    rep.add("snm_min", summary.minimum, "V")
+    rep.add("failures", summary.failures)
     return _emit(rep)
 
 

@@ -1,9 +1,10 @@
 """Compact MOSFET model: body-effect/DIBL threshold, subthreshold conduction,
 and a level-1 square law, blended C0-continuously between the two regimes.
 
-Scalar functions here are the readable reference path; `kernels` carries the
-vectorized twin used inside the solver loop and is cross-checked against this
-module by the test suite.
+This module holds the model cards, their derivation from physical inputs,
+and the closed-form threshold, subthreshold and leakage expressions.  The
+full model lives in `kernels`; mos_operating_point evaluates a single
+device through the same stamp the solver uses.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from . import kernels
+
 K_BOLTZMANN = 1.380649e-23  # J/K
 Q_ELECTRON = 1.602176634e-19  # C
-
-# Width of the blending band above threshold, in units of n*v_T.
-BLEND_SPAN = 3.0
 
 # Working defaults for a generic long-channel process.  alpha is sized so
 # that alpha*L = 10 at the 2 um minimum drawn length used by the bundled
@@ -42,15 +44,6 @@ def thermal_voltage(temperature: float) -> float:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return K_BOLTZMANN * temperature / Q_ELECTRON
-
-
-@dataclass(frozen=True)
-class ThermalContext:
-    v_t: float
-
-    @classmethod
-    def from_temperature(cls, temperature: float) -> "ThermalContext":
-        return cls(v_t=thermal_voltage(temperature))
 
 
 @dataclass
@@ -167,15 +160,14 @@ def threshold_voltage(dev: DeviceParams, bias: BiasPoint) -> float:
     return dev.vth0 + dev.gamma * body - bias.v_ds * math.exp(-dev.alpha * bias.l)
 
 
-def subthreshold_current(
-    dev: DeviceParams, bias: BiasPoint, thermal: ThermalContext | None = None
-) -> float:
+def subthreshold_current(dev: DeviceParams, bias: BiasPoint, v_t: float | None = None) -> float:
     """Weak-inversion drain current for V_DS >= 0."""
     if bias.w <= 0 or bias.l <= 0:
         raise ValueError("device geometry must be positive")
     if bias.v_ds < 0:
         raise ValueError("subthreshold form needs V_DS >= 0")
-    v_t = thermal.v_t if thermal is not None else thermal_voltage(DEFAULT_TEMPERATURE)
+    if v_t is None:
+        v_t = thermal_voltage(DEFAULT_TEMPERATURE)
     beta = bias.w / bias.l
     vth = threshold_voltage(dev, bias)
     i_off = beta * dev.i0 * math.exp(-vth / (dev.n * v_t))
@@ -189,110 +181,40 @@ def leakage_current(dev: DeviceParams, w: float, l: float, v_t: float) -> float:
     return (w / l) * dev.i0 * math.exp(-dev.vth0 / (dev.n * v_t))
 
 
-# Core evaluated in the forward NMOS frame (v_ds >= 0).  Returns drain
-# current plus d(i)/d(v_gs), d(i)/d(v_ds), d(i)/d(v_sb).
-def _core(dev: DeviceParams, v_gs: float, v_ds: float, v_sb: float, w: float, l: float, v_t: float):
-    beta = w / l
-    dibl = math.exp(-dev.alpha * l)
-    arg = -2.0 * dev.phi_f + v_sb
-    sq = math.sqrt(abs(arg))
-    sq0 = math.sqrt(abs(-2.0 * dev.phi_f))
-    dsq = 0.0 if abs(arg) < 1e-12 else math.copysign(0.5 / sq, arg)
-    vth = dev.vth0 + dev.gamma * (sq - sq0) - v_ds * dibl
-    dvth_dvsb = dev.gamma * dsq
-    vov = v_gs - vth  # d/dvgs = 1, d/dvds = dibl, d/dvsb = -dvth_dvsb
-    nvt = dev.n * v_t
-    wlim = BLEND_SPAN * nvt
-
-    if v_ds < 1e-12:
-        if vov <= 0.0:
-            g0 = beta * dev.i0 * math.exp(vov / nvt) / v_t
-        elif vov >= wlim:
-            g0 = dev.kp * beta * vov
-        else:
-            frac = vov / wlim
-            g0 = (beta * dev.i0 / v_t) ** (1.0 - frac) * (dev.kp * beta * wlim) ** frac
-        return 0.0, 0.0, g0, 0.0
-
-    emv = math.exp(-v_ds / v_t)
-    f_ds = 1.0 - emv
-
-    if vov <= 0.0:
-        i = beta * dev.i0 * math.exp(vov / nvt) * f_ds
-        return i, i / nvt, i * (dibl / nvt + emv / (v_t * f_ds)), -i * dvth_dvsb / nvt
-
-    lam_term = 1.0 + dev.lam * v_ds
-    if v_ds < vov:  # triode; (1 + lam*v_ds) kept for continuity at the seam
-        p = vov * v_ds - 0.5 * v_ds * v_ds
-        i_sq = dev.kp * beta * p * lam_term
-        dln_sq_g = v_ds / p
-        dln_sq_d = (vov - v_ds + v_ds * dibl) / p + dev.lam / lam_term
-        dln_sq_b = -v_ds * dvth_dvsb / p
-    else:
-        i_sq = 0.5 * dev.kp * beta * vov * vov * lam_term
-        dln_sq_g = 2.0 / vov
-        dln_sq_d = 2.0 * dibl / vov + dev.lam / lam_term
-        dln_sq_b = -2.0 * dvth_dvsb / vov
-
-    if vov >= wlim:
-        return i_sq, i_sq * dln_sq_g, i_sq * dln_sq_d, i_sq * dln_sq_b
-
-    # Transition window: log current runs linearly in overdrive from the
-    # weak-inversion value at vov = 0 to the square-law value at vov = wlim,
-    # both taken at this v_ds.  The anchors carry no vth dependence (their
-    # overdrives are pinned), so threshold shifts act only through frac.
-    i_lo = beta * dev.i0 * f_ds
-    dln_lo_d = emv / (v_t * f_ds)
-    if v_ds < wlim:  # upper anchor still in triode
-        p_hi = wlim * v_ds - 0.5 * v_ds * v_ds
-        i_hi = dev.kp * beta * p_hi * lam_term
-        dln_hi_d = (wlim - v_ds) / p_hi + dev.lam / lam_term
-    else:
-        i_hi = 0.5 * dev.kp * beta * wlim * wlim * lam_term
-        dln_hi_d = dev.lam / lam_term
-    frac = vov / wlim
-    span = math.log(i_hi / i_lo)
-    i = math.exp((1.0 - frac) * math.log(i_lo) + frac * math.log(i_hi))
-    g_m = i * span / wlim
-    g_ds = i * ((1.0 - frac) * dln_lo_d + frac * dln_hi_d + span * dibl / wlim)
-    g_mb = -i * span * dvth_dvsb / wlim
-    return i, g_m, g_ds, g_mb
+# Terminal slots (drain, gate, source, bulk) of the single-device system; the
+# int64 dtype matches the engine's index array, so numba compiles one kernel.
+_OP_IDX = np.array([[0, 1, 2, 3]], dtype=np.int64)
 
 
 def mos_operating_point(
     dev: DeviceParams,
     bias: BiasPoint,
-    thermal: ThermalContext | None = None,
+    v_t: float | None = None,
     polarity: str = "NMOS",
 ) -> MosOperatingPoint:
     """Drain current and small-signal conductances at a bias point.
 
-    PMOS is handled by sign reflection: pass terminal-frame voltages (which
-    are negative for a conducting PMOS) and magnitude parameters; the
-    returned current carries the PMOS sign.
+    Pass terminal-frame voltages (negative for a conducting PMOS) and
+    magnitude parameters; the returned current carries the PMOS sign.  The
+    device is stamped alone into a five-slot system (drain, gate, source,
+    bulk, ground) with the source at 0 V, and the drain row is read back.
     """
-    if bias.w <= 0 or bias.l <= 0:
-        raise ValueError("device geometry must be positive")
-    v_t = thermal.v_t if thermal is not None else thermal_voltage(DEFAULT_TEMPERATURE)
-    sign = -1.0 if polarity.upper() == "PMOS" else 1.0
-    v_gs = sign * bias.v_gs
-    v_ds = sign * bias.v_ds
-    v_sb = sign * bias.v_sb
-    flipped = v_ds < 0.0
-    if flipped:  # conduction with drain/source roles exchanged
-        v_gs, v_ds, v_sb = v_gs - v_ds, -v_ds, v_sb + v_ds
-    i, g_m, g_ds, g_mb = _core(dev, v_gs, v_ds, v_sb, bias.w, bias.l, v_t)
-    if flipped:
-        # Map partials back to the unswapped frame (current negates, the
-        # swapped-frame terminal differences mix the conductances).
-        g_m, g_ds, g_mb, i = -g_m, g_m + g_ds - g_mb, -g_mb, -i
-    return MosOperatingPoint(i_d=sign * i, g_m=g_m, g_ds=g_ds, g_mb=g_mb)
+    if v_t is None:
+        v_t = thermal_voltage(DEFAULT_TEMPERATURE)
+    par = kernels.pack_device(dev, polarity, bias.w, bias.l, v_t)[None, :]
+    x_ext = np.array([bias.v_ds, bias.v_gs, 0.0, -bias.v_sb, 0.0])
+    jac = np.zeros((5, 5))
+    res = np.zeros(5)
+    kernels.mos_stamp(x_ext, _OP_IDX, par, v_t, jac, res)
+    return MosOperatingPoint(
+        i_d=float(res[0]), g_m=float(jac[0, 1]), g_ds=float(jac[0, 0]), g_mb=-float(jac[0, 3])
+    )
 
 
 def mos_current(
     dev: DeviceParams,
     bias: BiasPoint,
-    thermal: ThermalContext | None = None,
+    v_t: float | None = None,
     polarity: str = "NMOS",
 ) -> float:
-    return mos_operating_point(dev, bias, thermal, polarity).i_d
+    return mos_operating_point(dev, bias, v_t, polarity).i_d

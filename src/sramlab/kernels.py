@@ -1,23 +1,21 @@
-"""Hot-path MOS stamping for the nodal solver.
+"""The compact MOS model and its stamping into the nodal solver.
 
-Two interchangeable backends evaluate the compact model over a whole device
-array and scatter drain currents plus Jacobian conductances in place: a
-numba @njit loop and a vectorized pure-numpy fallback.  Selection order:
-an explicit set_backend() call, else the SRAMLAB_KERNEL environment
-variable ("numba" or "numpy"), else numba whenever it imports.
-
-The math here mirrors devices._core exactly; the test suite holds the two
-paths together.
+The model is evaluated over a whole device array, and the drain currents
+plus Jacobian conductances are scattered in place.  It is written twice: a
+scalar loop compiled with numba @njit, used whenever numba imports, and a
+vectorized pure-numpy fallback.  The test suite holds the two together.
+devices.mos_operating_point evaluates single devices through mos_stamp.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .devices import BLEND_SPAN, DeviceParams
+if TYPE_CHECKING:
+    from .devices import DeviceParams
 
 try:
     from numba import njit
@@ -41,7 +39,8 @@ COL_I0 = 10
 COL_WLIM = 11  # blend span above threshold, BLEND_SPAN*n*v_T
 N_PAR = 12
 
-_forced_backend: str | None = None
+# Width of the blending band above threshold, in units of n*v_T.
+BLEND_SPAN = 3.0
 
 
 def pack_device(dev: DeviceParams, polarity: str, w: float, l: float, v_t: float) -> np.ndarray:
@@ -65,27 +64,8 @@ def pack_device(dev: DeviceParams, polarity: str, w: float, l: float, v_t: float
 
 
 def get_backend() -> str:
-    """Name of the backend mos_stamp() will dispatch to right now."""
-    if _forced_backend is not None:
-        return _forced_backend
-    env = os.environ.get("SRAMLAB_KERNEL", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
+    """Name of the backend mos_stamp() dispatches to."""
     return "numba" if HAVE_NUMBA else "numpy"
-
-
-def set_backend(name: str | None) -> None:
-    """Pin the backend in-process; None restores environment-driven choice."""
-    global _forced_backend
-    if name is None:
-        _forced_backend = None
-        return
-    name = name.strip().lower()
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _forced_backend = name
 
 
 def _stamp_loop(x_ext, idx, par, vt, jac, res):
@@ -100,7 +80,7 @@ def _stamp_loop(x_ext, idx, par, vt, jac, res):
         vds = sgn * (x_ext[d] - x_ext[s_n])
         vsb = sgn * (x_ext[s_n] - x_ext[b])
         flip = vds < 0.0
-        if flip:
+        if flip:  # conduction with drain/source roles exchanged
             vgs = vgs - vds
             vsb = vsb + vds
             vds = -vds
@@ -145,7 +125,7 @@ def _stamp_loop(x_ext, idx, par, vt, jac, res):
                 gmb = -im * dvthb / nvt
             else:
                 lam_term = 1.0 + lam * vds
-                if vds < vov:
+                if vds < vov:  # triode; lam_term kept for continuity at the seam
                     p = vov * vds - 0.5 * vds * vds
                     i_sq = kp * beta * p * lam_term
                     dg_sq = vds / p
@@ -162,7 +142,11 @@ def _stamp_loop(x_ext, idx, par, vt, jac, res):
                     gds = i_sq * dd_sq
                     gmb = i_sq * db_sq
                 else:
-                    # Log-linear chord between the fixed-overdrive anchors.
+                    # Log-linear chord between the fixed-overdrive anchors:
+                    # the weak-inversion current at vov = 0 and the
+                    # square-law current at vov = wlim, both at this vds.
+                    # The anchors carry no vth dependence, so threshold
+                    # shifts act only through frac.
                     i_lo = beta * i0 * fds
                     dd_lo = emv / (vt * fds)
                     if vds < wlim:
@@ -180,6 +164,8 @@ def _stamp_loop(x_ext, idx, par, vt, jac, res):
                     gmb = -im * span * dvthb / wlim
 
         if flip:
+            # Map partials back to the unswapped frame: the current negates
+            # and the swapped-frame terminal differences mix the conductances.
             t_gm = -gm
             t_gds = gm + gds - gmb
             t_gmb = -gmb
@@ -357,7 +343,7 @@ def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
     """
     if idx.shape[0] == 0:
         return
-    if get_backend() == "numba":
+    if HAVE_NUMBA:
         _stamp_numba(x_ext, idx, par, vt, jac, res)
     else:
         _stamp_numpy(x_ext, idx, par, vt, jac, res)

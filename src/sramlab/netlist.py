@@ -531,29 +531,23 @@ def validate(net: Netlist) -> AnalysisReport:
     """Structural audit: counts, declared-total cross-check, stub elements,
     unresolved nodes, under-connected nodes, and extractor warnings."""
     report = AnalysisReport()
-    report.add("elements", net.element_count, provenance="validate")
-    report.add("nodes", net.node_count, provenance="validate")
+    report.add("elements", net.element_count)
+    report.add("nodes", net.node_count)
 
     if net.declared_element_count is not None:
         ok = net.declared_element_count == net.element_count
         report.add(
-            "declared_elements_match",
-            net.declared_element_count,
-            verdict="pass" if ok else "fail",
-            provenance="validate",
+            "declared_elements_match", net.declared_element_count, verdict="pass" if ok else "fail"
         )
     if net.declared_node_count is not None:
         ok = net.declared_node_count == net.node_count
         report.add(
-            "declared_nodes_match",
-            net.declared_node_count,
-            verdict="pass" if ok else "fail",
-            provenance="validate",
+            "declared_nodes_match", net.declared_node_count, verdict="pass" if ok else "fail"
         )
 
     degenerate = net.degenerate_elements()
-    report.add("degenerate_elements", len(degenerate), provenance="validate")
-    report.add("placeholder_nodes", len(net.placeholder_nodes()), provenance="validate")
+    report.add("degenerate_elements", len(degenerate))
+    report.add("placeholder_nodes", len(net.placeholder_nodes()))
 
     # Under-connected nodes: touched by fewer than two live elements.  Role
     # annotated nodes are external ports and exempt; placeholders are already
@@ -566,12 +560,12 @@ def validate(net: Netlist) -> AnalysisReport:
             touches[node] = touches.get(node, 0) + 1
     ports = set(net.roles.values())
     floating = sorted(n for n, k in touches.items() if k < 2 and n not in ports)
-    report.add("floating_nodes", len(floating), provenance="validate")
+    report.add("floating_nodes", len(floating))
     for name in floating:
-        report.add(f"floating_node.{name}", 1, provenance="validate")
+        report.add(f"floating_node.{name}", 1)
 
     warnings_found = sum(1 for c in net.comments if _ZERO_CAP_RE.search(c.text))
-    report.add("zero_cap_warnings", warnings_found, provenance="validate")
+    report.add("zero_cap_warnings", warnings_found)
     return report
 
 

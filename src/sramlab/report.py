@@ -11,7 +11,6 @@ class ReportEntry:
     value: float | int | str
     unit: str = ""
     verdict: str | None = None  # "pass" / "fail" or None when not a check
-    provenance: str = ""  # operation that produced the entry
 
     def render(self) -> str:
         if isinstance(self.value, float):
@@ -42,9 +41,8 @@ class AnalysisReport:
         value: float | int | str,
         unit: str = "",
         verdict: str | None = None,
-        provenance: str = "",
     ) -> None:
-        self.entries.append(ReportEntry(name, value, unit, verdict, provenance))
+        self.entries.append(ReportEntry(name, value, unit, verdict))
 
     def get(self, name: str) -> ReportEntry:
         for entry in self.entries:

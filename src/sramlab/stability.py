@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError
 from .devices import TechnologyParams, derive_tech_params, leakage_current
-from .engine import EngineError, dc_sweep, solve_dc
+from .engine import EngineError, _open_for, dc_sweep, solve_dc
 from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, with_elements
 
 SQRT2 = math.sqrt(2.0)
@@ -203,8 +203,7 @@ def butterfly_to_csv(data: ButterflyData, dest) -> None:
     """Columns V1, Vout_A, Vout_B_mirrored share the input grid; plot the
     third column with its axes exchanged to draw the second lobe.  Summary
     lines follow the data as `# name=value` comments."""
-    own = isinstance(dest, str) or hasattr(dest, "__fspath__")
-    out = open(dest, "w", newline="") if own else dest
+    out, owned = _open_for(dest)
     try:
         writer = csv.writer(out)
         writer.writerow(["V1", "Vout_A", "Vout_B_mirrored"])
@@ -221,7 +220,7 @@ def butterfly_to_csv(data: ButterflyData, dest) -> None:
         out.write(f"# snm={data.snm!r}\n")
         out.write(f"# mode={data.mode} v_dd={data.v_dd!r} grid={data.grid!r}\n")
     finally:
-        if own:
+        if owned:
             out.close()
 
 

@@ -406,6 +406,10 @@ def test_montecarlo_subcommand(run, cell_file, tmp_path):
 
 
 def test_montecarlo_rejects_bad_sampling_plan(run, cell_file):
+    # A bad sampling plan is bad input: exit 2, not an analysis failure.
     code, _, err = run("montecarlo", "--netlist", cell_file, "--samples", "0")
-    assert code == 1
+    assert code == 2
     assert "sample" in err
+    code, _, err = run("montecarlo", "--netlist", cell_file, "--a-vth=-1n")
+    assert code == 2
+    assert "a_vth" in err

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sramlab.devices import (
-    BLEND_SPAN,
     K_BOLTZMANN,
     Q_ELECTRON,
     BiasPoint,
     DeviceParams,
     TechnologyParams,
-    ThermalContext,
     derive_tech_params,
     leakage_current,
     mos_current,
@@ -22,6 +20,7 @@ from sramlab.devices import (
     thermal_voltage,
     threshold_voltage,
 )
+from sramlab.kernels import BLEND_SPAN
 
 mp.mp.dps = 50
 
@@ -93,9 +92,9 @@ def test_subthreshold_against_oracle():
     # beta = 2 via W/L; gamma = 0 and huge alpha pin the threshold at 0.4 V.
     dev = DeviceParams(vth0=0.4, gamma=0.0, alpha=1e12, n=1.25, i0=1e-12)
     bias = BiasPoint(v_gs=0.2, v_ds=0.5, v_sb=0.0, w=2e-6, l=1e-6)
-    th = ThermalContext(v_t=thermal_voltage(300.15))
-    expected = oracle_subthreshold(2, 1e-12, 1.25, 0.4, 0.2, 0.5, th.v_t)
-    got = subthreshold_current(dev, bias, th)
+    v_t = thermal_voltage(300.15)
+    expected = oracle_subthreshold(2, 1e-12, 1.25, 0.4, 0.2, 0.5, v_t)
+    got = subthreshold_current(dev, bias, v_t)
     assert abs(got - float(expected)) <= 1e-12 * float(expected)
 
 
@@ -104,8 +103,7 @@ def test_subthreshold_trivial_corners():
     assert subthreshold_current(NMOS, bias) == 0.0
     # Deep drain bias saturates the (1 - e^{-vds/vT}) factor.
     far = DeviceParams(alpha=1e12)
-    th = ThermalContext(v_t=VT)
-    shallow = subthreshold_current(far, BiasPoint(0.0, 10 * VT, 0.0), th)
+    shallow = subthreshold_current(far, BiasPoint(0.0, 10 * VT, 0.0), VT)
     i_off = leakage_current(far, 10.5e-6, 2e-6, VT)
     assert abs(shallow - i_off * (1 - math.exp(-10.0))) < 1e-12 * i_off
     with pytest.raises(ValueError):
