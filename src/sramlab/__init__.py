@@ -11,11 +11,8 @@ from .devices import (
     TechnologyParams,
     derive_tech_params,
     leakage_current,
-    mos_current,
     mos_operating_point,
-    subthreshold_current,
     thermal_voltage,
-    threshold_voltage,
 )
 from .engine import (
     ConvergenceError,
@@ -24,7 +21,6 @@ from .engine import (
     FloatingNodeError,
     SweepResult,
     TransientResult,
-    Waveform,
     dc_sweep,
     solve_dc,
     sweep_to_csv,

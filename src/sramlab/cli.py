@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 
 from .config import ConfigError, load_config, tech_header_lines
@@ -322,8 +323,11 @@ def _cmd_area(args, tech):
 
 def _cmd_montecarlo(args, tech):
     net = _read_netlist(args.netlist)
+    if args.a_vth is not None:  # overrides both cards, so the header echoes it
+        tech = tech if tech is not None else TechnologyParams.default()
+        tech.nmos.a_vth = tech.pmos.a_vth = args.a_vth
     try:
-        vm = VariationModel(a_vth=args.a_vth, n_samples=args.samples, seed=args.seed)
+        vm = VariationModel(a_vth=None, n_samples=args.samples, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     summary = monte_carlo_snm(net, tech, vm, args.mode, args.vdd, args.grid)
@@ -361,8 +365,16 @@ def _add_size_flags(p):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse takes only plain numbers (-1, -.5) for negative values; no
+    # option here starts with a digit, so -100m and -1e-9 are values too.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sramlab",
         description="Transistor-level storage-cell analysis workbench",
     )
@@ -470,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--netlist", required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--a-vth", type=_spice, default=3e-9, help="mismatch coefficient V*m")
+    p.add_argument("--a-vth", type=_spice, help="mismatch coefficient V*m (default: card a_vth)")
     p.add_argument("--mode", choices=("hold", "read"), default="hold")
     p.add_argument("--vdd", type=_spice, default=1.8)
     p.add_argument("--grid", type=_spice, default=1e-2)

@@ -1,10 +1,9 @@
-"""Compact MOSFET model: body-effect/DIBL threshold, subthreshold conduction,
-and a level-1 square law, blended C0-continuously between the two regimes.
+"""Cards for the compact MOSFET model: body-effect/DIBL threshold,
+subthreshold conduction and a level-1 square law, blended C0-continuously.
 
 This module holds the model cards, their derivation from physical inputs,
-and the closed-form threshold, subthreshold and leakage expressions.  The
-full model lives in `kernels`; mos_operating_point evaluates a single
-device through the same stamp the solver uses.
+and the closed-form off-state leakage.  The model itself is one function,
+kernels.mos_eval; mos_operating_point evaluates a single device through it.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def thermal_voltage(temperature: float) -> float:
 @dataclass
 class DeviceParams:
     """Per-polarity model card.  All voltages are magnitudes in the device's
-    own frame; the engine reflects PMOS terminals before evaluating.
+    own frame; kernels.mos_eval reflects PMOS terminals before evaluating.
 
     Fields left as None are filled by derive_tech_params() when the physical
     inputs (oxide, doping, charge terms) allow it; explicit values always win.
@@ -152,38 +151,11 @@ def derive_tech_params(params: TechnologyParams) -> TechnologyParams:
     )
 
 
-def threshold_voltage(dev: DeviceParams, bias: BiasPoint) -> float:
-    """Threshold with body effect and exponential channel-length DIBL."""
-    if bias.l <= 0:
-        raise ValueError("channel length must be positive")
-    body = math.sqrt(abs(-2.0 * dev.phi_f + bias.v_sb)) - math.sqrt(abs(-2.0 * dev.phi_f))
-    return dev.vth0 + dev.gamma * body - bias.v_ds * math.exp(-dev.alpha * bias.l)
-
-
-def subthreshold_current(dev: DeviceParams, bias: BiasPoint, v_t: float | None = None) -> float:
-    """Weak-inversion drain current for V_DS >= 0."""
-    if bias.w <= 0 or bias.l <= 0:
-        raise ValueError("device geometry must be positive")
-    if bias.v_ds < 0:
-        raise ValueError("subthreshold form needs V_DS >= 0")
-    if v_t is None:
-        v_t = thermal_voltage(DEFAULT_TEMPERATURE)
-    beta = bias.w / bias.l
-    vth = threshold_voltage(dev, bias)
-    i_off = beta * dev.i0 * math.exp(-vth / (dev.n * v_t))
-    return i_off * math.exp(bias.v_gs / (dev.n * v_t)) * (1.0 - math.exp(-bias.v_ds / v_t))
-
-
 def leakage_current(dev: DeviceParams, w: float, l: float, v_t: float) -> float:
     """I_off at V_GS = 0 and zero back/drain bias: (W/L) I_0 exp(-Vth0/(n vT))."""
     if w <= 0 or l <= 0:
         raise ValueError("device geometry must be positive")
     return (w / l) * dev.i0 * math.exp(-dev.vth0 / (dev.n * v_t))
-
-
-# Terminal slots (drain, gate, source, bulk) of the single-device system; the
-# int64 dtype matches the engine's index array, so numba compiles one kernel.
-_OP_IDX = np.array([[0, 1, 2, 3]], dtype=np.int64)
 
 
 def mos_operating_point(
@@ -196,25 +168,13 @@ def mos_operating_point(
 
     Pass terminal-frame voltages (negative for a conducting PMOS) and
     magnitude parameters; the returned current carries the PMOS sign.  The
-    device is stamped alone into a five-slot system (drain, gate, source,
-    bulk, ground) with the source at 0 V, and the drain row is read back.
+    device is evaluated as a one-row array by kernels.mos_eval, the model
+    the solver stamps.
     """
     if v_t is None:
         v_t = thermal_voltage(DEFAULT_TEMPERATURE)
     par = kernels.pack_device(dev, polarity, bias.w, bias.l, v_t)[None, :]
-    x_ext = np.array([bias.v_ds, bias.v_gs, 0.0, -bias.v_sb, 0.0])
-    jac = np.zeros((5, 5))
-    res = np.zeros(5)
-    kernels.mos_stamp(x_ext, _OP_IDX, par, v_t, jac, res)
-    return MosOperatingPoint(
-        i_d=float(res[0]), g_m=float(jac[0, 1]), g_ds=float(jac[0, 0]), g_mb=-float(jac[0, 3])
+    i_d, g_m, g_ds, g_mb = kernels.mos_eval(
+        par, np.array([bias.v_gs]), np.array([bias.v_ds]), np.array([bias.v_sb]), v_t
     )
-
-
-def mos_current(
-    dev: DeviceParams,
-    bias: BiasPoint,
-    v_t: float | None = None,
-    polarity: str = "NMOS",
-) -> float:
-    return mos_operating_point(dev, bias, v_t, polarity).i_d
+    return MosOperatingPoint(float(i_d[0]), float(g_m[0]), float(g_ds[0]), float(g_mb[0]))

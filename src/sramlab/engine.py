@@ -101,10 +101,6 @@ class TransientResult:
         return self.nodes[name]
 
 
-# The transient result is the package's waveform container.
-Waveform = TransientResult
-
-
 class MnaSystem:
     """Equation assembly for one netlist against one technology card.
 

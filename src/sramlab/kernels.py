@@ -1,10 +1,12 @@
 """The compact MOS model and its stamping into the nodal solver.
 
-The model is evaluated over a whole device array, and the drain currents
-plus Jacobian conductances are scattered in place.  It is written twice: a
-scalar loop compiled with numba @njit, used whenever numba imports, and a
-vectorized pure-numpy fallback.  The test suite holds the two together.
-devices.mos_operating_point evaluates single devices through mos_stamp.
+The model is one array-valued function, mos_eval: packed device parameters
+and terminal voltage differences in, drain current and its three partials
+out.  _stamp_numpy scatters those into the Jacobian and residual, and
+devices.mos_operating_point evaluates single devices through mos_eval.
+_stamp_loop is the same model and scatter written as a scalar loop: it is
+the numba source, compiled with @njit whenever numba imports, and the test
+suite runs it as plain Python as the scalar reference for mos_eval.
 """
 
 from __future__ import annotations
@@ -205,15 +207,18 @@ _JAC_COL = np.array([0, 1, 2, 3, 0, 1, 2, 3])
 _RES_ROW = np.array([0, 2])
 
 
-def _stamp_numpy(x_ext, idx, par, vt, jac, res):
-    d = idx[:, 0]
-    g = idx[:, 1]
-    s_n = idx[:, 2]
-    b = idx[:, 3]
+def mos_eval(par, vgs, vds, vsb, vt):
+    """Drain current and its partials (i, gm, gds, gmb) for a device array.
+
+    vgs, vds and vsb are terminal-frame voltage differences, one per row of
+    par.  The PMOS sign and the drain/source exchange for vds < 0 are applied
+    here: i is the signed current into the drain terminal, and gm, gds and
+    gmb are its derivatives with respect to vgs, vds and vsb.
+    """
     sgn = par[:, COL_SIGN]
-    vgs = sgn * (x_ext[g] - x_ext[s_n])
-    vds = sgn * (x_ext[d] - x_ext[s_n])
-    vsb = sgn * (x_ext[s_n] - x_ext[b])
+    vgs = sgn * vgs
+    vds = sgn * vds
+    vsb = sgn * vsb
     flip = vds < 0.0
     vgs = np.where(flip, vgs - vds, vgs)
     vsb = np.where(flip, vsb + vds, vsb)
@@ -314,12 +319,16 @@ def _stamp_numpy(x_ext, idx, par, vt, jac, res):
     gm2 = np.where(flip, -gm, gm)
     gds2 = np.where(flip, gm + gds - gmb, gds)
     gmb2 = np.where(flip, -gmb, gmb)
+    return sgn * im2, gm2, gds2, gmb2
 
-    i_term = sgn * im2
-    dd = gds2
-    dgv = gm2
-    dsv = -gm2 - gds2 + gmb2
-    dbv = -gmb2
+
+def _stamp_numpy(x_ext, idx, par, vt, jac, res):
+    d, g, s_n, b = idx.T
+    i_term, dgv, dd, gmb = mos_eval(
+        par, x_ext[g] - x_ext[s_n], x_ext[d] - x_ext[s_n], x_ext[s_n] - x_ext[b], vt
+    )
+    dsv = -dgv - dd + gmb
+    dbv = -gmb
 
     # One scatter per array, ordered entry by entry across all devices
     # (every drain-drain term, then every drain-gate term, ...), so repeated

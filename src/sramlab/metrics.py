@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Waveform
+from .engine import TransientResult
 from .genlib import DeviceSize
 
 
@@ -54,7 +54,7 @@ def _crossings(t: np.ndarray, v: np.ndarray, level: float) -> list[tuple[float, 
     return out
 
 
-def _reference_input(w: Waveform, input_node: str | None) -> np.ndarray:
+def _reference_input(w: TransientResult, input_node: str | None) -> np.ndarray:
     if input_node is not None:
         return w.node(input_node)
     moving = [sid for sid, vals in w.drives.items() if np.ptp(vals) > 0]
@@ -67,7 +67,7 @@ def _reference_input(w: Waveform, input_node: str | None) -> np.ndarray:
 
 
 def propagation_delay(
-    w: Waveform,
+    w: TransientResult,
     node: str,
     v_low: float,
     v_high: float,

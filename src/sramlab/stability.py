@@ -22,9 +22,6 @@ from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, with_el
 
 SQRT2 = math.sqrt(2.0)
 
-# Ids given to the bias sources appended around a cell under analysis.
-_BIAS_IDS = ("VSNMVDD", "VSNMWL", "VSNMBL", "VSNMBLB", "VSNMIN")
-
 
 class NonWritableError(Exception):
     pass
@@ -417,16 +414,17 @@ def sigma_vth(a_vth: float, w: float, l: float) -> float:
 @dataclass(frozen=True)
 class VariationModel:
     """Mismatch coefficient plus sampling plan; per-device W and L are read
-    from the cell netlist when sampling."""
+    from the cell netlist when sampling.  a_vth=None takes each device's
+    coefficient from the a_vth of its polarity's technology card."""
 
-    a_vth: float
+    a_vth: float | None
     n_samples: int
     seed: int
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if self.a_vth < 0:
+        if self.a_vth is not None and self.a_vth < 0:
             raise ValueError("a_vth must be nonnegative")
 
 
@@ -461,7 +459,11 @@ def monte_carlo_snm(
     mos = [m for m in cell.mos_elements if not m.degenerate]
     if not mos:
         raise ConfigError("cell has no transistors to perturb")
-    sig = np.array([sigma_vth(vm.a_vth, m.w, m.l) for m in mos])
+    card = tech if tech is not None else TechnologyParams.default()
+    if vm.a_vth is None and min(card.nmos.a_vth, card.pmos.a_vth) < 0:
+        raise ConfigError("a_vth must be nonnegative")
+    a_vth = [card.device(m.polarity).a_vth if vm.a_vth is None else vm.a_vth for m in mos]
+    sig = np.array([sigma_vth(a, m.w, m.l) for a, m in zip(a_vth, mos)])
     rng = np.random.default_rng(vm.seed)
     draws = rng.standard_normal((vm.n_samples, len(mos)))
 

@@ -108,6 +108,17 @@ def test_sweep_unknown_source_exits_2(run, tmp_path):
     assert err == "error: no stamped source named 'VX'\n"
 
 
+def test_negative_values_after_a_space(run, tmp_path):
+    # A SPICE number such as -100m is a value, not an unknown option.
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    code, out, err = run(
+        "sweep", str(f), "--source", "V1", "--from", "-100m", "--to", "0.2", "--step", "0.1"
+    )
+    assert code == 0 and err == ""
+    assert "points 4" in body_of(out) and "start -0.1 V" in body_of(out)
+
+
 # ---------------------------------------------------------------------
 # Netlist plumbing
 
@@ -410,6 +421,24 @@ def test_montecarlo_rejects_bad_sampling_plan(run, cell_file):
     code, _, err = run("montecarlo", "--netlist", cell_file, "--samples", "0")
     assert code == 2
     assert "sample" in err
-    code, _, err = run("montecarlo", "--netlist", cell_file, "--a-vth=-1n")
-    assert code == 2
-    assert "a_vth" in err
+    for a_vth in (["--a-vth=-1n"], ["--a-vth", "-1n"]):
+        code, out, err = run("montecarlo", "--netlist", cell_file, *a_vth)
+        assert code == 2 and out == ""
+        assert err == "error: a_vth must be nonnegative\n"
+
+
+def test_montecarlo_a_vth_from_config_and_flag(run, cell_file, tmp_path):
+    # The config's a_vth feeds the spread; --a-vth overrides it when given.
+    cfg = tmp_path / "wide.tech"
+    cfg.write_text("a_vth = 30n\n")
+    args = ("montecarlo", "--netlist", cell_file, "--samples", "5", "--grid", "0.05")
+    _, plain, _ = run(*args)
+    code, wide, _ = run(*args, "--config", str(cfg))
+    assert code == 0
+    assert "a_vth=3e-08" in wide
+    spread = [l for l in body_of(wide) if l.startswith("snm_stddev")]
+    assert spread and spread[0] not in body_of(plain)
+    code, flagged, _ = run(*args, "--config", str(cfg), "--a-vth", "3n")
+    assert code == 0
+    # Header included: it echoes the coefficient the run used (3e-09).
+    assert flagged == plain

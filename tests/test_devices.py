@@ -14,11 +14,8 @@ from sramlab.devices import (
     TechnologyParams,
     derive_tech_params,
     leakage_current,
-    mos_current,
     mos_operating_point,
-    subthreshold_current,
     thermal_voltage,
-    threshold_voltage,
 )
 from sramlab.kernels import BLEND_SPAN
 
@@ -50,6 +47,27 @@ def oracle_subthreshold(beta, i0, n, vth, v_gs, v_ds, v_t):
     )
 
 
+def current(dev, bias, polarity="NMOS"):
+    return mos_operating_point(dev, bias, None, polarity).i_d
+
+
+def model_vth(dev, bias, v_t=VT):
+    """Threshold read back from the model in weak inversion (NMOS frame,
+    v_gs below threshold): from the drain current
+    i = beta*I0*exp((v_gs - vth)/(n*v_T))*(1 - exp(-v_ds/v_T)),
+    or at v_ds = 0 from the channel conductance beta*I0*exp(...)/v_T."""
+    op = mos_operating_point(dev, bias, v_t)
+    beta_i0 = mp.mpf(bias.w) / mp.mpf(bias.l) * mp.mpf(dev.i0)
+    v_t = mp.mpf(v_t)
+    if bias.v_ds == 0.0:
+        ratio = mp.mpf(op.g_ds) * v_t / beta_i0
+    else:
+        ratio = mp.mpf(op.i_d) / (beta_i0 * (1 - mp.e ** (-mp.mpf(bias.v_ds) / v_t)))
+    vth = mp.mpf(bias.v_gs) - mp.mpf(dev.n) * v_t * mp.log(ratio)
+    assert vth >= bias.v_gs, "read-back needs the weak-inversion branch"
+    return float(vth)
+
+
 def test_thermal_voltage_near_26mv():
     assert abs(thermal_voltage(300.15) - 0.026) < 1e-3
     oracle = mp.mpf(K_BOLTZMANN) * mp.mpf("300.15") / mp.mpf(Q_ELECTRON)
@@ -62,29 +80,38 @@ def test_threshold_against_oracle():
     dev = DeviceParams(vth0=0.4, gamma=0.3, phi_f=-0.35, alpha=1e7)
     bias = BiasPoint(v_gs=0.0, v_ds=1.2, v_sb=0.9, w=1e-6, l=130e-9)
     expected = oracle_vth(0.4, 0.3, -0.35, 1e7, 130e-9, 0.9, 1.2)
-    assert abs(threshold_voltage(dev, bias) - float(expected)) < 1e-14
+    assert abs(model_vth(dev, bias) - float(expected)) < 1e-14
+    # Random cards and weak-inversion biases, v_ds = 0 included.
+    rng = np.random.default_rng(20261018)
+    for k in range(100):
+        dev = DeviceParams(
+            vth0=rng.uniform(0.3, 0.7), gamma=rng.uniform(0.0, 0.6), alpha=rng.uniform(1e5, 1e7)
+        )
+        v_ds = 0.0 if k % 10 == 0 else rng.uniform(1e-6, 2.0)
+        v_sb, l = rng.uniform(0.0, 1.2), rng.uniform(0.2e-6, 4e-6)
+        expected = float(oracle_vth(dev.vth0, dev.gamma, dev.phi_f, dev.alpha, l, v_sb, v_ds))
+        bias = BiasPoint(expected - rng.uniform(0.01, 0.5), v_ds, v_sb, 1e-6, l)
+        assert abs(model_vth(dev, bias) - expected) < 1e-14
 
 
 def test_threshold_trivial_corners():
+    # The read-back passes through exp and log, so the corners hold to the
+    # oracle tolerance rather than exactly.
     bias0 = BiasPoint(v_gs=0.0, v_ds=0.0, v_sb=0.0)
-    assert threshold_voltage(NMOS, bias0) == NMOS.vth0
+    assert abs(model_vth(NMOS, bias0) - NMOS.vth0) < 1e-14
     # alpha*L large enough that the barrier-lowering factor underflows.
     far = DeviceParams(alpha=1e12)
     for v_ds in (0.1, 1.0, 1.8):
         b = BiasPoint(v_gs=0.0, v_ds=v_ds, v_sb=0.0)
-        assert threshold_voltage(far, b) == far.vth0
+        assert abs(model_vth(far, b) - far.vth0) < 1e-14
 
 
 def test_threshold_monotonicity():
     vds_grid = np.linspace(0.0, 1.8, 40)
-    vth_dibl = [
-        threshold_voltage(NMOS, BiasPoint(0.0, float(v), 0.0)) for v in vds_grid
-    ]
+    vth_dibl = [model_vth(NMOS, BiasPoint(0.0, float(v), 0.0)) for v in vds_grid]
     assert all(a >= b for a, b in zip(vth_dibl, vth_dibl[1:]))
     vsb_grid = np.linspace(0.0, 1.5, 40)
-    vth_body = [
-        threshold_voltage(NMOS, BiasPoint(0.0, 0.0, float(v))) for v in vsb_grid
-    ]
+    vth_body = [model_vth(NMOS, BiasPoint(0.0, 0.0, float(v))) for v in vsb_grid]
     assert all(a <= b for a, b in zip(vth_body, vth_body[1:]))
 
 
@@ -94,20 +121,18 @@ def test_subthreshold_against_oracle():
     bias = BiasPoint(v_gs=0.2, v_ds=0.5, v_sb=0.0, w=2e-6, l=1e-6)
     v_t = thermal_voltage(300.15)
     expected = oracle_subthreshold(2, 1e-12, 1.25, 0.4, 0.2, 0.5, v_t)
-    got = subthreshold_current(dev, bias, v_t)
+    got = mos_operating_point(dev, bias, v_t).i_d
     assert abs(got - float(expected)) <= 1e-12 * float(expected)
 
 
 def test_subthreshold_trivial_corners():
     bias = BiasPoint(v_gs=0.3, v_ds=0.0, v_sb=0.0)
-    assert subthreshold_current(NMOS, bias) == 0.0
+    assert current(NMOS, bias) == 0.0
     # Deep drain bias saturates the (1 - e^{-vds/vT}) factor.
     far = DeviceParams(alpha=1e12)
-    shallow = subthreshold_current(far, BiasPoint(0.0, 10 * VT, 0.0), VT)
+    shallow = mos_operating_point(far, BiasPoint(0.0, 10 * VT, 0.0), VT).i_d
     i_off = leakage_current(far, 10.5e-6, 2e-6, VT)
     assert abs(shallow - i_off * (1 - math.exp(-10.0))) < 1e-12 * i_off
-    with pytest.raises(ValueError):
-        subthreshold_current(NMOS, BiasPoint(0.0, -0.1, 0.0))
 
 
 def test_leakage_current_definition():
@@ -130,12 +155,12 @@ def square_law_dev(lam=0.0):
 def test_square_law_hand_value():
     dev = square_law_dev()
     bias = BiasPoint(v_gs=0.9, v_ds=1.0, v_sb=0.0, w=3e-6, l=1e-6)
-    assert abs(mos_current(dev, bias) - 37.5e-6) < 1e-12
+    assert abs(current(dev, bias) - 37.5e-6) < 1e-12
 
 
 def test_zero_vds_zero_current():
     for v_gs in (-0.5, 0.0, 0.35, 0.45, 1.8):
-        assert mos_current(NMOS, BiasPoint(v_gs, 0.0, 0.0)) == 0.0
+        assert current(NMOS, BiasPoint(v_gs, 0.0, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.05])
@@ -143,18 +168,19 @@ def test_triode_saturation_seam(lam):
     # The (1 + lambda*v_ds) factor applies on both sides of the seam.
     dev = square_law_dev(lam)
     vov = 0.5
-    lo = mos_current(dev, BiasPoint(0.9, vov - 1e-12, 0.0))
-    hi = mos_current(dev, BiasPoint(0.9, vov + 1e-12, 0.0))
+    lo = current(dev, BiasPoint(0.9, vov - 1e-12, 0.0))
+    hi = current(dev, BiasPoint(0.9, vov + 1e-12, 0.0))
     assert abs(lo - hi) <= 1e-9 * hi
 
 
 @pytest.mark.parametrize("v_ds", [0.004, 0.05, 0.2, 0.9, 1.8])
 def test_blend_seams_continuous(v_ds):
     wlim = BLEND_SPAN * NMOS.n * VT
-    vth = threshold_voltage(NMOS, BiasPoint(0.0, v_ds, 0.0))
+    l = BiasPoint(0.0, v_ds).l
+    vth = float(oracle_vth(NMOS.vth0, NMOS.gamma, NMOS.phi_f, NMOS.alpha, l, 0.0, v_ds))
     for seam in (vth, vth + wlim):
-        lo = mos_current(NMOS, BiasPoint(seam - 1e-12, v_ds, 0.0))
-        hi = mos_current(NMOS, BiasPoint(seam + 1e-12, v_ds, 0.0))
+        lo = current(NMOS, BiasPoint(seam - 1e-12, v_ds, 0.0))
+        hi = current(NMOS, BiasPoint(seam + 1e-12, v_ds, 0.0))
         assert abs(lo - hi) <= 1e-9 * max(lo, hi)
 
 
@@ -162,10 +188,10 @@ def test_monotone_in_vgs_and_vds_over_grid():
     vgs_grid = np.linspace(-0.2, 1.8, 101)
     vds_grid = np.linspace(0.0, 1.8, 101)
     for v_ds in vds_grid[::10]:
-        iv = [mos_current(NMOS, BiasPoint(float(v), float(v_ds), 0.0)) for v in vgs_grid]
+        iv = [current(NMOS, BiasPoint(float(v), float(v_ds), 0.0)) for v in vgs_grid]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(iv, iv[1:]))
     for v_gs in vgs_grid[::10]:
-        iv = [mos_current(NMOS, BiasPoint(float(v_gs), float(v), 0.0)) for v in vds_grid]
+        iv = [current(NMOS, BiasPoint(float(v_gs), float(v), 0.0)) for v in vds_grid]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(iv, iv[1:]))
 
 
@@ -176,7 +202,7 @@ def test_monotone_in_vgs_and_vds_over_grid():
 def fd_partials(dev, bias, polarity="NMOS", h=1e-6):
     def cur(v_gs, v_ds, v_sb):
         b = BiasPoint(v_gs, v_ds, v_sb, bias.w, bias.l)
-        return mos_current(dev, b, None, polarity)
+        return current(dev, b, polarity)
 
     g, d, s = bias.v_gs, bias.v_ds, bias.v_sb
     return (
@@ -193,7 +219,7 @@ def near_kink(dev, bias, polarity="NMOS", tol=5e-6):
     v_gs, v_ds, v_sb = sign * bias.v_gs, sign * bias.v_ds, sign * bias.v_sb
     if v_ds < 0:
         v_gs, v_ds, v_sb = v_gs - v_ds, -v_ds, v_sb + v_ds
-    vth = threshold_voltage(dev, BiasPoint(v_gs, v_ds, v_sb, bias.w, bias.l))
+    vth = float(oracle_vth(dev.vth0, dev.gamma, dev.phi_f, dev.alpha, bias.l, v_sb, v_ds))
     vov = v_gs - vth
     wlim = BLEND_SPAN * dev.n * VT
     seam = min(abs(vov), abs(vov - wlim), abs(v_ds - vov), abs(v_ds - wlim), v_ds)
@@ -350,8 +376,8 @@ def test_bad_tox_rejected():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        mos_current(NMOS, BiasPoint(1.0, 1.0, 0.0, w=0.0, l=1e-6))
+        current(NMOS, BiasPoint(1.0, 1.0, 0.0, w=0.0, l=1e-6))
     with pytest.raises(ValueError):
-        threshold_voltage(NMOS, BiasPoint(1.0, 1.0, 0.0, w=1e-6, l=0.0))
+        current(NMOS, BiasPoint(1.0, 1.0, 0.0, w=1e-6, l=0.0))
     with pytest.raises(ValueError):
         TECH.device("CMOS")

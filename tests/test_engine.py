@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sramlab
@@ -15,9 +15,10 @@ from sramlab.devices import (
     BiasPoint,
     TechnologyParams,
     derive_tech_params,
-    mos_current,
+    mos_operating_point,
 )
 from sramlab.engine import (
+    ABSTOL,
     ConvergenceError,
     EngineError,
     FloatingNodeError,
@@ -30,6 +31,7 @@ from sramlab.engine import (
     waveform_from_csv,
     waveform_to_csv,
 )
+from sramlab.genlib import build_6t_cell
 from sramlab.kernels import mos_stamp
 from sramlab.netlist import GROUND, Node, SourceElement, parse_netlist, with_elements
 
@@ -107,7 +109,7 @@ def test_diode_connected_matches_bisection():
 
     def imbalance(v):
         bias = BiasPoint(v, v, 0.0, 10.5e-6, 2e-6)
-        return (1.8 - v) / 1e4 - mos_current(dev, bias)
+        return (1.8 - v) / 1e4 - mos_operating_point(dev, bias).i_d
 
     lo, hi = 0.0, 1.8
     assert imbalance(lo) > 0 > imbalance(hi)
@@ -194,6 +196,57 @@ def test_newton_failure_names_worst_node(monkeypatch):
     monkeypatch.setattr(engine, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="worst residual at node"):
         sys._newton(np.zeros(sys.size), sys.rhs(), sys.g_static)
+
+
+def write_bias(v_dd, v_bl):
+    """The cell holding Q high, word line on, BLB at v_dd and BL at v_bl:
+    one probe of write_margin's bisection, with its held initial state."""
+    cell = build_6t_cell()
+    drives = {"VDD": v_dd, "WL": v_dd, "BL": v_bl, "BLB": v_dd}
+    net = with_elements(
+        cell,
+        [
+            SourceElement(f"VX{role}", Node(cell.role_node(role)), Node(GROUND), "DC", (v,))
+            for role, v in drives.items()
+        ],
+    )
+    return net, {cell.role_node("Q"): v_dd, cell.role_node("QBAR"): 0.0}
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Names of the DC fallbacks entered, in order; each still runs."""
+    entered = []
+    for name in ("_gmin_stepping", "_continuation"):
+        real = getattr(MnaSystem, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            entered.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(MnaSystem, name, spy)
+    return entered
+
+
+def test_gmin_stepping_rescues_a_write_probe(fallbacks):
+    # Plain Newton from the held state fails across BL = 0.105-0.255 V at
+    # 1.1 V; the gmin ladder converges there.
+    net, held = write_bias(1.1, 0.18)
+    sol = solve_dc(net, initial=held)
+    assert fallbacks == ["_gmin_stepping"]
+    assert sol.continuation
+    assert sol.max_residual < ABSTOL
+
+
+def test_source_stepping_rescues_a_write_probe(fallbacks):
+    # Across BL = 0.374-0.420 V at 1.2 V both plain Newton and the gmin
+    # ladder fail; source stepping from zero drive converges.  Which basin
+    # it lands in is not asserted.
+    net, held = write_bias(1.2, 0.40)
+    sol = solve_dc(net, initial=held)
+    assert fallbacks == ["_gmin_stepping", "_continuation"]
+    assert sol.continuation
+    assert sol.max_residual < ABSTOL
 
 
 def test_bad_resistor_value():
@@ -301,8 +354,16 @@ def reduction_cases(draw):
     return sys, x, gmin
 
 
+def subnormal_step_case():
+    """A 5e-324 V source: the whole step is a few subnormal ulps, and the
+    dense solve is itself one ulp off the source value."""
+    sys = MnaSystem(parse_netlist("* subnormal step\nV0 a 0 DC 5e-324\nR0 a b 1.0\n.END"))
+    return sys, np.zeros(sys.size), np.ones(sys.n_nodes)
+
+
 @settings(max_examples=300, deadline=None)
 @given(reduction_cases())
+@example(subnormal_step_case())
 def test_reduced_step_matches_dense_solve(case):
     sys, x, gmin = case
     assume(sys.size > 0)
@@ -318,10 +379,14 @@ def test_reduced_step_matches_dense_solve(case):
     # Each solve is exact to rounding: within a few n·κ·eps of the true
     # step, normwise, where κ is the condition number.  MNA mixes volts and
     # amps, so κ is large unless the conductances are near 1 S; where it is
-    # small the two steps must agree to 1e-12.
+    # small the two steps must agree to 1e-12.  Below the normal range
+    # rounding is absolute, up to one subnormal ulp per operation, which
+    # the solve magnifies by up to about ‖A⁻¹‖.
     tol = max(1e-12, 10 * sys.size * np.linalg.cond(a) * np.finfo(float).eps)
+    ulps = 10 * sys.size * np.linalg.norm(np.linalg.inv(a), 2)
+    atol = tol * np.abs(dense).max() + ulps * np.finfo(float).smallest_subnormal
     step = sys.newton_step(jac, res)
-    np.testing.assert_allclose(step, dense, rtol=0, atol=tol * np.abs(dense).max())
+    np.testing.assert_allclose(step, dense, rtol=0, atol=atol)
 
 
 def test_reduction_plan_on_an_array_tile():

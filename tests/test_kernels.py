@@ -124,8 +124,9 @@ def test_numba_matches_python_loop():
 def test_stamp_against_operating_point():
     # One device at a time: the stamped current and the four Jacobian
     # entries of the drain row must equal the operating point's partials.
-    # mos_operating_point stamps through the dispatching kernel, so the
-    # scalar loop is the independent side of the comparison.
+    # mos_operating_point evaluates through mos_eval, the model the numpy
+    # stamp uses, so the scalar loop is the independent side of the
+    # comparison.
     rng = np.random.default_rng(44)
     for _ in range(40):
         if rng.random() < 0.5:

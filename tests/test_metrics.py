@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sramlab.engine import Waveform
+from sramlab.engine import TransientResult
 from sramlab.genlib import DeviceSize
 from sramlab.metrics import (
     DEFAULT_LAYOUT_QUOTED_TOTAL,
@@ -74,7 +74,7 @@ def ramp_waveform(shift=0.0):
     t = (np.array([0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 14.0]) + shift) * NS
     vin = np.array([0.0, 1.8, 1.8, 1.8, 1.8, 0.0, 0.0, 0.0])
     vout = np.array([1.8, 1.8, 1.8, 0.0, 0.0, 0.0, 0.0, 1.8])
-    return Waveform(
+    return TransientResult(
         time=t,
         nodes={"in": vin, "out": vout},
         branch_currents={},

@@ -407,6 +407,27 @@ def test_monte_carlo_zero_mismatch_is_nominal(cell):
     assert mc.failures == 0
 
 
+def test_monte_carlo_reads_a_vth_from_each_card(cell):
+    # With no coefficient given, each device takes the a_vth of its own
+    # polarity's card; the default card holds the old 3e-9 V*m.
+    def mc(tech, a_vth=None):
+        return monte_carlo_snm(cell, tech, VariationModel(a_vth, 4, 9), grid=0.05).samples
+
+    base = mc(None)
+    assert np.array_equal(base, mc(None, 3e-9))
+    quiet = TechnologyParams.default()
+    quiet.nmos.a_vth = quiet.pmos.a_vth = 0.0
+    nominal = butterfly(cell, mode="hold", v_dd=1.8, grid=0.05).snm
+    assert np.all(mc(quiet) == nominal)
+    quiet.pmos.a_vth = 3e-9
+    pmos_only = mc(quiet)
+    assert not np.array_equal(pmos_only, base)
+    assert not np.all(pmos_only == nominal)
+    quiet.pmos.a_vth = -1e-9
+    with pytest.raises(ConfigError, match="a_vth must be nonnegative"):
+        mc(quiet)
+
+
 def test_monte_carlo_summary_shape(cell):
     vm = VariationModel(a_vth=3e-9, n_samples=8, seed=5)
     mc = monte_carlo_snm(cell, vm=vm, grid=0.05, bins=4)
