@@ -33,7 +33,6 @@ from .genlib import (
     DeviceSize,
     build_6t_cell,
     build_array,
-    build_periphery,
 )
 from .metrics import (
     AreaReport,
@@ -51,6 +50,7 @@ from .netlist import (
     NetlistError,
     NetlistSemanticError,
     NetlistSyntaxError,
+    instantiate,
     parse_netlist,
     print_netlist,
     structurally_equal,

@@ -32,7 +32,10 @@ from .genlib import (
     DeviceSize,
     build_6t_cell,
     build_array,
-    build_periphery,
+    build_decoder_2to4,
+    build_precharge,
+    build_sense_amp,
+    build_write_driver,
 )
 from .metrics import (
     DEFAULT_LAYOUT_QUOTED_TOTAL,
@@ -132,23 +135,24 @@ def _cmd_validate(args, tech):
 
 
 _GENERATE_KINDS = {
-    "cell": None,
-    "array": None,
-    "sense-amp": "sense_amp",
-    "precharge": "precharge",
-    "write-driver": "write_driver",
-    "decoder": "decoder_2to4",
+    "cell": build_6t_cell,
+    "array": build_array,
+    "sense-amp": build_sense_amp,
+    "precharge": build_precharge,
+    "write-driver": build_write_driver,
+    "decoder": build_decoder_2to4,
 }
 
 
 def _cmd_generate(args, tech):
     geom = _geometry(args)
-    if args.kind == "cell":
-        net = build_6t_cell(geom, parasitics={} if args.no_parasitics else None)
-    elif args.kind == "array":
-        net = build_array(args.rows, args.cols, geom)
+    build = _GENERATE_KINDS[args.kind]
+    if args.kind == "array":
+        net = build(args.rows, args.cols, geom)
+    elif args.kind == "cell" and args.no_parasitics:
+        net = build(geom, parasitics={})
     else:
-        net = build_periphery(_GENERATE_KINDS[args.kind], geom)
+        net = build(geom)
     text = print_netlist(net)
     if args.out:
         with open(args.out, "w") as fh:
@@ -193,10 +197,16 @@ def _cmd_tran(args, tech):
     ics = {}
     for item in args.ic or []:
         name, _, value = item.partition("=")
-        if not name or not value:
-            raise ConfigError(f"bad --ic {item!r}; expected NODE=VOLTS")
-        ics[name] = parse_spice_number(value)
-    wave = transient(net, args.tstop, args.dt, tech, args.method, ics or None)
+        try:
+            if not name:
+                raise ValueError(item)
+            ics[name] = parse_spice_number(value)
+        except ValueError:
+            raise ConfigError(f"bad --ic {item!r}; expected NODE=VOLTS") from None
+    try:
+        wave = transient(net, args.tstop, args.dt, tech, args.method, ics or None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.out:
         waveform_to_csv(wave, args.out)
     rep = _report(args, tech)
@@ -268,6 +278,8 @@ def _cmd_delay(args, tech):
             raise ConfigError(
                 f"cannot read waveform {args.waveform}: {exc.strerror}"
             ) from None
+        except ValueError as exc:
+            raise ConfigError(f"bad waveform {args.waveform}: {exc}") from None
         m = propagation_delay(wave, args.node, 0.0, args.vdd, args.input)
         rep.add("t_plh", m.t_plh, "s")
         rep.add("t_phl", m.t_phl, "s")

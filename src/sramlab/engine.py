@@ -481,14 +481,22 @@ def transient(
     """Fixed-step transient; `method` is "be" or "trap".
 
     `ics` pins the named nodes with temporary voltage sources for the t=0
-    solve only; the pins are absent from the time stepping itself.
+    solve only; the pins are absent from the time stepping itself.  A bad
+    step, a t_stop that rounds to zero steps and an initial condition on a
+    node the circuit lacks raise ValueError.
     """
     if dt <= 0 or t_stop <= 0:
         raise ValueError("t_stop and dt must be positive")
+    n_steps = int(round(t_stop / dt))
+    if n_steps == 0:
+        raise ValueError(f"t_stop {t_stop:g} s rounds to zero steps of {dt:g} s")
     if method not in ("be", "trap"):
         raise ValueError(f"unknown integration method {method!r}")
 
     sys = MnaSystem(net, tech, vth_shift)
+    unknown = sorted(set(ics or ()) - set(sys.node_index))
+    if unknown:
+        raise ValueError(f"initial condition on unknown node {unknown[0]!r}")
     for e in sys.vsources + sys.isources:
         if e.kind == "PULSE" and (dt > e.params[3] or dt > e.params[4]):
             warnings.warn(
@@ -509,7 +517,6 @@ def transient(
     else:
         x0, _, _ = sys.solve_dc_vector(t=0.0)
 
-    n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
     xs = np.zeros((n_steps + 1, sys.size))
     xs[0] = x0
@@ -621,6 +628,8 @@ def waveform_from_csv(src) -> TransientResult:
     else:
         text = src.read()
     rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2:
+        raise ValueError("needs a header row and at least one data row")
     header, data = rows[0], np.array([[float(v) for v in row] for row in rows[1:]])
     nodes: dict[str, np.ndarray] = {}
     currents: dict[str, np.ndarray] = {}

@@ -3,7 +3,9 @@ periphery (precharge, sense amplifier, write driver, row decoder).
 
 Generated netlists carry role annotations naming their ports and the usual
 node/element count trailer, so they round-trip through the parser and drop
-straight into the analysis routines.
+straight into the analysis routines.  They hold only M and C cards, so
+`netlist.instantiate` can place them inside a larger netlist; the array is
+built that way from the single cell.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .netlist import (
     MosElement,
     Netlist,
     Node,
+    instantiate,
 )
 from .numbers import parse_spice_number
 
@@ -63,37 +66,34 @@ def _finish(net: Netlist, roles: dict[str, str]) -> Netlist:
 def build_6t_cell(
     geom: CellGeometry | None = None,
     parasitics: dict[str, float] | None = None,
-    suffix: str = "",
 ) -> Netlist:
     """Single 6T cell.  `parasitics` maps node names to farads; None picks
-    the extracted defaults, an empty dict omits them.  `suffix` decorates
-    node and element ids so cells can tile into an array."""
+    the extracted defaults, an empty dict omits them."""
     geom = geom or CellGeometry()
     if parasitics is None:
         parasitics = DEFAULT_CELL_PARASITICS
 
     gnd = Node(GROUND)
-    names = {base: base + suffix for base in ("Q", "QBAR", "BL", "BLB", "WL")}
-    names["VDD"] = "VDD"
-    n = {base: Node(name) for base, name in names.items()}
+    names = ("Q", "QBAR", "BL", "BLB", "WL", "VDD")
+    n = {name: Node(name) for name in names}
 
-    net = Netlist(title="6T SRAM cell" + (f" {suffix}" if suffix else ""))
-    for base, name in names.items():
-        cap = parasitics.get(base, 0.0)
+    net = Netlist(title="6T SRAM cell")
+    for name in names:
+        cap = parasitics.get(name, 0.0)
         if cap > 0.0:
-            net.entries.append(CapElement(f"C{name}", n[base], gnd, cap))
+            net.entries.append(CapElement(f"C{name}", n[name], gnd, cap))
     vdd = n["VDD"]
     net.entries.extend(
         [
-            _mos(f"MPUL{suffix}", n["Q"], n["QBAR"], vdd, vdd, "PMOS", geom.pu),
-            _mos(f"MPUR{suffix}", n["QBAR"], n["Q"], vdd, vdd, "PMOS", geom.pu),
-            _mos(f"MPDL{suffix}", n["Q"], n["QBAR"], gnd, gnd, "NMOS", geom.pd),
-            _mos(f"MPDR{suffix}", n["QBAR"], n["Q"], gnd, gnd, "NMOS", geom.pd),
-            _mos(f"MPGL{suffix}", n["BL"], n["WL"], n["Q"], gnd, "NMOS", geom.pg),
-            _mos(f"MPGR{suffix}", n["BLB"], n["WL"], n["QBAR"], gnd, "NMOS", geom.pg),
+            _mos("MPUL", n["Q"], n["QBAR"], vdd, vdd, "PMOS", geom.pu),
+            _mos("MPUR", n["QBAR"], n["Q"], vdd, vdd, "PMOS", geom.pu),
+            _mos("MPDL", n["Q"], n["QBAR"], gnd, gnd, "NMOS", geom.pd),
+            _mos("MPDR", n["QBAR"], n["Q"], gnd, gnd, "NMOS", geom.pd),
+            _mos("MPGL", n["BL"], n["WL"], n["Q"], gnd, "NMOS", geom.pg),
+            _mos("MPGR", n["BLB"], n["WL"], n["QBAR"], gnd, "NMOS", geom.pg),
         ]
     )
-    return _finish(net, names)
+    return _finish(net, {name: name for name in names})
 
 
 def build_array(
@@ -108,53 +108,23 @@ def build_array(
         raise ValueError("array needs at least one row and one column")
     if rows == 1 and cols == 1:
         return build_6t_cell(geom, parasitics)
-    geom = geom or CellGeometry()
     if parasitics is None:
         parasitics = DEFAULT_CELL_PARASITICS
+    # The lines carry their own caps once; each cell keeps its storage caps.
+    cell = build_6t_cell(geom, {k: v for k, v in parasitics.items() if k in ("Q", "QBAR")})
 
     gnd = Node(GROUND)
-    vdd = Node("VDD")
     net = Netlist(title=f"{rows}x{cols} SRAM cell array")
-    roles = {"VDD": "VDD"}
-
-    def cap(name: str, node: Node, base: str) -> None:
-        value = parasitics.get(base, 0.0)
-        if value > 0.0:
-            net.entries.append(CapElement(f"C{name}", node, gnd, value))
-
-    wl = []
-    for r in range(rows):
-        node = Node(f"WL{r}")
-        wl.append(node)
-        roles[f"WL{r}"] = node.name
-        cap(node.name, node, "WL")
-    bl, blb = [], []
-    for c in range(cols):
-        node_t, node_b = Node(f"BL{c}"), Node(f"BLB{c}")
-        bl.append(node_t)
-        blb.append(node_b)
-        roles[f"BL{c}"] = node_t.name
-        roles[f"BLB{c}"] = node_b.name
-        cap(node_t.name, node_t, "BL")
-        cap(node_b.name, node_b, "BLB")
-
+    lines = [(f"WL{r}", "WL") for r in range(rows)]
+    lines += [(f"{side}{c}", side) for c in range(cols) for side in ("BL", "BLB")]
+    for name, base in lines:
+        if parasitics.get(base, 0.0) > 0.0:
+            net.entries.append(CapElement(f"C{name}", Node(name), gnd, parasitics[base]))
     for r in range(rows):
         for c in range(cols):
-            tag = f"_{r}_{c}"
-            q, qb = Node(f"Q{tag}"), Node(f"QBAR{tag}")
-            cap(q.name, q, "Q")
-            cap(qb.name, qb, "QBAR")
-            net.entries.extend(
-                [
-                    _mos(f"MPUL{tag}", q, qb, vdd, vdd, "PMOS", geom.pu),
-                    _mos(f"MPUR{tag}", qb, q, vdd, vdd, "PMOS", geom.pu),
-                    _mos(f"MPDL{tag}", q, qb, gnd, gnd, "NMOS", geom.pd),
-                    _mos(f"MPDR{tag}", qb, q, gnd, gnd, "NMOS", geom.pd),
-                    _mos(f"MPGL{tag}", bl[c], wl[r], q, gnd, "NMOS", geom.pg),
-                    _mos(f"MPGR{tag}", blb[c], wl[r], qb, gnd, "NMOS", geom.pg),
-                ]
-            )
-    return _finish(net, roles)
+            ports = {"BL": f"BL{c}", "BLB": f"BLB{c}", "WL": f"WL{r}", "VDD": "VDD"}
+            net.entries.extend(instantiate(cell, f"_{r}_{c}", ports))
+    return _finish(net, {"VDD": "VDD", **{name: name for name, _ in lines}})
 
 
 def build_precharge(geom: CellGeometry | None = None) -> Netlist:
@@ -246,22 +216,3 @@ def build_decoder_2to4(geom: CellGeometry | None = None) -> Netlist:
         inverter(f"OUT{k}", nand_out, wl)
         roles[f"WL{k}"] = wl.name
     return _finish(net, roles)
-
-
-_PERIPHERY_BUILDERS = {
-    "sense_amp": build_sense_amp,
-    "precharge": build_precharge,
-    "write_driver": build_write_driver,
-    "decoder_2to4": build_decoder_2to4,
-}
-
-
-def build_periphery(kind: str, geom: CellGeometry | None = None) -> Netlist:
-    """Dispatch to one of the peripheral-circuit generators by kind name
-    (sense_amp, precharge, write_driver, decoder_2to4)."""
-    try:
-        builder = _PERIPHERY_BUILDERS[kind]
-    except KeyError:
-        known = ", ".join(sorted(_PERIPHERY_BUILDERS))
-        raise ValueError(f"unknown periphery kind {kind!r} (expected one of {known})")
-    return builder(geom)

@@ -570,7 +570,34 @@ def validate(net: Netlist) -> AnalysisReport:
 
 
 def with_elements(net: Netlist, extra: list[Element]) -> Netlist:
-    """Copy of `net` with additional elements appended (comments untouched)."""
+    """Copy of `net` with additional elements appended (comments untouched).
+    Element ids compare case-insensitively; a clash raises NetlistError."""
+    taken = {e.id.upper() for e in net.elements}
+    for e in extra:
+        if e.id.upper() in taken:
+            raise NetlistError(f"netlist already contains an element named {e.id}")
+        taken.add(e.id.upper())
     copy = replace(net, entries=list(net.entries) + list(extra))
     copy.roles = dict(net.roles)
     return copy
+
+
+_NODE_FIELDS = {MosElement: ("drain", "gate", "source", "bulk"), CapElement: ("n1", "n2")}
+
+
+def instantiate(block: Netlist, suffix: str, ports: dict[str, str]) -> list[Element]:
+    """The elements of `block`, a generated netlist of M and C cards, as one
+    instance inside a parent netlist.
+
+    Element ids take `suffix`.  A node carrying a role named in `ports`
+    becomes the parent node given there, ground stays ground, and every
+    other node takes `suffix`.  Comments, roles and the trailer stay behind.
+    """
+    parent = {block.role_node(role): name for role, name in ports.items()}
+    rename = {name: Node(parent.get(name, name + suffix)) for name in block.named_nodes()}
+
+    def renamed(e: Element) -> dict[str, Node]:
+        nodes = {f: getattr(e, f) for f in _NODE_FIELDS[type(e)]}
+        return {f: rename.get(n.name, n) for f, n in nodes.items()}
+
+    return [replace(e, id=e.id + suffix, **renamed(e)) for e in block.elements]

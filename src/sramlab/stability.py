@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError
 from .devices import TechnologyParams, derive_tech_params, leakage_current
-from .engine import EngineError, _open_for, dc_sweep, solve_dc
+from .engine import EngineError, MnaSystem, _open_for, dc_sweep, solve_dc
 from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, with_elements
 
 SQRT2 = math.sqrt(2.0)
@@ -150,11 +150,10 @@ def _bias_sources(
 
 
 def _augment(cell: Netlist, extra: list[SourceElement]) -> Netlist:
-    present = {e.id.upper() for e in cell.elements}
-    for src in extra:
-        if src.id.upper() in present:
-            raise ConfigError(f"cell already contains an element named {src.id}")
-    return with_elements(cell, extra)
+    try:
+        return with_elements(cell, extra)
+    except NetlistError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def butterfly(
@@ -370,18 +369,14 @@ def write_margin(
     Q high, with BLB held at v_dd and the wordline driven (default v_dd)."""
     ports = _cell_ports(cell)
     wl = v_dd if wl_voltage is None else wl_voltage
-    held = {ports["Q"]: v_dd, ports["QBAR"]: 0.0}
+    sys = MnaSystem(_augment(cell, _bias_sources(ports, v_dd, wl, None)), tech)
+    held = sys.pack_state({ports["Q"]: v_dd, ports["QBAR"]: 0.0})
+    q, qbar = sys.node_index[ports["Q"]], sys.node_index[ports["QBAR"]]
 
     def flips(bl_v: float) -> bool:
-        sources = [
-            SourceElement(s.id, s.n_plus, s.n_minus, "DC", (bl_v,))
-            if s.id == "VSNMBL"
-            else s
-            for s in _bias_sources(ports, v_dd, wl, None)
-        ]
-        aug = _augment(cell, sources)
-        sol = solve_dc(aug, tech, initial=held)
-        return sol.voltage(ports["Q"]) < sol.voltage(ports["QBAR"])
+        sys.set_source("VSNMBL", bl_v)
+        x, _, _ = sys.solve_dc_vector(x0=held)
+        return x[q] < x[qbar]
 
     if not flips(0.0):
         raise NonWritableError(

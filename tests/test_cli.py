@@ -288,9 +288,20 @@ def test_tran_reports_and_writes(run, tmp_path):
 def test_tran_bad_ic_exits_2(run, tmp_path):
     f = tmp_path / "rc.sp"
     f.write_text(RC)
-    code, _, err = run("tran", str(f), "--tstop", "1m", "--dt", "0.1m", "--ic", "out")
-    assert code == 2
-    assert "NODE=VOLTS" in err
+    clash = tmp_path / "clash.sp"
+    clash.write_text(RC.replace("V1 in", "VIC0 in"))  # the id of the first --ic pin
+    cases = [
+        (f, ["--ic", "out"], "NODE=VOLTS"),
+        (f, ["--ic", "out=abc"], "NODE=VOLTS"),
+        (f, ["--ic", "outt=0"], "unknown node 'outt'"),
+        (clash, ["--ic", "out=0"], "element named VIC0"),
+        (f, ["--dt", "0"], "must be positive"),
+        (f, ["--tstop", "0.04m"], "zero steps"),
+    ]
+    for path, extra, message in cases:
+        code, out, err = run("tran", str(path), "--tstop", "1m", "--dt", "0.1m", *extra)
+        assert code == 2 and out == "", extra
+        assert message in err
 
 
 def test_snm_report_and_csv(run, cell_file, tmp_path):
@@ -339,6 +350,17 @@ def test_delay_direct_mode_needs_both_edges(run):
     code, _, err = run("delay", "--tplh", "12n")
     assert code == 2
     assert "together" in err
+
+
+def test_delay_bad_waveform_exits_2(run, tmp_path):
+    cases = {"empty.csv": "", "text.csv": "time,V(out)\n0,high\n"}
+    for name, text in cases.items():
+        (tmp_path / name).write_text(text)
+    for name in [*cases, "missing.csv"]:
+        path = str(tmp_path / name)
+        code, out, err = run("delay", "--waveform", path, "--node", "out")
+        assert code == 2 and out == "", name
+        assert err.startswith("error: cannot read waveform" if name == "missing.csv" else "error: bad waveform")
 
 
 def test_delay_bitline_mode(run):

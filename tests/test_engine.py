@@ -527,6 +527,10 @@ def test_transient_argument_validation():
         transient(net, t_stop=1e-3, dt=-1.0)
     with pytest.raises(ValueError):
         transient(net, t_stop=1e-3, dt=1e-6, method="rk4")
+    with pytest.raises(ValueError, match="zero steps"):
+        transient(net, t_stop=1e-9, dt=5e-9)
+    with pytest.raises(ValueError, match="unknown node 'outt'"):
+        transient(net, t_stop=1e-3, dt=1e-4, ics={"outt": 0.0})
 
 
 def test_waveform_csv_round_trip():

@@ -8,7 +8,6 @@ from sramlab.genlib import (
     build_6t_cell,
     build_array,
     build_decoder_2to4,
-    build_periphery,
     build_precharge,
     build_sense_amp,
     build_write_driver,
@@ -16,12 +15,15 @@ from sramlab.genlib import (
 from sramlab.netlist import (
     GROUND,
     CapElement,
+    Netlist,
+    NetlistError,
     Node,
     ResElement,
     SourceElement,
     parse_netlist,
     print_netlist,
     structurally_equal,
+    instantiate,
     validate,
     with_elements,
 )
@@ -110,13 +112,24 @@ def test_parasitics_dict_controls_the_caps():
     assert caps_of(build_6t_cell(parasitics={"Q": 0.0})) == []
 
 
-def test_suffix_decorates_everything_but_the_supply():
-    cell = build_6t_cell(suffix="_3_1")
-    assert cell.role_node("Q") == "Q_3_1"
-    assert cell.role_node("WL") == "WL_3_1"
-    assert cell.role_node("VDD") == "VDD"
-    m = cell.element("MPGL_3_1")
-    assert m.drain.name == "BL_3_1"
+def test_instantiate_maps_ports_and_suffixes_the_rest():
+    cell = build_6t_cell()
+    ports = {"BL": "BL1", "WL": "WL3", "VDD": "VDD"}
+    inst = Netlist(entries=instantiate(cell, "_3_1", ports))
+    # Cards only: the block's roles comment and trailer stay behind.
+    assert inst.comments == []
+    assert [e.id for e in inst.elements] == [e.id + "_3_1" for e in cell.elements]
+    # Ports become the parent's nodes, ground stays, the rest take the suffix.
+    m = inst.element("MPGL_3_1")
+    assert (m.drain.name, m.gate.name, m.source.name, m.bulk.name) == ("BL1", "WL3", "Q_3_1", GROUND)
+    assert inst.element("MPGR_3_1").drain.name == "BLB_3_1"
+    pul = inst.element("MPUL_3_1")
+    assert (pul.gate.name, pul.source.name, pul.bulk.name) == ("QBAR_3_1", "VDD", "VDD")
+    assert inst.element("CWL_3_1").n1.name == "WL3"
+    assert all(c.n2.is_ground for c in caps_of(inst))
+    assert cell.element("MPGL").drain.name == "BL"  # the block is untouched
+    with pytest.raises(NetlistError, match="SE"):
+        instantiate(cell, "_0", {"SE": "SE0"})
 
 
 def test_geometry_is_applied():
@@ -177,6 +190,24 @@ def test_array_parasitics_per_line_and_per_cell():
     )
 
 
+def test_array_element_and_node_order():
+    # Node first-use order is the solver's unknown order; pin both orders.
+    arr = build_array(2, 3)
+    cells = [f"_{r}_{c}" for r in range(2) for c in range(3)]
+    devices = ("MPUL", "MPUR", "MPDL", "MPDR", "MPGL", "MPGR")
+    assert [e.id for e in arr.elements] == (
+        ["CWL0", "CWL1", "CBL0", "CBL1", "CBL2"]
+        + [f"{name}{tag}" for tag in cells for name in ("CQ", "CQBAR", *devices)]
+    )
+    assert arr.named_nodes() == [
+        "WL0", "WL1", "BL0", "BL1", "BL2",
+        "Q_0_0", "QBAR_0_0", "VDD", "BLB0",
+        "Q_0_1", "QBAR_0_1", "BLB1",
+        "Q_0_2", "QBAR_0_2", "BLB2",
+        "Q_1_0", "QBAR_1_0", "Q_1_1", "QBAR_1_1", "Q_1_2", "QBAR_1_2",
+    ]
+
+
 def test_single_cell_array_is_the_cell():
     assert structurally_equal(build_array(1, 1), build_6t_cell())
     assert build_array(1, 1).roles == build_6t_cell().roles
@@ -203,13 +234,6 @@ def test_periphery_device_complements():
     dec = build_decoder_2to4()
     assert mos_count(dec, "PMOS") == 14
     assert mos_count(dec, "NMOS") == 14
-
-
-def test_periphery_dispatcher():
-    assert structurally_equal(build_periphery("precharge"), build_precharge())
-    assert structurally_equal(build_periphery("sense_amp"), build_sense_amp())
-    with pytest.raises(ValueError, match="expected one of"):
-        build_periphery("charge_pump")
 
 
 def test_decoder_is_one_hot():

@@ -9,6 +9,7 @@ from sramlab.netlist import (
     CapElement,
     MosElement,
     Netlist,
+    NetlistError,
     NetlistSemanticError,
     NetlistSyntaxError,
     Node,
@@ -206,6 +207,16 @@ def test_with_elements_does_not_mutate():
     grown = with_elements(base, extra)
     assert base.element_count == n0
     assert grown.element_count == n0 + 1
+
+
+def test_with_elements_rejects_id_clashes():
+    base = parse_netlist("R1 a 0 1k\n.END\n")
+    extra = parse_netlist("r1 a 0 2k\n.END\n").elements
+    with pytest.raises(NetlistError, match="element named r1"):
+        with_elements(base, extra)
+    twice = parse_netlist("R2 a 0 1k\n.END\n").elements * 2
+    with pytest.raises(NetlistError, match="element named R2"):
+        with_elements(base, twice)
 
 
 def test_trailer_mismatch_warns():
