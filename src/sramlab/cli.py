@@ -147,10 +147,13 @@ _GENERATE_KINDS = {
 def _cmd_generate(args, tech):
     geom = _geometry(args)
     build = _GENERATE_KINDS[args.kind]
+    parasitics = {} if args.no_parasitics else None
     if args.kind == "array":
-        net = build(args.rows, args.cols, geom)
-    elif args.kind == "cell" and args.no_parasitics:
-        net = build(geom, parasitics={})
+        net = build(args.rows, args.cols, geom, parasitics)
+    elif args.kind == "cell":
+        net = build(geom, parasitics)
+    elif args.no_parasitics:
+        raise ConfigError(f"--no-parasitics applies to cell and array only, not {args.kind}")
     else:
         net = build(geom)
     text = print_netlist(net)
@@ -280,6 +283,11 @@ def _cmd_delay(args, tech):
             ) from None
         except ValueError as exc:
             raise ConfigError(f"bad waveform {args.waveform}: {exc}") from None
+        for flag, name in (("--node", args.node), ("--input", args.input)):
+            if name is None:
+                raise ConfigError(f"--waveform needs {flag}")
+            if name not in wave.nodes:
+                raise ConfigError(f"{flag} {name} is not a node column of {args.waveform}")
         m = propagation_delay(wave, args.node, 0.0, args.vdd, args.input)
         rep.add("t_plh", m.t_plh, "s")
         rep.add("t_phl", m.t_phl, "s")

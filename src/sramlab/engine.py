@@ -1,9 +1,12 @@
 """Modified-nodal-analysis solver.
 
-DC operating points use damped Newton iteration with a source-stepping
-continuation fallback; sweeps warm-start each point from the last; transient
-runs fixed-step backward Euler (default) or trapezoidal companions for the
-capacitors.  Unknown ordering is named nodes first, in netlist first-use
+DC operating points use damped Newton iteration with gmin-stepping and
+source-stepping fallbacks; sweeps warm-start each point from the last;
+transient runs fixed-step backward Euler (default) or trapezoidal companions
+for the capacitors.  The Newton loop runs on lanes, a stack of states of one
+system each with its own right-hand side, so that many independent points
+(a butterfly lobe's grid) share every device evaluation; a single solve is
+one lane.  Unknown ordering is named nodes first, in netlist first-use
 order, then one branch current per voltage source.  Extended vectors carry a
 trailing ground slot pinned at zero so every stamp writes unconditionally.
 
@@ -11,8 +14,9 @@ Each Newton step is solved exactly, but not as one dense system.  A voltage
 source from ground to a node that no other grounded source drives fixes that
 node's step outright; the remaining unknowns fall apart into the connected
 components of their coupling graph, and each component is solved as its own
-dense block, all blocks of one size in a single stacked call.  The branch
-current of an eliminated source then follows from its node's KCL row.
+dense block, all blocks of one size and every lane in a single stacked
+call.  The branch current of an eliminated source then follows from its
+node's KCL row.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ RELTOL = 1e-3
 VNTOL = 1e-6  # V
 MAX_STEP = 0.3  # V per unknown per Newton iteration
 MAX_ITER = 100
+# Most lanes per batched Newton pass.  Memory grows with the lane count,
+# so a longer batch is split into near-equal passes no longer than this.
+MAX_LANES = 128
 
 _SINGULAR = "singular system matrix; some node has no conductive path to ground"
 
@@ -232,11 +239,11 @@ class MnaSystem:
             idx = np.array(by_size[m], dtype=np.int64)
             pos = np.searchsorted(free, idx)
             flat = idx[:, :, None] * n_ext + idx[:, None, :]
-            if m == 1:
-                pos, idx, flat = pos[:, 0], idx[:, 0], flat[:, 0, 0]
             self._blocks.append((m, pos, idx, flat))
         self._free_drv_flat = free[:, None] * n_ext + self._drv_node[None, :]
         self._drv_row_flat = self._drv_node[:, None] * n_ext + np.arange(size)[None, :]
+        # Tolerance of each residual row: KCL in amps, then branch volts.
+        self._res_tol = np.where(np.arange(size) < self.n_nodes, ABSTOL, VNTOL)
 
     # -- source drive -------------------------------------------------
 
@@ -253,12 +260,12 @@ class MnaSystem:
             return self._overrides[e.id]
         return e.value_at(t)
 
-    def rhs(self, t: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    def rhs(self, t: float = 0.0) -> np.ndarray:
         b = np.zeros(self.size + 1)
         for e in self.vsources:
-            b[self.branch_index[e.id]] -= scale * self._source_value(e, t)
+            b[self.branch_index[e.id]] -= self._source_value(e, t)
         for e in self.isources:
-            val = scale * self._source_value(e, t)
+            val = self._source_value(e, t)
             b[self._slot(e.n_plus)] += val
             b[self._slot(e.n_minus)] -= val
         return b
@@ -282,58 +289,100 @@ class MnaSystem:
         """Solve jac[:n, :n] @ delta = -res[:n] over the n unknowns.
 
         jac and res are the extended, C-contiguous Jacobian and residual of
-        this system.  The step is exact: it equals the dense solve to
-        rounding.  A singular block raises FloatingNodeError.
+        this system, either one of each or a stack of lanes, (lanes, n+1,
+        n+1) and (lanes, n+1), whose steps come back as (lanes, n).  The
+        step is exact: it equals the dense solve to rounding.  A singular
+        block raises FloatingNodeError.
         """
-        jf = jac.reshape(-1)
+        if res.ndim == 1:
+            return self.newton_step(jac[None], res[None])[0]
+        lanes = res.shape[0]
+        jf = jac.reshape(lanes, -1)
         # Worked in the negated step e = -delta, which saves negations.
-        e = np.zeros(self.size)
-        e_drv = res[self._drv_branch] * self._drv_sign
-        e[self._drv_node] = e_drv
-        rhs = res[self._free] - jf[self._free_drv_flat].dot(e_drv)
+        # Gathers use take, several times faster here than fancy indexing.
+        e = np.zeros((lanes, self.size))
+        e_drv = res.take(self._drv_branch, axis=1) * self._drv_sign
+        e[:, self._drv_node] = e_drv
+        coupling = jf.take(self._free_drv_flat, axis=1)
+        rhs = res.take(self._free, axis=1) - (coupling @ e_drv[:, :, None])[:, :, 0]
         for m, pos, idx, flat in self._blocks:
+            block = jf.take(flat, axis=1)
             if m == 1:
-                pivot = jf[flat]
-                if np.count_nonzero(pivot) < pivot.size:
+                if not block.all():
                     raise FloatingNodeError(_SINGULAR)
-                e[idx] = rhs[pos] / pivot
+                e[:, idx] = rhs.take(pos, axis=1) / block[..., 0]
                 continue
             try:
-                e[idx] = np.linalg.solve(jf[flat], rhs[pos][..., None])[..., 0]
+                e[:, idx] = np.linalg.solve(block, rhs.take(pos, axis=1)[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise FloatingNodeError(_SINGULAR) from exc
         # The eliminated branch entries of e are still zero here, so each
         # driven row's product leaves out its own source's term.
-        e[self._drv_branch] = self._drv_sign * (res[self._drv_node] - jf[self._drv_row_flat].dot(e))
+        rows = jf.take(self._drv_row_flat, axis=1)
+        e[:, self._drv_branch] = self._drv_sign * (
+            res.take(self._drv_node, axis=1) - (rows @ e[:, :, None])[:, :, 0]
+        )
         return -e
 
-    def _newton(self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray) -> tuple[np.ndarray, int]:
-        x = x0.copy()
-        res = np.zeros(self.size + 1)
-        step_small = False
+    def _newton_lanes(
+        self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """Damped Newton on a stack of lanes, x0 (lanes, n) against b
+        (lanes, n+1), all sharing g_dyn.
+
+        Every iteration stamps the live lanes in one call; each lane stops on
+        its own test and drops out.  A lane that passes returns x plus the
+        step already solved at x, which costs no stamp and leaves it
+        converged to rounding rather than to the stop tolerance.  Returns
+        the states, the iteration count of each lane, and a failure message
+        for each lane that did not converge (its state is then its start).
+        """
+        n, lanes = self.size, x0.shape[0]
+        x = np.array(x0, dtype=float)
+        its = np.full(lanes, MAX_ITER)
+        failed: dict[int, str] = {}
+        # The live lanes lead these arrays, in order: their ids, extended
+        # states, right-hand sides, and whether their last step was small.
+        ids, bl, small = np.arange(lanes), b, np.zeros(lanes, dtype=bool)
+        xl = np.concatenate((x, np.zeros((lanes, 1))), axis=1)
+        # One Jacobian buffer, reset in place each iteration: a fresh copy
+        # of a large g_dyn per iteration costs page faults, not just copying.
+        jac_buf = np.empty((lanes,) + g_dyn.shape)
         for it in range(1, MAX_ITER + 1):
-            x_ext = np.append(x, 0.0)
-            jac = g_dyn.copy()
-            res = g_dyn @ x_ext + b
-            mos_stamp(x_ext, self.mos_idx, self.mos_par, self.vt, jac, res)
-            if not np.all(np.isfinite(res)):
-                raise ConvergenceError("residual evaluation produced non-finite values")
-            node_ok = np.abs(res[: self.n_nodes]).max(initial=0.0) < ABSTOL
-            branch_ok = np.abs(res[self.n_nodes : self.size]).max(initial=0.0) < VNTOL
-            if node_ok and branch_ok and step_small:
-                return x, it
+            jac = jac_buf[: ids.size]
+            jac[...] = g_dyn
+            res = (g_dyn @ xl[:, :, None])[:, :, 0] + bl
+            mos_stamp(xl, self.mos_idx, self.mos_par, self.vt, jac, res)
             delta = self.newton_step(jac, res)
-            if not np.all(np.isfinite(delta)):
-                raise ConvergenceError("Newton step produced non-finite values")
-            applied = np.clip(delta, -MAX_STEP, MAX_STEP)
-            x_new = x + applied
-            tol = RELTOL * np.maximum(np.abs(x_new), np.abs(x)) + VNTOL
-            step_small = bool(np.all(np.abs(applied) <= tol))
-            x = x_new
-        raise ConvergenceError(
-            f"no convergence within {MAX_ITER} Newton iterations; "
-            f"worst residual at node {self._worst_node(res)}"
-        )
+            bad = ~np.isfinite(delta).all(axis=1)
+            converged = small & ~bad & (np.abs(res[:, :n]) < self._res_tol).all(axis=1)
+            applied = np.minimum(np.maximum(delta, -MAX_STEP), MAX_STEP)
+            x_new = xl[:, :n] + applied
+            tol = RELTOL * np.maximum(np.abs(x_new), np.abs(xl[:, :n])) + VNTOL
+            small = (np.abs(applied) <= tol).all(axis=1)
+            xl[:, :n] = x_new
+            done = converged | bad
+            if done.any():
+                x[ids[converged]] = x_new[converged]
+                its[ids[converged]] = it
+                failed.update(dict.fromkeys(ids[bad].tolist(), "Newton iteration produced non-finite values"))
+                keep = ~done
+                ids, xl, bl, res, small = ids[keep], xl[keep], bl[keep], res[keep], small[keep]
+                if ids.size == 0:
+                    return x, its, failed
+        for lane, r in zip(ids.tolist(), res):
+            failed[lane] = (
+                f"no convergence within {MAX_ITER} Newton iterations; "
+                f"worst residual at node {self._worst_node(r)}"
+            )
+        return x, its, failed
+
+    def _newton(self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray) -> tuple[np.ndarray, int]:
+        """One lane of _newton_lanes; raises ConvergenceError on failure."""
+        x, its, failed = self._newton_lanes(x0[None], b[None], g_dyn)
+        if failed:
+            raise ConvergenceError(failed[0])
+        return x[0], int(its[0])
 
     def _gmin_stepping(self, x0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
         # Decade-relaxed shunt from every node to ground.  Near a bistable
@@ -353,9 +402,9 @@ class MnaSystem:
         x, its = self._newton(x, b, self.g_static)
         return x, total + its
 
-    def _continuation(self, t: float) -> tuple[np.ndarray, int]:
+    def _continuation(self, b: np.ndarray) -> tuple[np.ndarray, int]:
         # Source stepping: at zero drive the all-off state solves exactly,
-        # then the drive is walked up with an adaptive step.
+        # then every drive is scaled up together with an adaptive step.
         x = np.zeros(self.size)
         lam = 0.0
         step = 0.1
@@ -363,7 +412,7 @@ class MnaSystem:
         for _ in range(100):
             target = min(1.0, lam + step)
             try:
-                x_try, its = self._newton(x, self.rhs(t, scale=target), self.g_static)
+                x_try, its = self._newton(x, target * b, self.g_static)
             except ConvergenceError:
                 step *= 0.5
                 if step < 1e-4:
@@ -379,24 +428,70 @@ class MnaSystem:
             step *= 1.5
         raise ConvergenceError("source stepping exceeded 100 steps")
 
+    def _solve_lanes(
+        self, x0: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """DC solutions of lanes (lanes, n) against b (lanes, n+1).
+
+        Plain Newton runs on at most MAX_LANES lanes per pass.  A lane it
+        fails takes the fallback chain, gmin stepping and then source
+        stepping, warm-started from the nearest lane that converged, or
+        from its own start when none did.  Returns the states, each lane's
+        Newton iteration count and whether it needed a fallback.  A lane
+        that fails every fallback raises its ConvergenceError, with the lane
+        index as its `lane` attribute.
+        """
+        lanes = x0.shape[0]
+        x = np.empty((lanes, self.size))
+        its = np.empty(lanes, dtype=np.int64)
+        fallback = np.zeros(lanes, dtype=bool)
+        for part in np.array_split(np.arange(lanes), -(-lanes // MAX_LANES)):
+            x[part], its[part], stuck = self._newton_lanes(x0[part], b[part], self.g_static)
+            fallback[part[list(stuck)]] = True
+        converged = np.flatnonzero(~fallback)
+        for lane in np.flatnonzero(fallback).tolist():
+            start = x[converged[np.argmin(np.abs(converged - lane))]] if converged.size else x0[lane]
+            try:
+                x[lane], its[lane] = self._gmin_stepping(start, b[lane])
+            except ConvergenceError:
+                try:
+                    x[lane], its[lane] = self._continuation(b[lane])
+                except ConvergenceError as exc:
+                    exc.lane = lane
+                    raise
+        return x, its, fallback
+
     def solve_dc_vector(
         self, x0: np.ndarray | None = None, t: float = 0.0
     ) -> tuple[np.ndarray, int, bool]:
-        b = self.rhs(t)
         start = np.zeros(self.size) if x0 is None else x0
+        x, its, fallback = self._solve_lanes(start[None], self.rhs(t)[None])
+        return x[0], int(its[0]), bool(fallback[0])
+
+    @property
+    def decoupled(self) -> bool:
+        """Whether every free unknown is a block of its own.  Each then
+        solves one scalar KCL, monotone in that unknown, so the system has
+        at most one solution at any drive."""
+        return all(m == 1 for m, *_ in self._blocks)
+
+    def solve_dc_lanes(self, source_id: str, values: np.ndarray) -> np.ndarray:
+        """Cold-started DC solutions, one lane per drive value of one source,
+        as a (values, n) array.  Lanes share no warm start, so this needs a
+        decoupled system, in which no lane can choose between two states;
+        any other raises EngineError.  The source keeps the last value."""
+        if not self.decoupled:
+            raise EngineError("cold-started lanes need a decoupled system; sweep it instead")
+        b = np.empty((len(values), self.size + 1))
+        for i, v in enumerate(values):
+            self.set_source(source_id, v)
+            b[i] = self.rhs()
         try:
-            x, its = self._newton(start, b, self.g_static)
-            return x, its, False
-        except FloatingNodeError:
-            raise
-        except ConvergenceError:
-            pass
-        try:
-            x, its = self._gmin_stepping(start, b)
-            return x, its, True
-        except ConvergenceError:
-            x, its = self._continuation(t)
-            return x, its, True
+            x, _, _ = self._solve_lanes(np.zeros((len(values), self.size)), b)
+        except EngineError as exc:
+            at = f"={values[exc.lane]:g}" if hasattr(exc, "lane") else ""
+            raise type(exc)(f"{exc} (sweeping {source_id}{at})") from exc
+        return x
 
     # -- state packing ------------------------------------------------
 

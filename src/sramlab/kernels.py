@@ -2,8 +2,9 @@
 
 The model is one array-valued function, mos_eval: packed device parameters
 and terminal voltage differences in, drain current and its three partials
-out.  _stamp_numpy scatters those into the Jacobian and residual, and
-devices.mos_operating_point evaluates single devices through mos_eval.
+out.  _stamp_numpy scatters those into the Jacobians and residuals of a
+stack of lanes, and devices.mos_operating_point evaluates single devices
+through mos_eval.
 _stamp_loop is the same model and scatter written as a scalar loop: it is
 the numba source, compiled with @njit whenever numba imports, and the test
 suite runs it as plain Python as the scalar reference for mos_eval.
@@ -323,23 +324,31 @@ def mos_eval(par, vgs, vds, vsb, vt):
 
 
 def _stamp_numpy(x_ext, idx, par, vt, jac, res):
-    d, g, s_n, b = idx.T
-    i_term, dgv, dd, gmb = mos_eval(
-        par, x_ext[g] - x_ext[s_n], x_ext[d] - x_ext[s_n], x_ext[s_n] - x_ext[b], vt
-    )
+    if not (jac.flags.c_contiguous and res.flags.c_contiguous):
+        raise ValueError("jac and res must be C-contiguous")
+    n_ext = res.shape[-1]
+    lanes = res.size // n_ext
+    # Terminal slots, Jacobian and residual targets as flat indices into the
+    # (lanes, n+1) stacks, lane-major: every lane's devices go through
+    # mos_eval as one flat array.
+    terminals = idx.T
+    jac_flat = terminals[_JAC_ROW] * n_ext + terminals[_JAC_COL]
+    lane = np.arange(lanes)[:, None]
+    terminals = (terminals[:, None, :] + lane * n_ext).reshape(4, -1)
+    jac_flat = (jac_flat[:, None, :] + lane * (n_ext * n_ext)).reshape(8, -1)
+    par = np.tile(par, (lanes, 1))
+    v_d, v_g, v_s, v_b = x_ext.reshape(-1)[terminals]
+    i_term, dgv, dd, gmb = mos_eval(par, v_g - v_s, v_d - v_s, v_s - v_b, vt)
     dsv = -dgv - dd + gmb
     dbv = -gmb
 
-    # One scatter per array, ordered entry by entry across all devices
-    # (every drain-drain term, then every drain-gate term, ...), so repeated
-    # indices accumulate in a fixed order.
-    if not jac.flags.c_contiguous:
-        raise ValueError("jac must be C-contiguous")
-    terminals = idx.T
-    flat = terminals[_JAC_ROW] * jac.shape[1] + terminals[_JAC_COL]
+    # One scatter per array, ordered entry by entry (every drain-drain term,
+    # then every drain-gate term, ...) and lane by lane within an entry.
+    # Each target belongs to one lane, so repeated indices accumulate in the
+    # order a lone lane would use.
     vals = np.concatenate((dd, dgv, dsv, dbv, -dd, -dgv, -dsv, -dbv))
-    np.add.at(jac.reshape(-1), flat.reshape(-1), vals)
-    np.add.at(res, terminals[_RES_ROW].reshape(-1), np.concatenate((i_term, -i_term)))
+    np.add.at(jac.reshape(-1), jac_flat.reshape(-1), vals)
+    np.add.at(res.reshape(-1), terminals[_RES_ROW].reshape(-1), np.concatenate((i_term, -i_term)))
 
 
 def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
@@ -348,11 +357,19 @@ def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
     x_ext holds the solver unknowns plus one trailing slot pinned at 0.0 for
     ground; idx rows index (drain, gate, source, bulk) into it.  jac and res
     carry the same trailing slot, so stamps landing on ground are simply
-    ignored by the caller.  jac must be C-contiguous.
+    ignored by the caller.  jac and res must be C-contiguous.
+
+    A leading lane axis stamps many states of one circuit at once: x_ext
+    and res are then (lanes, n+1) and jac is (lanes, n+1, n+1), while idx
+    and par are shared by every lane.  Each lane's stamp is the one it
+    would get on its own.
     """
     if idx.shape[0] == 0:
         return
     if HAVE_NUMBA:
-        _stamp_numba(x_ext, idx, par, vt, jac, res)
+        if x_ext.ndim == 1:
+            x_ext, jac, res = x_ext[None], jac[None], res[None]
+        for lane in range(x_ext.shape[0]):
+            _stamp_numba(x_ext[lane], idx, par, vt, jac[lane], res[lane])
     else:
         _stamp_numpy(x_ext, idx, par, vt, jac, res)

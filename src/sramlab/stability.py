@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError
 from .devices import TechnologyParams, derive_tech_params, leakage_current
-from .engine import EngineError, MnaSystem, _open_for, dc_sweep, solve_dc
+from .engine import EngineError, MnaSystem, _open_for, dc_sweep, solve_dc, sweep_grid
 from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, with_elements
 
 SQRT2 = math.sqrt(2.0)
@@ -66,13 +66,18 @@ class ButterflyData:
         return min(self.snm_high, self.snm_low)
 
 
+def _first_of_runs(u: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in sorted u."""
+    return np.concatenate(([True], np.diff(u) > 0))
+
+
 def _rotated(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """45-degree frame: abscissa u along the falling diagonal, ordinate w."""
     u = (x - y) / SQRT2
     w = (x + y) / SQRT2
     order = np.argsort(u, kind="stable")
     u, w = u[order], w[order]
-    keep = np.concatenate(([True], np.diff(u) > 0))
+    keep = _first_of_runs(u)
     return u[keep], w[keep]
 
 
@@ -94,7 +99,8 @@ def inscribed_square_snm(curve_a: TransferCurve, curve_b: TransferCurve) -> SnmR
     ub, wb = _rotated(np.asarray(curve_b.v_out, float), np.asarray(curve_b.v_in, float))
     lo = max(ua[0], ub[0])
     hi = min(ua[-1], ub[-1])
-    grid_u = np.unique(np.concatenate((ua, ub)))
+    grid_u = np.sort(np.concatenate((ua, ub)))
+    grid_u = grid_u[_first_of_runs(grid_u)]
     grid_u = grid_u[(grid_u >= lo) & (grid_u <= hi)]
     if grid_u.size == 0:
         return SnmResult(0.0, 0.0, None, None)
@@ -175,11 +181,21 @@ def butterfly(
     ports = _cell_ports(cell)
     wl = v_dd if mode == "read" else 0.0
 
+    # In a 6T cell with one storage node driven, the other is the only free
+    # unknown and has one solution at each input, so the whole lobe is
+    # solved as cold-started lanes in one batch.  A cell with more free
+    # unknowns coupled to it may be bistable there and is swept, each
+    # point warm-started from the last.
+    v_in = sweep_grid(0.0, v_dd, grid)
     lobes = []
     for drive, probe in ((ports["Q"], ports["QBAR"]), (ports["QBAR"], ports["Q"])):
         aug = _augment(cell, _bias_sources(ports, v_dd, wl, drive))
-        sweep = dc_sweep(aug, "VSNMIN", 0.0, v_dd, grid, tech, vth_shift)
-        lobes.append(TransferCurve(sweep.values, sweep.node(probe)))
+        sys = MnaSystem(aug, tech, vth_shift)
+        if sys.decoupled:
+            v_out = sys.solve_dc_lanes("VSNMIN", v_in)[:, sys.node_index[probe]]
+        else:
+            v_out = dc_sweep(aug, "VSNMIN", 0.0, v_dd, grid, tech, vth_shift).node(probe)
+        lobes.append(TransferCurve(v_in, v_out))
 
     result = inscribed_square_snm(lobes[0], lobes[1])
     return ButterflyData(

@@ -230,6 +230,18 @@ def test_generate_array_and_periphery(run):
     assert parse_netlist(out).element_count == 6
 
 
+def test_generate_no_parasitics_drops_array_caps_and_rejects_periphery(run):
+    code, out, _ = run("generate", "--kind", "array", "--rows", "2", "--cols", "2")
+    assert code == 0 and parse_netlist(out).element_count > 24
+    code, out, _ = run("generate", "--kind", "array", "--rows", "2", "--cols", "2", "--no-parasitics")
+    assert code == 0
+    assert parse_netlist(out).element_count == 24
+    for kind in ("sense-amp", "precharge", "write-driver", "decoder"):
+        code, out, err = run("generate", "--kind", kind, "--no-parasitics")
+        assert code == 2 and out == "", kind
+        assert err.startswith("error: --no-parasitics"), kind
+
+
 # ---------------------------------------------------------------------
 # Analyses
 
@@ -361,6 +373,25 @@ def test_delay_bad_waveform_exits_2(run, tmp_path):
         code, out, err = run("delay", "--waveform", path, "--node", "out")
         assert code == 2 and out == "", name
         assert err.startswith("error: cannot read waveform" if name == "missing.csv" else "error: bad waveform")
+
+
+def test_delay_waveform_needs_known_node_and_input(run, tmp_path):
+    path = tmp_path / "wave.csv"
+    rows = ["time,V(WL),V(Q)", "0,0,1.8", "1e-9,1.8,1.8", "2e-9,1.8,0", "3e-9,0,0", "4e-9,0,1.8"]
+    path.write_text("\n".join(rows) + "\n")
+    code, out, _ = run("delay", "--waveform", str(path), "--node", "Q", "--input", "WL")
+    assert code == 0
+    assert any(l.startswith("t_phl ") for l in body_of(out))
+    cases = {
+        ("--node", "NOPE", "--input", "WL"): "--node NOPE",
+        ("--node", "Q", "--input", "NOPE"): "--input NOPE",
+        ("--input", "WL"): "needs --node",
+        ("--node", "Q"): "needs --input",
+    }
+    for flags, message in cases.items():
+        code, out, err = run("delay", "--waveform", str(path), *flags)
+        assert code == 2 and out == "", flags
+        assert err.startswith("error: ") and message in err, flags
 
 
 def test_delay_bitline_mode(run):

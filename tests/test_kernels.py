@@ -162,6 +162,52 @@ def test_stamp_against_operating_point():
         assert abs(jac[d].sum()) <= 1e-16 + 1e-12 * np.abs(jac[d]).max()
 
 
+def random_states(rng, x_ext, lanes):
+    """Stack of lane states over x_ext's node set, ground slot at zero."""
+    x = np.zeros((lanes, x_ext.size))
+    x[:, :-1] = rng.uniform(-1.8, 1.8, (lanes, x_ext.size - 1))
+    return x
+
+
+def run_lane_stamp(fn, x, idx, par):
+    lanes, n_ext = x.shape
+    jac = np.zeros((lanes, n_ext, n_ext))
+    res = np.zeros((lanes, n_ext))
+    fn(x, idx, par, VT, jac, res)
+    return jac, res
+
+
+def test_lane_stamp_is_the_single_stamp_per_lane():
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        x_ext, idx, par = random_lanes(rng, 25)
+        x = random_states(rng, x_ext, int(rng.integers(1, 40)))
+        jac, res = run_lane_stamp(mos_stamp, x, idx, par)
+        for lane in range(x.shape[0]):
+            jac_1, res_1 = run_stamp(mos_stamp, x[lane].copy(), idx, par)
+            assert np.array_equal(jac[lane], jac_1)
+            assert np.array_equal(res[lane], res_1)
+
+
+def test_numba_branch_loops_the_lanes(monkeypatch):
+    # The compiled branch stamps lane by lane with the scalar kernel; run it
+    # with the plain-Python kernel in place of the compiled one.
+    rng = np.random.default_rng(48)
+    cases = []
+    for _ in range(5):
+        x_ext, idx, par = random_lanes(rng, 25)
+        cases.append((random_states(rng, x_ext, 7), idx, par))
+    want = [run_lane_stamp(kernels._stamp_numpy, *case) for case in cases]
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
+    monkeypatch.setattr(kernels, "_stamp_numba", kernels._stamp_loop)
+    for case, (jac_b, res_b) in zip(cases, want):
+        jac_a, res_a = run_lane_stamp(mos_stamp, *case)
+        np.testing.assert_allclose(jac_a, jac_b, rtol=5e-13, atol=1e-18)
+        np.testing.assert_allclose(res_a, res_b, rtol=5e-13, atol=1e-18)
+        jac_1, res_1 = run_stamp(mos_stamp, case[0][0], case[1], case[2])
+        assert np.array_equal(jac_1, jac_a[0]) and np.array_equal(res_1, res_a[0])
+
+
 def test_stamp_accumulates_in_place():
     rng = np.random.default_rng(45)
     x_ext, idx, par = random_lanes(rng, 8)

@@ -4,16 +4,27 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sramlab import stability
 from sramlab.config import ConfigError
 from sramlab.devices import (
     TechnologyParams,
     derive_tech_params,
     leakage_current,
 )
-from sramlab.engine import solve_dc
+from sramlab.engine import ConvergenceError, EngineError, MnaSystem, dc_sweep, solve_dc
 from sramlab.genlib import CellGeometry, DeviceSize, build_6t_cell
-from sramlab.netlist import GROUND, Node, SourceElement, parse_netlist, print_netlist, with_elements
+from sramlab.netlist import (
+    GROUND,
+    Node,
+    ResElement,
+    SourceElement,
+    parse_netlist,
+    print_netlist,
+    with_elements,
+)
 from sramlab.stability import (
     DrvInputs,
     NonWritableError,
@@ -203,6 +214,110 @@ def test_butterfly_csv(cell):
     assert any(l.startswith("# snm_high=") for l in tail)
     assert any(l.startswith("# snm=") for l in tail)
     assert any("mode=hold" in l for l in tail)
+
+
+def biased_lobe(cell, mode, v_dd, drive):
+    """The cell biased as butterfly biases it, with `drive` (Q or QBAR)
+    pinned by the source VIN."""
+    gnd = Node(GROUND)
+    wl = v_dd if mode == "read" else 0.0
+    drives = {"VDD": v_dd, "WL": wl, "BL": v_dd, "BLB": v_dd, drive: 0.0}
+    return with_elements(
+        cell,
+        [
+            SourceElement("VIN" if role == drive else f"VB{role}", Node(cell.role_node(role)), gnd, "DC", (v,))
+            for role, v in drives.items()
+        ],
+    )
+
+
+def sequential_lobes(cell, mode, v_dd, grid, vth_shift=None):
+    """Both lobes by warm-started sweeps, one point at a time."""
+    lobes = []
+    for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
+        sweep = dc_sweep(biased_lobe(cell, mode, v_dd, drive), "VIN", 0.0, v_dd, grid, vth_shift=vth_shift)
+        lobes.append(TransferCurve(sweep.values, sweep.node(cell.role_node(probe))))
+    return lobes
+
+
+def assert_matches_sequential(data, cell, vth_shift=None, tol=1e-5):
+    seq = sequential_lobes(cell, data.mode, data.v_dd, data.grid, vth_shift)
+    for lobe, ref in zip((data.lobe_a, data.lobe_b), seq):
+        assert np.array_equal(lobe.v_in, ref.v_in)
+        assert np.abs(lobe.v_out - ref.v_out).max() <= tol
+    ref = inscribed_square_snm(*seq)
+    assert abs(data.snm_high - ref.snm_high) <= tol
+    assert abs(data.snm_low - ref.snm_low) <= tol
+
+
+CELL_MOS = ("MPDL", "MPUL", "MPDR", "MPUR", "MPGL", "MPGR")
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    mode=st.sampled_from(["hold", "read"]),
+    v_dd=st.sampled_from([round(0.90 + 0.05 * k, 2) for k in range(19)]),
+    grid=st.sampled_from([0.010, 0.0125, 0.015]),
+    shifts=st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6),
+)
+def test_batched_butterfly_matches_sequential_sweeps(cell, mode, v_dd, grid, shifts):
+    # Every lobe point is a cold-started lane of one batched Newton; the
+    # oracle sweeps the same biasing one point at a time, warm-started.
+    shift = dict(zip(CELL_MOS, shifts))
+    data = butterfly(cell, mode=mode, v_dd=v_dd, grid=grid, vth_shift=shift)
+    assert_matches_sequential(data, cell, shift)
+
+
+def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
+    # In read at 0.95 V, plain Newton from a cold start 2-cycles at
+    # v_in = 0.5 V (QBAR alternates near 0.385 and 0.400 V), so that lane
+    # must be rescued by the fallback chain.
+    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"))
+    lobe.set_source("VIN", 0.5)
+    with pytest.raises(ConvergenceError):
+        lobe._newton(np.zeros(lobe.size), lobe.rhs(), lobe.g_static)
+
+    entered = []
+    real = MnaSystem._gmin_stepping
+
+    def spy(self, x0, b):
+        entered.append(-b[self.branch_index["VSNMIN"]])
+        return real(self, x0, b)
+
+    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
+    data = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
+    monkeypatch.undo()
+    assert pytest.approx(0.5) in entered
+    assert_matches_sequential(data, cell)
+
+
+def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
+    # A node X hanging off QBAR through a divider is a second free unknown
+    # coupled to QBAR when Q is driven, so that lobe is no longer decoupled:
+    # its points could have two solutions, and cold lanes must not be used.
+    gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
+    coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
+    lobe = MnaSystem(biased_lobe(coupled, "hold", 1.8, "Q"))
+    assert not lobe.decoupled
+    with pytest.raises(EngineError, match="decoupled"):
+        lobe.solve_dc_lanes("VIN", np.array([0.0, 0.9]))
+    assert MnaSystem(biased_lobe(coupled, "hold", 1.8, "QBAR")).decoupled
+    assert MnaSystem(biased_lobe(cell, "hold", 1.8, "Q")).decoupled
+
+    swept = []
+    real = stability.dc_sweep
+
+    def spy(net, source_id, *args, **kwargs):
+        swept.append(source_id)
+        return real(net, source_id, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "dc_sweep", spy)
+    butterfly(cell, mode="hold", v_dd=1.8, grid=0.02)
+    assert swept == []
+    data = butterfly(coupled, mode="hold", v_dd=1.8, grid=0.02)
+    monkeypatch.undo()
+    assert swept == ["VSNMIN"]
+    assert_matches_sequential(data, coupled)
 
 
 def test_snm_grows_with_supply(cell):
