@@ -4,11 +4,14 @@ DC operating points use damped Newton iteration with gmin-stepping and
 source-stepping fallbacks; sweeps warm-start each point from the last;
 transient runs fixed-step backward Euler (default) or trapezoidal companions
 for the capacitors.  The Newton loop runs on lanes, a stack of states of one
-system each with its own right-hand side, so that many independent points
-(a butterfly lobe's grid) share every device evaluation; a single solve is
-one lane.  Unknown ordering is named nodes first, in netlist first-use
-order, then one branch current per voltage source.  Extended vectors carry a
-trailing ground slot pinned at zero so every stamp writes unconditionally.
+system each with its own right-hand side and device parameter set, so that
+many independent points (every sample's butterfly lobe grid) share every
+device evaluation; a single solve is one lane.  Lanes queue for a pool of
+at most MAX_LANES live ones, and each lane that finishes hands its place to
+the next in the queue.  Unknown ordering is named nodes first, in netlist
+first-use order, then one branch current per voltage source.  Extended
+vectors carry a trailing ground slot pinned at zero so every stamp writes
+unconditionally.
 
 Each Newton step is solved exactly, but not as one dense system.  A voltage
 source from ground to a node that no other grounded source drives fixes that
@@ -47,8 +50,8 @@ RELTOL = 1e-3
 VNTOL = 1e-6  # V
 MAX_STEP = 0.3  # V per unknown per Newton iteration
 MAX_ITER = 100
-# Most lanes per batched Newton pass.  Memory grows with the lane count,
-# so a longer batch is split into near-equal passes no longer than this.
+# Most lanes live at once in the Newton pool.  Memory grows with the live
+# lane count, so a longer batch queues and refills the pool as lanes finish.
 MAX_LANES = 128
 
 _SINGULAR = "singular system matrix; some node has no conductive path to ground"
@@ -111,15 +114,18 @@ class TransientResult:
 class MnaSystem:
     """Equation assembly for one netlist against one technology card.
 
-    vth_shift maps element ids to additive V_th0 perturbations; degenerate
-    elements (zero geometry or placeholder terminals) are left unstamped.
+    vth_shift maps element ids to additive V_th0 perturbations, or is a list
+    of such maps; each map gives one device parameter set, a row of
+    par_sets, which lanes pick by index.  Single solves use the first set,
+    mos_par.  Degenerate elements (zero geometry or placeholder terminals)
+    are left unstamped.
     """
 
     def __init__(
         self,
         net: Netlist,
         tech: TechnologyParams | None = None,
-        vth_shift: dict[str, float] | None = None,
+        vth_shift: dict[str, float] | list[dict[str, float]] | None = None,
     ):
         self.net = net
         self.tech = derive_tech_params(tech if tech is not None else TechnologyParams.default())
@@ -141,19 +147,24 @@ class MnaSystem:
         self.ground = self.size  # trailing extended slot
         self.branch_index = {e.id: self.n_nodes + k for k, e in enumerate(self.vsources)}
 
-        shift = vth_shift or {}
+        shifts = vth_shift if isinstance(vth_shift, list) else [vth_shift or {}]
+        if not shifts:
+            raise ValueError("need at least one device parameter set")
         self.mos_idx = np.zeros((len(mos), 4), dtype=np.int64)
-        self.mos_par = np.zeros((len(mos), N_PAR))
+        par = np.zeros((len(mos), N_PAR))
         for k, m in enumerate(mos):
-            row = pack_device(self.tech.device(m.polarity), m.polarity, m.w, m.l, self.vt)
-            row[COL_VTH0] += shift.get(m.id, 0.0)
-            self.mos_par[k] = row
+            par[k] = pack_device(self.tech.device(m.polarity), m.polarity, m.w, m.l, self.vt)
             self.mos_idx[k] = (
                 self._slot(m.drain),
                 self._slot(m.gate),
                 self._slot(m.source),
                 self._slot(m.bulk),
             )
+        self.par_sets = np.repeat(par[None], len(shifts), axis=0)
+        self.par_sets[:, :, COL_VTH0] += np.array(
+            [[shift.get(m.id, 0.0) for m in mos] for shift in shifts]
+        ).reshape(len(shifts), len(mos))
+        self.mos_par = self.par_sets[0]
 
         g = np.zeros((self.size + 1, self.size + 1))
         for r in resistors:
@@ -325,66 +336,104 @@ class MnaSystem:
         return -e
 
     def _newton_lanes(
-        self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray
+        self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray, sets: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Damped Newton on a stack of lanes, x0 (lanes, n) against b
-        (lanes, n+1), all sharing g_dyn.
+        """Damped Newton on a queue of lanes, x0 (lanes, n) against b
+        (lanes, n+1), all sharing g_dyn; sets gives each lane's row of
+        par_sets (default the first).
 
-        Every iteration stamps the live lanes in one call; each lane stops on
-        its own test and drops out.  A lane that passes returns x plus the
-        step already solved at x, which costs no stamp and leaves it
-        converged to rounding rather than to the stop tolerance.  Returns
-        the states, the iteration count of each lane, and a failure message
-        for each lane that did not converge (its state is then its start).
+        At most MAX_LANES lanes are live.  Every iteration stamps them in one
+        call; each stops on its own test and its place goes to the next
+        queued lane.  A lane that passes returns x plus the step already
+        solved at x, which costs no stamp and leaves it converged to
+        rounding rather than to the stop tolerance.  A lane fails when its
+        step is not finite, after MAX_ITER iterations of its own, or as soon
+        as its state, x and the small-step flag, equals its state two
+        iterations back.  The iteration is a fixed map of that state, so
+        such a lane cycles and can never pass; its message names the node
+        that iteration MAX_ITER would have named.  Returns the states, the
+        iteration count of each lane, and a failure message for each lane
+        that did not converge (its state is then its start).
         """
         n, lanes = self.size, x0.shape[0]
+        sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
         x = np.array(x0, dtype=float)
         its = np.full(lanes, MAX_ITER)
         failed: dict[int, str] = {}
-        # The live lanes lead these arrays, in order: their ids, extended
-        # states, right-hand sides, and whether their last step was small.
-        ids, bl, small = np.arange(lanes), b, np.zeros(lanes, dtype=bool)
-        xl = np.concatenate((x, np.zeros((lanes, 1))), axis=1)
+        pool = min(lanes, MAX_LANES)
         # One Jacobian buffer, reset in place each iteration: a fresh copy
         # of a large g_dyn per iteration costs page faults, not just copying.
-        jac_buf = np.empty((lanes,) + g_dyn.shape)
-        for it in range(1, MAX_ITER + 1):
+        jac_buf = np.empty((pool,) + g_dyn.shape)
+        # Per pool slot: the live lane's id, iteration count, right-hand
+        # side, parameter rows, extended state and whether its last step was
+        # small, then its state and residual of the iteration before, NaN
+        # (equal to nothing) for an entering lane.  A finished lane's slot
+        # takes the next queued lane; once the queue is empty the pool
+        # shrinks.
+        ids = np.arange(pool)
+        count = np.zeros(pool, dtype=np.int64)
+        bl, parl = b[ids], self.par_sets[sets[ids]]
+        xl = np.concatenate((x[ids], np.zeros((pool, 1))), axis=1)
+        small, small_last = np.zeros(pool, dtype=bool), np.zeros(pool, dtype=bool)
+        x_last, res_last = np.full((pool, n), np.nan), np.zeros((pool, n + 1))
+        queued = pool
+        while ids.size:
+            count += 1
             jac = jac_buf[: ids.size]
             jac[...] = g_dyn
             res = (g_dyn @ xl[:, :, None])[:, :, 0] + bl
-            mos_stamp(xl, self.mos_idx, self.mos_par, self.vt, jac, res)
+            mos_stamp(xl, self.mos_idx, parl, self.vt, jac, res)
             delta = self.newton_step(jac, res)
             bad = ~np.isfinite(delta).all(axis=1)
             converged = small & ~bad & (np.abs(res[:, :n]) < self._res_tol).all(axis=1)
             applied = np.minimum(np.maximum(delta, -MAX_STEP), MAX_STEP)
             x_new = xl[:, :n] + applied
             tol = RELTOL * np.maximum(np.abs(x_new), np.abs(xl[:, :n])) + VNTOL
-            small = (np.abs(applied) <= tol).all(axis=1)
+            small_new = (np.abs(applied) <= tol).all(axis=1)
+            cycled = (x_new == x_last).all(axis=1) & (small_new == small_last)
+            stuck = ~converged & ~bad & (cycled | (count >= MAX_ITER))
+            done = converged | bad | stuck
+            res_before = res_last
+            x_last, small_last, res_last = xl[:, :n].copy(), small, res
             xl[:, :n] = x_new
-            done = converged | bad
-            if done.any():
-                x[ids[converged]] = x_new[converged]
-                its[ids[converged]] = it
-                failed.update(dict.fromkeys(ids[bad].tolist(), "Newton iteration produced non-finite values"))
-                keep = ~done
-                ids, xl, bl, res, small = ids[keep], xl[keep], bl[keep], res[keep], small[keep]
-                if ids.size == 0:
-                    return x, its, failed
-        for lane, r in zip(ids.tolist(), res):
-            failed[lane] = (
-                f"no convergence within {MAX_ITER} Newton iterations; "
-                f"worst residual at node {self._worst_node(r)}"
-            )
+            small = small_new
+            if not done.any():
+                continue
+            x[ids[converged]] = x_new[converged]
+            its[ids[converged]] = count[converged]
+            failed.update(dict.fromkeys(ids[bad].tolist(), "Newton iteration produced non-finite values"))
+            for lane, c, r, r_before in zip(ids[stuck].tolist(), count[stuck], res[stuck], res_before[stuck]):
+                # A cycle alternates this state with the one before.
+                worst = self._worst_node(r if (MAX_ITER - c) % 2 == 0 else r_before)
+                failed[lane] = (
+                    f"no convergence within {MAX_ITER} Newton iterations; "
+                    f"worst residual at node {worst}"
+                )
+            free = np.flatnonzero(done)
+            new = np.arange(queued, min(lanes, queued + free.size))
+            if new.size:
+                queued += new.size
+                slots = free[: new.size]
+                ids[slots], count[slots], bl[slots], parl[slots] = new, 0, b[new], self.par_sets[sets[new]]
+                xl[slots, :n], small[slots], x_last[slots], small_last[slots] = x[new], False, np.nan, False
+            if new.size < free.size:
+                keep = np.ones(ids.size, dtype=bool)
+                keep[free[new.size :]] = False
+                ids, count, bl, parl, xl, small, x_last, small_last, res_last = (
+                    a[keep] for a in (ids, count, bl, parl, xl, small, x_last, small_last, res_last)
+                )
         return x, its, failed
 
-    def _newton(self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray) -> tuple[np.ndarray, int]:
+    def _newton(
+        self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray, par_set: int = 0
+    ) -> tuple[np.ndarray, int]:
         """One lane of _newton_lanes; raises ConvergenceError on failure."""
-        x, its, failed = self._newton_lanes(x0[None], b[None], g_dyn)
+        x, its, failed = self._newton_lanes(x0[None], b[None], g_dyn, np.full(1, par_set))
         if failed:
             raise ConvergenceError(failed[0])
         return x[0], int(its[0])
 
-    def _gmin_stepping(self, x0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    def _gmin_stepping(self, x0: np.ndarray, b: np.ndarray, par_set: int = 0) -> tuple[np.ndarray, int]:
         # Decade-relaxed shunt from every node to ground.  Near a bistable
         # trip point the exact Jacobian is close to singular and plain
         # Newton wanders; the shunted system stays well conditioned and the
@@ -396,13 +445,13 @@ class MnaSystem:
         while gmin > 1e-12:
             g = self.g_static.copy()
             g[d, d] += gmin
-            x, its = self._newton(x, b, g)
+            x, its = self._newton(x, b, g, par_set)
             total += its
             gmin *= 0.1
-        x, its = self._newton(x, b, self.g_static)
+        x, its = self._newton(x, b, self.g_static, par_set)
         return x, total + its
 
-    def _continuation(self, b: np.ndarray) -> tuple[np.ndarray, int]:
+    def _continuation(self, b: np.ndarray, par_set: int = 0) -> tuple[np.ndarray, int]:
         # Source stepping: at zero drive the all-off state solves exactly,
         # then every drive is scaled up together with an adaptive step.
         x = np.zeros(self.size)
@@ -412,7 +461,7 @@ class MnaSystem:
         for _ in range(100):
             target = min(1.0, lam + step)
             try:
-                x_try, its = self._newton(x, target * b, self.g_static)
+                x_try, its = self._newton(x, target * b, self.g_static, par_set)
             except ConvergenceError:
                 step *= 0.5
                 if step < 1e-4:
@@ -429,43 +478,50 @@ class MnaSystem:
         raise ConvergenceError("source stepping exceeded 100 steps")
 
     def _solve_lanes(
-        self, x0: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """DC solutions of lanes (lanes, n) against b (lanes, n+1).
+        self, x0: np.ndarray, b: np.ndarray, sets: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConvergenceError]]:
+        """DC solutions of lanes (lanes, n) against b (lanes, n+1), each
+        with the parameter set `sets` names (default the first).
 
-        Plain Newton runs on at most MAX_LANES lanes per pass.  A lane it
-        fails takes the fallback chain, gmin stepping and then source
-        stepping, warm-started from the nearest lane that converged, or
-        from its own start when none did.  Returns the states, each lane's
-        Newton iteration count and whether it needed a fallback.  A lane
-        that fails every fallback raises its ConvergenceError, with the lane
-        index as its `lane` attribute.
+        Plain Newton runs all lanes through one pool.  A lane it fails takes
+        the fallback chain, gmin stepping and then source stepping,
+        warm-started from the nearest lane of its parameter set that
+        converged, or from its own start when none did.  Returns the states,
+        each lane's Newton iteration count, whether it needed a fallback,
+        and the ConvergenceError of each parameter set in which a lane
+        failed every fallback, with that lane's index as its `lane`
+        attribute; the set's later fallbacks are skipped.
         """
         lanes = x0.shape[0]
-        x = np.empty((lanes, self.size))
-        its = np.empty(lanes, dtype=np.int64)
+        sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
+        x, its, stuck = self._newton_lanes(x0, b, self.g_static, sets)
         fallback = np.zeros(lanes, dtype=bool)
-        for part in np.array_split(np.arange(lanes), -(-lanes // MAX_LANES)):
-            x[part], its[part], stuck = self._newton_lanes(x0[part], b[part], self.g_static)
-            fallback[part[list(stuck)]] = True
+        fallback[list(stuck)] = True
         converged = np.flatnonzero(~fallback)
+        failed: dict[int, ConvergenceError] = {}
         for lane in np.flatnonzero(fallback).tolist():
-            start = x[converged[np.argmin(np.abs(converged - lane))]] if converged.size else x0[lane]
+            s = int(sets[lane])
+            if s in failed:
+                continue
+            near = converged[sets[converged] == s]
+            start = x[near[np.argmin(np.abs(near - lane))]] if near.size else x0[lane]
             try:
-                x[lane], its[lane] = self._gmin_stepping(start, b[lane])
+                x[lane], its[lane] = self._gmin_stepping(start, b[lane], s)
             except ConvergenceError:
                 try:
-                    x[lane], its[lane] = self._continuation(b[lane])
+                    x[lane], its[lane] = self._continuation(b[lane], s)
                 except ConvergenceError as exc:
                     exc.lane = lane
-                    raise
-        return x, its, fallback
+                    failed[s] = exc
+        return x, its, fallback, failed
 
     def solve_dc_vector(
         self, x0: np.ndarray | None = None, t: float = 0.0
     ) -> tuple[np.ndarray, int, bool]:
         start = np.zeros(self.size) if x0 is None else x0
-        x, its, fallback = self._solve_lanes(start[None], self.rhs(t)[None])
+        x, its, fallback, failed = self._solve_lanes(start[None], self.rhs(t)[None])
+        if failed:
+            raise failed[0]
         return x[0], int(its[0]), bool(fallback[0])
 
     @property
@@ -475,23 +531,38 @@ class MnaSystem:
         at most one solution at any drive."""
         return all(m == 1 for m, *_ in self._blocks)
 
-    def solve_dc_lanes(self, source_id: str, values: np.ndarray) -> np.ndarray:
-        """Cold-started DC solutions, one lane per drive value of one source,
-        as a (values, n) array.  Lanes share no warm start, so this needs a
-        decoupled system, in which no lane can choose between two states;
-        any other raises EngineError.  The source keeps the last value."""
+    def solve_dc_lanes(
+        self, source_id: str, values: np.ndarray
+    ) -> tuple[np.ndarray, dict[int, EngineError]]:
+        """Cold-started DC solutions, one lane per parameter set and drive
+        value of one voltage source, as a (sets, values, n) array, and the
+        EngineError of each set in which a lane failed every fallback (that
+        set's states are then not all solutions).  Lanes share no warm
+        start, so this needs a decoupled system, in which no lane can choose
+        between two states; any other raises EngineError, as does a
+        singular step in any lane."""
         if not self.decoupled:
             raise EngineError("cold-started lanes need a decoupled system; sweep it instead")
-        b = np.empty((len(values), self.size + 1))
-        for i, v in enumerate(values):
-            self.set_source(source_id, v)
-            b[i] = self.rhs()
+        if source_id not in self.branch_index:
+            raise EngineError(f"no stamped voltage source named {source_id!r}")
+        k = self.branch_index[source_id]
+        sets, points = self.par_sets.shape[0], len(values)
+        b = self.rhs()
+        b[k] = 0.0
+        b = np.repeat(b[None], points, axis=0)
+        b[:, k] -= values
+        lane_sets = np.repeat(np.arange(sets), points)
         try:
-            x, _, _ = self._solve_lanes(np.zeros((len(values), self.size)), b)
+            x, _, _, failed = self._solve_lanes(
+                np.zeros((sets * points, self.size)), np.tile(b, (sets, 1)), lane_sets
+            )
         except EngineError as exc:
-            at = f"={values[exc.lane]:g}" if hasattr(exc, "lane") else ""
-            raise type(exc)(f"{exc} (sweeping {source_id}{at})") from exc
-        return x
+            raise type(exc)(f"{exc} (sweeping {source_id})") from exc
+        errors: dict[int, EngineError] = {
+            s: type(exc)(f"{exc} (sweeping {source_id}={values[exc.lane % points]:g})")
+            for s, exc in failed.items()
+        }
+        return x.reshape(sets, points, self.size), errors
 
     # -- state packing ------------------------------------------------
 
@@ -616,6 +687,25 @@ def transient(
     xs = np.zeros((n_steps + 1, sys.size))
     xs[0] = x0
 
+    # Every source's drive at every time point, a DC one evaluated once;
+    # each step's right-hand side is built from this table, and it is the
+    # result's drives.  Voltage drives enter their branch rows negated;
+    # current drives enter their two nodes in source order.
+    drives = {
+        e.id: np.full(times.size, e.value_at(0.0))
+        if e.kind == "DC"
+        else np.array([e.value_at(t) for t in times])
+        for e in sys.vsources + sys.isources
+    }
+    v_rows = np.array([sys.branch_index[e.id] for e in sys.vsources], dtype=np.int64)
+    v_drive = np.array([drives[e.id] for e in sys.vsources]).reshape(v_rows.size, times.size).T
+    i_rows = np.array(
+        [sys._slot(node) for e in sys.isources for node in (e.n_plus, e.n_minus)], dtype=np.int64
+    )
+    i_drive = np.array(
+        [sign * drives[e.id] for e in sys.isources for sign in (1.0, -1.0)]
+    ).reshape(i_rows.size, times.size).T
+
     cap_a = np.array([sys._slot(c.n1) for c in sys.caps], dtype=np.int64)
     cap_b = np.array([sys._slot(c.n2) for c in sys.caps], dtype=np.int64)
     cap_c = np.array([c.value for c in sys.caps])
@@ -647,7 +737,9 @@ def transient(
     for k in range(1, n_steps + 1):
         startup = method == "trap" and k == 1
         fac_k = 1.0 / dt if startup else factor
-        b_vec = sys.rhs(times[k])
+        b_vec = np.zeros(sys.size + 1)
+        b_vec[v_rows] -= v_drive[k]
+        np.add.at(b_vec, i_rows, i_drive[k])
         x_ext_prev = np.append(x, 0.0)
         v_prev = x_ext_prev[cap_a] - x_ext_prev[cap_b]
         hist = fac_k * cap_c * v_prev
@@ -669,10 +761,6 @@ def transient(
 
     nodes = {name: xs[:, i].copy() for name, i in sys.node_index.items()}
     currents = {sid: xs[:, i].copy() for sid, i in sys.branch_index.items()}
-    drives = {
-        e.id: np.array([sys._source_value(e, t) for t in times])
-        for e in sys.vsources + sys.isources
-    }
     return TransientResult(times, nodes, currents, drives)
 
 

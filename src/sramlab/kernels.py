@@ -336,7 +336,7 @@ def _stamp_numpy(x_ext, idx, par, vt, jac, res):
     lane = np.arange(lanes)[:, None]
     terminals = (terminals[:, None, :] + lane * n_ext).reshape(4, -1)
     jac_flat = (jac_flat[:, None, :] + lane * (n_ext * n_ext)).reshape(8, -1)
-    par = np.tile(par, (lanes, 1))
+    par = par.reshape(-1, N_PAR) if par.ndim == 3 else np.tile(par, (lanes, 1))
     v_d, v_g, v_s, v_b = x_ext.reshape(-1)[terminals]
     i_term, dgv, dd, gmb = mos_eval(par, v_g - v_s, v_d - v_s, v_s - v_b, vt)
     dsv = -dgv - dd + gmb
@@ -360,9 +360,10 @@ def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
     ignored by the caller.  jac and res must be C-contiguous.
 
     A leading lane axis stamps many states of one circuit at once: x_ext
-    and res are then (lanes, n+1) and jac is (lanes, n+1, n+1), while idx
-    and par are shared by every lane.  Each lane's stamp is the one it
-    would get on its own.
+    and res are then (lanes, n+1) and jac is (lanes, n+1, n+1).  idx is
+    shared by every lane; par is either shared, (devices, N_PAR), or one
+    parameter matrix per lane, (lanes, devices, N_PAR).  Each lane's stamp
+    is the one it would get on its own.
     """
     if idx.shape[0] == 0:
         return
@@ -370,6 +371,7 @@ def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
         if x_ext.ndim == 1:
             x_ext, jac, res = x_ext[None], jac[None], res[None]
         for lane in range(x_ext.shape[0]):
-            _stamp_numba(x_ext[lane], idx, par, vt, jac[lane], res[lane])
+            lane_par = par[lane] if par.ndim == 3 else par
+            _stamp_numba(x_ext[lane], idx, lane_par, vt, jac[lane], res[lane])
     else:
         _stamp_numpy(x_ext, idx, par, vt, jac, res)

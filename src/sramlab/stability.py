@@ -10,17 +10,31 @@ caller's object.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .config import ConfigError
 from .devices import TechnologyParams, derive_tech_params, leakage_current
-from .engine import EngineError, MnaSystem, _open_for, dc_sweep, solve_dc, sweep_grid
+from .engine import (
+    MAX_LANES,
+    EngineError,
+    MnaSystem,
+    _open_for,
+    dc_sweep,
+    solve_dc,
+    sweep_grid,
+)
 from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, with_elements
 
 SQRT2 = math.sqrt(2.0)
+# Most lanes one batch of butterfly samples puts in a lobe's queue.  A
+# batch's states are held at once, so this bounds the memory of a long
+# Monte Carlo run; the Newton pool itself holds MAX_LANES.
+BATCH_LANES = 8 * MAX_LANES
 
 
 class NonWritableError(Exception):
@@ -174,41 +188,90 @@ def butterfly(
     margins.  Hold mode turns the access devices off; read mode drives the
     wordline at v_dd.  Both bitlines stay clamped at v_dd (precharged).
     """
+    (data,) = _butterflies(cell, tech, mode, v_dd, grid, [vth_shift or {}])
+    if isinstance(data, EngineError):
+        raise data
+    return data
+
+
+def _butterflies(
+    cell: Netlist,
+    tech: TechnologyParams | None,
+    mode: str,
+    v_dd: float,
+    grid: float,
+    shifts: Iterable[dict[str, float]],
+) -> Iterator[ButterflyData | EngineError]:
+    """Butterfly data of one cell under each map of V_th0 shifts, in order;
+    a sample that fails to solve gives its EngineError instead.
+
+    In a 6T cell with one storage node driven, the other is the only free
+    unknown and has one solution at each input, so a lobe is solved as
+    cold-started lanes: every grid point of every sample in a batch of at
+    most BATCH_LANES lanes, on one system with one device parameter set per
+    sample.  A cell with more free unknowns coupled to it may be bistable
+    there, and each sample's lobe is swept, each point warm-started from the
+    last.  A lane that fails every fallback fails only its own sample; an
+    error not tied to a lane fails its whole batch.
+    """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
     if grid <= 0:
         raise ValueError("grid must be positive")
     ports = _cell_ports(cell)
     wl = v_dd if mode == "read" else 0.0
-
-    # In a 6T cell with one storage node driven, the other is the only free
-    # unknown and has one solution at each input, so the whole lobe is
-    # solved as cold-started lanes in one batch.  A cell with more free
-    # unknowns coupled to it may be bistable there and is swept, each
-    # point warm-started from the last.
     v_in = sweep_grid(0.0, v_dd, grid)
-    lobes = []
-    for drive, probe in ((ports["Q"], ports["QBAR"]), (ports["QBAR"], ports["Q"])):
-        aug = _augment(cell, _bias_sources(ports, v_dd, wl, drive))
-        sys = MnaSystem(aug, tech, vth_shift)
-        if sys.decoupled:
-            v_out = sys.solve_dc_lanes("VSNMIN", v_in)[:, sys.node_index[probe]]
-        else:
-            v_out = dc_sweep(aug, "VSNMIN", 0.0, v_dd, grid, tech, vth_shift).node(probe)
-        lobes.append(TransferCurve(v_in, v_out))
+    lobes = [
+        (_augment(cell, _bias_sources(ports, v_dd, wl, drive)), probe)
+        for drive, probe in ((ports["Q"], ports["QBAR"]), (ports["QBAR"], ports["Q"]))
+    ]
 
-    result = inscribed_square_snm(lobes[0], lobes[1])
-    return ButterflyData(
-        lobe_a=lobes[0],
-        lobe_b=lobes[1],
-        snm_high=result.snm_high,
-        snm_low=result.snm_low,
-        anchors_high=result.anchors_high,
-        anchors_low=result.anchors_low,
-        mode=mode,
-        v_dd=v_dd,
-        grid=grid,
-    )
+    def solve(aug: Netlist, probe: str, batch: list, out: np.ndarray) -> dict[int, EngineError]:
+        # Fills out[i] with the probe along the lobe under batch[i] and
+        # returns the error of each sample that failed.
+        try:
+            sys = MnaSystem(aug, tech, batch)
+            if sys.decoupled:
+                x, errors = sys.solve_dc_lanes("VSNMIN", v_in)
+                out[:] = x[:, :, sys.node_index[probe]]
+                return errors
+        except EngineError as exc:
+            # Not tied to one lane (a singular step, say), so every sample
+            # of the batch fails with it.
+            return dict.fromkeys(range(len(batch)), exc)
+        errors = {}
+        for i, shift in enumerate(batch):
+            try:
+                out[i] = dc_sweep(aug, "VSNMIN", 0.0, v_dd, grid, tech, shift).node(probe)
+            except EngineError as exc:
+                errors[i] = exc
+        return errors
+
+    shifts = iter(shifts)
+    while batch := list(itertools.islice(shifts, max(1, BATCH_LANES // v_in.size))):
+        v_out = np.empty((2, len(batch), v_in.size))
+        errors: dict[int, EngineError] = {}
+        for side, (aug, probe) in enumerate(lobes):
+            for i, exc in solve(aug, probe, batch, v_out[side]).items():
+                errors.setdefault(i, exc)
+        for i in range(len(batch)):
+            if i in errors:
+                yield errors[i]
+                continue
+            lobe_a = TransferCurve(v_in, v_out[0, i])
+            lobe_b = TransferCurve(v_in, v_out[1, i])
+            result = inscribed_square_snm(lobe_a, lobe_b)
+            yield ButterflyData(
+                lobe_a=lobe_a,
+                lobe_b=lobe_b,
+                snm_high=result.snm_high,
+                snm_low=result.snm_low,
+                anchors_high=result.anchors_high,
+                anchors_low=result.anchors_low,
+                mode=mode,
+                v_dd=v_dd,
+                grid=grid,
+            )
 
 
 def butterfly_to_csv(data: ButterflyData, dest) -> None:
@@ -460,10 +523,13 @@ def monte_carlo_snm(
 ) -> McSummary:
     """Butterfly SNM under independent per-device V_th0 perturbations.
 
-    All draws come from one seeded generator up front, so results are
-    byte-identical for a given (seed, N, cell, grid) regardless of how
-    samples would be scheduled.  Failed samples count toward `failures`
-    and are fatal only beyond 10% of N.
+    All draws come from one seeded generator up front.  Each sample is one
+    device parameter set, and the samples' lobes are solved together as
+    lanes of one system per lobe; every sample equals its own
+    butterfly(..., vth_shift=...) bit for bit, so results are
+    byte-identical for a given (seed, N, cell, grid) however the lanes are
+    scheduled.  A sample that fails to solve is NaN and counts toward
+    `failures`, which are fatal only beyond 10% of N.
     """
     if vm is None:
         raise ValueError("a VariationModel is required")
@@ -480,12 +546,15 @@ def monte_carlo_snm(
 
     samples = np.full(vm.n_samples, np.nan)
     failures = 0
-    for k in range(vm.n_samples):
-        shift = {m.id: float(draws[k, j] * sig[j]) for j, m in enumerate(mos)}
-        try:
-            samples[k] = butterfly(cell, tech, mode, v_dd, grid, vth_shift=shift).snm
-        except EngineError:
+    shifts = (
+        {m.id: float(draws[k, j] * sig[j]) for j, m in enumerate(mos)}
+        for k in range(vm.n_samples)
+    )
+    for k, data in enumerate(_butterflies(cell, tech, mode, v_dd, grid, shifts)):
+        if isinstance(data, EngineError):
             failures += 1
+        else:
+            samples[k] = data.snm
     if failures > 0.1 * vm.n_samples:
         raise EngineError(
             f"{failures} of {vm.n_samples} Monte Carlo samples failed to solve"

@@ -177,16 +177,28 @@ def run_lane_stamp(fn, x, idx, par):
     return jac, res
 
 
+def lane_params(rng, par, lanes):
+    """One parameter matrix per lane: par with each lane's V_th0 shifted."""
+    per_lane = np.repeat(par[None], lanes, axis=0)
+    per_lane[:, :, COL_VTH0] += rng.normal(0.0, 0.03, per_lane.shape[:2])
+    return per_lane
+
+
 def test_lane_stamp_is_the_single_stamp_per_lane():
     rng = np.random.default_rng(47)
     for _ in range(10):
         x_ext, idx, par = random_lanes(rng, 25)
         x = random_states(rng, x_ext, int(rng.integers(1, 40)))
+        per_lane = lane_params(rng, par, x.shape[0])
         jac, res = run_lane_stamp(mos_stamp, x, idx, par)
+        jac_p, res_p = run_lane_stamp(mos_stamp, x, idx, per_lane)
         for lane in range(x.shape[0]):
             jac_1, res_1 = run_stamp(mos_stamp, x[lane].copy(), idx, par)
             assert np.array_equal(jac[lane], jac_1)
             assert np.array_equal(res[lane], res_1)
+            jac_1, res_1 = run_stamp(mos_stamp, x[lane].copy(), idx, per_lane[lane])
+            assert np.array_equal(jac_p[lane], jac_1)
+            assert np.array_equal(res_p[lane], res_1)
 
 
 def test_numba_branch_loops_the_lanes(monkeypatch):
@@ -197,6 +209,8 @@ def test_numba_branch_loops_the_lanes(monkeypatch):
     for _ in range(5):
         x_ext, idx, par = random_lanes(rng, 25)
         cases.append((random_states(rng, x_ext, 7), idx, par))
+        # The same states with one parameter matrix per lane.
+        cases.append((cases[-1][0], idx, lane_params(rng, par, 7)))
     want = [run_lane_stamp(kernels._stamp_numpy, *case) for case in cases]
     monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
     monkeypatch.setattr(kernels, "_stamp_numba", kernels._stamp_loop)
@@ -204,7 +218,8 @@ def test_numba_branch_loops_the_lanes(monkeypatch):
         jac_a, res_a = run_lane_stamp(mos_stamp, *case)
         np.testing.assert_allclose(jac_a, jac_b, rtol=5e-13, atol=1e-18)
         np.testing.assert_allclose(res_a, res_b, rtol=5e-13, atol=1e-18)
-        jac_1, res_1 = run_stamp(mos_stamp, case[0][0], case[1], case[2])
+        lane_0 = case[2] if case[2].ndim == 2 else case[2][0]
+        jac_1, res_1 = run_stamp(mos_stamp, case[0][0], case[1], lane_0)
         assert np.array_equal(jac_1, jac_a[0]) and np.array_equal(res_1, res_a[0])
 
 

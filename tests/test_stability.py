@@ -4,17 +4,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sramlab import stability
+from sramlab import engine, stability
 from sramlab.config import ConfigError
 from sramlab.devices import (
     TechnologyParams,
     derive_tech_params,
     leakage_current,
 )
-from sramlab.engine import ConvergenceError, EngineError, MnaSystem, dc_sweep, solve_dc
+from sramlab.engine import ConvergenceError, EngineError, MnaSystem, dc_sweep, solve_dc, sweep_grid
 from sramlab.genlib import CellGeometry, DeviceSize, build_6t_cell
 from sramlab.netlist import (
     GROUND,
@@ -280,15 +280,86 @@ def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
     entered = []
     real = MnaSystem._gmin_stepping
 
-    def spy(self, x0, b):
+    def spy(self, x0, b, par_set=0):
         entered.append(-b[self.branch_index["VSNMIN"]])
-        return real(self, x0, b)
+        return real(self, x0, b, par_set)
 
     monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     data = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
     monkeypatch.undo()
     assert pytest.approx(0.5) in entered
     assert_matches_sequential(data, cell)
+
+
+def test_fallback_starts_from_its_own_parameter_set(cell, monkeypatch):
+    # Lane 1 (set 1, v_in = 0.5 V) cycles; lanes 0 (set 0) and 2 (set 1)
+    # converge and are equally near.  Its gmin stepping must start from
+    # lane 2, a state of its own devices.
+    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=[{"MPDR": 0.01}, {}])
+    values = np.array([0.45, 0.5, 0.0])
+    b = np.repeat(lobe.rhs()[None], 3, axis=0)
+    b[:, lobe.branch_index["VIN"]] = -values
+    starts = []
+    real = MnaSystem._gmin_stepping
+
+    def spy(self, x0, b, par_set=0):
+        starts.append((x0.copy(), par_set))
+        return real(self, x0, b, par_set)
+
+    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
+    x, _, fallback, failed = lobe._solve_lanes(np.zeros((3, lobe.size)), b, np.array([0, 1, 1]))
+    assert fallback.tolist() == [False, True, False] and not failed
+    assert len(starts) == 1 and starts[0][1] == 1
+    assert np.array_equal(starts[0][0], x[2])
+
+
+def stamp_counter(monkeypatch):
+    """Lane count of every stamp the engine makes, in order."""
+    lanes = []
+    real = engine.mos_stamp
+
+    def spy(x_ext, *args):
+        lanes.append(x_ext.shape[0] if x_ext.ndim == 2 else 1)
+        return real(x_ext, *args)
+
+    monkeypatch.setattr(engine, "mos_stamp", spy)
+    return lanes
+
+
+def test_cycling_lane_fails_before_max_iter(cell, monkeypatch):
+    # The stuck lane above repeats its state exactly long before iteration
+    # MAX_ITER; it fails as soon as it does, with the same message.
+    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"))
+    lobe.set_source("VIN", 0.5)
+    lanes = stamp_counter(monkeypatch)
+    with pytest.raises(ConvergenceError, match="within 100 Newton iterations; worst residual at node QBAR"):
+        lobe._newton(np.zeros(lobe.size), lobe.rhs(), lobe.g_static)
+    assert len(lanes) < engine.MAX_ITER
+
+
+def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
+    # Three parameter sets of a read lobe at 0.95 V: most cold lanes
+    # converge, some cycle, so lanes leave a small pool at different
+    # iterations and the queue refills it.  Every lane must end as it does
+    # alone, in state, iteration count and failure message.
+    rng = np.random.default_rng(5)
+    shifts = [dict(zip(CELL_MOS, rng.normal(0.0, 0.02, 6))) for _ in range(3)]
+    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=shifts)
+    values = np.tile(sweep_grid(0.0, 0.95, 0.0125), 3)
+    b = np.repeat(lobe.rhs()[None], values.size, axis=0)
+    b[:, lobe.branch_index["VIN"]] = -values
+    sets = np.repeat(np.arange(3), values.size // 3)
+    x0 = np.zeros((values.size, lobe.size))
+    monkeypatch.setattr(engine, "MAX_LANES", 16)
+    lanes = stamp_counter(monkeypatch)
+    x, its, failed = lobe._newton_lanes(x0, b, lobe.g_static, sets)
+    assert max(lanes) == 16 and len(lanes) < values.size
+    assert 0 < len(failed) < values.size
+    for i in range(values.size):
+        x_1, its_1, failed_1 = lobe._newton_lanes(x0[i : i + 1], b[i : i + 1], lobe.g_static, sets[i : i + 1])
+        assert np.array_equal(x[i], x_1[0])
+        assert its[i] == its_1[0]
+        assert failed.get(i) == failed_1.get(0)
 
 
 def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
@@ -301,6 +372,8 @@ def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
     assert not lobe.decoupled
     with pytest.raises(EngineError, match="decoupled"):
         lobe.solve_dc_lanes("VIN", np.array([0.0, 0.9]))
+    with pytest.raises(EngineError, match="no stamped voltage source"):
+        MnaSystem(biased_lobe(cell, "hold", 1.8, "Q")).solve_dc_lanes("VNONE", np.array([0.0]))
     assert MnaSystem(biased_lobe(coupled, "hold", 1.8, "QBAR")).decoupled
     assert MnaSystem(biased_lobe(cell, "hold", 1.8, "Q")).decoupled
 
@@ -541,6 +614,75 @@ def test_monte_carlo_reads_a_vth_from_each_card(cell):
     quiet.pmos.a_vth = -1e-9
     with pytest.raises(ConfigError, match="a_vth must be nonnegative"):
         mc(quiet)
+
+
+def per_sample_snm(cell, vm, mode, v_dd, grid):
+    """monte_carlo_snm's samples one butterfly at a time, from its
+    documented draw order; NaN where a butterfly fails."""
+    mos = [m for m in cell.mos_elements if not m.degenerate]
+    sig = [sigma_vth(vm.a_vth, m.w, m.l) for m in mos]
+    draws = np.random.default_rng(vm.seed).standard_normal((vm.n_samples, len(mos)))
+    out = np.full(vm.n_samples, np.nan)
+    for k in range(vm.n_samples):
+        shift = {m.id: float(draws[k, j] * sig[j]) for j, m in enumerate(mos)}
+        try:
+            out[k] = butterfly(cell, mode=mode, v_dd=v_dd, grid=grid, vth_shift=shift).snm
+        except EngineError:
+            pass
+    return out
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["hold", "read"]),
+    v_dd=st.sampled_from([round(0.90 + 0.05 * k, 2) for k in range(19)]),
+    grid=st.sampled_from([0.010, 0.0125, 0.015]),
+    a_vth=st.floats(0.0, 8e-9),
+    n=st.integers(2, 6),
+    batch_lanes=st.sampled_from([1, 200, stability.BATCH_LANES]),
+)
+@example(seed=3, mode="read", v_dd=0.95, grid=0.0125, a_vth=8e-9, n=5, batch_lanes=stability.BATCH_LANES)
+def test_monte_carlo_samples_are_per_sample_butterflies(cell, seed, mode, v_dd, grid, a_vth, n, batch_lanes):
+    # The samples' lobes are lanes of one system per batch (a batch of one
+    # sample when batch_lanes is below the lobe's point count); each sample
+    # must still be its own butterfly, bit for bit.
+    vm = VariationModel(a_vth, n, seed)
+    want = per_sample_snm(cell, vm, mode, v_dd, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "BATCH_LANES", batch_lanes)
+        if np.isnan(want).sum() > 0.1 * n:
+            with pytest.raises(EngineError, match="Monte Carlo samples failed"):
+                monte_carlo_snm(cell, vm=vm, mode=mode, v_dd=v_dd, grid=grid)
+            return
+        mc = monte_carlo_snm(cell, vm=vm, mode=mode, v_dd=v_dd, grid=grid)
+    assert np.array_equal(mc.samples, want, equal_nan=True)
+    assert mc.failures == np.isnan(want).sum()
+
+
+def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
+    # Read at 0.95 V, 12.5 mV: every sample's Q-driven lobe has a lane that
+    # plain Newton cannot converge (see above).  Both fallbacks refuse the
+    # third sample's parameter set, so that sample alone fails.
+    def refusing(name):
+        real = getattr(MnaSystem, name)
+
+        def spy(self, *args):
+            if args[-1] == 2:
+                raise ConvergenceError("refused")
+            return real(self, *args)
+
+        monkeypatch.setattr(MnaSystem, name, spy)
+
+    refusing("_gmin_stepping")
+    refusing("_continuation")
+    monkeypatch.setattr(stability, "BATCH_LANES", 10**6)  # one batch, sets = samples
+    mc = monte_carlo_snm(cell, vm=VariationModel(0.0, 10, 1), mode="read", v_dd=0.95, grid=0.0125)
+    monkeypatch.undo()
+    nominal = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125).snm
+    assert mc.failures == 1
+    assert np.array_equal(np.flatnonzero(np.isnan(mc.samples)), [2])
+    assert np.all(np.delete(mc.samples, 2) == nominal)
 
 
 def test_monte_carlo_summary_shape(cell):
