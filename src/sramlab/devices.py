@@ -130,9 +130,13 @@ def _derive_device(dev: DeviceParams) -> DeviceParams:
         if out.t_ox <= 0:
             raise ValueError("t_ox must be positive")
         out.c_ox = out.eps_ox / out.t_ox
+    if out.c_ox <= 0:
+        raise ValueError("c_ox must be positive")
     if out.gamma is None:
         if out.n_a is None:
             raise ValueError("gamma derivation needs n_a")
+        if out.n_a < 0 or out.eps_si < 0:
+            raise ValueError("gamma derivation needs nonnegative n_a and eps_si")
         out.gamma = math.sqrt(2.0 * Q_ELECTRON * out.eps_si * out.n_a) / out.c_ox
     if out.vth0 is None:
         charges = (out.q_b0, out.q_ox, out.q_i)

@@ -532,17 +532,20 @@ class MnaSystem:
         return all(m == 1 for m, *_ in self._blocks)
 
     def solve_dc_lanes(
-        self, source_id: str, values: np.ndarray
+        self, source_id: str, values: np.ndarray, x0: np.ndarray | None = None
     ) -> tuple[np.ndarray, dict[int, EngineError]]:
-        """Cold-started DC solutions, one lane per parameter set and drive
-        value of one voltage source, as a (sets, values, n) array, and the
-        EngineError of each set in which a lane failed every fallback (that
-        set's states are then not all solutions).  Lanes share no warm
-        start, so this needs a decoupled system, in which no lane can choose
-        between two states; any other raises EngineError, as does a
+        """DC solutions, one lane per parameter set and drive value of one
+        voltage source, as a (sets, values, n) array, and the EngineError of
+        each set in which a lane failed every fallback (that set's states
+        are then not all solutions).  Every set's lane at point i starts at
+        x0[i], of shape (values, n), by default zero: cold-started, or
+        started at the nominal lobe's state when x0 holds it.  Lanes share
+        no warm start, so this needs a decoupled system, in which no lane
+        can choose between two states and the start changes only the path
+        to the one solution; any other raises EngineError, as does a
         singular step in any lane."""
         if not self.decoupled:
-            raise EngineError("cold-started lanes need a decoupled system; sweep it instead")
+            raise EngineError("independent lanes need a decoupled system; sweep it instead")
         if source_id not in self.branch_index:
             raise EngineError(f"no stamped voltage source named {source_id!r}")
         k = self.branch_index[source_id]
@@ -552,9 +555,10 @@ class MnaSystem:
         b = np.repeat(b[None], points, axis=0)
         b[:, k] -= values
         lane_sets = np.repeat(np.arange(sets), points)
+        start = np.zeros((points, self.size)) if x0 is None else x0
         try:
             x, _, _, failed = self._solve_lanes(
-                np.zeros((sets * points, self.size)), np.tile(b, (sets, 1)), lane_sets
+                np.tile(start, (sets, 1)), np.tile(b, (sets, 1)), lane_sets
             )
         except EngineError as exc:
             raise type(exc)(f"{exc} (sweeping {source_id})") from exc

@@ -205,14 +205,18 @@ def _butterflies(
     """Butterfly data of one cell under each map of V_th0 shifts, in order;
     a sample that fails to solve gives its EngineError instead.
 
-    In a 6T cell with one storage node driven, the other is the only free
-    unknown and has one solution at each input, so a lobe is solved as
-    cold-started lanes: every grid point of every sample in a batch of at
-    most BATCH_LANES lanes, on one system with one device parameter set per
-    sample.  A cell with more free unknowns coupled to it may be bistable
-    there, and each sample's lobe is swept, each point warm-started from the
-    last.  A lane that fails every fallback fails only its own sample; an
-    error not tied to a lane fails its whole batch.
+    Each lobe is first solved once for the unshifted cell, and a sample
+    whose shifts are all zero takes that result, error included.  In a 6T
+    cell with one storage node driven, the other is the only free unknown
+    and has one solution at each input, so a lobe is solved as independent
+    lanes: the nominal lobe cold-started, and then every grid point of every
+    shifted sample in a batch of at most BATCH_LANES lanes, on one system
+    with one device parameter set per sample, each lane started at the
+    nominal lobe's state at its point.  A cell with more free unknowns
+    coupled to it may be bistable there, and each sample's lobe is swept,
+    each point warm-started from the last.  A lane that fails every
+    fallback fails only its own sample (a nominal lane then starts the
+    samples from zero); an error not tied to a lane fails its whole batch.
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
@@ -226,34 +230,52 @@ def _butterflies(
         for drive, probe in ((ports["Q"], ports["QBAR"]), (ports["QBAR"], ports["Q"]))
     ]
 
-    def solve(aug: Netlist, probe: str, batch: list, out: np.ndarray) -> dict[int, EngineError]:
-        # Fills out[i] with the probe along the lobe under batch[i] and
-        # returns the error of each sample that failed.
+    def solve(
+        aug: Netlist, probe: str, batch: list, out: np.ndarray, start: np.ndarray | None = None
+    ) -> tuple[np.ndarray | None, dict[int, EngineError]]:
+        # Fills out[i] with the probe along the lobe under batch[i], lanes
+        # started at `start`; returns the lanes' states (None where the
+        # lobe is swept) and the error of each sample that failed.
         try:
             sys = MnaSystem(aug, tech, batch)
             if sys.decoupled:
-                x, errors = sys.solve_dc_lanes("VSNMIN", v_in)
+                x, errors = sys.solve_dc_lanes("VSNMIN", v_in, start)
                 out[:] = x[:, :, sys.node_index[probe]]
-                return errors
+                return x, errors
         except EngineError as exc:
             # Not tied to one lane (a singular step, say), so every sample
             # of the batch fails with it.
-            return dict.fromkeys(range(len(batch)), exc)
+            return None, dict.fromkeys(range(len(batch)), exc)
         errors = {}
         for i, shift in enumerate(batch):
             try:
                 out[i] = dc_sweep(aug, "VSNMIN", 0.0, v_dd, grid, tech, shift).node(probe)
             except EngineError as exc:
                 errors[i] = exc
-        return errors
+        return None, errors
+
+    nominal = np.empty((2, 1, v_in.size))
+    nominal_error: EngineError | None = None
+    starts = []
+    for side, (aug, probe) in enumerate(lobes):
+        x, errors = solve(aug, probe, [{}], nominal[side])
+        starts.append(None if x is None else x[0])
+        if nominal_error is None:
+            nominal_error = errors.get(0)
 
     shifts = iter(shifts)
     while batch := list(itertools.islice(shifts, max(1, BATCH_LANES // v_in.size))):
-        v_out = np.empty((2, len(batch), v_in.size))
+        shifted = [i for i, shift in enumerate(batch) if any(shift.values())]
+        v_out = np.repeat(nominal, len(batch), axis=1)
         errors: dict[int, EngineError] = {}
-        for side, (aug, probe) in enumerate(lobes):
-            for i, exc in solve(aug, probe, batch, v_out[side]).items():
-                errors.setdefault(i, exc)
+        if nominal_error is not None:
+            errors = dict.fromkeys(set(range(len(batch))) - set(shifted), nominal_error)
+        for side, (aug, probe) in enumerate(lobes if shifted else []):
+            out = np.empty((len(shifted), v_in.size))
+            _, failed = solve(aug, probe, [batch[i] for i in shifted], out, starts[side])
+            v_out[side, shifted] = out
+            for j, exc in failed.items():
+                errors.setdefault(shifted[j], exc)
         for i in range(len(batch)):
             if i in errors:
                 yield errors[i]
@@ -525,7 +547,8 @@ def monte_carlo_snm(
 
     All draws come from one seeded generator up front.  Each sample is one
     device parameter set, and the samples' lobes are solved together as
-    lanes of one system per lobe; every sample equals its own
+    lanes of one system per lobe, each lane started at the nominal lobe's
+    state at its point; every sample equals its own
     butterfly(..., vth_shift=...) bit for bit, so results are
     byte-identical for a given (seed, N, cell, grid) however the lanes are
     scheduled.  A sample that fails to solve is NaN and counts toward

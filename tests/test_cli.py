@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,35 @@ def test_config_errors_exit_2(run, tmp_path):
     code, out, err = run("power", "--config", str(cfg), "--cl", "1f", "--vdd", "1", "--fsw", "1meg")
     assert code == 2
     assert "unknown key" in err
+
+
+def test_config_derivation_inputs_take_effect(run, cell_file, tmp_path):
+    # A physical input clears the card value derived from it, so the
+    # derivation runs: short of an input it is bad input, and with all of
+    # them the margins move.
+    cfg = tmp_path / "oxide.tech"
+    cfg.write_text("t_ox = 10n\n")
+    code, out, err = run("snm", "--netlist", cell_file, "--grid", "0.05", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: gamma derivation needs n_a\n"
+    cfg.write_text("t_ox = 20n\nn_a = 1e22\nq_b0 = 0\nq_ox = 0\nq_i = 0\nnmos.phi_ms = -0.25\npmos.phi_ms = 1.15\n")
+    code, derived, _ = run("snm", "--netlist", cell_file, "--grid", "0.05", "--config", str(cfg))
+    assert code == 0
+    assert "gamma=0.329" in derived and "vth0=0.45" in derived
+    _, nominal, _ = run("snm", "--netlist", cell_file, "--grid", "0.05")
+    assert body_of(derived) != body_of(nominal)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # From a checkout, with the source tree on the path and no install.
+    path = [str(Path(sramlab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    argv = ["power", "--cl", "35f", "--vdd", "1.8", "--fsw", "100meg"]
+    done = subprocess.run(
+        [sys.executable, "-m", "sramlab", *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert "dynamic_power 1.134e-05 W" in body_of(done.stdout)
 
 
 def test_power_negative_input_exits_2(run):

@@ -90,3 +90,27 @@ def test_header_lines_echo_the_parameters():
     # None-valued derivation inputs stay out of the echo.
     assert "n_a" not in lines[1]
     assert lines == tech_header_lines(TechnologyParams.default())
+
+
+def test_load_config_clears_values_derived_from_its_inputs(tmp_path):
+    path = tmp_path / "oxide.tech"
+    path.write_text("nmos.t_ox = 10n\nnmos.n_a = 1e22\nnmos.vth0 = 0.45\n")
+    tech = load_config(path)
+    # gamma is derived from the file's oxide and doping; vth0 is the file's.
+    assert tech.nmos.gamma is None and tech.nmos.vth0 == 0.45
+    assert tech.pmos == TechnologyParams.default().pmos
+    assert derive_tech_params(tech).nmos.gamma == pytest.approx(
+        (2 * 1.602176634e-19 * 1.04e-10 * 1e22) ** 0.5 / 3.5e-3, rel=1e-12
+    )
+    # Text parsed on its own sets only the keys it names.
+    assert parse_config("nmos.t_ox = 10n").nmos.gamma == 0.3
+
+
+def test_load_config_missing_derivation_input_is_a_config_error(tmp_path):
+    path = tmp_path / "charges.tech"
+    path.write_text("pmos.phi_ms = 1.1\n")
+    with pytest.raises(ConfigError, match="vth0 derivation needs phi_ms and the charge terms"):
+        load_config(path)
+    path.write_text("c_ox = 0\ngamma = 0.3\nvth0 = 0.4\n")
+    with pytest.raises(ConfigError, match="c_ox must be positive"):
+        load_config(path)

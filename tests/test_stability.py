@@ -261,8 +261,9 @@ CELL_MOS = ("MPDL", "MPUL", "MPDR", "MPUR", "MPGL", "MPGR")
     shifts=st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6),
 )
 def test_batched_butterfly_matches_sequential_sweeps(cell, mode, v_dd, grid, shifts):
-    # Every lobe point is a cold-started lane of one batched Newton; the
-    # oracle sweeps the same biasing one point at a time, warm-started.
+    # Every lobe point is a lane of one batched Newton, started at the
+    # nominal lobe's state; the oracle sweeps the same biasing one point at
+    # a time, warm-started.
     shift = dict(zip(CELL_MOS, shifts))
     data = butterfly(cell, mode=mode, v_dd=v_dd, grid=grid, vth_shift=shift)
     assert_matches_sequential(data, cell, shift)
@@ -616,15 +617,19 @@ def test_monte_carlo_reads_a_vth_from_each_card(cell):
         mc(quiet)
 
 
-def per_sample_snm(cell, vm, mode, v_dd, grid):
-    """monte_carlo_snm's samples one butterfly at a time, from its
-    documented draw order; NaN where a butterfly fails."""
+def sample_shifts(cell, vm):
+    """monte_carlo_snm's shift maps, from its documented draw order."""
     mos = [m for m in cell.mos_elements if not m.degenerate]
     sig = [sigma_vth(vm.a_vth, m.w, m.l) for m in mos]
     draws = np.random.default_rng(vm.seed).standard_normal((vm.n_samples, len(mos)))
+    return [{m.id: float(draws[k, j] * sig[j]) for j, m in enumerate(mos)} for k in range(vm.n_samples)]
+
+
+def per_sample_snm(cell, vm, mode, v_dd, grid):
+    """monte_carlo_snm's samples one butterfly at a time; NaN where a
+    butterfly fails."""
     out = np.full(vm.n_samples, np.nan)
-    for k in range(vm.n_samples):
-        shift = {m.id: float(draws[k, j] * sig[j]) for j, m in enumerate(mos)}
+    for k, shift in enumerate(sample_shifts(cell, vm)):
         try:
             out[k] = butterfly(cell, mode=mode, v_dd=v_dd, grid=grid, vth_shift=shift).snm
         except EngineError:
@@ -661,28 +666,108 @@ def test_monte_carlo_samples_are_per_sample_butterflies(cell, seed, mode, v_dd, 
 
 
 def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
-    # Read at 0.95 V, 12.5 mV: every sample's Q-driven lobe has a lane that
-    # plain Newton cannot converge (see above).  Both fallbacks refuse the
-    # third sample's parameter set, so that sample alone fails.
+    # Every stamp of the third sample's devices returns a non-finite
+    # residual, so each of its lanes fails plain Newton, gmin stepping and
+    # source stepping; that sample alone fails.
+    vm = VariationModel(3e-9, 10, 1)
+    doomed = MnaSystem(cell, vth_shift=sample_shifts(cell, vm)[2]).mos_par
+    real = engine.mos_stamp
+
+    def poisoned(x_ext, mos_idx, par, vt, jac, res):
+        real(x_ext, mos_idx, par, vt, jac, res)
+        res[(par == doomed).all(axis=(-2, -1))] = np.nan
+
+    monkeypatch.setattr(engine, "mos_stamp", poisoned)
+    monkeypatch.setattr(stability, "BATCH_LANES", 10**6)  # one batch, sets = samples
+    mc = monte_carlo_snm(cell, vm=vm, mode="hold", v_dd=1.8, grid=0.02)
+    monkeypatch.undo()
+    assert mc.failures == 1
+    assert np.array_equal(np.flatnonzero(np.isnan(mc.samples)), [2])
+    want = per_sample_snm(cell, vm, "hold", 1.8, 0.02)
+    assert np.array_equal(np.delete(mc.samples, 2), np.delete(want, 2))
+
+
+def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
+    # Read at 0.95 V, 12.5 mV: the nominal Q-driven lobe's cold lane at
+    # v_in = 0.5 V needs a fallback (see above), and both refuse the
+    # unshifted devices.  That lane hands the samples its zero start; the
+    # shifted samples still solve, and the unshifted ones fail as
+    # butterfly() does.
+    nominal_par = MnaSystem(cell).mos_par
+
     def refusing(name):
         real = getattr(MnaSystem, name)
 
         def spy(self, *args):
-            if args[-1] == 2:
+            if np.array_equal(self.par_sets[args[-1]], nominal_par):
                 raise ConvergenceError("refused")
             return real(self, *args)
 
         monkeypatch.setattr(MnaSystem, name, spy)
 
+    starts = []
+    real_lanes = MnaSystem.solve_dc_lanes
+
+    def lanes_spy(self, source_id, values, x0=None):
+        starts.append(x0)
+        return real_lanes(self, source_id, values, x0)
+
     refusing("_gmin_stepping")
     refusing("_continuation")
-    monkeypatch.setattr(stability, "BATCH_LANES", 10**6)  # one batch, sets = samples
-    mc = monte_carlo_snm(cell, vm=VariationModel(0.0, 10, 1), mode="read", v_dd=0.95, grid=0.0125)
+    monkeypatch.setattr(MnaSystem, "solve_dc_lanes", lanes_spy)
+    with pytest.raises(ConvergenceError, match="refused") as nominal:
+        butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
+    shift = dict(zip(CELL_MOS, (0.004, -0.003, 0.002, 0.001, -0.002, 0.003)))
+    shifts = [{}, shift, dict.fromkeys(CELL_MOS, 0.0), {k: -v for k, v in shift.items()}]
+    starts.clear()
+    out = list(stability._butterflies(cell, None, "read", 0.95, 0.0125, shifts))
     monkeypatch.undo()
-    nominal = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125).snm
-    assert mc.failures == 1
-    assert np.array_equal(np.flatnonzero(np.isnan(mc.samples)), [2])
-    assert np.all(np.delete(mc.samples, 2) == nominal)
+    v_in = sweep_grid(0.0, 0.95, 0.0125)
+    assert [x is None for x in starts] == [True, True, False, False]
+    assert not starts[2][np.flatnonzero(np.isclose(v_in, 0.5))[0]].any()
+    for k in (0, 2):
+        assert isinstance(out[k], ConvergenceError) and str(out[k]) == str(nominal.value)
+    for k in (1, 3):
+        assert_matches_sequential(out[k], cell, shifts[k])
+
+
+def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
+    # The nominal lobes are the cold lanes of one system each, stamp for
+    # stamp the lanes of the lobes solved on their own.
+    built, starts = [], []
+    real_init, real_lanes = MnaSystem.__init__, MnaSystem.solve_dc_lanes
+
+    def init_spy(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def lanes_spy(self, source_id, values, x0=None):
+        starts.append(x0)
+        return real_lanes(self, source_id, values, x0)
+
+    monkeypatch.setattr(MnaSystem, "__init__", init_spy)
+    monkeypatch.setattr(MnaSystem, "solve_dc_lanes", lanes_spy)
+    lanes = stamp_counter(monkeypatch)
+    butterfly(cell, mode="hold", v_dd=1.8, grid=0.01)
+    assert len(built) == 2 and starts == [None, None]
+    got = lanes.copy()
+    lanes.clear()
+    for drive in ("Q", "QBAR"):
+        real_lanes(MnaSystem(biased_lobe(cell, "hold", 1.8, drive)), "VIN", sweep_grid(0.0, 1.8, 0.01))
+    assert got == lanes
+
+
+def test_seeded_monte_carlo_lane_stamps(cell, monkeypatch):
+    # A sample's lanes start at the nominal lobe's state and take few
+    # Newton iterations: at most 4 lane-stamps each, on top of the nominal
+    # lobes' cold ones.
+    lanes = stamp_counter(monkeypatch)
+    butterfly(cell, mode="hold", v_dd=1.8, grid=0.01)
+    cold = sum(lanes)
+    lanes.clear()
+    mc = monte_carlo_snm(cell, vm=VariationModel(None, 8, 1), mode="hold", v_dd=1.8, grid=0.01)
+    assert mc.failures == 0
+    assert sum(lanes) <= cold + 4 * 8 * 2 * sweep_grid(0.0, 1.8, 0.01).size
 
 
 def test_monte_carlo_summary_shape(cell):
