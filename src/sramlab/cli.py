@@ -233,6 +233,8 @@ def _cmd_snm(args, tech):
 
 
 def _cmd_drv(args, tech):
+    if args.resolution <= 0:
+        raise ConfigError("resolution must be positive")
     net = _read_netlist(args.netlist)
     rep = _report(args, tech)
     closed = brute = None

@@ -8,7 +8,9 @@ system each with its own right-hand side and device parameter set, so that
 many independent points (every sample's butterfly lobe grid) share every
 device evaluation; a single solve is one lane.  Lanes queue for a pool of
 at most MAX_LANES live ones, and each lane that finishes hands its place to
-the next in the queue.  Unknown ordering is named nodes first, in netlist
+the next in the queue.  The fallbacks run on lanes too: the lanes plain
+Newton fails walk each gmin decade together, and take each source step
+together, each with its own drive scale and step.  Unknown ordering is named nodes first, in netlist
 first-use order, then one branch current per voltage source.  Extended
 vectors carry a trailing ground slot pinned at zero so every stamp writes
 unconditionally.
@@ -109,6 +111,13 @@ class TransientResult:
         if name == GROUND:
             return np.zeros_like(self.time)
         return self.nodes[name]
+
+
+def _passed(lanes: int, failed: dict[int, str]) -> np.ndarray:
+    """Mask of the lanes, out of `lanes`, that `failed` does not name."""
+    ok = np.ones(lanes, dtype=bool)
+    ok[list(failed)] = False
+    return ok
 
 
 class MnaSystem:
@@ -433,49 +442,75 @@ class MnaSystem:
             raise ConvergenceError(failed[0])
         return x[0], int(its[0])
 
-    def _gmin_stepping(self, x0: np.ndarray, b: np.ndarray, par_set: int = 0) -> tuple[np.ndarray, int]:
-        # Decade-relaxed shunt from every node to ground.  Near a bistable
-        # trip point the exact Jacobian is close to singular and plain
-        # Newton wanders; the shunted system stays well conditioned and the
-        # warm start keeps the walk inside the caller's intended basin.
-        x = x0.copy()
-        total = 0
-        gmin = 1e-3
-        d = np.arange(self.n_nodes)
-        while gmin > 1e-12:
-            g = self.g_static.copy()
-            g[d, d] += gmin
-            x, its = self._newton(x, b, g, par_set)
-            total += its
-            gmin *= 0.1
-        x, its = self._newton(x, b, self.g_static, par_set)
-        return x, total + its
+    def _gmin_stepping(
+        self, x0: np.ndarray, b: np.ndarray, sets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """Gmin stepping on lanes, x0 (lanes, n) against b (lanes, n+1)
+        with parameter rows `sets`: a decade-relaxed shunt from every node
+        to ground, then none.  Near a bistable trip point the exact
+        Jacobian is close to singular and plain Newton wanders; the shunted
+        system stays well conditioned and the warm start keeps the walk
+        inside the caller's intended basin.  Each decade is one
+        _newton_lanes call over the lanes still on the ladder, and a lane
+        that fails a decade leaves it.  Returns the states, each lane's
+        total iteration count, and the failure message of each lane that
+        left, whose state is then not a solution."""
+        x = np.array(x0, dtype=float)
+        its = np.zeros(x.shape[0], dtype=np.int64)
+        failed: dict[int, str] = {}
+        live = np.arange(x.shape[0])
 
-    def _continuation(self, b: np.ndarray, par_set: int = 0) -> tuple[np.ndarray, int]:
-        # Source stepping: at zero drive the all-off state solves exactly,
-        # then every drive is scaled up together with an adaptive step.
-        x = np.zeros(self.size)
-        lam = 0.0
-        step = 0.1
-        total = 0
+        def ladder():
+            gmin, d = 1e-3, np.arange(self.n_nodes)
+            while gmin > 1e-12:
+                g = self.g_static.copy()
+                g[d, d] += gmin
+                yield g
+                gmin *= 0.1
+            yield self.g_static
+
+        for g in ladder():
+            if not live.size:
+                break
+            x[live], n, stuck = self._newton_lanes(x[live], b[live], g, sets[live])
+            its[live] += n
+            failed.update((int(live[j]), msg) for j, msg in stuck.items())
+            live = live[_passed(live.size, stuck)]
+        return x, its, failed
+
+    def _continuation(
+        self, b: np.ndarray, sets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """Source stepping on lanes, b (lanes, n+1) with parameter rows
+        `sets`.  At zero drive the all-off state solves exactly; then each
+        lane scales all its drives up together with its own adaptive step,
+        and every round is one _newton_lanes call over the lanes still
+        stepping.  Returns the states, each lane's total iteration count,
+        and the failure message of each lane that stalled or ran out of
+        steps, whose state is then not a solution."""
+        lanes = b.shape[0]
+        x = np.zeros((lanes, self.size))
+        lam, step = np.zeros(lanes), np.full(lanes, 0.1)
+        its = np.zeros(lanes, dtype=np.int64)
+        failed: dict[int, str] = {}
+        live = np.arange(lanes)
         for _ in range(100):
-            target = min(1.0, lam + step)
-            try:
-                x_try, its = self._newton(x, target * b, self.g_static, par_set)
-            except ConvergenceError:
-                step *= 0.5
-                if step < 1e-4:
-                    raise ConvergenceError(
-                        "source stepping stalled below the minimum step"
-                    ) from None
-                continue
-            x = x_try
-            lam = target
-            total += its
-            if lam >= 1.0:
-                return x, total
-            step *= 1.5
-        raise ConvergenceError("source stepping exceeded 100 steps")
+            if not live.size:
+                break
+            target = np.minimum(1.0, lam[live] + step[live])
+            x_try, n, stuck = self._newton_lanes(
+                x[live], target[:, None] * b[live], self.g_static, sets[live]
+            )
+            ok = _passed(live.size, stuck)
+            good, bad = live[ok], live[~ok]
+            x[good], lam[good], its[good] = x_try[ok], target[ok], its[good] + n[ok]
+            step[good] *= 1.5
+            step[bad] *= 0.5
+            stalled = bad[step[bad] < 1e-4]
+            failed.update(dict.fromkeys(stalled.tolist(), "source stepping stalled below the minimum step"))
+            live = live[(lam[live] < 1.0) & (step[live] >= 1e-4)]
+        failed.update(dict.fromkeys(live.tolist(), "source stepping exceeded 100 steps"))
+        return x, its, failed
 
     def _solve_lanes(
         self, x0: np.ndarray, b: np.ndarray, sets: np.ndarray | None = None
@@ -483,36 +518,46 @@ class MnaSystem:
         """DC solutions of lanes (lanes, n) against b (lanes, n+1), each
         with the parameter set `sets` names (default the first).
 
-        Plain Newton runs all lanes through one pool.  A lane it fails takes
-        the fallback chain, gmin stepping and then source stepping,
-        warm-started from the nearest lane of its parameter set that
-        converged, or from its own start when none did.  Returns the states,
-        each lane's Newton iteration count, whether it needed a fallback,
-        and the ConvergenceError of each parameter set in which a lane
-        failed every fallback, with that lane's index as its `lane`
-        attribute; the set's later fallbacks are skipped.
+        Plain Newton runs all lanes through one pool.  The lanes it fails
+        take the fallback chain together, gmin stepping and then source
+        stepping, each lane warm-started from the nearest lane of its
+        parameter set that converged, or from its own start when none did.
+        Returns the states, each lane's Newton iteration count, whether it
+        needed a fallback, and the ConvergenceError of each parameter set in
+        which a lane failed every fallback, with the first such lane's index
+        as its `lane` attribute; the set's later fallback lanes keep their
+        plain Newton result.
         """
         lanes = x0.shape[0]
         sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
         x, its, stuck = self._newton_lanes(x0, b, self.g_static, sets)
-        fallback = np.zeros(lanes, dtype=bool)
-        fallback[list(stuck)] = True
-        converged = np.flatnonzero(~fallback)
+        fallback = ~_passed(lanes, stuck)
+        rescue = np.flatnonzero(fallback)
         failed: dict[int, ConvergenceError] = {}
-        for lane in np.flatnonzero(fallback).tolist():
-            s = int(sets[lane])
-            if s in failed:
-                continue
-            near = converged[sets[converged] == s]
-            start = x[near[np.argmin(np.abs(near - lane))]] if near.size else x0[lane]
-            try:
-                x[lane], its[lane] = self._gmin_stepping(start, b[lane], s)
-            except ConvergenceError:
-                try:
-                    x[lane], its[lane] = self._continuation(b[lane], s)
-                except ConvergenceError as exc:
-                    exc.lane = lane
-                    failed[s] = exc
+        if not rescue.size:
+            return x, its, fallback, failed
+        converged = np.flatnonzero(~fallback)
+        starts = x0[rescue].copy()
+        for j, lane in enumerate(rescue):
+            near = converged[sets[converged] == sets[lane]]
+            if near.size:
+                starts[j] = x[near[np.argmin(np.abs(near - lane))]]
+        x_g, its_g, left = self._gmin_stepping(starts, b[rescue], sets[rescue])
+        ok = _passed(rescue.size, left)
+        x[rescue[ok]], its[rescue[ok]] = x_g[ok], its_g[ok]
+        rest = rescue[~ok]
+        if not rest.size:
+            return x, its, fallback, failed
+        x_c, its_c, left = self._continuation(b[rest], sets[rest])
+        ok = _passed(rest.size, left)
+        x[rest[ok]], its[rest[ok]] = x_c[ok], its_c[ok]
+        for j in sorted(left):
+            exc = ConvergenceError(left[j])
+            exc.lane = int(rest[j])
+            failed.setdefault(int(sets[exc.lane]), exc)
+        for s, exc in failed.items():
+            later = rescue[(sets[rescue] == s) & (rescue > exc.lane)]
+            x[later], its[later] = x0[later], MAX_ITER
         return x, its, fallback, failed
 
     def solve_dc_vector(

@@ -21,6 +21,7 @@ from .config import ConfigError
 from .devices import TechnologyParams, derive_tech_params, leakage_current
 from .engine import (
     MAX_LANES,
+    ConvergenceError,
     EngineError,
     MnaSystem,
     _open_for,
@@ -35,6 +36,10 @@ SQRT2 = math.sqrt(2.0)
 # batch's states are held at once, so this bounds the memory of a long
 # Monte Carlo run; the Newton pool itself holds MAX_LANES.
 BATCH_LANES = 8 * MAX_LANES
+# Bisection levels whose midpoints one write-margin round solves together:
+# 2**levels - 1 probes a round.  Deeper rounds solve more probes the
+# bisection never visits; shallower ones pay more rounds.
+WRITE_ROUND_LEVELS = 6
 
 
 class NonWritableError(Exception):
@@ -443,6 +448,8 @@ def drv_bruteforce(
         grid = max(v_dd / 200.0, 1e-4)
         return butterfly(cell, tech, "hold", v_dd, grid).snm > 0.0
 
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
     lo, hi = 0.0, v_max
     if not holds(hi):
         raise EngineError(f"cell is not bistable even at v_dd={v_max} V")
@@ -467,18 +474,62 @@ def write_margin(
     resolution: float = 1e-3,
 ) -> float:
     """Highest BL voltage (within `resolution`) that flips a cell holding
-    Q high, with BLB held at v_dd and the wordline driven (default v_dd)."""
+    Q high, with BLB held at v_dd and the wordline driven (default v_dd).
+
+    A bisection on BL, each probe a DC solve started at the held state.
+    The probes are solved in rounds: first the two ends, BL = 0 and v_dd,
+    then every midpoint the next WRITE_ROUND_LEVELS bisection steps can
+    reach, as the lanes of one Newton pool.  Probes that plain Newton fails
+    walk the gmin ladder together, each from the held state; source
+    stepping, the last fallback, runs only for a probe the bisection
+    actually visits.  Each probe therefore gets the result a solve of its
+    own gives, and so does the margin.
+    """
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
     ports = _cell_ports(cell)
     wl = v_dd if wl_voltage is None else wl_voltage
     sys = MnaSystem(_augment(cell, _bias_sources(ports, v_dd, wl, None)), tech)
     held = sys.pack_state({ports["Q"]: v_dd, ports["QBAR"]: 0.0})
     q, qbar = sys.node_index[ports["Q"]], sys.node_index[ports["QBAR"]]
+    k = sys.branch_index["VSNMBL"]
+    base = sys.rhs()
+    base[k] = 0.0
+    # Per probed BL value: whether the cell flips, or the probe's
+    # right-hand side while it still needs source stepping.
+    outcome: dict[float, bool | np.ndarray] = {}
+
+    def probe(values: list[float]) -> None:
+        b = np.repeat(base[None], len(values), axis=0)
+        b[:, k] -= values
+        starts = np.repeat(held[None], len(values), axis=0)
+        sets = np.zeros(len(values), dtype=np.int64)
+        x, _, stuck = sys._newton_lanes(starts, b, sys.g_static, sets)
+        pending: set[int] = set()
+        if stuck:
+            lanes = np.array(sorted(stuck))
+            x[lanes], _, left = sys._gmin_stepping(starts[lanes], b[lanes], sets[lanes])
+            pending = set(lanes[list(left)].tolist())
+        for i, v in enumerate(values):
+            outcome[v] = b[i] if i in pending else bool(x[i, q] < x[i, qbar])
 
     def flips(bl_v: float) -> bool:
-        sys.set_source("VSNMBL", bl_v)
-        x, _, _ = sys.solve_dc_vector(x0=held)
-        return x[q] < x[qbar]
+        if isinstance(outcome[bl_v], np.ndarray):
+            x, _, failed = sys._continuation(outcome[bl_v][None], np.zeros(1, dtype=np.int64))
+            if failed:
+                raise ConvergenceError(failed[0])
+            outcome[bl_v] = bool(x[0, q] < x[0, qbar])
+        return outcome[bl_v]
 
+    def midpoints(lo: float, hi: float, levels: int) -> list[float]:
+        # Every midpoint the next `levels` steps of the loop below can
+        # visit from (lo, hi), by the loop's own arithmetic.
+        if not levels or not hi - lo > resolution:
+            return []
+        mid = 0.5 * (lo + hi)
+        return [mid, *midpoints(lo, mid, levels - 1), *midpoints(mid, hi, levels - 1)]
+
+    probe([0.0, v_dd])
     if not flips(0.0):
         raise NonWritableError(
             f"state does not flip even at BL=0 V (WL={wl:g} V); "
@@ -489,6 +540,8 @@ def write_margin(
     lo, hi = 0.0, v_dd  # flips at lo, holds at hi
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if mid not in outcome:
+            probe(midpoints(lo, hi, WRITE_ROUND_LEVELS))
         if flips(mid):
             lo = mid
         else:

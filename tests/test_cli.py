@@ -130,6 +130,14 @@ def test_snm_zero_grid_exits_2(run, cell_file):
     assert err == "error: grid must be positive\n"
 
 
+@pytest.mark.parametrize("resolution", ["0", "-1m"])
+def test_drv_nonpositive_resolution_exits_2(run, cell_file, resolution):
+    # The bisection could never shrink to such a resolution.
+    code, out, err = run("drv", "--netlist", cell_file, "--resolution", resolution)
+    assert code == 2 and out == ""
+    assert err == "error: resolution must be positive\n"
+
+
 def test_sweep_unknown_source_exits_2(run, tmp_path):
     f = tmp_path / "div.sp"
     f.write_text(DIVIDER)

@@ -215,13 +215,15 @@ def write_bias(v_dd, v_bl):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Names of the DC fallbacks entered, in order; each still runs."""
+    """Each DC fallback entered, in order, as its name and the number of
+    lanes in its stack (the last argument names each lane's parameter
+    set); each still runs."""
     entered = []
     for name in ("_gmin_stepping", "_continuation"):
         real = getattr(MnaSystem, name)
 
         def spy(self, *args, _real=real, _name=name):
-            entered.append(_name)
+            entered.append((_name, len(args[-1])))
             return _real(self, *args)
 
         monkeypatch.setattr(MnaSystem, name, spy)
@@ -233,7 +235,7 @@ def test_gmin_stepping_rescues_a_write_probe(fallbacks):
     # 1.1 V; the gmin ladder converges there.
     net, held = write_bias(1.1, 0.18)
     sol = solve_dc(net, initial=held)
-    assert fallbacks == ["_gmin_stepping"]
+    assert fallbacks == [("_gmin_stepping", 1)]
     assert sol.continuation
     assert sol.max_residual < ABSTOL
 
@@ -244,7 +246,7 @@ def test_source_stepping_rescues_a_write_probe(fallbacks):
     # it lands in is not asserted.
     net, held = write_bias(1.2, 0.40)
     sol = solve_dc(net, initial=held)
-    assert fallbacks == ["_gmin_stepping", "_continuation"]
+    assert fallbacks == [("_gmin_stepping", 1), ("_continuation", 1)]
     assert sol.continuation
     assert sol.max_residual < ABSTOL
 

@@ -281,9 +281,9 @@ def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
     entered = []
     real = MnaSystem._gmin_stepping
 
-    def spy(self, x0, b, par_set=0):
-        entered.append(-b[self.branch_index["VSNMIN"]])
-        return real(self, x0, b, par_set)
+    def spy(self, x0, b, sets):
+        entered.extend(-b[:, self.branch_index["VSNMIN"]])
+        return real(self, x0, b, sets)
 
     monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     data = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
@@ -295,7 +295,7 @@ def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
 def test_fallback_starts_from_its_own_parameter_set(cell, monkeypatch):
     # Lane 1 (set 1, v_in = 0.5 V) cycles; lanes 0 (set 0) and 2 (set 1)
     # converge and are equally near.  Its gmin stepping must start from
-    # lane 2, a state of its own devices.
+    # lane 2, a state of its own devices, in a stack of that one lane.
     lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=[{"MPDR": 0.01}, {}])
     values = np.array([0.45, 0.5, 0.0])
     b = np.repeat(lobe.rhs()[None], 3, axis=0)
@@ -303,15 +303,15 @@ def test_fallback_starts_from_its_own_parameter_set(cell, monkeypatch):
     starts = []
     real = MnaSystem._gmin_stepping
 
-    def spy(self, x0, b, par_set=0):
-        starts.append((x0.copy(), par_set))
-        return real(self, x0, b, par_set)
+    def spy(self, x0, b, sets):
+        starts.append((x0.copy(), sets.tolist()))
+        return real(self, x0, b, sets)
 
     monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     x, _, fallback, failed = lobe._solve_lanes(np.zeros((3, lobe.size)), b, np.array([0, 1, 1]))
     assert fallback.tolist() == [False, True, False] and not failed
-    assert len(starts) == 1 and starts[0][1] == 1
-    assert np.array_equal(starts[0][0], x[2])
+    assert len(starts) == 1 and starts[0][1] == [1]
+    assert np.array_equal(starts[0][0], x[2:3])
 
 
 def stamp_counter(monkeypatch):
@@ -361,6 +361,117 @@ def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
         assert np.array_equal(x[i], x_1[0])
         assert its[i] == its_1[0]
         assert failed.get(i) == failed_1.get(0)
+
+
+def one_lane_chain(lobe, x0, b, sets):
+    """The DC fallback chain as it ran one lane at a time, kept as the
+    oracle of the batched one: each lane that plain Newton fails takes gmin
+    stepping, one one-lane _newton per decade, and then source stepping,
+    one one-lane _newton per step, warm-started from the nearest converged
+    lane of its set; once a lane fails every fallback, its set's later
+    lanes are skipped.  Returns what _solve_lanes returns, each failed
+    set's error as (lane, message), and the lanes that reached source
+    stepping."""
+
+    def gmin_stepping(x, b_l, s):
+        total, gmin, d = 0, 1e-3, np.arange(lobe.n_nodes)
+        while gmin > 1e-12:
+            g = lobe.g_static.copy()
+            g[d, d] += gmin
+            x, its = lobe._newton(x, b_l, g, s)
+            total += its
+            gmin *= 0.1
+        x, its = lobe._newton(x, b_l, lobe.g_static, s)
+        return x, total + its
+
+    def continuation(b_l, s):
+        x, lam, step, total = np.zeros(lobe.size), 0.0, 0.1, 0
+        for _ in range(100):
+            target = min(1.0, lam + step)
+            try:
+                x_try, its = lobe._newton(x, target * b_l, lobe.g_static, s)
+            except ConvergenceError:
+                step *= 0.5
+                if step < 1e-4:
+                    raise ConvergenceError("source stepping stalled below the minimum step") from None
+                continue
+            x, lam, total = x_try, target, total + its
+            if lam >= 1.0:
+                return x, total
+            step *= 1.5
+        raise ConvergenceError("source stepping exceeded 100 steps")
+
+    x, its, stuck = lobe._newton_lanes(x0, b, lobe.g_static, sets)
+    fallback = np.zeros(len(x0), dtype=bool)
+    fallback[list(stuck)] = True
+    converged = np.flatnonzero(~fallback)
+    failed, stepped = {}, []
+    for lane in np.flatnonzero(fallback).tolist():
+        s = int(sets[lane])
+        if s in failed:
+            continue
+        near = converged[sets[converged] == s]
+        start = x[near[np.argmin(np.abs(near - lane))]] if near.size else x0[lane]
+        try:
+            x[lane], its[lane] = gmin_stepping(start, b[lane], s)
+        except ConvergenceError:
+            stepped.append(lane)
+            try:
+                x[lane], its[lane] = continuation(b[lane], s)
+            except ConvergenceError as exc:
+                failed[s] = (lane, str(exc))
+    return x, its, fallback, failed, stepped
+
+
+def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
+    # Cold lanes of a read lobe at 0.95 V, 12.5 mV, under three parameter
+    # sets, with extra points every 2.5 mV across the trip region: several
+    # lanes per set need gmin stepping and several source stepping.  Set
+    # 0's source stepping is refused, so its first lane that reaches it
+    # fails the set, and its later fallback lanes, gmin-rescued ones
+    # among them, keep their plain Newton result.  Batched, every lane must
+    # end as the one-lane chain leaves it.
+    rng = np.random.default_rng(0)
+    shifts = [dict(zip(CELL_MOS, rng.normal(0.0, 0.02, 6))) for _ in range(3)]
+    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=shifts)
+    grid = np.concatenate((sweep_grid(0.0, 0.95, 0.0125), np.arange(0.4, 0.6, 0.0025)))
+    values = np.tile(grid, 3)
+    b = np.repeat(lobe.rhs()[None], values.size, axis=0)
+    b[:, lobe.branch_index["VIN"]] = -values
+    sets = np.repeat(np.arange(3), grid.size)
+    x0 = np.zeros((values.size, lobe.size))
+
+    vdd_row, full = lobe.branch_index["VBVDD"], b[0, lobe.branch_index["VBVDD"]]
+    real_lanes = MnaSystem._newton_lanes
+
+    def refusing(self, x0, b, g_dyn, sets=None):
+        # Lanes of set 0 at a scaled drive, which only source stepping makes.
+        x, its, failed = real_lanes(self, x0, b, g_dyn, sets)
+        for j in np.flatnonzero((sets == 0) & (b[:, vdd_row] != full)).tolist():
+            x[j], its[j], failed[j] = x0[j], engine.MAX_ITER, "refused"
+        return x, its, failed
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", refusing)
+    want_x, want_its, want_fallback, want_failed, stepped = one_lane_chain(lobe, x0, b, sets)
+    stages = []
+    for name in ("_gmin_stepping", "_continuation"):
+        real = getattr(MnaSystem, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            stages.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(MnaSystem, name, spy)
+    x, its, fallback, failed = lobe._solve_lanes(x0, b, sets)
+    monkeypatch.undo()
+
+    assert stages == ["_gmin_stepping", "_continuation"]
+    assert all((sets[want_fallback] == s).sum() >= 3 for s in range(3))
+    assert {int(sets[lane]) for lane in stepped} == {0, 1, 2}
+    assert list(want_failed) == [0]
+    assert np.array_equal(fallback, want_fallback)
+    assert np.array_equal(x, want_x) and np.array_equal(its, want_its)
+    assert {s: (exc.lane, str(exc)) for s, exc in failed.items()} == want_failed
 
 
 def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
@@ -541,6 +652,99 @@ def test_write_margin_single_transition(cell):
     assert np.linspace(0.0, 1.8, 19)[k - 1] <= wm <= np.linspace(0.0, 1.8, 19)[k]
 
 
+def sequential_write_margin(cell, v_dd, resolution=1e-3):
+    """write_margin's bisection one probe at a time, each probe its own
+    solve from the held state."""
+
+    def flips(bl_v):
+        return probe_write(cell, bl_v, v_dd, v_dd)
+
+    assert flips(0.0)
+    if flips(v_dd):
+        return v_dd
+    lo, hi = 0.0, v_dd
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if flips(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("v_dd", [0.9, 1.0, 1.2, 1.4, 1.8])
+def test_write_margin_is_the_sequential_bisection(cell, v_dd):
+    # The rounds solve many probes at once, yet each probe, and so the
+    # margin, must be what a solve of its own gives, bit for bit.
+    assert write_margin(cell, v_dd=v_dd) == sequential_write_margin(cell, v_dd)
+
+
+def test_write_margin_fails_where_the_sequential_bisection_fails(cell):
+    # At 1.30 V source stepping stalls on a probe the bisection visits.
+    with pytest.raises(ConvergenceError) as want:
+        sequential_write_margin(cell, 1.30)
+    with pytest.raises(ConvergenceError) as got:
+        write_margin(cell, v_dd=1.30)
+    assert str(got.value) == str(want.value) == "source stepping stalled below the minimum step"
+
+
+def bisection_path(v_dd, wm, resolution=1e-3):
+    """BL values write_margin's bisection visits on its way to wm: the two
+    ends, then each midpoint, which flips exactly when it is at most wm."""
+    path, lo, hi = [0.0, v_dd], 0.0, v_dd
+    while wm < v_dd and hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        lo, hi = (mid, hi) if mid <= wm else (lo, mid)
+    return path
+
+
+@pytest.mark.parametrize("v_dd", [1.25, 1.40])
+def test_write_margin_steps_sources_only_on_its_path(cell, v_dd, monkeypatch):
+    # Some speculative probes fail the gmin ladder off the bisection path;
+    # source stepping must see none of them.  Every probe on the ladder
+    # starts from the held state (Q at v_dd, all else zero), not from a
+    # neighbouring probe's solution.
+    seen = {"_gmin_stepping": [], "_continuation": []}
+    starts = []
+    for name in seen:
+        real = getattr(MnaSystem, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            x, its, failed = _real(self, *args)
+            bl = -args[-2][:, self.branch_index["VSNMBL"]]
+            seen[_name].extend(bl if _name == "_continuation" else bl[list(failed)])
+            if _name == "_gmin_stepping":
+                starts.extend(args[0])
+            return x, its, failed
+
+        monkeypatch.setattr(MnaSystem, name, spy)
+    path = bisection_path(v_dd, write_margin(cell, v_dd=v_dd))
+    assert set(seen["_continuation"]) <= set(path)
+    assert set(seen["_gmin_stepping"]) - set(path)
+    assert all(np.array_equal(x, starts[0]) for x in starts)
+    assert np.count_nonzero(starts[0]) == 1 and starts[0].max() == v_dd
+
+
+def test_write_margin_flipping_at_supply_solves_only_the_ends(cell, monkeypatch):
+    # At 0.9 V the cell flips even at BL = v_dd, so the first round, the
+    # two end probes, decides the margin and no midpoint is solved.
+    lanes = stamp_counter(monkeypatch)
+    assert write_margin(cell, v_dd=0.9) == 0.9
+    assert lanes and max(lanes) <= 2
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1e-3])
+def test_nonpositive_resolution_is_rejected_before_any_solve(cell, resolution, monkeypatch):
+    # No bisection can shrink to such a resolution.
+    lanes = stamp_counter(monkeypatch)
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        write_margin(cell, resolution=resolution)
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        drv_bruteforce(cell, resolution=resolution)
+    assert lanes == []
+
+
 def test_wordline_off_is_not_writable(cell):
     with pytest.raises(NonWritableError, match="not writable"):
         write_margin(cell, wl_voltage=0.0)
@@ -699,9 +903,11 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
         real = getattr(MnaSystem, name)
 
         def spy(self, *args):
-            if np.array_equal(self.par_sets[args[-1]], nominal_par):
-                raise ConvergenceError("refused")
-            return real(self, *args)
+            x, its, failed = real(self, *args)
+            for j, s in enumerate(args[-1]):
+                if np.array_equal(self.par_sets[s], nominal_par):
+                    failed[j] = "refused"
+            return x, its, failed
 
         monkeypatch.setattr(MnaSystem, name, spy)
 
