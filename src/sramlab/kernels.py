@@ -2,12 +2,9 @@
 
 The model is one array-valued function, mos_eval: packed device parameters
 and terminal voltage differences in, drain current and its three partials
-out.  _stamp_numpy scatters those into the Jacobians and residuals of a
-stack of lanes, and devices.mos_operating_point evaluates single devices
-through mos_eval.
-_stamp_loop is the same model and scatter written as a scalar loop: it is
-the numba source, compiled with @njit whenever numba imports, and the test
-suite runs it as plain Python as the scalar reference for mos_eval.
+out.  mos_stamp evaluates every device of every lane through mos_eval in one
+call and scatters the results into each lane's Jacobian and residual, and
+devices.mos_operating_point evaluates single devices through mos_eval.
 """
 
 from __future__ import annotations
@@ -19,13 +16,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .devices import DeviceParams
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - only hit without numba installed
-    HAVE_NUMBA = False
 
 # Column layout of the per-device parameter matrix.
 COL_SIGN = 0  # +1 NMOS, -1 PMOS
@@ -67,138 +57,8 @@ def pack_device(dev: DeviceParams, polarity: str, w: float, l: float, v_t: float
 
 
 def get_backend() -> str:
-    """Name of the backend mos_stamp() dispatches to."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _stamp_loop(x_ext, idx, par, vt, jac, res):
-    n_dev = idx.shape[0]
-    for k in range(n_dev):
-        d = idx[k, 0]
-        g = idx[k, 1]
-        s_n = idx[k, 2]
-        b = idx[k, 3]
-        sgn = par[k, COL_SIGN]
-        vgs = sgn * (x_ext[g] - x_ext[s_n])
-        vds = sgn * (x_ext[d] - x_ext[s_n])
-        vsb = sgn * (x_ext[s_n] - x_ext[b])
-        flip = vds < 0.0
-        if flip:  # conduction with drain/source roles exchanged
-            vgs = vgs - vds
-            vsb = vsb + vds
-            vds = -vds
-
-        beta = par[k, COL_BETA]
-        dibl = par[k, COL_DIBL]
-        nvt = par[k, COL_NVT]
-        wlim = par[k, COL_WLIM]
-        i0 = par[k, COL_I0]
-        kp = par[k, COL_KP]
-        lam = par[k, COL_LAM]
-
-        arg = par[k, COL_TWO_PHI] + vsb
-        absarg = abs(arg)
-        sq = math.sqrt(absarg)
-        if absarg < 1e-12:
-            dsq = 0.0
-        else:
-            dsq = math.copysign(0.5 / sq, arg)
-        vth = par[k, COL_VTH0] + par[k, COL_GAMMA] * (sq - par[k, COL_SQRT0]) - vds * dibl
-        dvthb = par[k, COL_GAMMA] * dsq
-        vov = vgs - vth
-
-        if vds < 1e-12:
-            im = 0.0
-            gm = 0.0
-            gmb = 0.0
-            if vov <= 0.0:
-                gds = beta * i0 * math.exp(vov / nvt) / vt
-            elif vov >= wlim:
-                gds = kp * beta * vov
-            else:
-                frac = vov / wlim
-                gds = (beta * i0 / vt) ** (1.0 - frac) * (kp * beta * wlim) ** frac
-        else:
-            emv = math.exp(-vds / vt)
-            fds = 1.0 - emv
-            if vov <= 0.0:
-                im = beta * i0 * math.exp(vov / nvt) * fds
-                gm = im / nvt
-                gds = im * (dibl / nvt + emv / (vt * fds))
-                gmb = -im * dvthb / nvt
-            else:
-                lam_term = 1.0 + lam * vds
-                if vds < vov:  # triode; lam_term kept for continuity at the seam
-                    p = vov * vds - 0.5 * vds * vds
-                    i_sq = kp * beta * p * lam_term
-                    dg_sq = vds / p
-                    dd_sq = (vov - vds + vds * dibl) / p + lam / lam_term
-                    db_sq = -vds * dvthb / p
-                else:
-                    i_sq = 0.5 * kp * beta * vov * vov * lam_term
-                    dg_sq = 2.0 / vov
-                    dd_sq = 2.0 * dibl / vov + lam / lam_term
-                    db_sq = -2.0 * dvthb / vov
-                if vov >= wlim:
-                    im = i_sq
-                    gm = i_sq * dg_sq
-                    gds = i_sq * dd_sq
-                    gmb = i_sq * db_sq
-                else:
-                    # Log-linear chord between the fixed-overdrive anchors:
-                    # the weak-inversion current at vov = 0 and the
-                    # square-law current at vov = wlim, both at this vds.
-                    # The anchors carry no vth dependence, so threshold
-                    # shifts act only through frac.
-                    i_lo = beta * i0 * fds
-                    dd_lo = emv / (vt * fds)
-                    if vds < wlim:
-                        p_hi = wlim * vds - 0.5 * vds * vds
-                        i_hi = kp * beta * p_hi * lam_term
-                        dd_hi = (wlim - vds) / p_hi + lam / lam_term
-                    else:
-                        i_hi = 0.5 * kp * beta * wlim * wlim * lam_term
-                        dd_hi = lam / lam_term
-                    frac = vov / wlim
-                    span = math.log(i_hi / i_lo)
-                    im = math.exp((1.0 - frac) * math.log(i_lo) + frac * math.log(i_hi))
-                    gm = im * span / wlim
-                    gds = im * ((1.0 - frac) * dd_lo + frac * dd_hi + span * dibl / wlim)
-                    gmb = -im * span * dvthb / wlim
-
-        if flip:
-            # Map partials back to the unswapped frame: the current negates
-            # and the swapped-frame terminal differences mix the conductances.
-            t_gm = -gm
-            t_gds = gm + gds - gmb
-            t_gmb = -gmb
-            gm = t_gm
-            gds = t_gds
-            gmb = t_gmb
-            im = -im
-
-        i_term = sgn * im
-        dd = gds
-        dgv = gm
-        dsv = -gm - gds + gmb
-        dbv = -gmb
-
-        res[d] += i_term
-        res[s_n] -= i_term
-        jac[d, d] += dd
-        jac[d, g] += dgv
-        jac[d, s_n] += dsv
-        jac[d, b] += dbv
-        jac[s_n, d] -= dd
-        jac[s_n, g] -= dgv
-        jac[s_n, s_n] -= dsv
-        jac[s_n, b] -= dbv
-
-
-if HAVE_NUMBA:
-    _stamp_numba = njit(cache=True)(_stamp_loop)
-else:  # pragma: no cover
-    _stamp_numba = None
+    """Name of the stamp kernel, for benchmark provenance records."""
+    return "numpy"
 
 
 # Terminal columns (drain, gate, source, bulk) of the eight Jacobian entries
@@ -323,7 +183,22 @@ def mos_eval(par, vgs, vds, vsb, vt):
     return sgn * im2, gm2, gds2, gmb2
 
 
-def _stamp_numpy(x_ext, idx, par, vt, jac, res):
+def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
+    """Accumulate MOS drain currents and conductances in place.
+
+    x_ext holds the solver unknowns plus one trailing slot pinned at 0.0 for
+    ground; idx rows index (drain, gate, source, bulk) into it.  jac and res
+    carry the same trailing slot, so stamps landing on ground are simply
+    ignored by the caller.  jac and res must be C-contiguous.
+
+    A leading lane axis stamps many states of one circuit at once: x_ext
+    and res are then (lanes, n+1) and jac is (lanes, n+1, n+1).  idx is
+    shared by every lane; par is either shared, (devices, N_PAR), or one
+    parameter matrix per lane, (lanes, devices, N_PAR).  Each lane's stamp
+    is the one it would get on its own.
+    """
+    if idx.shape[0] == 0:
+        return
     if not (jac.flags.c_contiguous and res.flags.c_contiguous):
         raise ValueError("jac and res must be C-contiguous")
     n_ext = res.shape[-1]
@@ -349,29 +224,3 @@ def _stamp_numpy(x_ext, idx, par, vt, jac, res):
     vals = np.concatenate((dd, dgv, dsv, dbv, -dd, -dgv, -dsv, -dbv))
     np.add.at(jac.reshape(-1), jac_flat.reshape(-1), vals)
     np.add.at(res.reshape(-1), terminals[_RES_ROW].reshape(-1), np.concatenate((i_term, -i_term)))
-
-
-def mos_stamp(x_ext, idx, par, vt, jac, res) -> None:
-    """Accumulate MOS drain currents and conductances in place.
-
-    x_ext holds the solver unknowns plus one trailing slot pinned at 0.0 for
-    ground; idx rows index (drain, gate, source, bulk) into it.  jac and res
-    carry the same trailing slot, so stamps landing on ground are simply
-    ignored by the caller.  jac and res must be C-contiguous.
-
-    A leading lane axis stamps many states of one circuit at once: x_ext
-    and res are then (lanes, n+1) and jac is (lanes, n+1, n+1).  idx is
-    shared by every lane; par is either shared, (devices, N_PAR), or one
-    parameter matrix per lane, (lanes, devices, N_PAR).  Each lane's stamp
-    is the one it would get on its own.
-    """
-    if idx.shape[0] == 0:
-        return
-    if HAVE_NUMBA:
-        if x_ext.ndim == 1:
-            x_ext, jac, res = x_ext[None], jac[None], res[None]
-        for lane in range(x_ext.shape[0]):
-            lane_par = par[lane] if par.ndim == 3 else par
-            _stamp_numba(x_ext[lane], idx, lane_par, vt, jac[lane], res[lane])
-    else:
-        _stamp_numpy(x_ext, idx, par, vt, jac, res)

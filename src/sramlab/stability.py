@@ -441,8 +441,9 @@ def drv_bruteforce(
     resolution: float = 1e-3,
     v_max: float = 1.8,
 ) -> float:
-    """Smallest supply (to `resolution`) at which the hold-mode butterfly
-    still closes with positive margin; bisection against full DC sweeps."""
+    """Smallest supply (to `resolution`, or to adjacent floats where that is
+    finer) at which the hold-mode butterfly still closes with positive
+    margin; bisection against full DC sweeps."""
 
     def holds(v_dd: float) -> bool:
         grid = max(v_dd / 200.0, 1e-4)
@@ -455,6 +456,8 @@ def drv_bruteforce(
         raise EngineError(f"cell is not bistable even at v_dd={v_max} V")
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if holds(mid):
             hi = mid
         else:
@@ -473,8 +476,9 @@ def write_margin(
     wl_voltage: float | None = None,
     resolution: float = 1e-3,
 ) -> float:
-    """Highest BL voltage (within `resolution`) that flips a cell holding
-    Q high, with BLB held at v_dd and the wordline driven (default v_dd).
+    """Highest BL voltage (within `resolution`, or to adjacent floats where
+    that is finer) that flips a cell holding Q high, with BLB held at v_dd
+    and the wordline driven (default v_dd).
 
     A bisection on BL, each probe a DC solve started at the held state.
     The probes are solved in rounds: first the two ends, BL = 0 and v_dd,
@@ -523,10 +527,10 @@ def write_margin(
 
     def midpoints(lo: float, hi: float, levels: int) -> list[float]:
         # Every midpoint the next `levels` steps of the loop below can
-        # visit from (lo, hi), by the loop's own arithmetic.
-        if not levels or not hi - lo > resolution:
-            return []
+        # visit from (lo, hi), by the loop's own arithmetic and stops.
         mid = 0.5 * (lo + hi)
+        if not levels or not hi - lo > resolution or not lo < mid < hi:
+            return []
         return [mid, *midpoints(lo, mid, levels - 1), *midpoints(mid, hi, levels - 1)]
 
     probe([0.0, v_dd])
@@ -540,6 +544,8 @@ def write_margin(
     lo, hi = 0.0, v_dd  # flips at lo, holds at hi
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if mid not in outcome:
             probe(midpoints(lo, hi, WRITE_ROUND_LEVELS))
         if flips(mid):

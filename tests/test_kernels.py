@@ -71,6 +71,136 @@ def test_pack_device_rejects_bad_geometry():
 # Stamp correctness
 
 
+def _stamp_loop(x_ext, idx, par, vt, jac, res):
+    """mos_stamp's model and scatter for one lane, written as a scalar loop.
+
+    The reference the vectorised stamp and mos_eval are checked against: one
+    device at a time, with the branch taken per device rather than selected
+    by masks.
+    """
+    n_dev = idx.shape[0]
+    for k in range(n_dev):
+        d = idx[k, 0]
+        g = idx[k, 1]
+        s_n = idx[k, 2]
+        b = idx[k, 3]
+        sgn = par[k, COL_SIGN]
+        vgs = sgn * (x_ext[g] - x_ext[s_n])
+        vds = sgn * (x_ext[d] - x_ext[s_n])
+        vsb = sgn * (x_ext[s_n] - x_ext[b])
+        flip = vds < 0.0
+        if flip:  # conduction with drain/source roles exchanged
+            vgs = vgs - vds
+            vsb = vsb + vds
+            vds = -vds
+
+        beta = par[k, COL_BETA]
+        dibl = par[k, COL_DIBL]
+        nvt = par[k, COL_NVT]
+        wlim = par[k, COL_WLIM]
+        i0 = par[k, COL_I0]
+        kp = par[k, COL_KP]
+        lam = par[k, COL_LAM]
+
+        arg = par[k, COL_TWO_PHI] + vsb
+        absarg = abs(arg)
+        sq = math.sqrt(absarg)
+        if absarg < 1e-12:
+            dsq = 0.0
+        else:
+            dsq = math.copysign(0.5 / sq, arg)
+        vth = par[k, COL_VTH0] + par[k, COL_GAMMA] * (sq - par[k, COL_SQRT0]) - vds * dibl
+        dvthb = par[k, COL_GAMMA] * dsq
+        vov = vgs - vth
+
+        if vds < 1e-12:
+            im = 0.0
+            gm = 0.0
+            gmb = 0.0
+            if vov <= 0.0:
+                gds = beta * i0 * math.exp(vov / nvt) / vt
+            elif vov >= wlim:
+                gds = kp * beta * vov
+            else:
+                frac = vov / wlim
+                gds = (beta * i0 / vt) ** (1.0 - frac) * (kp * beta * wlim) ** frac
+        else:
+            emv = math.exp(-vds / vt)
+            fds = 1.0 - emv
+            if vov <= 0.0:
+                im = beta * i0 * math.exp(vov / nvt) * fds
+                gm = im / nvt
+                gds = im * (dibl / nvt + emv / (vt * fds))
+                gmb = -im * dvthb / nvt
+            else:
+                lam_term = 1.0 + lam * vds
+                if vds < vov:  # triode; lam_term kept for continuity at the seam
+                    p = vov * vds - 0.5 * vds * vds
+                    i_sq = kp * beta * p * lam_term
+                    dg_sq = vds / p
+                    dd_sq = (vov - vds + vds * dibl) / p + lam / lam_term
+                    db_sq = -vds * dvthb / p
+                else:
+                    i_sq = 0.5 * kp * beta * vov * vov * lam_term
+                    dg_sq = 2.0 / vov
+                    dd_sq = 2.0 * dibl / vov + lam / lam_term
+                    db_sq = -2.0 * dvthb / vov
+                if vov >= wlim:
+                    im = i_sq
+                    gm = i_sq * dg_sq
+                    gds = i_sq * dd_sq
+                    gmb = i_sq * db_sq
+                else:
+                    # Log-linear chord between the fixed-overdrive anchors:
+                    # the weak-inversion current at vov = 0 and the
+                    # square-law current at vov = wlim, both at this vds.
+                    # The anchors carry no vth dependence, so threshold
+                    # shifts act only through frac.
+                    i_lo = beta * i0 * fds
+                    dd_lo = emv / (vt * fds)
+                    if vds < wlim:
+                        p_hi = wlim * vds - 0.5 * vds * vds
+                        i_hi = kp * beta * p_hi * lam_term
+                        dd_hi = (wlim - vds) / p_hi + lam / lam_term
+                    else:
+                        i_hi = 0.5 * kp * beta * wlim * wlim * lam_term
+                        dd_hi = lam / lam_term
+                    frac = vov / wlim
+                    span = math.log(i_hi / i_lo)
+                    im = math.exp((1.0 - frac) * math.log(i_lo) + frac * math.log(i_hi))
+                    gm = im * span / wlim
+                    gds = im * ((1.0 - frac) * dd_lo + frac * dd_hi + span * dibl / wlim)
+                    gmb = -im * span * dvthb / wlim
+
+        if flip:
+            # Map partials back to the unswapped frame: the current negates
+            # and the swapped-frame terminal differences mix the conductances.
+            t_gm = -gm
+            t_gds = gm + gds - gmb
+            t_gmb = -gmb
+            gm = t_gm
+            gds = t_gds
+            gmb = t_gmb
+            im = -im
+
+        i_term = sgn * im
+        dd = gds
+        dgv = gm
+        dsv = -gm - gds + gmb
+        dbv = -gmb
+
+        res[d] += i_term
+        res[s_n] -= i_term
+        jac[d, d] += dd
+        jac[d, g] += dgv
+        jac[d, s_n] += dsv
+        jac[d, b] += dbv
+        jac[s_n, d] -= dd
+        jac[s_n, g] -= dgv
+        jac[s_n, s_n] -= dsv
+        jac[s_n, b] -= dbv
+
+
 def random_lanes(rng, n_dev, n_nodes=6):
     """Random device array over a small node set, ground in the last slot."""
     idx = rng.integers(0, n_nodes + 1, size=(n_dev, 4)).astype(np.int64)
@@ -97,71 +227,6 @@ def run_stamp(fn, x_ext, idx, par):
     return jac, res
 
 
-def test_numpy_matches_python_loop():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        x_ext, idx, par = random_lanes(rng, 25)
-        jac_a, res_a = run_stamp(kernels._stamp_numpy, x_ext, idx, par)
-        jac_b, res_b = run_stamp(kernels._stamp_loop, x_ext, idx, par)
-        # The 1e-18 floor absorbs cancellation noise in entries where
-        # opposing stamps nearly annihilate; it sits far below the solver's
-        # own tolerances.
-        np.testing.assert_allclose(jac_a, jac_b, rtol=5e-13, atol=1e-18)
-        np.testing.assert_allclose(res_a, res_b, rtol=5e-13, atol=1e-18)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_matches_python_loop():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        x_ext, idx, par = random_lanes(rng, 25)
-        jac_a, res_a = run_stamp(kernels._stamp_numba, x_ext, idx, par)
-        jac_b, res_b = run_stamp(kernels._stamp_loop, x_ext, idx, par)
-        np.testing.assert_allclose(jac_a, jac_b, rtol=5e-13, atol=1e-18)
-        np.testing.assert_allclose(res_a, res_b, rtol=5e-13, atol=1e-18)
-
-
-def test_stamp_against_operating_point():
-    # One device at a time: the stamped current and the four Jacobian
-    # entries of the drain row must equal the operating point's partials.
-    # mos_operating_point evaluates through mos_eval, the model the numpy
-    # stamp uses, so the scalar loop is the independent side of the
-    # comparison.
-    rng = np.random.default_rng(44)
-    for _ in range(40):
-        if rng.random() < 0.5:
-            dev, pol = TECH.pmos, "PMOS"
-        else:
-            dev, pol = TECH.nmos, "NMOS"
-        w = rng.uniform(1e-6, 20e-6)
-        l = rng.uniform(0.5e-6, 4e-6)
-        x_ext = np.concatenate([rng.uniform(-1.8, 1.8, 4), [0.0]])
-        d, g, s, b = 0, 1, 2, 3
-        idx = np.array([[d, g, s, b]], dtype=np.int64)
-        par = pack_device(dev, pol, w, l, VT)[None, :]
-        jac, res = run_stamp(kernels._stamp_loop, x_ext, idx, par)
-
-        bias = BiasPoint(
-            v_gs=x_ext[g] - x_ext[s],
-            v_ds=x_ext[d] - x_ext[s],
-            v_sb=x_ext[s] - x_ext[b],
-            w=w,
-            l=l,
-        )
-        op = mos_operating_point(dev, bias, None, pol)
-        np.testing.assert_allclose(res[d], op.i_d, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(res[s], -op.i_d, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(jac[d, d], op.g_ds, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(jac[d, g], op.g_m, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(
-            jac[d, s], -op.g_m - op.g_ds + op.g_mb, rtol=1e-9, atol=1e-30
-        )
-        np.testing.assert_allclose(jac[d, b], -op.g_mb, rtol=1e-9, atol=1e-30)
-        # Source row is the exact negation, and each row sums to zero.
-        np.testing.assert_allclose(jac[s], -jac[d], rtol=0, atol=0)
-        assert abs(jac[d].sum()) <= 1e-16 + 1e-12 * np.abs(jac[d]).max()
-
-
 def random_states(rng, x_ext, lanes):
     """Stack of lane states over x_ext's node set, ground slot at zero."""
     x = np.zeros((lanes, x_ext.size))
@@ -184,6 +249,73 @@ def lane_params(rng, par, lanes):
     return per_lane
 
 
+def test_numpy_matches_python_loop():
+    rng = np.random.default_rng(42)
+    for _ in range(10):
+        x_ext, idx, par = random_lanes(rng, 25)
+        jac_a, res_a = run_stamp(mos_stamp, x_ext, idx, par)
+        jac_b, res_b = run_stamp(_stamp_loop, x_ext, idx, par)
+        # The 1e-18 floor absorbs cancellation noise in entries where
+        # opposing stamps nearly annihilate; it sits far below the solver's
+        # own tolerances.
+        np.testing.assert_allclose(jac_a, jac_b, rtol=5e-13, atol=1e-18)
+        np.testing.assert_allclose(res_a, res_b, rtol=5e-13, atol=1e-18)
+
+    # Lane stacks, with one shared parameter matrix and with one per lane:
+    # each lane matches the scalar stamp of that lane alone.
+    rng = np.random.default_rng(48)
+    for _ in range(5):
+        x_ext, idx, par = random_lanes(rng, 25)
+        x = random_states(rng, x_ext, 7)
+        for lanes_par in (par, lane_params(rng, par, 7)):
+            jac_a, res_a = run_lane_stamp(mos_stamp, x, idx, lanes_par)
+            for lane in range(x.shape[0]):
+                lane_par = lanes_par if lanes_par.ndim == 2 else lanes_par[lane]
+                jac_b, res_b = run_stamp(_stamp_loop, x[lane], idx, lane_par)
+                np.testing.assert_allclose(jac_a[lane], jac_b, rtol=5e-13, atol=1e-18)
+                np.testing.assert_allclose(res_a[lane], res_b, rtol=5e-13, atol=1e-18)
+
+
+def test_stamp_against_operating_point():
+    # One device at a time: the stamped current and the four Jacobian
+    # entries of the drain row must equal the operating point's partials.
+    # mos_operating_point evaluates through mos_eval, the model mos_stamp
+    # uses, so the scalar loop is the independent side of the comparison.
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        if rng.random() < 0.5:
+            dev, pol = TECH.pmos, "PMOS"
+        else:
+            dev, pol = TECH.nmos, "NMOS"
+        w = rng.uniform(1e-6, 20e-6)
+        l = rng.uniform(0.5e-6, 4e-6)
+        x_ext = np.concatenate([rng.uniform(-1.8, 1.8, 4), [0.0]])
+        d, g, s, b = 0, 1, 2, 3
+        idx = np.array([[d, g, s, b]], dtype=np.int64)
+        par = pack_device(dev, pol, w, l, VT)[None, :]
+        jac, res = run_stamp(_stamp_loop, x_ext, idx, par)
+
+        bias = BiasPoint(
+            v_gs=x_ext[g] - x_ext[s],
+            v_ds=x_ext[d] - x_ext[s],
+            v_sb=x_ext[s] - x_ext[b],
+            w=w,
+            l=l,
+        )
+        op = mos_operating_point(dev, bias, None, pol)
+        np.testing.assert_allclose(res[d], op.i_d, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(res[s], -op.i_d, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(jac[d, d], op.g_ds, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(jac[d, g], op.g_m, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(
+            jac[d, s], -op.g_m - op.g_ds + op.g_mb, rtol=1e-9, atol=1e-30
+        )
+        np.testing.assert_allclose(jac[d, b], -op.g_mb, rtol=1e-9, atol=1e-30)
+        # Source row is the exact negation, and each row sums to zero.
+        np.testing.assert_allclose(jac[s], -jac[d], rtol=0, atol=0)
+        assert abs(jac[d].sum()) <= 1e-16 + 1e-12 * np.abs(jac[d]).max()
+
+
 def test_lane_stamp_is_the_single_stamp_per_lane():
     rng = np.random.default_rng(47)
     for _ in range(10):
@@ -201,37 +333,15 @@ def test_lane_stamp_is_the_single_stamp_per_lane():
             assert np.array_equal(res_p[lane], res_1)
 
 
-def test_numba_branch_loops_the_lanes(monkeypatch):
-    # The compiled branch stamps lane by lane with the scalar kernel; run it
-    # with the plain-Python kernel in place of the compiled one.
-    rng = np.random.default_rng(48)
-    cases = []
-    for _ in range(5):
-        x_ext, idx, par = random_lanes(rng, 25)
-        cases.append((random_states(rng, x_ext, 7), idx, par))
-        # The same states with one parameter matrix per lane.
-        cases.append((cases[-1][0], idx, lane_params(rng, par, 7)))
-    want = [run_lane_stamp(kernels._stamp_numpy, *case) for case in cases]
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-    monkeypatch.setattr(kernels, "_stamp_numba", kernels._stamp_loop)
-    for case, (jac_b, res_b) in zip(cases, want):
-        jac_a, res_a = run_lane_stamp(mos_stamp, *case)
-        np.testing.assert_allclose(jac_a, jac_b, rtol=5e-13, atol=1e-18)
-        np.testing.assert_allclose(res_a, res_b, rtol=5e-13, atol=1e-18)
-        lane_0 = case[2] if case[2].ndim == 2 else case[2][0]
-        jac_1, res_1 = run_stamp(mos_stamp, case[0][0], case[1], lane_0)
-        assert np.array_equal(jac_1, jac_a[0]) and np.array_equal(res_1, res_a[0])
-
-
 def test_stamp_accumulates_in_place():
     rng = np.random.default_rng(45)
     x_ext, idx, par = random_lanes(rng, 8)
-    jac1, res1 = run_stamp(kernels._stamp_numpy, x_ext, idx, par)
+    jac1, res1 = run_stamp(mos_stamp, x_ext, idx, par)
     n_ext = x_ext.shape[0]
     jac2 = np.zeros((n_ext, n_ext))
     res2 = np.zeros(n_ext)
-    kernels._stamp_numpy(x_ext, idx, par, VT, jac2, res2)
-    kernels._stamp_numpy(x_ext, idx, par, VT, jac2, res2)
+    mos_stamp(x_ext, idx, par, VT, jac2, res2)
+    mos_stamp(x_ext, idx, par, VT, jac2, res2)
     np.testing.assert_allclose(jac2, 2.0 * jac1, rtol=1e-12, atol=0)
     np.testing.assert_allclose(res2, 2.0 * res1, rtol=1e-12, atol=0)
 
@@ -241,7 +351,7 @@ def test_stamp_zero_vds_lane():
     x_ext = np.array([0.9, 1.2, 0.9, 0.0, 0.0])
     idx = np.array([[0, 1, 2, 3]], dtype=np.int64)
     par = pack_device(TECH.nmos, "NMOS", 10.5e-6, 2e-6, VT)[None, :]
-    for fn in (kernels._stamp_numpy, kernels._stamp_loop):
+    for fn in (mos_stamp, _stamp_loop):
         jac, res = run_stamp(fn, x_ext, idx, par)
         assert res[0] == 0.0 and res[2] == 0.0
         assert jac[0, 0] > 0.0
@@ -256,11 +366,4 @@ def test_mos_stamp_empty_and_dispatch():
     res = np.zeros(2)
     mos_stamp(x_ext, empty, par, VT, jac, res)
     assert not jac.any() and not res.any()
-
-    rng = np.random.default_rng(46)
-    x_ext, idx, par = random_lanes(rng, 12)
-    backend = {"numba": kernels._stamp_numba, "numpy": kernels._stamp_numpy}[get_backend()]
-    jac_a, res_a = run_stamp(mos_stamp, x_ext, idx, par)
-    jac_b, res_b = run_stamp(backend, x_ext, idx, par)
-    np.testing.assert_allclose(jac_a, jac_b, rtol=0, atol=0)
-    np.testing.assert_allclose(res_a, res_b, rtol=0, atol=0)
+    assert get_backend() == "numpy"

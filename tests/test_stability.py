@@ -1,5 +1,8 @@
+import contextlib
 import io
 import math
+import signal
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -743,6 +746,44 @@ def test_nonpositive_resolution_is_rejected_before_any_solve(cell, resolution, m
     with pytest.raises(ValueError, match="resolution must be positive"):
         drv_bruteforce(cell, resolution=resolution)
     assert lanes == []
+
+
+@contextlib.contextmanager
+def alarm_after(seconds):
+    """Raise TimeoutError in the test if its body runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_sub_ulp_resolution_write_margin_returns(cell):
+    # Below the float spacing near the answer, the bisection stops once lo
+    # and hi are adjacent floats instead of halving the same interval
+    # forever.
+    with alarm_after(60):
+        fine = write_margin(cell, resolution=1e-18)
+    assert abs(fine - write_margin(cell)) <= 1e-3
+
+
+def test_sub_ulp_resolution_drv_bruteforce_returns(cell, monkeypatch):
+    # A threshold stub in place of the sweeps: the cell holds above 0.123 V.
+    threshold = 0.123
+    monkeypatch.setattr(
+        stability,
+        "butterfly",
+        lambda cell, tech, mode, v_dd, grid: SimpleNamespace(snm=v_dd - threshold),
+    )
+    with alarm_after(60):
+        drv = drv_bruteforce(cell, resolution=1e-18)
+    assert threshold < drv <= threshold + 1e-15
 
 
 def test_wordline_off_is_not_writable(cell):
