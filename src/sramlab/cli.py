@@ -97,6 +97,11 @@ def _emit(rep: AnalysisReport) -> int:
     return 0
 
 
+def _positive(name: str, value: float) -> None:
+    if not value > 0:
+        raise ConfigError(f"{name} must be positive")
+
+
 def _geometry(args) -> CellGeometry:
     base = CellGeometry()
 
@@ -219,8 +224,8 @@ def _cmd_tran(args, tech):
 
 
 def _cmd_snm(args, tech):
-    if args.grid <= 0:
-        raise ConfigError("grid must be positive")
+    _positive("grid", args.grid)
+    _positive("vdd", args.vdd)
     net = _read_netlist(args.netlist)
     data = butterfly(net, tech, args.mode, args.vdd, args.grid)
     if args.out:
@@ -233,8 +238,8 @@ def _cmd_snm(args, tech):
 
 
 def _cmd_drv(args, tech):
-    if args.resolution <= 0:
-        raise ConfigError("resolution must be positive")
+    _positive("resolution", args.resolution)
+    _positive("vmax", args.vmax)
     net = _read_netlist(args.netlist)
     rep = _report(args, tech)
     closed = brute = None
@@ -250,6 +255,7 @@ def _cmd_drv(args, tech):
 
 
 def _cmd_write_margin(args, tech):
+    _positive("vdd", args.vdd)
     net = _read_netlist(args.netlist)
     wm = write_margin(net, tech, args.vdd, args.wl)
     rep = _report(args, tech)
@@ -268,6 +274,7 @@ def _cmd_power(args, tech):
 
 
 def _cmd_delay(args, tech):
+    _positive("vdd", args.vdd)
     rep = _report(args, tech)
     if args.tplh is not None or args.tphl is not None:
         if args.tplh is None or args.tphl is None:
@@ -344,6 +351,7 @@ def _cmd_area(args, tech):
 
 
 def _cmd_montecarlo(args, tech):
+    _positive("vdd", args.vdd)
     net = _read_netlist(args.netlist)
     if args.a_vth is not None:  # overrides both cards, so the header echoes it
         tech = tech if tech is not None else TechnologyParams.default()

@@ -8,12 +8,17 @@ system each with its own right-hand side and device parameter set, so that
 many independent points (every sample's butterfly lobe grid) share every
 device evaluation; a single solve is one lane.  Lanes queue for a pool of
 at most MAX_LANES live ones, and each lane that finishes hands its place to
-the next in the queue.  The fallbacks run on lanes too: the lanes plain
-Newton fails walk each gmin decade together, and take each source step
-together, each with its own drive scale and step.  Unknown ordering is named nodes first, in netlist
-first-use order, then one branch current per voltage source.  Extended
-vectors carry a trailing ground slot pinned at zero so every stamp writes
-unconditionally.
+the next in the queue.  In a decoupled system, where every free unknown is
+a block of its own, each lane is a set of bracketed scalar root-finds:
+independent lanes start with every driven node at its drive, and a Newton
+target that leaves the bracket the residual signs give falls back to the
+bracket's midpoint, so such lanes converge in the pool.  The fallbacks,
+which now serve coupled systems, run on lanes too: the lanes plain Newton
+fails walk each gmin decade together, and take each source step together,
+each with its own drive scale and step.  Unknown ordering is named nodes
+first, in netlist first-use order, then one branch current per voltage
+source.  Extended vectors carry a trailing ground slot pinned at zero so
+every stamp writes unconditionally.
 
 Each Newton step is solved exactly, but not as one dense system.  A voltage
 source from ground to a node that no other grounded source drives fixes that
@@ -260,6 +265,7 @@ class MnaSystem:
             pos = np.searchsorted(free, idx)
             flat = idx[:, :, None] * n_ext + idx[:, None, :]
             self._blocks.append((m, pos, idx, flat))
+        self._free_diag_flat = free * (n_ext + 1)
         self._free_drv_flat = free[:, None] * n_ext + self._drv_node[None, :]
         self._drv_row_flat = self._drv_node[:, None] * n_ext + np.arange(size)[None, :]
         # Tolerance of each residual row: KCL in amps, then branch volts.
@@ -363,6 +369,16 @@ class MnaSystem:
         that iteration MAX_ITER would have named.  Returns the states, the
         iteration count of each lane, and a failure message for each lane
         that did not converge (its state is then its start).
+
+        In a decoupled system each free unknown's KCL, once the eliminated
+        sources' rows hold exactly, is a scalar function of that unknown
+        alone, increasing wherever its Jacobian entry is positive; the sign
+        of its residual then tells on which side of the state its root lies.
+        Each lane keeps that bracket per free unknown, and once the
+        residual has changed sign twice, a Newton target outside the
+        bracket is replaced by the bracket's midpoint (the safeguard of
+        rtsafe, Numerical Recipes section 9.4), so an oscillating lane
+        converges instead of cycling.
         """
         n, lanes = self.size, x0.shape[0]
         sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
@@ -370,6 +386,13 @@ class MnaSystem:
         its = np.full(lanes, MAX_ITER)
         failed: dict[int, str] = {}
         pool = min(lanes, MAX_LANES)
+        bracket = self.decoupled
+        if bracket:
+            # Per pool slot and free unknown: the bracket, the residual's
+            # last nonzero sign, and how often that sign has changed.
+            free = self._free
+            lo, hi = np.full((pool, free.size), -np.inf), np.full((pool, free.size), np.inf)
+            side, flips = np.zeros((pool, free.size)), np.zeros((pool, free.size), dtype=np.int64)
         # One Jacobian buffer, reset in place each iteration: a fresh copy
         # of a large g_dyn per iteration costs page faults, not just copying.
         jac_buf = np.empty((pool,) + g_dyn.shape)
@@ -393,6 +416,21 @@ class MnaSystem:
             res = (g_dyn @ xl[:, :, None])[:, :, 0] + bl
             mos_stamp(xl, self.mos_idx, parl, self.vt, jac, res)
             delta = self.newton_step(jac, res)
+            if bracket:
+                xf, df = xl.take(free, axis=1), delta.take(free, axis=1)
+                known = (res.take(self._drv_branch, axis=1) == 0).all(axis=1)[:, None] & (
+                    jac.reshape(ids.size, -1).take(self._free_diag_flat, axis=1) > 0
+                )
+                s = np.where(known, np.sign(res.take(free, axis=1)), 0.0)
+                flips += s * side < 0
+                side = np.where(s != 0, s, side)
+                hi = np.where(s > 0, np.minimum(hi, xf), hi)
+                lo = np.where(s < 0, np.maximum(lo, xf), lo)
+                t = xf + df
+                out = (flips >= 2) & ((t < lo) | (t > hi))
+                if out.any():
+                    df[out] = 0.5 * (lo[out] + hi[out]) - xf[out]
+                    delta[:, free] = df
             bad = ~np.isfinite(delta).all(axis=1)
             converged = small & ~bad & (np.abs(res[:, :n]) < self._res_tol).all(axis=1)
             applied = np.minimum(np.maximum(delta, -MAX_STEP), MAX_STEP)
@@ -418,19 +456,23 @@ class MnaSystem:
                     f"no convergence within {MAX_ITER} Newton iterations; "
                     f"worst residual at node {worst}"
                 )
-            free = np.flatnonzero(done)
-            new = np.arange(queued, min(lanes, queued + free.size))
+            vacant = np.flatnonzero(done)
+            new = np.arange(queued, min(lanes, queued + vacant.size))
             if new.size:
                 queued += new.size
-                slots = free[: new.size]
+                slots = vacant[: new.size]
                 ids[slots], count[slots], bl[slots], parl[slots] = new, 0, b[new], self.par_sets[sets[new]]
                 xl[slots, :n], small[slots], x_last[slots], small_last[slots] = x[new], False, np.nan, False
-            if new.size < free.size:
+                if bracket:
+                    lo[slots], hi[slots], side[slots], flips[slots] = -np.inf, np.inf, 0.0, 0
+            if new.size < vacant.size:
                 keep = np.ones(ids.size, dtype=bool)
-                keep[free[new.size :]] = False
+                keep[vacant[new.size :]] = False
                 ids, count, bl, parl, xl, small, x_last, small_last, res_last = (
                     a[keep] for a in (ids, count, bl, parl, xl, small, x_last, small_last, res_last)
                 )
+                if bracket:
+                    lo, hi, side, flips = lo[keep], hi[keep], side[keep], flips[keep]
         return x, its, failed
 
     def _newton(
@@ -583,12 +625,12 @@ class MnaSystem:
         voltage source, as a (sets, values, n) array, and the EngineError of
         each set in which a lane failed every fallback (that set's states
         are then not all solutions).  Every set's lane at point i starts at
-        x0[i], of shape (values, n), by default zero: cold-started, or
-        started at the nominal lobe's state when x0 holds it.  Lanes share
-        no warm start, so this needs a decoupled system, in which no lane
-        can choose between two states and the start changes only the path
-        to the one solution; any other raises EngineError, as does a
-        singular step in any lane."""
+        x0[i], of shape (values, n), by default cold: each eliminated
+        source's node at its drive and all else zero, or at the nominal
+        lobe's state when x0 holds it.  Lanes share no warm start, so this
+        needs a decoupled system, in which no lane can choose between two
+        states and the start changes only the path to the one solution; any
+        other raises EngineError, as does a singular step in any lane."""
         if not self.decoupled:
             raise EngineError("independent lanes need a decoupled system; sweep it instead")
         if source_id not in self.branch_index:
@@ -600,7 +642,10 @@ class MnaSystem:
         b = np.repeat(b[None], points, axis=0)
         b[:, k] -= values
         lane_sets = np.repeat(np.arange(sets), points)
-        start = np.zeros((points, self.size)) if x0 is None else x0
+        start = x0
+        if x0 is None:
+            start = np.zeros((points, self.size))
+            start[:, self._drv_node] = -b[:, self._drv_branch] * self._drv_sign
         try:
             x, _, _, failed = self._solve_lanes(
                 np.tile(start, (sets, 1)), np.tile(b, (sets, 1)), lane_sets

@@ -214,14 +214,16 @@ def _butterflies(
     whose shifts are all zero takes that result, error included.  In a 6T
     cell with one storage node driven, the other is the only free unknown
     and has one solution at each input, so a lobe is solved as independent
-    lanes: the nominal lobe cold-started, and then every grid point of every
-    shifted sample in a batch of at most BATCH_LANES lanes, on one system
-    with one device parameter set per sample, each lane started at the
-    nominal lobe's state at its point.  A cell with more free unknowns
-    coupled to it may be bistable there, and each sample's lobe is swept,
-    each point warm-started from the last.  A lane that fails every
+    lanes: the nominal lobe cold-started (drives set, the free node at
+    zero), and then every grid point of every shifted sample in a batch of
+    at most BATCH_LANES lanes, on one system with one device parameter set
+    per sample, each lane started at the nominal lobe's state at its
+    point.  A cell with more free unknowns coupled to it may be bistable
+    there, and each sample's lobe is swept, each point warm-started from
+    the last.  A lane that fails every
     fallback fails only its own sample (a nominal lane then starts the
-    samples from zero); an error not tied to a lane fails its whole batch.
+    samples from its cold start); an error not tied to a lane fails its
+    whole batch.
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")

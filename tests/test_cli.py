@@ -130,6 +130,35 @@ def test_snm_zero_grid_exits_2(run, cell_file):
     assert err == "error: grid must be positive\n"
 
 
+def assert_bad_supply(run, name, *argv):
+    # A supply that is not positive is bad input, rejected before any
+    # analysis runs: exit 2, nothing on stdout.
+    for value in ("0", "-1"):
+        code, out, err = run(*argv, f"--{name}={value}")
+        assert code == 2 and out == "", (argv, value)
+        assert err == f"error: {name} must be positive\n"
+
+
+def test_snm_nonpositive_vdd_exits_2(run, cell_file):
+    assert_bad_supply(run, "vdd", "snm", "--netlist", cell_file)
+
+
+def test_montecarlo_nonpositive_vdd_exits_2(run, cell_file):
+    assert_bad_supply(run, "vdd", "montecarlo", "--netlist", cell_file)
+
+
+def test_delay_nonpositive_vdd_exits_2(run, cell_file):
+    assert_bad_supply(run, "vdd", "delay", "--netlist", cell_file, "--cbit", "1e-13")
+
+
+def test_write_margin_nonpositive_vdd_exits_2(run, cell_file):
+    assert_bad_supply(run, "vdd", "write-margin", "--netlist", cell_file)
+
+
+def test_drv_nonpositive_vmax_exits_2(run, cell_file):
+    assert_bad_supply(run, "vmax", "drv", "--netlist", cell_file)
+
+
 @pytest.mark.parametrize("resolution", ["0", "-1m"])
 def test_drv_nonpositive_resolution_exits_2(run, cell_file, resolution):
     # The bisection could never shrink to such a resolution.

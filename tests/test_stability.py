@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import signal
 from types import SimpleNamespace
@@ -234,6 +235,44 @@ def biased_lobe(cell, mode, v_dd, drive):
     )
 
 
+def biased_write(cell, bl_v, v_dd=1.8, wl=1.8):
+    """The cell biased for a write: supply, wordline and BLB driven, and BL
+    at bl_v by the source VWBL."""
+    gnd = Node(GROUND)
+    drives = {"VDD": v_dd, "WL": wl, "BL": bl_v, "BLB": v_dd}
+    return with_elements(
+        cell,
+        [SourceElement(f"VW{role}", Node(cell.role_node(role)), gnd, "DC", (v,)) for role, v in drives.items()],
+    )
+
+
+def write_probe_lanes(cell, v_dd, values, vth_shift=None):
+    """One lane per BL value of a write at v_dd (wordline at v_dd), each
+    started at the held state, Q at v_dd: the system, starts and
+    right-hand sides.  Q and QBAR are coupled free unknowns here."""
+    lobe = MnaSystem(biased_write(cell, 0.0, v_dd, v_dd), vth_shift=vth_shift)
+    held = lobe.pack_state({cell.role_node("Q"): v_dd})
+    b = np.repeat(lobe.rhs()[None], len(values), axis=0)
+    b[:, lobe.branch_index["VWBL"]] = -np.asarray(values)
+    return lobe, np.repeat(held[None], len(values), axis=0), b
+
+
+def refuse_newton(monkeypatch, refuse):
+    """Make _newton_lanes fail, with the message "refused", every lane j
+    for which refuse(system, x0, b, g_dyn, sets)[j] holds; such a lane
+    returns its start, as a failed lane does."""
+    real = MnaSystem._newton_lanes
+
+    def refusing(self, x0, b, g_dyn, sets=None):
+        x, its, failed = real(self, x0, b, g_dyn, sets)
+        sets = np.zeros(len(x0), dtype=np.int64) if sets is None else sets
+        for j in np.flatnonzero(refuse(self, x0, b, g_dyn, sets)).tolist():
+            x[j], its[j], failed[j] = x0[j], engine.MAX_ITER, "refused"
+        return x, its, failed
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", refusing)
+
+
 def sequential_lobes(cell, mode, v_dd, grid, vth_shift=None):
     """Both lobes by warm-started sweeps, one point at a time."""
     lobes = []
@@ -272,15 +311,26 @@ def test_batched_butterfly_matches_sequential_sweeps(cell, mode, v_dd, grid, shi
     assert_matches_sequential(data, cell, shift)
 
 
-def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
-    # In read at 0.95 V, plain Newton from a cold start 2-cycles at
-    # v_in = 0.5 V (QBAR alternates near 0.385 and 0.400 V), so that lane
-    # must be rescued by the fallback chain.
-    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"))
-    lobe.set_source("VIN", 0.5)
-    with pytest.raises(ConvergenceError):
-        lobe._newton(np.zeros(lobe.size), lobe.rhs(), lobe.g_static)
+def cold_at(v_in, source="VIN"):
+    """A refuse() for refuse_newton: the lanes of plain Newton's cold start
+    (the probe, the one free unknown, at 0 V) with `source` driven at
+    v_in.  Lanes the fallbacks run start elsewhere or at a scaled drive."""
 
+    def refuse(lobe, x0, b, g_dyn, sets):
+        probe = lobe._free[0]
+        return (x0[:, probe] == 0) & np.isclose(-b[:, lobe.branch_index[source]], v_in) & (g_dyn is lobe.g_static)
+
+    return refuse
+
+
+def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
+    # A decoupled lobe lane that fails plain Newton is rescued by the
+    # fallback chain.  Plain Newton converges on every such lane of the
+    # bundled cell, so it is made to refuse the cold lane at v_in = 0.5 V
+    # of each read lobe at 0.95 V; a spy must see those lanes, and only
+    # those, enter gmin stepping, and the butterfly must still match the
+    # sequential curves.
+    refuse_newton(monkeypatch, cold_at(0.5, "VSNMIN"))
     entered = []
     real = MnaSystem._gmin_stepping
 
@@ -291,18 +341,88 @@ def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
     monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     data = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
     monkeypatch.undo()
-    assert pytest.approx(0.5) in entered
+    assert entered == [pytest.approx(0.5)] * 2
     assert_matches_sequential(data, cell)
 
 
+def spy_fallbacks(monkeypatch):
+    """Names of the fallback stages the engine enters, in order."""
+    entered = []
+    for name in ("_gmin_stepping", "_continuation"):
+        real = getattr(MnaSystem, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            entered.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(MnaSystem, name, spy)
+    return entered
+
+
+def kcl_bisection(cell, mode, v_dd, v_in, node="QBAR"):
+    """Root of `node`'s KCL residual in the Q-driven lobe with every drive
+    fixed (Q at v_in), by plain bisection on [0, v_dd]; the residual is
+    increasing in the node's voltage."""
+    lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"))
+    lobe.set_source("VIN", v_in)
+    wl = v_dd if mode == "read" else 0.0
+    roles = {"VDD": v_dd, "WL": wl, "BL": v_dd, "BLB": v_dd, "Q": v_in}
+    x = lobe.pack_state({cell.role_node(r): v for r, v in roles.items()})
+    row, b = lobe.node_index[cell.role_node(node)], lobe.rhs()
+
+    def kcl(v):
+        x[row] = v
+        return lobe.residual(x, b)[row]
+
+    lo, hi = 0.0, v_dd
+    assert kcl(lo) < 0.0 < kcl(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if kcl(mid) < 0.0 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("v_dd, grid, v_in", [(0.95, 0.0125, 0.5), (1.0, 0.01, 0.51)])
+def test_bracketed_lane_is_the_kcl_root(cell, monkeypatch, v_dd, grid, v_in):
+    # Read lanes that plain Newton once 2-cycled on: inside the pool, the
+    # bracket on QBAR turns them into converged lanes, and QBAR is the root
+    # an independent bisection of its KCL finds, to the Newton stop
+    # tolerance.  So it is from an all-zero start, where the drives take
+    # several clipped steps before the bracket may form.
+    entered = spy_fallbacks(monkeypatch)
+    data = butterfly(cell, mode="read", v_dd=v_dd, grid=grid)
+    assert entered == []
+    i = np.flatnonzero(np.isclose(data.lobe_a.v_in, v_in))[0]
+    want = kcl_bisection(cell, "read", v_dd, data.lobe_a.v_in[i])
+    tol = engine.RELTOL * abs(want) + engine.VNTOL
+    assert abs(data.lobe_a.v_out[i] - want) <= tol
+    lobe = MnaSystem(biased_lobe(cell, "read", v_dd, "Q"))
+    lobe.set_source("VIN", data.lobe_a.v_in[i])
+    x, _ = lobe._newton(np.zeros(lobe.size), lobe.rhs(), lobe.g_static)
+    assert abs(x[lobe.node_index[cell.role_node("QBAR")]] - want) <= tol
+
+
+def test_butterfly_lattice_needs_no_fallback(cell, monkeypatch):
+    # Every decoupled lobe lane converges in the Newton pool: hold and read
+    # butterflies over every other lattice supply of 0.90-1.80 V, on each
+    # perfbench grid, enter neither gmin nor source stepping.
+    entered = spy_fallbacks(monkeypatch)
+    for mode, grid in itertools.product(("hold", "read"), (0.010, 0.0125, 0.015)):
+        for v_dd in (round(0.90 + 0.10 * k, 2) for k in range(10)):
+            butterfly(cell, mode=mode, v_dd=v_dd, grid=grid)
+            assert entered == [], (mode, v_dd, grid)
+
+
 def test_fallback_starts_from_its_own_parameter_set(cell, monkeypatch):
-    # Lane 1 (set 1, v_in = 0.5 V) cycles; lanes 0 (set 0) and 2 (set 1)
-    # converge and are equally near.  Its gmin stepping must start from
-    # lane 2, a state of its own devices, in a stack of that one lane.
+    # Lane 1 (set 1, v_in = 0.5 V) is refused plain Newton; lanes 0 (set 0)
+    # and 2 (set 1) converge and are equally near.  Its gmin stepping must
+    # start from lane 2, a state of its own devices, in a stack of that one
+    # lane.
     lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=[{"MPDR": 0.01}, {}])
     values = np.array([0.45, 0.5, 0.0])
     b = np.repeat(lobe.rhs()[None], 3, axis=0)
     b[:, lobe.branch_index["VIN"]] = -values
+    refuse_newton(monkeypatch, cold_at(0.5))
     starts = []
     real = MnaSystem._gmin_stepping
 
@@ -331,39 +451,43 @@ def stamp_counter(monkeypatch):
 
 
 def test_cycling_lane_fails_before_max_iter(cell, monkeypatch):
-    # The stuck lane above repeats its state exactly long before iteration
-    # MAX_ITER; it fails as soon as it does, with the same message.
-    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"))
-    lobe.set_source("VIN", 0.5)
+    # A write probe at 1.2 V with BL = 0.2 V, Q and QBAR coupled, 2-cycles
+    # from the held state: it repeats its state exactly long before
+    # iteration MAX_ITER, and fails as soon as it does, with the message
+    # iteration MAX_ITER would give.
+    lobe, x0, b = write_probe_lanes(cell, 1.2, [0.2])
+    assert not lobe.decoupled
     lanes = stamp_counter(monkeypatch)
-    with pytest.raises(ConvergenceError, match="within 100 Newton iterations; worst residual at node QBAR"):
-        lobe._newton(np.zeros(lobe.size), lobe.rhs(), lobe.g_static)
+    with pytest.raises(ConvergenceError, match="within 100 Newton iterations; worst residual at node Q$"):
+        lobe._newton(x0[0], b[0], lobe.g_static)
     assert len(lanes) < engine.MAX_ITER
 
 
 def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
-    # Three parameter sets of a read lobe at 0.95 V: most cold lanes
-    # converge, some cycle, so lanes leave a small pool at different
-    # iterations and the queue refills it.  Every lane must end as it does
-    # alone, in state, iteration count and failure message.
+    # Write probes at 1.2 V under three parameter sets, BL every 25 mV from
+    # the held state: the probes below about 0.1 V and above about 0.35 V
+    # converge, most between 2-cycle, so lanes leave a small pool at
+    # different iterations and the queue refills it.  Every lane must end
+    # as it does alone, in state, iteration count and failure message, and
+    # the pool must share its stamps among many lanes.
     rng = np.random.default_rng(5)
     shifts = [dict(zip(CELL_MOS, rng.normal(0.0, 0.02, 6))) for _ in range(3)]
-    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=shifts)
-    values = np.tile(sweep_grid(0.0, 0.95, 0.0125), 3)
-    b = np.repeat(lobe.rhs()[None], values.size, axis=0)
-    b[:, lobe.branch_index["VIN"]] = -values
-    sets = np.repeat(np.arange(3), values.size // 3)
-    x0 = np.zeros((values.size, lobe.size))
+    grid = sweep_grid(0.0, 1.2, 0.025)
+    lobe, x0, b = write_probe_lanes(cell, 1.2, np.tile(grid, 3), shifts)
+    sets = np.repeat(np.arange(3), grid.size)
     monkeypatch.setattr(engine, "MAX_LANES", 16)
     lanes = stamp_counter(monkeypatch)
     x, its, failed = lobe._newton_lanes(x0, b, lobe.g_static, sets)
-    assert max(lanes) == 16 and len(lanes) < values.size
-    assert 0 < len(failed) < values.size
-    for i in range(values.size):
+    pooled = len(lanes)
+    assert max(lanes) == 16
+    assert 0 < len(failed) < len(x0)
+    assert all("within 100 Newton iterations" in msg for msg in failed.values())
+    for i in range(len(x0)):
         x_1, its_1, failed_1 = lobe._newton_lanes(x0[i : i + 1], b[i : i + 1], lobe.g_static, sets[i : i + 1])
         assert np.array_equal(x[i], x_1[0])
         assert its[i] == its_1[0]
         assert failed.get(i) == failed_1.get(0)
+    assert 8 * pooled < len(lanes) - pooled
 
 
 def one_lane_chain(lobe, x0, b, sets):
@@ -428,12 +552,14 @@ def one_lane_chain(lobe, x0, b, sets):
 
 def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
     # Cold lanes of a read lobe at 0.95 V, 12.5 mV, under three parameter
-    # sets, with extra points every 2.5 mV across the trip region: several
-    # lanes per set need gmin stepping and several source stepping.  Set
-    # 0's source stepping is refused, so its first lane that reaches it
-    # fails the set, and its later fallback lanes, gmin-rescued ones
-    # among them, keep their plain Newton result.  Batched, every lane must
-    # end as the one-lane chain leaves it.
+    # sets, with extra points every 2.5 mV across the trip region.  Plain
+    # Newton is refused the cold lanes at 0.4-0.6 V and gmin stepping its
+    # shunted rungs at 0.47-0.53 V, so several lanes per set need gmin
+    # stepping and several source stepping.  Set 0's source stepping is
+    # refused, so its first lane that reaches it fails the set, and its
+    # later fallback lanes, gmin-rescued ones among them, keep their plain
+    # Newton result.  Batched, every lane must end as the one-lane chain
+    # leaves it.
     rng = np.random.default_rng(0)
     shifts = [dict(zip(CELL_MOS, rng.normal(0.0, 0.02, 6))) for _ in range(3)]
     lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=shifts)
@@ -444,27 +570,18 @@ def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
     sets = np.repeat(np.arange(3), grid.size)
     x0 = np.zeros((values.size, lobe.size))
 
-    vdd_row, full = lobe.branch_index["VBVDD"], b[0, lobe.branch_index["VBVDD"]]
-    real_lanes = MnaSystem._newton_lanes
+    vin_row, vdd_row = lobe.branch_index["VIN"], lobe.branch_index["VBVDD"]
+    full = b[0, vdd_row]
 
-    def refusing(self, x0, b, g_dyn, sets=None):
-        # Lanes of set 0 at a scaled drive, which only source stepping makes.
-        x, its, failed = real_lanes(self, x0, b, g_dyn, sets)
-        for j in np.flatnonzero((sets == 0) & (b[:, vdd_row] != full)).tolist():
-            x[j], its[j], failed[j] = x0[j], engine.MAX_ITER, "refused"
-        return x, its, failed
+    def refuse(self, x0, b, g_dyn, sets):
+        v_in, scaled = -b[:, vin_row], b[:, vdd_row] != full
+        plain = (g_dyn is self.g_static) & ~x0.any(axis=1) & (0.4 <= v_in) & (v_in <= 0.6)
+        shunted = (g_dyn is not self.g_static) & (0.47 <= v_in) & (v_in <= 0.53)
+        return plain | shunted | ((sets == 0) & scaled)
 
-    monkeypatch.setattr(MnaSystem, "_newton_lanes", refusing)
+    refuse_newton(monkeypatch, refuse)
     want_x, want_its, want_fallback, want_failed, stepped = one_lane_chain(lobe, x0, b, sets)
-    stages = []
-    for name in ("_gmin_stepping", "_continuation"):
-        real = getattr(MnaSystem, name)
-
-        def spy(self, *args, _real=real, _name=name):
-            stages.append(_name)
-            return _real(self, *args)
-
-        monkeypatch.setattr(MnaSystem, name, spy)
+    stages = spy_fallbacks(monkeypatch)
     x, its, fallback, failed = lobe._solve_lanes(x0, b, sets)
     monkeypatch.undo()
 
@@ -624,19 +741,9 @@ def test_bruteforce_drv_sits_on_the_bistability_edge(cell):
 def probe_write(cell, bl_v, v_dd=1.8, wl=1.8):
     """Independent write probe: bias the cell directly and ask which way
     the latch settled from the held state."""
-    ports = {r: cell.role_node(r) for r in ("Q", "QBAR", "BL", "BLB", "WL", "VDD")}
-    gnd = Node(GROUND)
-    aug = with_elements(
-        cell,
-        [
-            SourceElement("VWVDD", Node(ports["VDD"]), gnd, "DC", (v_dd,)),
-            SourceElement("VWWL", Node(ports["WL"]), gnd, "DC", (wl,)),
-            SourceElement("VWBL", Node(ports["BL"]), gnd, "DC", (bl_v,)),
-            SourceElement("VWBLB", Node(ports["BLB"]), gnd, "DC", (v_dd,)),
-        ],
-    )
-    sol = solve_dc(aug, initial={ports["Q"]: v_dd, ports["QBAR"]: 0.0})
-    return sol.voltage(ports["Q"]) < sol.voltage(ports["QBAR"])
+    q, qbar = cell.role_node("Q"), cell.role_node("QBAR")
+    sol = solve_dc(biased_write(cell, bl_v, v_dd, wl), initial={q: v_dd, qbar: 0.0})
+    return sol.voltage(q) < sol.voltage(qbar)
 
 
 def test_write_margin_matches_independent_probe(cell):
@@ -933,11 +1040,11 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
 
 
 def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
-    # Read at 0.95 V, 12.5 mV: the nominal Q-driven lobe's cold lane at
-    # v_in = 0.5 V needs a fallback (see above), and both refuse the
-    # unshifted devices.  That lane hands the samples its zero start; the
-    # shifted samples still solve, and the unshifted ones fail as
-    # butterfly() does.
+    # Read at 0.95 V, 12.5 mV: plain Newton is refused the nominal
+    # Q-driven lobe's cold lane at v_in = 0.5 V, and both fallbacks refuse
+    # the unshifted devices.  That lane hands the samples its cold start,
+    # QBAR at 0 V; the shifted samples still solve, and the unshifted ones
+    # fail as butterfly() does.
     nominal_par = MnaSystem(cell).mos_par
 
     def refusing(name):
@@ -956,9 +1063,15 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
     real_lanes = MnaSystem.solve_dc_lanes
 
     def lanes_spy(self, source_id, values, x0=None):
-        starts.append(x0)
+        starts.append((self, x0))
         return real_lanes(self, source_id, values, x0)
 
+    cold = cold_at(0.5, "VSNMIN")
+
+    def refuse(lobe, x0, b, g_dyn, sets):
+        return cold(lobe, x0, b, g_dyn, sets) & (lobe.par_sets[sets] == nominal_par).all(axis=(1, 2))
+
+    refuse_newton(monkeypatch, refuse)
     refusing("_gmin_stepping")
     refusing("_continuation")
     monkeypatch.setattr(MnaSystem, "solve_dc_lanes", lanes_spy)
@@ -970,8 +1083,10 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
     out = list(stability._butterflies(cell, None, "read", 0.95, 0.0125, shifts))
     monkeypatch.undo()
     v_in = sweep_grid(0.0, 0.95, 0.0125)
-    assert [x is None for x in starts] == [True, True, False, False]
-    assert not starts[2][np.flatnonzero(np.isclose(v_in, 0.5))[0]].any()
+    assert [x is None for _, x in starts] == [True, True, False, False]
+    lobe, x0 = starts[2]
+    i = np.flatnonzero(np.isclose(v_in, 0.5))[0]
+    assert x0[i, lobe.node_index["QBAR"]] == 0.0 and x0[i - 1, lobe.node_index["QBAR"]] > 0.0
     for k in (0, 2):
         assert isinstance(out[k], ConvergenceError) and str(out[k]) == str(nominal.value)
     for k in (1, 3):
@@ -1002,6 +1117,27 @@ def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
     for drive in ("Q", "QBAR"):
         real_lanes(MnaSystem(biased_lobe(cell, "hold", 1.8, drive)), "VIN", sweep_grid(0.0, 1.8, 0.01))
     assert got == lanes
+
+
+def test_cold_lanes_start_at_their_drives(cell, monkeypatch):
+    # A decoupled system has one solution, so a cold lane may start
+    # anywhere: it starts with every driven node at its drive, which its
+    # KCL then sees exactly from the first stamp, and the free node at 0 V.
+    lobe = MnaSystem(biased_lobe(cell, "hold", 1.8, "Q"))
+    v_in = sweep_grid(0.0, 1.8, 0.1)
+    first = []
+    real = engine.mos_stamp
+
+    def spy(x_ext, *args):
+        first.append(x_ext[:, : lobe.n_nodes].copy())
+        return real(x_ext, *args)
+
+    monkeypatch.setattr(engine, "mos_stamp", spy)
+    lobe.solve_dc_lanes("VIN", v_in)
+    start = {name: first[0][:, i] for i, name in enumerate(lobe.nodes)}
+    drives = {"Q": v_in, "VDD": 1.8, "WL": 0.0, "BL": 1.8, "BLB": 1.8, "QBAR": 0.0}
+    for role, v in drives.items():
+        assert np.array_equal(start[cell.role_node(role)], np.broadcast_to(v, v_in.shape)), role
 
 
 def test_seeded_monte_carlo_lane_stamps(cell, monkeypatch):
