@@ -15,6 +15,7 @@ import argparse
 import csv
 import re
 import sys
+from contextlib import contextmanager
 
 from .config import ConfigError, load_config, tech_header_lines
 from .devices import TechnologyParams, derive_tech_params
@@ -102,6 +103,16 @@ def _positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be positive")
 
 
+@contextmanager
+def _bad_input():
+    """A ValueError raised inside, by a library check of the inputs, is bad
+    input (exit 2) rather than an analysis failure."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _geometry(args) -> CellGeometry:
     base = CellGeometry()
 
@@ -153,14 +164,15 @@ def _cmd_generate(args, tech):
     geom = _geometry(args)
     build = _GENERATE_KINDS[args.kind]
     parasitics = {} if args.no_parasitics else None
-    if args.kind == "array":
-        net = build(args.rows, args.cols, geom, parasitics)
-    elif args.kind == "cell":
-        net = build(geom, parasitics)
-    elif args.no_parasitics:
-        raise ConfigError(f"--no-parasitics applies to cell and array only, not {args.kind}")
-    else:
-        net = build(geom)
+    with _bad_input():
+        if args.kind == "array":
+            net = build(args.rows, args.cols, geom, parasitics)
+        elif args.kind == "cell":
+            net = build(geom, parasitics)
+        elif args.no_parasitics:
+            raise ConfigError(f"--no-parasitics applies to cell and array only, not {args.kind}")
+        else:
+            net = build(geom)
     text = print_netlist(net)
     if args.out:
         with open(args.out, "w") as fh:
@@ -190,6 +202,8 @@ def _cmd_sweep(args, tech):
     sources = {e.id for e in net.elements if isinstance(e, SourceElement) and not e.degenerate}
     if args.source not in sources:
         raise ConfigError(f"no stamped source named {args.source!r}")
+    if not args.step > 0:
+        raise ConfigError("sweep step must be positive")
     result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
     if args.out:
         sweep_to_csv(result, args.out)
@@ -211,10 +225,8 @@ def _cmd_tran(args, tech):
             ics[name] = parse_spice_number(value)
         except ValueError:
             raise ConfigError(f"bad --ic {item!r}; expected NODE=VOLTS") from None
-    try:
+    with _bad_input():
         wave = transient(net, args.tstop, args.dt, tech, args.method, ics or None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if args.out:
         waveform_to_csv(wave, args.out)
     rep = _report(args, tech)
@@ -264,10 +276,8 @@ def _cmd_write_margin(args, tech):
 
 
 def _cmd_power(args, tech):
-    try:
+    with _bad_input():
         power = dynamic_power(args.cl, args.vdd, args.fsw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     rep = _report(args, tech)
     rep.add("dynamic_power", power, "W")
     return _emit(rep)
@@ -302,12 +312,16 @@ def _cmd_delay(args, tech):
         rep.add("t_phl", m.t_phl, "s")
         rep.add("t_p", m.t_p, "s")
     elif args.cbit is not None:
+        _positive("cbit", args.cbit)
+        _positive("dv", args.dv)
         current = args.icell
         if current is None:
             if not args.netlist:
                 raise ConfigError("bitline mode needs --icell or --netlist")
             current = read_current(_read_netlist(args.netlist), tech, args.vdd)
             rep.add("i_cell", current, "A")
+        else:
+            _positive("icell", current)
         rep.add("bitline_delay", bitline_delay(args.cbit, args.dv, current), "s")
     else:
         raise ConfigError(
@@ -318,7 +332,8 @@ def _cmd_delay(args, tech):
 
 def _cmd_ratios(args, tech):
     geom = _geometry(args)
-    r = check_ratios(geom.pd, geom.pu, geom.pg)
+    with _bad_input():
+        r = check_ratios(geom.pd, geom.pu, geom.pg)
     rep = _report(args, tech)
     rep.add("cr_left", r.cr_left)
     rep.add("cr_right", r.cr_right)
@@ -339,7 +354,8 @@ def _cmd_ratios(args, tech):
 
 def _cmd_area(args, tech):
     rects = [tuple(r) for r in args.rect] if args.rect else list(DEFAULT_LAYOUT_RECTS)
-    result = area_report(rects)
+    with _bad_input():
+        result = area_report(rects)
     rep = _report(args, tech)
     for i, a in enumerate(result.areas):
         rep.add(f"area_{i}", a, "lambda^2")
@@ -352,14 +368,13 @@ def _cmd_area(args, tech):
 
 def _cmd_montecarlo(args, tech):
     _positive("vdd", args.vdd)
+    _positive("grid", args.grid)
     net = _read_netlist(args.netlist)
     if args.a_vth is not None:  # overrides both cards, so the header echoes it
         tech = tech if tech is not None else TechnologyParams.default()
         tech.nmos.a_vth = tech.pmos.a_vth = args.a_vth
-    try:
+    with _bad_input():
         vm = VariationModel(a_vth=None, n_samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     summary = monte_carlo_snm(net, tech, vm, args.mode, args.vdd, args.grid)
     if args.out:
         with open(args.out, "w", newline="") as fh:

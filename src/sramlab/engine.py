@@ -12,13 +12,14 @@ the next in the queue.  In a decoupled system, where every free unknown is
 a block of its own, each lane is a set of bracketed scalar root-finds:
 independent lanes start with every driven node at its drive, and a Newton
 target that leaves the bracket the residual signs give falls back to the
-bracket's midpoint, so such lanes converge in the pool.  The fallbacks,
-which now serve coupled systems, run on lanes too: the lanes plain Newton
-fails walk each gmin decade together, and take each source step together,
-each with its own drive scale and step.  Unknown ordering is named nodes
-first, in netlist first-use order, then one branch current per voltage
-source.  Extended vectors carry a trailing ground slot pinned at zero so
-every stamp writes unconditionally.
+bracket's midpoint, so such lanes converge in the pool and take no
+fallback.  The fallbacks serve coupled systems (DC solves, sweeps and
+write-margin probes), and run on lanes too: the lanes plain Newton fails
+walk each gmin decade together, each from its own start, and a single
+solve that leaves the ladder takes source stepping.  Unknown ordering is
+named nodes first, in netlist first-use order, then one branch current per
+voltage source.  Extended vectors carry a trailing ground slot pinned at
+zero so every stamp writes unconditionally.
 
 Each Newton step is solved exactly, but not as one dense system.  A voltage
 source from ground to a node that no other grounded source drives fixes that
@@ -298,11 +299,10 @@ class MnaSystem:
 
     # -- solving ------------------------------------------------------
 
-    def residual(self, x: np.ndarray, b: np.ndarray, g_dyn: np.ndarray | None = None) -> np.ndarray:
-        g = self.g_static if g_dyn is None else g_dyn
+    def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         x_ext = np.append(x, 0.0)
-        jac = g.copy()
-        res = g @ x_ext + b
+        jac = self.g_static.copy()
+        res = self.g_static @ x_ext + b
         mos_stamp(x_ext, self.mos_idx, self.mos_par, self.vt, jac, res)
         return res
 
@@ -355,7 +355,8 @@ class MnaSystem:
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """Damped Newton on a queue of lanes, x0 (lanes, n) against b
         (lanes, n+1), all sharing g_dyn; sets gives each lane's row of
-        par_sets (default the first).
+        par_sets (default the first).  It is the only stage decoupled lanes
+        run, and the first of the coupled solves' stages (_solve_lanes).
 
         At most MAX_LANES lanes are live.  Every iteration stamps them in one
         call; each stops on its own test and its place goes to the next
@@ -475,28 +476,25 @@ class MnaSystem:
                     lo, hi, side, flips = lo[keep], hi[keep], side[keep], flips[keep]
         return x, its, failed
 
-    def _newton(
-        self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray, par_set: int = 0
-    ) -> tuple[np.ndarray, int]:
+    def _newton(self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray) -> tuple[np.ndarray, int]:
         """One lane of _newton_lanes; raises ConvergenceError on failure."""
-        x, its, failed = self._newton_lanes(x0[None], b[None], g_dyn, np.full(1, par_set))
+        x, its, failed = self._newton_lanes(x0[None], b[None], g_dyn)
         if failed:
             raise ConvergenceError(failed[0])
         return x[0], int(its[0])
 
     def _gmin_stepping(
-        self, x0: np.ndarray, b: np.ndarray, sets: np.ndarray
+        self, x0: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Gmin stepping on lanes, x0 (lanes, n) against b (lanes, n+1)
-        with parameter rows `sets`: a decade-relaxed shunt from every node
-        to ground, then none.  Near a bistable trip point the exact
-        Jacobian is close to singular and plain Newton wanders; the shunted
-        system stays well conditioned and the warm start keeps the walk
-        inside the caller's intended basin.  Each decade is one
-        _newton_lanes call over the lanes still on the ladder, and a lane
-        that fails a decade leaves it.  Returns the states, each lane's
-        total iteration count, and the failure message of each lane that
-        left, whose state is then not a solution."""
+        """Gmin stepping on lanes, x0 (lanes, n) against b (lanes, n+1): a
+        decade-relaxed shunt from every node to ground, then none.  Near a
+        bistable trip point the exact Jacobian is close to singular and
+        plain Newton wanders; the shunted system stays well conditioned and
+        the warm start keeps the walk inside the caller's intended basin.
+        Each decade is one _newton_lanes call over the lanes still on the
+        ladder, and a lane that fails a decade leaves it.  Returns the
+        states, each lane's total iteration count, and the failure message
+        of each lane that left, whose state is then not a solution."""
         x = np.array(x0, dtype=float)
         its = np.zeros(x.shape[0], dtype=np.int64)
         failed: dict[int, str] = {}
@@ -514,22 +512,20 @@ class MnaSystem:
         for g in ladder():
             if not live.size:
                 break
-            x[live], n, stuck = self._newton_lanes(x[live], b[live], g, sets[live])
+            x[live], n, stuck = self._newton_lanes(x[live], b[live], g)
             its[live] += n
             failed.update((int(live[j]), msg) for j, msg in stuck.items())
             live = live[_passed(live.size, stuck)]
         return x, its, failed
 
-    def _continuation(
-        self, b: np.ndarray, sets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Source stepping on lanes, b (lanes, n+1) with parameter rows
-        `sets`.  At zero drive the all-off state solves exactly; then each
-        lane scales all its drives up together with its own adaptive step,
-        and every round is one _newton_lanes call over the lanes still
-        stepping.  Returns the states, each lane's total iteration count,
-        and the failure message of each lane that stalled or ran out of
-        steps, whose state is then not a solution."""
+    def _continuation(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """Source stepping on lanes, b (lanes, n+1).  At zero drive the
+        all-off state solves exactly; then each lane scales all its drives
+        up together with its own adaptive step, and every round is one
+        _newton_lanes call over the lanes still stepping.  Returns the
+        states, each lane's total iteration count, and the failure message
+        of each lane that stalled or ran out of steps, whose state is then
+        not a solution."""
         lanes = b.shape[0]
         x = np.zeros((lanes, self.size))
         lam, step = np.zeros(lanes), np.full(lanes, 0.1)
@@ -540,9 +536,7 @@ class MnaSystem:
             if not live.size:
                 break
             target = np.minimum(1.0, lam[live] + step[live])
-            x_try, n, stuck = self._newton_lanes(
-                x[live], target[:, None] * b[live], self.g_static, sets[live]
-            )
+            x_try, n, stuck = self._newton_lanes(x[live], target[:, None] * b[live], self.g_static)
             ok = _passed(live.size, stuck)
             good, bad = live[ok], live[~ok]
             x[good], lam[good], its[good] = x_try[ok], target[ok], its[good] + n[ok]
@@ -555,60 +549,39 @@ class MnaSystem:
         return x, its, failed
 
     def _solve_lanes(
-        self, x0: np.ndarray, b: np.ndarray, sets: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConvergenceError]]:
-        """DC solutions of lanes (lanes, n) against b (lanes, n+1), each
-        with the parameter set `sets` names (default the first).
+        self, x0: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+        """Newton, then gmin stepping, on lanes x0 (lanes, n) against b
+        (lanes, n+1): the stage that coupled solves share.
 
-        Plain Newton runs all lanes through one pool.  The lanes it fails
-        take the fallback chain together, gmin stepping and then source
-        stepping, each lane warm-started from the nearest lane of its
-        parameter set that converged, or from its own start when none did.
-        Returns the states, each lane's Newton iteration count, whether it
-        needed a fallback, and the ConvergenceError of each parameter set in
-        which a lane failed every fallback, with the first such lane's index
-        as its `lane` attribute; the set's later fallback lanes keep their
-        plain Newton result.
+        Plain Newton runs all lanes through one pool, and the lanes it fails
+        walk the gmin ladder together, each from its own start.  Returns the
+        states, each lane's iteration count, whether it needed the ladder,
+        and the failure message of each lane that left the ladder, whose
+        state is then not a solution.  Source stepping, which forgets the
+        start, is left to the caller.
         """
-        lanes = x0.shape[0]
-        sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
-        x, its, stuck = self._newton_lanes(x0, b, self.g_static, sets)
-        fallback = ~_passed(lanes, stuck)
+        x, its, stuck = self._newton_lanes(x0, b, self.g_static)
+        fallback = ~_passed(x0.shape[0], stuck)
         rescue = np.flatnonzero(fallback)
-        failed: dict[int, ConvergenceError] = {}
         if not rescue.size:
-            return x, its, fallback, failed
-        converged = np.flatnonzero(~fallback)
-        starts = x0[rescue].copy()
-        for j, lane in enumerate(rescue):
-            near = converged[sets[converged] == sets[lane]]
-            if near.size:
-                starts[j] = x[near[np.argmin(np.abs(near - lane))]]
-        x_g, its_g, left = self._gmin_stepping(starts, b[rescue], sets[rescue])
-        ok = _passed(rescue.size, left)
-        x[rescue[ok]], its[rescue[ok]] = x_g[ok], its_g[ok]
-        rest = rescue[~ok]
-        if not rest.size:
-            return x, its, fallback, failed
-        x_c, its_c, left = self._continuation(b[rest], sets[rest])
-        ok = _passed(rest.size, left)
-        x[rest[ok]], its[rest[ok]] = x_c[ok], its_c[ok]
-        for j in sorted(left):
-            exc = ConvergenceError(left[j])
-            exc.lane = int(rest[j])
-            failed.setdefault(int(sets[exc.lane]), exc)
-        for s, exc in failed.items():
-            later = rescue[(sets[rescue] == s) & (rescue > exc.lane)]
-            x[later], its[later] = x0[later], MAX_ITER
-        return x, its, fallback, failed
+            return x, its, fallback, {}
+        x[rescue], its[rescue], left = self._gmin_stepping(x0[rescue], b[rescue])
+        return x, its, fallback, {int(rescue[j]): msg for j, msg in left.items()}
 
     def solve_dc_vector(
         self, x0: np.ndarray | None = None, t: float = 0.0
     ) -> tuple[np.ndarray, int, bool]:
+        """One DC solution from x0 (default zero): Newton, then gmin
+        stepping, then source stepping.  Returns the state, its iteration
+        count and whether it needed a fallback."""
         start = np.zeros(self.size) if x0 is None else x0
-        x, its, fallback, failed = self._solve_lanes(start[None], self.rhs(t)[None])
-        if failed:
-            raise failed[0]
+        b = self.rhs(t)[None]
+        x, its, fallback, left = self._solve_lanes(start[None], b)
+        if left:
+            x, its, failed = self._continuation(b)
+            if failed:
+                raise ConvergenceError(failed[0])
         return x[0], int(its[0]), bool(fallback[0])
 
     @property
@@ -622,15 +595,18 @@ class MnaSystem:
         self, source_id: str, values: np.ndarray, x0: np.ndarray | None = None
     ) -> tuple[np.ndarray, dict[int, EngineError]]:
         """DC solutions, one lane per parameter set and drive value of one
-        voltage source, as a (sets, values, n) array, and the EngineError of
-        each set in which a lane failed every fallback (that set's states
-        are then not all solutions).  Every set's lane at point i starts at
-        x0[i], of shape (values, n), by default cold: each eliminated
-        source's node at its drive and all else zero, or at the nominal
-        lobe's state when x0 holds it.  Lanes share no warm start, so this
-        needs a decoupled system, in which no lane can choose between two
-        states and the start changes only the path to the one solution; any
-        other raises EngineError, as does a singular step in any lane."""
+        voltage source, as a (sets, values, n) array, and the
+        ConvergenceError of each set in which a lane failed, with the first
+        such lane's message and drive (a failed lane's state is its start).
+        Every set's lane at point i starts at x0[i], of shape (values, n),
+        by default cold: each eliminated source's node at its drive and all
+        else zero, or at the nominal lobe's state when x0 holds it.  Lanes
+        share no warm start, so this needs a decoupled system, in which no
+        lane can choose between two states and the start changes only the
+        path to the one solution; any other raises EngineError, as does a
+        singular step in any lane.  Each lane is then a bracketed scalar
+        root-find, which converges in the pool, so the lanes run plain
+        Newton alone, with no fallback."""
         if not self.decoupled:
             raise EngineError("independent lanes need a decoupled system; sweep it instead")
         if source_id not in self.branch_index:
@@ -647,15 +623,16 @@ class MnaSystem:
             start = np.zeros((points, self.size))
             start[:, self._drv_node] = -b[:, self._drv_branch] * self._drv_sign
         try:
-            x, _, _, failed = self._solve_lanes(
-                np.tile(start, (sets, 1)), np.tile(b, (sets, 1)), lane_sets
+            x, _, failed = self._newton_lanes(
+                np.tile(start, (sets, 1)), np.tile(b, (sets, 1)), self.g_static, lane_sets
             )
         except EngineError as exc:
             raise type(exc)(f"{exc} (sweeping {source_id})") from exc
-        errors: dict[int, EngineError] = {
-            s: type(exc)(f"{exc} (sweeping {source_id}={values[exc.lane % points]:g})")
-            for s, exc in failed.items()
-        }
+        errors: dict[int, EngineError] = {}
+        for lane in sorted(failed):
+            if lane // points not in errors:
+                msg = f"{failed[lane]} (sweeping {source_id}={values[lane % points]:g})"
+                errors[lane // points] = ConvergenceError(msg)
         return x.reshape(sets, points, self.size), errors
 
     # -- state packing ------------------------------------------------
@@ -692,10 +669,11 @@ def solve_dc(
 
 def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive uniform grid from `start` toward `stop`, up or down, in
-    steps of `step`; the last point lands on `stop` exactly."""
+    steps of `step`; the last point lands on `stop` exactly, and is the
+    only point when `start` equals `stop`."""
     if step <= 0:
         raise ValueError("sweep step must be positive")
-    n = max(1, int(round(abs(stop - start) / step)))
+    n = max(1, int(round(abs(stop - start) / step))) if start != stop else 0
     values = start + math.copysign(step, stop - start) * np.arange(n + 1)
     values[-1] = stop
     return values

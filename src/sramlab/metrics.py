@@ -24,6 +24,10 @@ def dynamic_power(c_l: float, v_dd: float, f_sw: float) -> float:
 
 def bitline_delay(c_b: float, dv: float, i_cell: float) -> float:
     """Time for a cell current to slew the bitline capacitance by dv."""
+    if c_b <= 0:
+        raise ValueError("bitline capacitance must be positive")
+    if dv <= 0:
+        raise ValueError("sense swing must be positive")
     if i_cell <= 0:
         raise ValueError("cell current must be positive")
     return c_b * dv / i_cell

@@ -218,12 +218,12 @@ def _butterflies(
     zero), and then every grid point of every shifted sample in a batch of
     at most BATCH_LANES lanes, on one system with one device parameter set
     per sample, each lane started at the nominal lobe's state at its
-    point.  A cell with more free unknowns coupled to it may be bistable
+    point.  Such lanes are bracketed scalar root-finds and need no
+    fallback.  A cell with more free unknowns coupled to it may be bistable
     there, and each sample's lobe is swept, each point warm-started from
-    the last.  A lane that fails every
-    fallback fails only its own sample (a nominal lane then starts the
-    samples from its cold start); an error not tied to a lane fails its
-    whole batch.
+    the last.  A failed lane fails only its own sample (a nominal lane then
+    starts the samples from its cold start); an error not tied to a lane
+    fails its whole batch.
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
@@ -485,9 +485,9 @@ def write_margin(
     A bisection on BL, each probe a DC solve started at the held state.
     The probes are solved in rounds: first the two ends, BL = 0 and v_dd,
     then every midpoint the next WRITE_ROUND_LEVELS bisection steps can
-    reach, as the lanes of one Newton pool.  Probes that plain Newton fails
-    walk the gmin ladder together, each from the held state; source
-    stepping, the last fallback, runs only for a probe the bisection
+    reach, as the lanes of one _solve_lanes call: plain Newton, and then
+    the gmin ladder for the probes it fails, each from the held state.
+    Source stepping, the last fallback, runs only for a probe the bisection
     actually visits.  Each probe therefore gets the result a solve of its
     own gives, and so does the margin.
     """
@@ -508,20 +508,13 @@ def write_margin(
     def probe(values: list[float]) -> None:
         b = np.repeat(base[None], len(values), axis=0)
         b[:, k] -= values
-        starts = np.repeat(held[None], len(values), axis=0)
-        sets = np.zeros(len(values), dtype=np.int64)
-        x, _, stuck = sys._newton_lanes(starts, b, sys.g_static, sets)
-        pending: set[int] = set()
-        if stuck:
-            lanes = np.array(sorted(stuck))
-            x[lanes], _, left = sys._gmin_stepping(starts[lanes], b[lanes], sets[lanes])
-            pending = set(lanes[list(left)].tolist())
+        x, _, _, left = sys._solve_lanes(np.repeat(held[None], len(values), axis=0), b)
         for i, v in enumerate(values):
-            outcome[v] = b[i] if i in pending else bool(x[i, q] < x[i, qbar])
+            outcome[v] = b[i] if i in left else bool(x[i, q] < x[i, qbar])
 
     def flips(bl_v: float) -> bool:
         if isinstance(outcome[bl_v], np.ndarray):
-            x, _, failed = sys._continuation(outcome[bl_v][None], np.zeros(1, dtype=np.int64))
+            x, _, failed = sys._continuation(outcome[bl_v][None])
             if failed:
                 raise ConvergenceError(failed[0])
             outcome[bl_v] = bool(x[0, q] < x[0, qbar])

@@ -177,6 +177,66 @@ def test_sweep_unknown_source_exits_2(run, tmp_path):
     assert err == "error: no stamped source named 'VX'\n"
 
 
+def assert_bad_input(run, message, *argv):
+    # Bad input exits 2 with its message, before anything is printed.
+    code, out, err = run(*argv)
+    assert code == 2 and out == "", argv
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1"])
+def test_sweep_nonpositive_step_exits_2(run, tmp_path, step):
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    argv = ("sweep", str(f), "--source", "V1", "--from", "0", "--to", "1", "--step", step)
+    assert_bad_input(run, "sweep step must be positive", *argv)
+
+
+def test_montecarlo_nonpositive_grid_exits_2(run, cell_file):
+    assert_bad_input(run, "grid must be positive", "montecarlo", "--netlist", cell_file, "--grid", "0")
+
+
+@pytest.mark.parametrize("size", [("--rows", "0"), ("--cols", "-1")])
+def test_generate_empty_array_exits_2(run, size):
+    message = "array needs at least one row and one column"
+    assert_bad_input(run, message, "generate", "--kind", "array", *size)
+
+
+def test_area_negative_side_exits_2(run):
+    assert_bad_input(run, "rectangle sides must be nonnegative", "area", "--rect", "-1", "2")
+
+
+def test_ratios_nonpositive_size_exits_2(run):
+    assert_bad_input(run, "pull-down needs positive W and L", "ratios", "--pd", "0", "1")
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (("--cbit", "-1e-13", "--icell", "1e-6"), "cbit"),
+        (("--cbit", "0", "--icell", "1e-6"), "cbit"),
+        (("--cbit", "1e-13", "--dv", "0", "--icell", "1e-6"), "dv"),
+        (("--cbit", "1e-13", "--icell", "0"), "icell"),
+    ],
+)
+def test_delay_nonpositive_bitline_input_exits_2(run, flags, name):
+    # Each would give a delay of zero, a negative one or none at all.
+    assert_bad_input(run, f"{name} must be positive", "delay", *flags)
+
+
+def test_sweep_of_one_point(run, tmp_path):
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    dest = tmp_path / "sweep.csv"
+    code, out, _ = run(
+        "sweep", str(f), "--source", "V1", "--from", "1", "--to", "1", "--step", "0.1", "--out", str(dest)
+    )
+    assert code == 0
+    assert "points 1" in body_of(out)
+    with open(dest, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2
+
+
 def test_negative_values_after_a_space(run, tmp_path):
     # A SPICE number such as -100m is a value, not an unknown option.
     f = tmp_path / "div.sp"

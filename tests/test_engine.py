@@ -216,8 +216,8 @@ def write_bias(v_dd, v_bl):
 @pytest.fixture
 def fallbacks(monkeypatch):
     """Each DC fallback entered, in order, as its name and the number of
-    lanes in its stack (the last argument names each lane's parameter
-    set); each still runs."""
+    lanes in its stack (the last argument holds each lane's right-hand
+    side); each still runs."""
     entered = []
     for name in ("_gmin_stepping", "_continuation"):
         real = getattr(MnaSystem, name)
@@ -436,6 +436,10 @@ def test_sweep_grid_endpoints():
     assert grid[-1] == 1.0
     with pytest.raises(ValueError):
         sweep_grid(0.0, 1.0, 0.0)
+    # A sweep from a value to itself is that one point; a span shorter
+    # than half a step still keeps both ends.
+    np.testing.assert_array_equal(sweep_grid(1.0, 1.0, 0.1), [1.0])
+    np.testing.assert_array_equal(sweep_grid(0.0, 0.01, 0.02), [0.0, 0.01])
 
 
 def test_sweep_grid_descending():

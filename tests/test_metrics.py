@@ -144,7 +144,16 @@ def test_propagation_delay_fraction_moves_the_level():
 
 def test_bitline_delay_values():
     assert bitline_delay(100e-15, 0.1, 10e-6) == pytest.approx(1.0 * NS, rel=1e-12)
-    assert bitline_delay(100e-15, 0.0, 10e-6) == 0.0
+
+
+@pytest.mark.parametrize(
+    "c_b, dv, message",
+    [(0.0, 0.1, "capacitance"), (-1e-13, 0.1, "capacitance"), (100e-15, 0.0, "swing"), (100e-15, -0.1, "swing")],
+)
+def test_bitline_delay_rejects_nonpositive_capacitance_and_swing(c_b, dv, message):
+    # A zero or negative delay is no delay a bitline can have.
+    with pytest.raises(ValueError, match=message):
+        bitline_delay(c_b, dv, 10e-6)
 
 
 @given(c=finite, dv=finite, i=finite)

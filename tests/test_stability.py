@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import signal
+from dataclasses import replace
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -22,6 +23,7 @@ from sramlab.engine import ConvergenceError, EngineError, MnaSystem, dc_sweep, s
 from sramlab.genlib import CellGeometry, DeviceSize, build_6t_cell
 from sramlab.netlist import (
     GROUND,
+    MosElement,
     Node,
     ResElement,
     SourceElement,
@@ -314,7 +316,7 @@ def test_batched_butterfly_matches_sequential_sweeps(cell, mode, v_dd, grid, shi
 def cold_at(v_in, source="VIN"):
     """A refuse() for refuse_newton: the lanes of plain Newton's cold start
     (the probe, the one free unknown, at 0 V) with `source` driven at
-    v_in.  Lanes the fallbacks run start elsewhere or at a scaled drive."""
+    v_in."""
 
     def refuse(lobe, x0, b, g_dyn, sets):
         probe = lobe._free[0]
@@ -323,26 +325,16 @@ def cold_at(v_in, source="VIN"):
     return refuse
 
 
-def test_stuck_lane_takes_the_fallback(cell, monkeypatch):
-    # A decoupled lobe lane that fails plain Newton is rescued by the
-    # fallback chain.  Plain Newton converges on every such lane of the
-    # bundled cell, so it is made to refuse the cold lane at v_in = 0.5 V
-    # of each read lobe at 0.95 V; a spy must see those lanes, and only
-    # those, enter gmin stepping, and the butterfly must still match the
-    # sequential curves.
+def test_stuck_decoupled_lane_fails_its_butterfly(cell, monkeypatch):
+    # A decoupled lobe lane runs plain Newton alone: made to refuse the cold
+    # lane at v_in = 0.5 V of each read lobe at 0.95 V, it fails the
+    # butterfly with its own message and drive, and no fallback stage runs.
     refuse_newton(monkeypatch, cold_at(0.5, "VSNMIN"))
-    entered = []
-    real = MnaSystem._gmin_stepping
-
-    def spy(self, x0, b, sets):
-        entered.extend(-b[:, self.branch_index["VSNMIN"]])
-        return real(self, x0, b, sets)
-
-    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
-    data = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
-    monkeypatch.undo()
-    assert entered == [pytest.approx(0.5)] * 2
-    assert_matches_sequential(data, cell)
+    entered = spy_fallbacks(monkeypatch)
+    with pytest.raises(ConvergenceError) as failed:
+        butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
+    assert str(failed.value) == "refused (sweeping VSNMIN=0.5)"
+    assert entered == []
 
 
 def spy_fallbacks(monkeypatch):
@@ -402,39 +394,42 @@ def test_bracketed_lane_is_the_kcl_root(cell, monkeypatch, v_dd, grid, v_in):
     assert abs(x[lobe.node_index[cell.role_node("QBAR")]] - want) <= tol
 
 
-def test_butterfly_lattice_needs_no_fallback(cell, monkeypatch):
-    # Every decoupled lobe lane converges in the Newton pool: hold and read
-    # butterflies over every other lattice supply of 0.90-1.80 V, on each
-    # perfbench grid, enter neither gmin nor source stepping.
+def test_decoupled_lanes_never_fail_plain_newton(cell, monkeypatch):
+    # The oracle behind running decoupled lanes without fallbacks: no lane
+    # of a decoupled system fails _newton_lanes.  Checked on hold and read
+    # butterflies over every other lattice supply of 0.90-1.80 V on each
+    # perfbench grid, on low supplies and the DRV bisection, and on seeded
+    # Monte Carlo runs of random geometries (every W scaled by e^U(-1,1))
+    # at random supplies of 0.05-2.0 V and mismatch up to 30 mV*um.
+    lanes, failures = [], []
+    real = MnaSystem._newton_lanes
+
+    def spy(self, x0, *args):
+        x, its, failed = real(self, x0, *args)
+        if self.decoupled:
+            lanes.append(len(x0))
+            failures.extend(failed.values())
+        return x, its, failed
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     entered = spy_fallbacks(monkeypatch)
     for mode, grid in itertools.product(("hold", "read"), (0.010, 0.0125, 0.015)):
         for v_dd in (round(0.90 + 0.10 * k, 2) for k in range(10)):
             butterfly(cell, mode=mode, v_dd=v_dd, grid=grid)
-            assert entered == [], (mode, v_dd, grid)
-
-
-def test_fallback_starts_from_its_own_parameter_set(cell, monkeypatch):
-    # Lane 1 (set 1, v_in = 0.5 V) is refused plain Newton; lanes 0 (set 0)
-    # and 2 (set 1) converge and are equally near.  Its gmin stepping must
-    # start from lane 2, a state of its own devices, in a stack of that one
-    # lane.
-    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=[{"MPDR": 0.01}, {}])
-    values = np.array([0.45, 0.5, 0.0])
-    b = np.repeat(lobe.rhs()[None], 3, axis=0)
-    b[:, lobe.branch_index["VIN"]] = -values
-    refuse_newton(monkeypatch, cold_at(0.5))
-    starts = []
-    real = MnaSystem._gmin_stepping
-
-    def spy(self, x0, b, sets):
-        starts.append((x0.copy(), sets.tolist()))
-        return real(self, x0, b, sets)
-
-    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
-    x, _, fallback, failed = lobe._solve_lanes(np.zeros((3, lobe.size)), b, np.array([0, 1, 1]))
-    assert fallback.tolist() == [False, True, False] and not failed
-    assert len(starts) == 1 and starts[0][1] == [1]
-    assert np.array_equal(starts[0][0], x[2:3])
+    for mode, v_dd in itertools.product(("hold", "read"), (0.1, 0.2, 0.3, 0.5, 0.7)):
+        butterfly(cell, mode=mode, v_dd=v_dd, grid=v_dd / 50)
+    for v_max in (0.25, 0.6, 1.8):
+        drv_bruteforce(cell, v_max=v_max)
+    rng = np.random.default_rng(14)
+    for k in range(16):
+        scales = iter(np.exp(rng.uniform(-1.0, 1.0, 6)))
+        entries = [replace(e, w=e.w * next(scales)) if isinstance(e, MosElement) else e for e in cell.entries]
+        sized = replace(cell, entries=entries)
+        v_dd = rng.uniform(0.05, 2.0)
+        vm = VariationModel(rng.uniform(0.0, 3e-8), 8, k)
+        monte_carlo_snm(sized, vm=vm, mode=("hold", "read")[k % 2], v_dd=v_dd, grid=v_dd / 40)
+    assert failures == [] and entered == []
+    assert sum(lanes) > 30_000
 
 
 def stamp_counter(monkeypatch):
@@ -490,108 +485,61 @@ def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
     assert 8 * pooled < len(lanes) - pooled
 
 
-def one_lane_chain(lobe, x0, b, sets):
-    """The DC fallback chain as it ran one lane at a time, kept as the
-    oracle of the batched one: each lane that plain Newton fails takes gmin
-    stepping, one one-lane _newton per decade, and then source stepping,
-    one one-lane _newton per step, warm-started from the nearest converged
-    lane of its set; once a lane fails every fallback, its set's later
-    lanes are skipped.  Returns what _solve_lanes returns, each failed
-    set's error as (lane, message), and the lanes that reached source
-    stepping."""
+def one_lane_chain(lobe, x0, b):
+    """_solve_lanes one lane at a time, kept as the oracle of the batched
+    stage: plain Newton, one one-lane _newton_lanes per lane, and then, for
+    a lane it fails, gmin stepping from that lane's own start, one one-lane
+    _newton per decade.  Returns the states, the iteration counts, the
+    fallback mask, and the message of each lane that leaves the ladder."""
 
-    def gmin_stepping(x, b_l, s):
+    def gmin_stepping(x, b_l):
         total, gmin, d = 0, 1e-3, np.arange(lobe.n_nodes)
         while gmin > 1e-12:
             g = lobe.g_static.copy()
             g[d, d] += gmin
-            x, its = lobe._newton(x, b_l, g, s)
+            x, its = lobe._newton(x, b_l, g)
             total += its
             gmin *= 0.1
-        x, its = lobe._newton(x, b_l, lobe.g_static, s)
+        x, its = lobe._newton(x, b_l, lobe.g_static)
         return x, total + its
 
-    def continuation(b_l, s):
-        x, lam, step, total = np.zeros(lobe.size), 0.0, 0.1, 0
-        for _ in range(100):
-            target = min(1.0, lam + step)
+    x, its = x0.copy(), np.zeros(len(x0), dtype=np.int64)
+    fallback, left = np.zeros(len(x0), dtype=bool), {}
+    for lane in range(len(x0)):
+        x_1, its_1, stuck = lobe._newton_lanes(x0[lane : lane + 1], b[lane : lane + 1], lobe.g_static)
+        x[lane], its[lane], fallback[lane] = x_1[0], its_1[0], bool(stuck)
+        if stuck:
             try:
-                x_try, its = lobe._newton(x, target * b_l, lobe.g_static, s)
-            except ConvergenceError:
-                step *= 0.5
-                if step < 1e-4:
-                    raise ConvergenceError("source stepping stalled below the minimum step") from None
-                continue
-            x, lam, total = x_try, target, total + its
-            if lam >= 1.0:
-                return x, total
-            step *= 1.5
-        raise ConvergenceError("source stepping exceeded 100 steps")
-
-    x, its, stuck = lobe._newton_lanes(x0, b, lobe.g_static, sets)
-    fallback = np.zeros(len(x0), dtype=bool)
-    fallback[list(stuck)] = True
-    converged = np.flatnonzero(~fallback)
-    failed, stepped = {}, []
-    for lane in np.flatnonzero(fallback).tolist():
-        s = int(sets[lane])
-        if s in failed:
-            continue
-        near = converged[sets[converged] == s]
-        start = x[near[np.argmin(np.abs(near - lane))]] if near.size else x0[lane]
-        try:
-            x[lane], its[lane] = gmin_stepping(start, b[lane], s)
-        except ConvergenceError:
-            stepped.append(lane)
-            try:
-                x[lane], its[lane] = continuation(b[lane], s)
+                x[lane], its[lane] = gmin_stepping(x0[lane], b[lane])
             except ConvergenceError as exc:
-                failed[s] = (lane, str(exc))
-    return x, its, fallback, failed, stepped
+                left[lane] = str(exc)
+    return x, its, fallback, left
 
 
 def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
-    # Cold lanes of a read lobe at 0.95 V, 12.5 mV, under three parameter
-    # sets, with extra points every 2.5 mV across the trip region.  Plain
-    # Newton is refused the cold lanes at 0.4-0.6 V and gmin stepping its
-    # shunted rungs at 0.47-0.53 V, so several lanes per set need gmin
-    # stepping and several source stepping.  Set 0's source stepping is
-    # refused, so its first lane that reaches it fails the set, and its
-    # later fallback lanes, gmin-rescued ones among them, keep their plain
-    # Newton result.  Batched, every lane must end as the one-lane chain
-    # leaves it.
-    rng = np.random.default_rng(0)
-    shifts = [dict(zip(CELL_MOS, rng.normal(0.0, 0.02, 6))) for _ in range(3)]
-    lobe = MnaSystem(biased_lobe(cell, "read", 0.95, "Q"), vth_shift=shifts)
-    grid = np.concatenate((sweep_grid(0.0, 0.95, 0.0125), np.arange(0.4, 0.6, 0.0025)))
-    values = np.tile(grid, 3)
-    b = np.repeat(lobe.rhs()[None], values.size, axis=0)
-    b[:, lobe.branch_index["VIN"]] = -values
-    sets = np.repeat(np.arange(3), grid.size)
-    x0 = np.zeros((values.size, lobe.size))
-
-    vin_row, vdd_row = lobe.branch_index["VIN"], lobe.branch_index["VBVDD"]
-    full = b[0, vdd_row]
-
-    def refuse(self, x0, b, g_dyn, sets):
-        v_in, scaled = -b[:, vin_row], b[:, vdd_row] != full
-        plain = (g_dyn is self.g_static) & ~x0.any(axis=1) & (0.4 <= v_in) & (v_in <= 0.6)
-        shunted = (g_dyn is not self.g_static) & (0.47 <= v_in) & (v_in <= 0.53)
-        return plain | shunted | ((sets == 0) & scaled)
-
-    refuse_newton(monkeypatch, refuse)
-    want_x, want_its, want_fallback, want_failed, stepped = one_lane_chain(lobe, x0, b, sets)
+    # Coupled write probes at 1.2 V, each from the held state, BL every
+    # 10 mV over 0.10-0.45 V and every 2.5 mV over 0.37-0.43 V.  Plain
+    # Newton 2-cycles at BL 0.11-0.33 V, where the gmin ladder converges,
+    # and fails again across 0.374-0.420 V, where the ladder fails too (as
+    # it does at a few probes beside that band).
+    # Batched, in one gmin stage and no source stepping, every lane must end
+    # as the one-lane chain leaves it: the same fallback mask and messages,
+    # and the same state and iteration count wherever a lane converges.
+    values = np.concatenate((sweep_grid(0.10, 0.45, 0.01), np.arange(0.37, 0.43, 0.0025)))
+    lobe, x0, b = write_probe_lanes(cell, 1.2, values)
+    want_x, want_its, want_fallback, want_left = one_lane_chain(lobe, x0, b)
     stages = spy_fallbacks(monkeypatch)
-    x, its, fallback, failed = lobe._solve_lanes(x0, b, sets)
+    x, its, fallback, left = lobe._solve_lanes(x0, b)
     monkeypatch.undo()
 
-    assert stages == ["_gmin_stepping", "_continuation"]
-    assert all((sets[want_fallback] == s).sum() >= 3 for s in range(3))
-    assert {int(sets[lane]) for lane in stepped} == {0, 1, 2}
-    assert list(want_failed) == [0]
+    assert stages == ["_gmin_stepping"]
+    rescued = want_fallback & ~np.isin(np.arange(values.size), list(want_left))
+    assert rescued[(0.11 <= values) & (values <= 0.33)].all()
+    assert np.isin(np.flatnonzero((0.374 <= values) & (values <= 0.420)), list(want_left)).all()
     assert np.array_equal(fallback, want_fallback)
-    assert np.array_equal(x, want_x) and np.array_equal(its, want_its)
-    assert {s: (exc.lane, str(exc)) for s, exc in failed.items()} == want_failed
+    assert left == want_left
+    ok = ~np.isin(np.arange(values.size), list(left))
+    assert np.array_equal(x[ok], want_x[ok]) and np.array_equal(its[ok], want_its[ok])
 
 
 def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
@@ -822,7 +770,7 @@ def test_write_margin_steps_sources_only_on_its_path(cell, v_dd, monkeypatch):
 
         def spy(self, *args, _real=real, _name=name):
             x, its, failed = _real(self, *args)
-            bl = -args[-2][:, self.branch_index["VSNMBL"]]
+            bl = -args[-1][:, self.branch_index["VSNMBL"]]
             seen[_name].extend(bl if _name == "_continuation" else bl[list(failed)])
             if _name == "_gmin_stepping":
                 starts.extend(args[0])
@@ -1041,24 +989,10 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
 
 def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
     # Read at 0.95 V, 12.5 mV: plain Newton is refused the nominal
-    # Q-driven lobe's cold lane at v_in = 0.5 V, and both fallbacks refuse
-    # the unshifted devices.  That lane hands the samples its cold start,
-    # QBAR at 0 V; the shifted samples still solve, and the unshifted ones
-    # fail as butterfly() does.
+    # Q-driven lobe's cold lane at v_in = 0.5 V.  That lane hands the
+    # samples its cold start, QBAR at 0 V; the shifted samples still solve,
+    # and the unshifted ones fail as butterfly() does.
     nominal_par = MnaSystem(cell).mos_par
-
-    def refusing(name):
-        real = getattr(MnaSystem, name)
-
-        def spy(self, *args):
-            x, its, failed = real(self, *args)
-            for j, s in enumerate(args[-1]):
-                if np.array_equal(self.par_sets[s], nominal_par):
-                    failed[j] = "refused"
-            return x, its, failed
-
-        monkeypatch.setattr(MnaSystem, name, spy)
-
     starts = []
     real_lanes = MnaSystem.solve_dc_lanes
 
@@ -1072,8 +1006,6 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
         return cold(lobe, x0, b, g_dyn, sets) & (lobe.par_sets[sets] == nominal_par).all(axis=(1, 2))
 
     refuse_newton(monkeypatch, refuse)
-    refusing("_gmin_stepping")
-    refusing("_continuation")
     monkeypatch.setattr(MnaSystem, "solve_dc_lanes", lanes_spy)
     with pytest.raises(ConvergenceError, match="refused") as nominal:
         butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
