@@ -88,7 +88,7 @@ def _resolve_tech(args) -> TechnologyParams | None:
     return None
 
 
-def _report(args, tech: TechnologyParams | None) -> AnalysisReport:
+def _report(tech: TechnologyParams | None) -> AnalysisReport:
     shown = derive_tech_params(tech if tech is not None else TechnologyParams.default())
     return AnalysisReport(header=list(tech_header_lines(shown)))
 
@@ -131,7 +131,7 @@ def _geometry(args) -> CellGeometry:
 
 def _cmd_parse(args, tech):
     net = _read_netlist(args.netlist)
-    rep = _report(args, tech)
+    rep = _report(tech)
     if net.title:
         rep.add("title", net.title)
     rep.add("nodes", net.node_count)
@@ -146,7 +146,7 @@ def _cmd_parse(args, tech):
 def _cmd_validate(args, tech):
     net = _read_netlist(args.netlist)
     rep = validate(net)
-    rep.header = _report(args, tech).header + rep.header
+    rep.header = _report(tech).header + rep.header
     return _emit(rep)
 
 
@@ -177,7 +177,7 @@ def _cmd_generate(args, tech):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        rep = _report(args, tech)
+        rep = _report(tech)
         rep.add("nodes", net.node_count)
         rep.add("elements", net.element_count)
         return _emit(rep)
@@ -188,7 +188,7 @@ def _cmd_generate(args, tech):
 def _cmd_dc(args, tech):
     net = _read_netlist(args.netlist)
     sol = solve_dc(net, tech)
-    rep = _report(args, tech)
+    rep = _report(tech)
     for name in sorted(sol.voltages):
         rep.add(f"V({name})", sol.voltages[name], "V")
     for sid in sorted(sol.branch_currents):
@@ -207,7 +207,7 @@ def _cmd_sweep(args, tech):
     result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
     if args.out:
         sweep_to_csv(result, args.out)
-    rep = _report(args, tech)
+    rep = _report(tech)
     rep.add("points", result.values.size)
     rep.add("start", float(result.values[0]), "V")
     rep.add("stop", float(result.values[-1]), "V")
@@ -229,7 +229,7 @@ def _cmd_tran(args, tech):
         wave = transient(net, args.tstop, args.dt, tech, args.method, ics or None)
     if args.out:
         waveform_to_csv(wave, args.out)
-    rep = _report(args, tech)
+    rep = _report(tech)
     rep.add("points", wave.time.size)
     rep.add("t_stop", float(wave.time[-1]), "s")
     return _emit(rep)
@@ -242,7 +242,7 @@ def _cmd_snm(args, tech):
     data = butterfly(net, tech, args.mode, args.vdd, args.grid)
     if args.out:
         butterfly_to_csv(data, args.out)
-    rep = _report(args, tech)
+    rep = _report(tech)
     rep.add("snm_high", data.snm_high, "V")
     rep.add("snm_low", data.snm_low, "V")
     rep.add("snm", data.snm, "V", verdict="pass" if data.snm > 0 else "fail")
@@ -253,7 +253,7 @@ def _cmd_drv(args, tech):
     _positive("resolution", args.resolution)
     _positive("vmax", args.vmax)
     net = _read_netlist(args.netlist)
-    rep = _report(args, tech)
+    rep = _report(tech)
     closed = brute = None
     if args.method in ("closed-form", "both"):
         closed = drv_closed_form(drv_inputs_from_cell(net, tech))
@@ -270,7 +270,7 @@ def _cmd_write_margin(args, tech):
     _positive("vdd", args.vdd)
     net = _read_netlist(args.netlist)
     wm = write_margin(net, tech, args.vdd, args.wl)
-    rep = _report(args, tech)
+    rep = _report(tech)
     rep.add("write_margin", wm, "V")
     return _emit(rep)
 
@@ -278,14 +278,14 @@ def _cmd_write_margin(args, tech):
 def _cmd_power(args, tech):
     with _bad_input():
         power = dynamic_power(args.cl, args.vdd, args.fsw)
-    rep = _report(args, tech)
+    rep = _report(tech)
     rep.add("dynamic_power", power, "W")
     return _emit(rep)
 
 
 def _cmd_delay(args, tech):
     _positive("vdd", args.vdd)
-    rep = _report(args, tech)
+    rep = _report(tech)
     if args.tplh is not None or args.tphl is not None:
         if args.tplh is None or args.tphl is None:
             raise ConfigError("--tplh and --tphl must be given together")
@@ -334,7 +334,7 @@ def _cmd_ratios(args, tech):
     geom = _geometry(args)
     with _bad_input():
         r = check_ratios(geom.pd, geom.pu, geom.pg)
-    rep = _report(args, tech)
+    rep = _report(tech)
     rep.add("cr_left", r.cr_left)
     rep.add("cr_right", r.cr_right)
     rep.add("pr_left", r.pr_left)
@@ -356,7 +356,7 @@ def _cmd_area(args, tech):
     rects = [tuple(r) for r in args.rect] if args.rect else list(DEFAULT_LAYOUT_RECTS)
     with _bad_input():
         result = area_report(rects)
-    rep = _report(args, tech)
+    rep = _report(tech)
     for i, a in enumerate(result.areas):
         rep.add(f"area_{i}", a, "lambda^2")
     rep.add("total", result.total, "lambda^2")
@@ -382,7 +382,7 @@ def _cmd_montecarlo(args, tech):
             writer.writerow(["sample", "snm"])
             for i, v in enumerate(summary.samples):
                 writer.writerow([i, repr(float(v))])
-    rep = _report(args, tech)
+    rep = _report(tech)
     rep.add("samples", args.samples)
     rep.add("snm_mean", summary.mean, "V")
     rep.add("snm_stddev", summary.stddev, "V")

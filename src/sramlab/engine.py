@@ -1,7 +1,7 @@
 """Modified-nodal-analysis solver.
 
-DC operating points use damped Newton iteration with gmin-stepping and
-source-stepping fallbacks; sweeps warm-start each point from the last;
+DC operating points use damped Newton iteration with an adaptive
+gmin-stepping fallback; sweeps warm-start each point from the last;
 transient runs fixed-step backward Euler (default) or trapezoidal companions
 for the capacitors.  The Newton loop runs on lanes, a stack of states of one
 system each with its own right-hand side and device parameter set, so that
@@ -13,10 +13,10 @@ a block of its own, each lane is a set of bracketed scalar root-finds:
 independent lanes start with every driven node at its drive, and a Newton
 target that leaves the bracket the residual signs give falls back to the
 bracket's midpoint, so such lanes converge in the pool and take no
-fallback.  The fallbacks serve coupled systems (DC solves, sweeps and
-write-margin probes), and run on lanes too: the lanes plain Newton fails
-walk each gmin decade together, each from its own start, and a single
-solve that leaves the ladder takes source stepping.  Unknown ordering is
+fallback.  The fallback serves coupled systems (DC solves, sweeps and
+write-margin probes), and runs on lanes too: the lanes plain Newton fails
+walk the gmin ladder from their own starts, each with its own step, and
+the lanes at one rung share one Newton call.  Unknown ordering is
 named nodes first, in netlist first-use order, then one branch current per
 voltage source.  Extended vectors carry a trailing ground slot pinned at
 zero so every stamp writes unconditionally.
@@ -486,80 +486,63 @@ class MnaSystem:
     def _gmin_stepping(
         self, x0: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Gmin stepping on lanes, x0 (lanes, n) against b (lanes, n+1): a
-        decade-relaxed shunt from every node to ground, then none.  Near a
-        bistable trip point the exact Jacobian is close to singular and
-        plain Newton wanders; the shunted system stays well conditioned and
-        the warm start keeps the walk inside the caller's intended basin.
-        Each decade is one _newton_lanes call over the lanes still on the
-        ladder, and a lane that fails a decade leaves it.  Returns the
-        states, each lane's total iteration count, and the failure message
-        of each lane that left, whose state is then not a solution."""
+        """Adaptive gmin stepping on lanes, x0 (lanes, n) against b (lanes,
+        n+1): a shunt from every node to ground, relaxed rung by rung, then
+        none (the SPICE2 ladder of Nagel, ERL-M520, 1975, with ngspice's
+        dynamic step).  Near a bistable trip point the exact Jacobian is
+        close to singular and plain Newton wanders; the shunted system stays
+        well conditioned, and each rung starts at the state the last passed
+        rung accepted, the first at the lane's own start, so the walk stays
+        in the caller's basin.
+
+        Each lane starts at 1e-3 S and lowers the shunt by its own step, a
+        decade at first.  A passed rung regrows the step by half, to at most
+        a decade; a failed rung is retried from the last accepted state with
+        half the step, and a lane whose step falls below 0.01 decade fails.
+        Once the next shunt would not exceed 1e-12 S the rung has none, and
+        passing it ends the walk; a lane that fails no rung walks the fixed
+        decade ladder.  The lanes at one rung share one _newton_lanes call.
+        Returns the states, each lane's iteration count over its passed
+        rungs, and the failure message of each lane that stalled, whose
+        state is then not a solution."""
+        lanes = x0.shape[0]
         x = np.array(x0, dtype=float)
-        its = np.zeros(x.shape[0], dtype=np.int64)
-        failed: dict[int, str] = {}
-        live = np.arange(x.shape[0])
-
-        def ladder():
-            gmin, d = 1e-3, np.arange(self.n_nodes)
-            while gmin > 1e-12:
-                g = self.g_static.copy()
-                g[d, d] += gmin
-                yield g
-                gmin *= 0.1
-            yield self.g_static
-
-        for g in ladder():
-            if not live.size:
-                break
-            x[live], n, stuck = self._newton_lanes(x[live], b[live], g)
-            its[live] += n
-            failed.update((int(live[j]), msg) for j, msg in stuck.items())
-            live = live[_passed(live.size, stuck)]
-        return x, its, failed
-
-    def _continuation(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Source stepping on lanes, b (lanes, n+1).  At zero drive the
-        all-off state solves exactly; then each lane scales all its drives
-        up together with its own adaptive step, and every round is one
-        _newton_lanes call over the lanes still stepping.  Returns the
-        states, each lane's total iteration count, and the failure message
-        of each lane that stalled or ran out of steps, whose state is then
-        not a solution."""
-        lanes = b.shape[0]
-        x = np.zeros((lanes, self.size))
-        lam, step = np.zeros(lanes), np.full(lanes, 0.1)
         its = np.zeros(lanes, dtype=np.int64)
         failed: dict[int, str] = {}
-        live = np.arange(lanes)
-        for _ in range(100):
-            if not live.size:
-                break
-            target = np.minimum(1.0, lam[live] + step[live])
-            x_try, n, stuck = self._newton_lanes(x[live], target[:, None] * b[live], self.g_static)
-            ok = _passed(live.size, stuck)
-            good, bad = live[ok], live[~ok]
-            x[good], lam[good], its[good] = x_try[ok], target[ok], its[good] + n[ok]
-            step[good] *= 1.5
-            step[bad] *= 0.5
-            stalled = bad[step[bad] < 1e-4]
-            failed.update(dict.fromkeys(stalled.tolist(), "source stepping stalled below the minimum step"))
-            live = live[(lam[live] < 1.0) & (step[live] >= 1e-4)]
-        failed.update(dict.fromkeys(live.tolist(), "source stepping exceeded 100 steps"))
+        # Per lane: the last accepted shunt (the start counts as a decade
+        # above the first rung) and the step, in decades, to the next.
+        shunt, step = np.full(lanes, 1e-2), np.ones(lanes)
+        live, d = np.arange(lanes), np.arange(self.n_nodes)
+        while live.size:
+            rung = shunt[live] * 10.0 ** -step[live]
+            rung[rung <= 1e-12] = 0.0
+            for gmin in sorted(set(rung.tolist()), reverse=True):
+                at = live[rung == gmin]
+                g = self.g_static.copy()
+                g[d, d] += gmin
+                x[at], n, stuck = self._newton_lanes(x[at], b[at], g)
+                ok = _passed(at.size, stuck)
+                good, bad = at[ok], at[~ok]
+                its[good] += n[ok]
+                shunt[good], step[good] = gmin, np.minimum(1.0, 1.5 * step[good])
+                step[bad] *= 0.5
+                failed.update(
+                    dict.fromkeys(bad[step[bad] < 0.01].tolist(), "gmin stepping stalled below the minimum step")
+                )
+            live = live[(shunt[live] > 0.0) & (step[live] >= 0.01)]
         return x, its, failed
 
     def _solve_lanes(
         self, x0: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
         """Newton, then gmin stepping, on lanes x0 (lanes, n) against b
-        (lanes, n+1): the stage that coupled solves share.
+        (lanes, n+1): the one stage that coupled solves share.
 
         Plain Newton runs all lanes through one pool, and the lanes it fails
-        walk the gmin ladder together, each from its own start.  Returns the
+        walk the adaptive gmin ladder, each from its own start.  Returns the
         states, each lane's iteration count, whether it needed the ladder,
-        and the failure message of each lane that left the ladder, whose
-        state is then not a solution.  Source stepping, which forgets the
-        start, is left to the caller.
+        and the failure message of each lane that stalled on the ladder,
+        whose state is then not a solution.
         """
         x, its, stuck = self._newton_lanes(x0, b, self.g_static)
         fallback = ~_passed(x0.shape[0], stuck)
@@ -572,16 +555,14 @@ class MnaSystem:
     def solve_dc_vector(
         self, x0: np.ndarray | None = None, t: float = 0.0
     ) -> tuple[np.ndarray, int, bool]:
-        """One DC solution from x0 (default zero): Newton, then gmin
-        stepping, then source stepping.  Returns the state, its iteration
-        count and whether it needed a fallback."""
+        """One DC solution from x0 (default zero): _solve_lanes on one lane.
+        Returns the state, its iteration count and whether it needed the
+        gmin ladder; a lane that stalls on the ladder raises
+        ConvergenceError with its message."""
         start = np.zeros(self.size) if x0 is None else x0
-        b = self.rhs(t)[None]
-        x, its, fallback, left = self._solve_lanes(start[None], b)
+        x, its, fallback, left = self._solve_lanes(start[None], self.rhs(t)[None])
         if left:
-            x, its, failed = self._continuation(b)
-            if failed:
-                raise ConvergenceError(failed[0])
+            raise ConvergenceError(left[0])
         return x[0], int(its[0]), bool(fallback[0])
 
     @property
@@ -671,7 +652,7 @@ def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive uniform grid from `start` toward `stop`, up or down, in
     steps of `step`; the last point lands on `stop` exactly, and is the
     only point when `start` equals `stop`."""
-    if step <= 0:
+    if not step > 0:
         raise ValueError("sweep step must be positive")
     n = max(1, int(round(abs(stop - start) / step))) if start != stop else 0
     values = start + math.copysign(step, stop - start) * np.arange(n + 1)
@@ -720,11 +701,14 @@ def transient(
 
     `ics` pins the named nodes with temporary voltage sources for the t=0
     solve only; the pins are absent from the time stepping itself.  A bad
-    step, a t_stop that rounds to zero steps and an initial condition on a
-    node the circuit lacks raise ValueError.
+    step, a t_stop that rounds to zero steps or to no finite number of
+    them, and an initial condition on a node the circuit lacks raise
+    ValueError.
     """
     if dt <= 0 or t_stop <= 0:
         raise ValueError("t_stop and dt must be positive")
+    if not math.isfinite(t_stop / dt):
+        raise ValueError(f"t_stop {t_stop:g} s is not a finite number of steps of {dt:g} s")
     n_steps = int(round(t_stop / dt))
     if n_steps == 0:
         raise ValueError(f"t_stop {t_stop:g} s rounds to zero steps of {dt:g} s")

@@ -227,7 +227,7 @@ def _butterflies(
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
-    if grid <= 0:
+    if not grid > 0:
         raise ValueError("grid must be positive")
     ports = _cell_ports(cell)
     wl = v_dd if mode == "read" else 0.0
@@ -451,7 +451,7 @@ def drv_bruteforce(
         grid = max(v_dd / 200.0, 1e-4)
         return butterfly(cell, tech, "hold", v_dd, grid).snm > 0.0
 
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
     lo, hi = 0.0, v_max
     if not holds(hi):
@@ -486,12 +486,12 @@ def write_margin(
     The probes are solved in rounds: first the two ends, BL = 0 and v_dd,
     then every midpoint the next WRITE_ROUND_LEVELS bisection steps can
     reach, as the lanes of one _solve_lanes call: plain Newton, and then
-    the gmin ladder for the probes it fails, each from the held state.
-    Source stepping, the last fallback, runs only for a probe the bisection
-    actually visits.  Each probe therefore gets the result a solve of its
-    own gives, and so does the margin.
+    the adaptive gmin ladder for the probes it fails, each from the held
+    state.  A probe that stalls on the ladder fails the margin only if the
+    bisection visits it.  Each probe therefore gets the result a solve of
+    its own gives, and so does the margin.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
     ports = _cell_ports(cell)
     wl = v_dd if wl_voltage is None else wl_voltage
@@ -501,23 +501,20 @@ def write_margin(
     k = sys.branch_index["VSNMBL"]
     base = sys.rhs()
     base[k] = 0.0
-    # Per probed BL value: whether the cell flips, or the probe's
-    # right-hand side while it still needs source stepping.
-    outcome: dict[float, bool | np.ndarray] = {}
+    # Per probed BL value: whether the cell flips, or the message of a
+    # probe that stalled on the gmin ladder.
+    outcome: dict[float, bool | str] = {}
 
     def probe(values: list[float]) -> None:
         b = np.repeat(base[None], len(values), axis=0)
         b[:, k] -= values
         x, _, _, left = sys._solve_lanes(np.repeat(held[None], len(values), axis=0), b)
         for i, v in enumerate(values):
-            outcome[v] = b[i] if i in left else bool(x[i, q] < x[i, qbar])
+            outcome[v] = left.get(i, bool(x[i, q] < x[i, qbar]))
 
     def flips(bl_v: float) -> bool:
-        if isinstance(outcome[bl_v], np.ndarray):
-            x, _, failed = sys._continuation(outcome[bl_v][None])
-            if failed:
-                raise ConvergenceError(failed[0])
-            outcome[bl_v] = bool(x[0, q] < x[0, qbar])
+        if isinstance(outcome[bl_v], str):
+            raise ConvergenceError(outcome[bl_v])
         return outcome[bl_v]
 
     def midpoints(lo: float, hi: float, levels: int) -> list[float]:

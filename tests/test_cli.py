@@ -438,6 +438,7 @@ def test_tran_bad_ic_exits_2(run, tmp_path):
         (clash, ["--ic", "out=0"], "element named VIC0"),
         (f, ["--dt", "0"], "must be positive"),
         (f, ["--tstop", "0.04m"], "zero steps"),
+        (f, ["--tstop", "1e300", "--dt", "1e-300"], "not a finite number of steps"),
     ]
     for path, extra, message in cases:
         code, out, err = run("tran", str(path), "--tstop", "1m", "--dt", "0.1m", *extra)

@@ -215,18 +215,17 @@ def write_bias(v_dd, v_bl):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Each DC fallback entered, in order, as its name and the number of
-    lanes in its stack (the last argument holds each lane's right-hand
-    side); each still runs."""
+    """Each entry to the gmin ladder, the one DC fallback, in order, as its
+    name and the number of lanes in its stack (the last argument holds
+    each lane's right-hand side); it still runs."""
     entered = []
-    for name in ("_gmin_stepping", "_continuation"):
-        real = getattr(MnaSystem, name)
+    real = MnaSystem._gmin_stepping
 
-        def spy(self, *args, _real=real, _name=name):
-            entered.append((_name, len(args[-1])))
-            return _real(self, *args)
+    def spy(self, *args):
+        entered.append(("_gmin_stepping", len(args[-1])))
+        return real(self, *args)
 
-        monkeypatch.setattr(MnaSystem, name, spy)
+    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     return entered
 
 
@@ -240,15 +239,31 @@ def test_gmin_stepping_rescues_a_write_probe(fallbacks):
     assert sol.max_residual < ABSTOL
 
 
-def test_source_stepping_rescues_a_write_probe(fallbacks):
-    # Across BL = 0.374-0.420 V at 1.2 V both plain Newton and the gmin
-    # ladder fail; source stepping from zero drive converges.  Which basin
-    # it lands in is not asserted.
+def test_halved_gmin_step_rescues_a_write_probe(fallbacks, monkeypatch):
+    # At 1.2 V, BL = 0.40 V, plain Newton from the held state fails, and so
+    # does the rung at 1e-5 S of the fixed decade ladder.  The lane retries
+    # half a decade up from the 1e-4 S state it last accepted, walks on,
+    # and lands in the flipped basin: Q pulled down to about 0.19 V.
+    rungs = []
+    real = MnaSystem._newton_lanes
+
+    def spy(self, x0, b, g_dyn, sets=None):
+        x, its, failed = real(self, x0, b, g_dyn, sets)
+        rungs.append((g_dyn[0, 0] - self.g_static[0, 0], bool(failed)))
+        return x, its, failed
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     net, held = write_bias(1.2, 0.40)
     sol = solve_dc(net, initial=held)
-    assert fallbacks == [("_gmin_stepping", 1), ("_continuation", 1)]
+    assert fallbacks == [("_gmin_stepping", 1)]
+    shunts, failed = zip(*rungs)
+    assert shunts[:5] == pytest.approx([0.0, 1e-3, 1e-4, 1e-5, 10**-4.5])
+    assert failed[:5] == (True, False, False, True, False)
+    assert shunts[-1] == 0.0 and not failed[-1]
     assert sol.continuation
     assert sol.max_residual < ABSTOL
+    assert sol.voltage("Q") == pytest.approx(0.194, abs=1e-3)
+    assert sol.voltage("QBAR") == pytest.approx(1.2, abs=1e-6)
 
 
 def test_bad_resistor_value():

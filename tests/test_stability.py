@@ -338,16 +338,16 @@ def test_stuck_decoupled_lane_fails_its_butterfly(cell, monkeypatch):
 
 
 def spy_fallbacks(monkeypatch):
-    """Names of the fallback stages the engine enters, in order."""
+    """Names of the fallback stages the engine enters, in order: the gmin
+    ladder is the only one."""
     entered = []
-    for name in ("_gmin_stepping", "_continuation"):
-        real = getattr(MnaSystem, name)
+    real = MnaSystem._gmin_stepping
 
-        def spy(self, *args, _real=real, _name=name):
-            entered.append(_name)
-            return _real(self, *args)
+    def spy(self, *args):
+        entered.append("_gmin_stepping")
+        return real(self, *args)
 
-        monkeypatch.setattr(MnaSystem, name, spy)
+    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     return entered
 
 
@@ -488,20 +488,33 @@ def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
 def one_lane_chain(lobe, x0, b):
     """_solve_lanes one lane at a time, kept as the oracle of the batched
     stage: plain Newton, one one-lane _newton_lanes per lane, and then, for
-    a lane it fails, gmin stepping from that lane's own start, one one-lane
-    _newton per decade.  Returns the states, the iteration counts, the
-    fallback mask, and the message of each lane that leaves the ladder."""
+    a lane it fails, the adaptive gmin ladder from that lane's own start,
+    one one-lane _newton per rung.  Returns the states, the iteration
+    counts, the fallback mask, and the message of each lane that stalls on
+    the ladder."""
 
     def gmin_stepping(x, b_l):
-        total, gmin, d = 0, 1e-3, np.arange(lobe.n_nodes)
-        while gmin > 1e-12:
+        # A decade down from 1e-3 S per accepted rung; a failed rung is
+        # retried from the accepted state with half the step, which then
+        # regrows by half per rung up to a decade; no shunt once the next
+        # would not exceed 1e-12 S.
+        total, shunt, step, d = 0, 1e-2, 1.0, np.arange(lobe.n_nodes)
+        while True:
+            gmin = shunt * 10.0**-step
+            gmin = gmin if gmin > 1e-12 else 0.0
             g = lobe.g_static.copy()
             g[d, d] += gmin
-            x, its = lobe._newton(x, b_l, g)
+            try:
+                x, its = lobe._newton(x, b_l, g)
+            except ConvergenceError:
+                step *= 0.5
+                if step < 0.01:
+                    raise ConvergenceError("gmin stepping stalled below the minimum step") from None
+                continue
             total += its
-            gmin *= 0.1
-        x, its = lobe._newton(x, b_l, lobe.g_static)
-        return x, total + its
+            if not gmin:
+                return x, total
+            shunt, step = gmin, min(1.0, 1.5 * step)
 
     x, its = x0.copy(), np.zeros(len(x0), dtype=np.int64)
     fallback, left = np.zeros(len(x0), dtype=bool), {}
@@ -519,11 +532,11 @@ def one_lane_chain(lobe, x0, b):
 def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
     # Coupled write probes at 1.2 V, each from the held state, BL every
     # 10 mV over 0.10-0.45 V and every 2.5 mV over 0.37-0.43 V.  Plain
-    # Newton 2-cycles at BL 0.11-0.33 V, where the gmin ladder converges,
-    # and fails again across 0.374-0.420 V, where the ladder fails too (as
-    # it does at a few probes beside that band).
-    # Batched, in one gmin stage and no source stepping, every lane must end
-    # as the one-lane chain leaves it: the same fallback mask and messages,
+    # Newton 2-cycles at BL 0.11-0.33 V, where the fixed decade ladder
+    # converges, and fails again across 0.374-0.420 V, where the fixed
+    # ladder failed too and only a halved step gets through.  Every probe
+    # must be rescued.  Batched, in one gmin stage, every lane must end as
+    # the one-lane chain leaves it: the same fallback mask and messages,
     # and the same state and iteration count wherever a lane converges.
     values = np.concatenate((sweep_grid(0.10, 0.45, 0.01), np.arange(0.37, 0.43, 0.0025)))
     lobe, x0, b = write_probe_lanes(cell, 1.2, values)
@@ -533,9 +546,9 @@ def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
     monkeypatch.undo()
 
     assert stages == ["_gmin_stepping"]
-    rescued = want_fallback & ~np.isin(np.arange(values.size), list(want_left))
-    assert rescued[(0.11 <= values) & (values <= 0.33)].all()
-    assert np.isin(np.flatnonzero((0.374 <= values) & (values <= 0.420)), list(want_left)).all()
+    assert want_fallback[(0.11 <= values) & (values <= 0.33)].all()
+    assert want_fallback[(0.374 <= values) & (values <= 0.420)].all()
+    assert want_left == {}
     assert np.array_equal(fallback, want_fallback)
     assert left == want_left
     ok = ~np.isin(np.arange(values.size), list(left))
@@ -730,20 +743,51 @@ def sequential_write_margin(cell, v_dd, resolution=1e-3):
     return lo
 
 
-@pytest.mark.parametrize("v_dd", [0.9, 1.0, 1.2, 1.4, 1.8])
+@pytest.mark.parametrize("v_dd", [0.9, 1.0, 1.2, 1.30, 1.35, 1.4, 1.8])
 def test_write_margin_is_the_sequential_bisection(cell, v_dd):
     # The rounds solve many probes at once, yet each probe, and so the
     # margin, must be what a solve of its own gives, bit for bit.
     assert write_margin(cell, v_dd=v_dd) == sequential_write_margin(cell, v_dd)
 
 
-def test_write_margin_fails_where_the_sequential_bisection_fails(cell):
-    # At 1.30 V source stepping stalls on a probe the bisection visits.
-    with pytest.raises(ConvergenceError) as want:
-        sequential_write_margin(cell, 1.30)
+def stall_at(bl_v, hits):
+    """A refuse() for refuse_newton: every lane of a write probe with BL at
+    bl_v (source VSNMBL in write_margin, VWBL in probe_write), at every
+    rung, so that probe stalls on the gmin ladder.  Appends to hits once
+    per refused call."""
+
+    def refuse(lobe, x0, b, g_dyn, sets):
+        k = lobe.branch_index.get("VSNMBL", lobe.branch_index.get("VWBL"))
+        mask = -b[:, k] == bl_v
+        if mask.any():
+            hits.append(bl_v)
+        return mask
+
+    return refuse
+
+
+def test_write_margin_fails_where_the_sequential_bisection_fails(cell, monkeypatch):
+    # A probe made to stall on the gmin ladder fails the margin, with the
+    # ladder's message, exactly when the bisection visits it: at 1.2 V the
+    # first midpoint, BL = 0.6 V, is on every path, while the midpoint above
+    # it is solved in the first round of speculative probes and, the cell
+    # holding at 0.6 V, never visited.
+    want = write_margin(cell, v_dd=1.2)
+    on = 0.5 * (0.0 + 1.2)
+    off = 0.5 * (on + 1.2)
+    assert want < on
+    refuse_newton(monkeypatch, stall_at(on, []))
+    with pytest.raises(ConvergenceError) as seq:
+        sequential_write_margin(cell, 1.2)
     with pytest.raises(ConvergenceError) as got:
-        write_margin(cell, v_dd=1.30)
-    assert str(got.value) == str(want.value) == "source stepping stalled below the minimum step"
+        write_margin(cell, v_dd=1.2)
+    assert str(got.value) == str(seq.value) == "gmin stepping stalled below the minimum step"
+    monkeypatch.undo()
+    hits = []
+    refuse_newton(monkeypatch, stall_at(off, hits))
+    assert write_margin(cell, v_dd=1.2) == want
+    assert hits
+    assert sequential_write_margin(cell, 1.2) == want
 
 
 def bisection_path(v_dd, wm, resolution=1e-3):
@@ -758,28 +802,21 @@ def bisection_path(v_dd, wm, resolution=1e-3):
 
 
 @pytest.mark.parametrize("v_dd", [1.25, 1.40])
-def test_write_margin_steps_sources_only_on_its_path(cell, v_dd, monkeypatch):
-    # Some speculative probes fail the gmin ladder off the bisection path;
-    # source stepping must see none of them.  Every probe on the ladder
-    # starts from the held state (Q at v_dd, all else zero), not from a
-    # neighbouring probe's solution.
-    seen = {"_gmin_stepping": [], "_continuation": []}
-    starts = []
-    for name in seen:
-        real = getattr(MnaSystem, name)
+def test_write_margin_ladder_starts_at_the_held_state(cell, v_dd, monkeypatch):
+    # The gmin ladder takes speculative probes off the bisection path as
+    # well as probes on it, and every one starts from the held state (Q at
+    # v_dd, all else zero), not from a neighbouring probe's solution.
+    seen, starts = [], []
+    real = MnaSystem._gmin_stepping
 
-        def spy(self, *args, _real=real, _name=name):
-            x, its, failed = _real(self, *args)
-            bl = -args[-1][:, self.branch_index["VSNMBL"]]
-            seen[_name].extend(bl if _name == "_continuation" else bl[list(failed)])
-            if _name == "_gmin_stepping":
-                starts.extend(args[0])
-            return x, its, failed
+    def spy(self, x0, b):
+        seen.extend(-b[:, self.branch_index["VSNMBL"]])
+        starts.extend(x0)
+        return real(self, x0, b)
 
-        monkeypatch.setattr(MnaSystem, name, spy)
+    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     path = bisection_path(v_dd, write_margin(cell, v_dd=v_dd))
-    assert set(seen["_continuation"]) <= set(path)
-    assert set(seen["_gmin_stepping"]) - set(path)
+    assert set(seen) - set(path)
     assert all(np.array_equal(x, starts[0]) for x in starts)
     assert np.count_nonzero(starts[0]) == 1 and starts[0].max() == v_dd
 
@@ -792,7 +829,7 @@ def test_write_margin_flipping_at_supply_solves_only_the_ends(cell, monkeypatch)
     assert lanes and max(lanes) <= 2
 
 
-@pytest.mark.parametrize("resolution", [0.0, -1e-3])
+@pytest.mark.parametrize("resolution", [0.0, -1e-3, float("nan")])
 def test_nonpositive_resolution_is_rejected_before_any_solve(cell, resolution, monkeypatch):
     # No bisection can shrink to such a resolution.
     lanes = stamp_counter(monkeypatch)
@@ -967,8 +1004,8 @@ def test_monte_carlo_samples_are_per_sample_butterflies(cell, seed, mode, v_dd, 
 
 def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
     # Every stamp of the third sample's devices returns a non-finite
-    # residual, so each of its lanes fails plain Newton, gmin stepping and
-    # source stepping; that sample alone fails.
+    # residual, so each of its lanes fails plain Newton; that sample alone
+    # fails.
     vm = VariationModel(3e-9, 10, 1)
     doomed = MnaSystem(cell, vth_shift=sample_shifts(cell, vm)[2]).mos_par
     real = engine.mos_stamp
