@@ -27,7 +27,10 @@ node's step outright; the remaining unknowns fall apart into the connected
 components of their coupling graph, and each component is solved as its own
 dense block, all blocks of one size and every lane in a single stacked
 call.  The branch current of an eliminated source then follows from its
-node's KCL row.
+node's KCL row.  No (n+1)-square matrix is formed: each system fixes once
+the plan of Jacobian entries that can be nonzero, a lane's Jacobian is one
+value per planned entry, and every reset, product, gather and stamp runs
+over those entries alone.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .devices import TechnologyParams, derive_tech_params
-from .kernels import COL_VTH0, N_PAR, mos_stamp, pack_device
+from .kernels import COL_VTH0, JAC_COL, JAC_ROW, N_PAR, RES_ROW, mos_stamp, pack_device
 from .netlist import (
     GROUND,
     CapElement,
@@ -82,7 +86,7 @@ class DcSolution:
     voltages: dict[str, float]
     branch_currents: dict[str, float]
     iterations: int
-    continuation: bool
+    gmin_ladder: bool  # whether plain Newton failed and the gmin ladder solved it
     max_residual: float  # A, worst node KCL residual at the solution
 
     def voltage(self, name: str) -> float:
@@ -124,6 +128,26 @@ def _passed(lanes: int, failed: dict[int, str]) -> np.ndarray:
     ok = np.ones(lanes, dtype=bool)
     ok[list(failed)] = False
     return ok
+
+
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values in the sorted rows starts, and its value."""
+    first = np.ones(rows.shape, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    starts = first.nonzero()[0]
+    return starts, rows[starts]
+
+
+def _row_sums(terms: np.ndarray, runs: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Sum of terms (..., k) over each run of runs, placed at the run's row of
+    an (..., n) array whose other rows are zero."""
+    starts, rows = runs
+    if rows.size == n:  # a run on every row
+        return np.add.reduceat(terms, starts, axis=-1)
+    out = np.zeros(terms.shape[:-1] + (n,))
+    if starts.size:
+        out[..., rows] = np.add.reduceat(terms, starts, axis=-1)
+    return out
 
 
 class MnaSystem:
@@ -181,33 +205,31 @@ class MnaSystem:
         ).reshape(len(shifts), len(mos))
         self.mos_par = self.par_sets[0]
 
-        g = np.zeros((self.size + 1, self.size + 1))
+        # The linear elements' (row, column, value) entries, in the order
+        # they accumulate.
+        static = []
         for r in resistors:
             if r.value <= 0:
                 raise EngineError(f"resistor {r.id} needs a positive value")
             a, b = self._slot(r.n1), self._slot(r.n2)
             gg = 1.0 / r.value
-            g[a, a] += gg
-            g[a, b] -= gg
-            g[b, b] += gg
-            g[b, a] -= gg
+            static += [(a, a, gg), (a, b, -gg), (b, b, gg), (b, a, -gg)]
         for e in self.vsources:
             k = self.branch_index[e.id]
             a, b = self._slot(e.n_plus), self._slot(e.n_minus)
-            g[a, k] += 1.0
-            g[b, k] -= 1.0
-            g[k, a] += 1.0
-            g[k, b] -= 1.0
-        self.g_static = g
+            static += [(a, k, 1.0), (b, k, -1.0), (k, a, 1.0), (k, b, -1.0)]
+        rows, cols, vals = np.array(static).reshape(-1, 3).T
         self._overrides: dict[str, float] = {}
-        self._plan_step(resistors)
+        self._plan_step(resistors, (rows * (self.size + 1) + cols).astype(np.int64))
+        self.g_static = np.zeros(self._sink + 1)
+        np.add.at(self.g_static, self._static_pos, vals)
 
     def _slot(self, node: Node) -> int:
         if node.is_ground:
             return self.ground
         return self.node_index[node.name]
 
-    def _plan_step(self, resistors: list[ResElement]) -> None:
+    def _plan_step(self, resistors: list[ResElement], static_keys: np.ndarray) -> None:
         # Eliminated sources: grounded, and the only grounded source on
         # their node.  sign is +1 when the node is the + terminal.
         size, ground = self.size, self.ground
@@ -254,21 +276,48 @@ class MnaSystem:
         for members in components.values():
             by_size.setdefault(len(members), []).append(members)
 
-        # Flat indices into jac.reshape(-1): each size class of blocks, the
-        # free-by-driven coupling, and the full rows of the driven nodes.
-        # Blocks also keep their unknowns' positions in the free vector.
+        # The plan: every entry of the Jacobian that can be nonzero, off the
+        # ground row and column, as sorted keys row * (n+1) + column.  It
+        # holds the linear elements' entries (static_keys), every node's and
+        # free unknown's diagonal (for gmin shunts and the bracket), each
+        # device's eight targets, and every pair within each capacitor and
+        # each block.  A lane's Jacobian is one value per key plus a last
+        # slot, the sink, where entries on ground land.
         n_ext = size + 1
-        free = np.array(sorted(set(range(size)) - eliminated), dtype=np.int64)
-        self._free = free
-        self._blocks = []
-        for m in sorted(by_size):
-            idx = np.array(by_size[m], dtype=np.int64)
-            pos = np.searchsorted(free, idx)
-            flat = idx[:, :, None] * n_ext + idx[:, None, :]
-            self._blocks.append((m, pos, idx, flat))
-        self._free_diag_flat = free * (n_ext + 1)
-        self._free_drv_flat = free[:, None] * n_ext + self._drv_node[None, :]
-        self._drv_row_flat = self._drv_node[:, None] * n_ext + np.arange(size)[None, :]
+        self._free = free = np.array(sorted(set(range(size)) - eliminated), dtype=np.int64)
+        blocks = [np.array(by_size[m], dtype=np.int64) for m in sorted(by_size)]
+        caps = np.array([(self._slot(c.n1), self._slot(c.n2)) for c in self.caps], dtype=np.int64).reshape(-1, 2)
+        terminals = self.mos_idx.T
+        parts = [static_keys, np.arange(self.n_nodes) * (n_ext + 1), free * (n_ext + 1)]
+        parts += [terminals[JAC_ROW] * n_ext + terminals[JAC_COL]]
+        parts += [sq[:, :, None] * n_ext + sq[:, None, :] for sq in [caps] + blocks]
+        query = np.concatenate([part.ravel() for part in parts])
+        off = (query >= size * n_ext) | (query % n_ext == size)
+        keys = np.sort(query[~off])
+        self._keys = keys[_runs(keys)[0]]  # deduplicated by hand: np.unique would import numpy.ma
+        self._sink = self._keys.size
+        pos = np.searchsorted(self._keys, query)
+        pos[off] = self._sink
+        ends = np.cumsum([part.size for part in parts])
+        pos = [pos[end - part.size : end].reshape(part.shape) for part, end in zip(parts, ends)]
+        self._static_pos, self._node_diag, self._free_diag, stamp_pos, self._cap_pos, *block_pos = pos
+        row, col = np.divmod(self._keys, n_ext)
+        self._col, self._row_runs = col, _runs(row)
+
+        # The step's gathers, as positions in a lane's values: each size
+        # class of blocks (with their unknowns' positions in the free
+        # vector), the free-by-driven coupling, and the rows of the driven
+        # nodes, each with its columns and row runs.
+        self._blocks = [(idx.shape[1], np.searchsorted(free, idx), idx, at) for idx, at in zip(blocks, block_pos)]
+        free_of, drv_of = np.full(size, -1), np.full(size, -1)
+        free_of[free], drv_of[self._drv_node] = np.arange(free.size), np.arange(self._drv_node.size)
+        at = np.flatnonzero((free_of[row] >= 0) & (drv_of[col] >= 0))
+        self._coupling = (at, drv_of[col[at]], _runs(free_of[row[at]]))
+        at = np.flatnonzero(drv_of[row] >= 0)
+        self._drv_rows = (at, col[at], _runs(drv_of[row[at]]))
+        # The stamp's targets: each device's Jacobian entries as positions,
+        # and its residual entries as slots.
+        self._stamp_at = np.concatenate((stamp_pos, terminals[RES_ROW]))
         # Tolerance of each residual row: KCL in amps, then branch volts.
         self._res_tol = np.where(np.arange(size) < self.n_nodes, ABSTOL, VNTOL)
 
@@ -299,11 +348,17 @@ class MnaSystem:
 
     # -- solving ------------------------------------------------------
 
+    def _linear(self, g: np.ndarray, x_ext: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """b plus g @ x_ext over the planned entries of Jacobian values g,
+        for one extended state or a stack of lanes."""
+        res = b.copy()
+        res[..., :-1] += _row_sums(g[:-1] * x_ext.take(self._col, axis=-1), self._row_runs, self.size)
+        return res
+
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         x_ext = np.append(x, 0.0)
-        jac = self.g_static.copy()
-        res = self.g_static @ x_ext + b
-        mos_stamp(x_ext, self.mos_idx, self.mos_par, self.vt, jac, res)
+        res = self._linear(self.g_static, x_ext, b)
+        mos_stamp(x_ext, self.mos_idx, self.mos_par, self.vt, self.g_static.copy(), res, self._stamp_at)
         return res
 
     def _worst_node(self, res: np.ndarray) -> str:
@@ -312,27 +367,28 @@ class MnaSystem:
         return self.nodes[int(np.argmax(np.abs(res[: self.n_nodes])))]
 
     def newton_step(self, jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """Solve jac[:n, :n] @ delta = -res[:n] over the n unknowns.
+        """Solve J @ delta = -res[:n] over the n unknowns, J the Jacobian
+        whose planned entries jac holds.
 
-        jac and res are the extended, C-contiguous Jacobian and residual of
-        this system, either one of each or a stack of lanes, (lanes, n+1,
-        n+1) and (lanes, n+1), whose steps come back as (lanes, n).  The
-        step is exact: it equals the dense solve to rounding.  A singular
-        block raises FloatingNodeError.
+        jac holds this system's Jacobian values, one per planned entry plus
+        the sink, and res its extended residual: one of each or a stack of
+        lanes, (lanes, entries + 1) and (lanes, n+1), whose steps come back
+        as (lanes, n).  The step is exact: it equals the dense solve to
+        rounding.  A singular block raises FloatingNodeError.
         """
         if res.ndim == 1:
             return self.newton_step(jac[None], res[None])[0]
         lanes = res.shape[0]
-        jf = jac.reshape(lanes, -1)
         # Worked in the negated step e = -delta, which saves negations.
         # Gathers use take, several times faster here than fancy indexing.
         e = np.zeros((lanes, self.size))
         e_drv = res.take(self._drv_branch, axis=1) * self._drv_sign
         e[:, self._drv_node] = e_drv
-        coupling = jf.take(self._free_drv_flat, axis=1)
-        rhs = res.take(self._free, axis=1) - (coupling @ e_drv[:, :, None])[:, :, 0]
+        at, col, runs = self._coupling
+        coupled = jac.take(at, axis=1) * e_drv.take(col, axis=1)
+        rhs = res.take(self._free, axis=1) - _row_sums(coupled, runs, self._free.size)
         for m, pos, idx, flat in self._blocks:
-            block = jf.take(flat, axis=1)
+            block = jac.take(flat, axis=1)
             if m == 1:
                 if not block.all():
                     raise FloatingNodeError(_SINGULAR)
@@ -344,10 +400,9 @@ class MnaSystem:
                 raise FloatingNodeError(_SINGULAR) from exc
         # The eliminated branch entries of e are still zero here, so each
         # driven row's product leaves out its own source's term.
-        rows = jf.take(self._drv_row_flat, axis=1)
-        e[:, self._drv_branch] = self._drv_sign * (
-            res.take(self._drv_node, axis=1) - (rows @ e[:, :, None])[:, :, 0]
-        )
+        at, col, runs = self._drv_rows
+        row_e = _row_sums(jac.take(at, axis=1) * e.take(col, axis=1), runs, self._drv_node.size)
+        e[:, self._drv_branch] = self._drv_sign * (res.take(self._drv_node, axis=1) - row_e)
         return -e
 
     def _newton_lanes(
@@ -394,9 +449,11 @@ class MnaSystem:
             free = self._free
             lo, hi = np.full((pool, free.size), -np.inf), np.full((pool, free.size), np.inf)
             side, flips = np.zeros((pool, free.size)), np.zeros((pool, free.size), dtype=np.int64)
-        # One Jacobian buffer, reset in place each iteration: a fresh copy
-        # of a large g_dyn per iteration costs page faults, not just copying.
-        jac_buf = np.empty((pool,) + g_dyn.shape)
+        # One buffer of Jacobian values, reset in place each iteration, and
+        # the stamp's targets in it and in the residuals, per pool slot.
+        jac_buf = np.empty((pool, g_dyn.size))
+        stride = np.repeat([g_dyn.size, n + 1], [8, 2])
+        stamp_at = self._stamp_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
         # Per pool slot: the live lane's id, iteration count, right-hand
         # side, parameter rows, extended state and whether its last step was
         # small, then its state and residual of the iteration before, NaN
@@ -414,13 +471,13 @@ class MnaSystem:
             count += 1
             jac = jac_buf[: ids.size]
             jac[...] = g_dyn
-            res = (g_dyn @ xl[:, :, None])[:, :, 0] + bl
-            mos_stamp(xl, self.mos_idx, parl, self.vt, jac, res)
+            res = self._linear(g_dyn, xl, bl)
+            mos_stamp(xl, self.mos_idx, parl, self.vt, jac, res, stamp_at[:, : ids.size])
             delta = self.newton_step(jac, res)
             if bracket:
                 xf, df = xl.take(free, axis=1), delta.take(free, axis=1)
                 known = (res.take(self._drv_branch, axis=1) == 0).all(axis=1)[:, None] & (
-                    jac.reshape(ids.size, -1).take(self._free_diag_flat, axis=1) > 0
+                    jac.take(self._free_diag, axis=1) > 0
                 )
                 s = np.where(known, np.sign(res.take(free, axis=1)), 0.0)
                 flips += s * side < 0
@@ -500,8 +557,10 @@ class MnaSystem:
         a decade; a failed rung is retried from the last accepted state with
         half the step, and a lane whose step falls below 0.01 decade fails.
         Once the next shunt would not exceed 1e-12 S the rung has none, and
-        passing it ends the walk; a lane that fails no rung walks the fixed
-        decade ladder.  The lanes at one rung share one _newton_lanes call.
+        passing it ends the walk; a lane that fails it fails at once if half
+        its step would still give no shunt.  A lane that fails no rung walks
+        the fixed decade ladder.  The lanes at one rung share one
+        _newton_lanes call.
         Returns the states, each lane's iteration count over its passed
         rungs, and the failure message of each lane that stalled, whose
         state is then not a solution."""
@@ -512,20 +571,23 @@ class MnaSystem:
         # Per lane: the last accepted shunt (the start counts as a decade
         # above the first rung) and the step, in decades, to the next.
         shunt, step = np.full(lanes, 1e-2), np.ones(lanes)
-        live, d = np.arange(lanes), np.arange(self.n_nodes)
+        live = np.arange(lanes)
         while live.size:
             rung = shunt[live] * 10.0 ** -step[live]
             rung[rung <= 1e-12] = 0.0
             for gmin in sorted(set(rung.tolist()), reverse=True):
                 at = live[rung == gmin]
                 g = self.g_static.copy()
-                g[d, d] += gmin
+                g[self._node_diag] += gmin
                 x[at], n, stuck = self._newton_lanes(x[at], b[at], g)
                 ok = _passed(at.size, stuck)
                 good, bad = at[ok], at[~ok]
                 its[good] += n[ok]
                 shunt[good], step[good] = gmin, np.minimum(1.0, 1.5 * step[good])
                 step[bad] *= 0.5
+                # A lane whose halved step still gives no shunt would repeat
+                # the unshunted solve it just failed, from the same state.
+                step[bad[shunt[bad] * 10.0 ** -step[bad] <= 1e-12]] = 0.0
                 failed.update(
                     dict.fromkeys(bad[step[bad] < 0.01].tolist(), "gmin stepping stalled below the minimum step")
                 )
@@ -628,12 +690,12 @@ class MnaSystem:
             x[self.node_index[name]] = v
         return x
 
-    def solution(self, x: np.ndarray, iterations: int, continuation: bool, t: float = 0.0) -> DcSolution:
+    def solution(self, x: np.ndarray, iterations: int, gmin_ladder: bool, t: float = 0.0) -> DcSolution:
         volts = {name: float(x[i]) for name, i in self.node_index.items()}
         currents = {sid: float(x[k]) for sid, k in self.branch_index.items()}
         res = self.residual(x, self.rhs(t))
         worst = float(np.abs(res[: self.n_nodes]).max(initial=0.0))
-        return DcSolution(volts, currents, iterations, continuation, worst)
+        return DcSolution(volts, currents, iterations, gmin_ladder, worst)
 
 
 def solve_dc(
@@ -644,8 +706,8 @@ def solve_dc(
 ) -> DcSolution:
     sys = MnaSystem(net, tech, vth_shift)
     x0 = sys.pack_state(initial) if initial else None
-    x, its, cont = sys.solve_dc_vector(x0=x0)
-    return sys.solution(x, its, cont)
+    x, its, ladder = sys.solve_dc_vector(x0=x0)
+    return sys.solution(x, its, ladder)
 
 
 def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -701,9 +763,10 @@ def transient(
 
     `ics` pins the named nodes with temporary voltage sources for the t=0
     solve only; the pins are absent from the time stepping itself.  A bad
-    step, a t_stop that rounds to zero steps or to no finite number of
-    them, and an initial condition on a node the circuit lacks raise
-    ValueError.
+    step, a t_stop that rounds to zero steps, to no finite number of them
+    or to more than the time grid and state table can hold in this
+    machine's physical memory, and an initial condition on a node the
+    circuit lacks raise ValueError.
     """
     if dt <= 0 or t_stop <= 0:
         raise ValueError("t_stop and dt must be positive")
@@ -719,6 +782,15 @@ def transient(
     unknown = sorted(set(ics or ()) - set(sys.node_index))
     if unknown:
         raise ValueError(f"initial condition on unknown node {unknown[0]!r}")
+    # The time grid, the state table and the drive table, one float per step
+    # each: refused before any of them is allocated if they cannot fit.
+    table = 8 * (n_steps + 1) * (1 + sys.size + len(sys.vsources) + len(sys.isources))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if table > memory:
+        raise ValueError(
+            f"{n_steps} steps of {dt:g} s need {table / 2**30:.3g} GiB for the time grid and "
+            f"state table, more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     for e in sys.vsources + sys.isources:
         if e.kind == "PULSE" and (dt > e.params[3] or dt > e.params[4]):
             warnings.warn(
@@ -740,8 +812,9 @@ def transient(
         x0, _, _ = sys.solve_dc_vector(t=0.0)
 
     times = np.arange(n_steps + 1) * dt
-    xs = np.zeros((n_steps + 1, sys.size))
-    xs[0] = x0
+    # One row per unknown, so each waveform is a row of this one table.
+    xs = np.zeros((sys.size, n_steps + 1))
+    xs[:, 0] = x0
 
     # Every source's drive at every time point, a DC one evaluated once;
     # each step's right-hand side is built from this table, and it is the
@@ -768,16 +841,12 @@ def transient(
     # Scatter targets interleaved per capacitor, so shared slots accumulate
     # in capacitor order.
     cap_ab = np.stack((cap_a, cap_b), axis=1).reshape(-1)
-    n_ext = sys.size + 1
-    cap_flat = np.stack(
-        (cap_a * n_ext + cap_a, cap_a * n_ext + cap_b, cap_b * n_ext + cap_b, cap_b * n_ext + cap_a),
-        axis=1,
-    ).reshape(-1)
+    cap_pos = sys._cap_pos[:, [0, 0, 1, 1], [0, 1, 1, 0]].reshape(-1)
 
     def companion_matrix(factor: float) -> np.ndarray:
         g = sys.g_static.copy()
         geq = factor * cap_c
-        np.add.at(g.reshape(-1), cap_flat, np.stack((geq, -geq, geq, -geq), axis=1).reshape(-1))
+        np.add.at(g, cap_pos, np.stack((geq, -geq, geq, -geq), axis=1).reshape(-1))
         return g
 
     factor = 2.0 / dt if method == "trap" else 1.0 / dt
@@ -813,10 +882,10 @@ def transient(
                 i_hist = cap_c * dv / dt
             else:
                 i_hist = factor * cap_c * dv - i_hist
-        xs[k] = x
+        xs[:, k] = x
 
-    nodes = {name: xs[:, i].copy() for name, i in sys.node_index.items()}
-    currents = {sid: xs[:, i].copy() for sid, i in sys.branch_index.items()}
+    nodes = {name: xs[i] for name, i in sys.node_index.items()}
+    currents = {sid: xs[i] for sid, i in sys.branch_index.items()}
     return TransientResult(times, nodes, currents, drives)
 
 

@@ -163,9 +163,10 @@ def _fd_jacobian_worst(net_text: str) -> float:
     def residual(xv):
         return sys.residual(xv, b)[: sys.size].copy()
 
-    jac = sys.g_static.copy()
-    res = sys.g_static @ np.append(x, 0.0) + b
-    mos_stamp(np.append(x, 0.0), sys.mos_idx, sys.mos_par, sys.vt, jac, res)
+    vals, res = sys.g_static.copy(), b.copy()
+    mos_stamp(np.append(x, 0.0), sys.mos_idx, sys.mos_par, sys.vt, vals, res, sys._stamp_at)
+    jac = np.zeros((sys.size + 1, sys.size + 1))
+    jac[np.divmod(sys._keys, sys.size + 1)] = vals[:-1]
     jac = jac[: sys.size, : sys.size]
 
     h = 1e-7

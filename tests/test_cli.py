@@ -446,6 +446,17 @@ def test_tran_bad_ic_exits_2(run, tmp_path):
         assert message in err
 
 
+def test_tran_larger_than_memory_exits_2(run, tmp_path, monkeypatch):
+    # 1 MiB of physical memory, as the engine reads it: 100 000 steps do not
+    # fit, and tran says so instead of dying in the allocation.
+    f = tmp_path / "rc.sp"
+    f.write_text(RC)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    code, out, err = run("tran", str(f), "--tstop", "100m", "--dt", "1u")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 100000 steps of 1e-06 s need ")
+
+
 def test_snm_report_and_csv(run, cell_file, tmp_path):
     dest = tmp_path / "butterfly.csv"
     code, out, _ = run(

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from sramlab.engine import (
 )
 from sramlab.genlib import build_6t_cell
 from sramlab.kernels import mos_stamp
-from sramlab.netlist import GROUND, Node, SourceElement, parse_netlist, with_elements
+from sramlab.netlist import GROUND, Node, ResElement, SourceElement, parse_netlist, with_elements
 
 DIVIDER = """* resistive divider
 V1 in 0 DC 1.8
@@ -85,7 +87,7 @@ def test_resistor_divider():
     assert sol.voltage("0") == 0.0
     # Branch current flows into the + terminal: sourcing means negative.
     assert math.isclose(sol.branch_currents["V1"], -0.9e-3, rel_tol=1e-9)
-    assert not sol.continuation
+    assert not sol.gmin_ladder
     assert sol.max_residual < engine.ABSTOL
     assert sol.iterations >= 1
 
@@ -171,11 +173,9 @@ def test_node_driven_twice_raises_on_both_paths():
     # eliminated and their block is singular, as the dense matrix is.
     sys = MnaSystem(parse_netlist("* twice\nV1 a 0 DC 1\nV2 a 0 DC 1\nR1 a 0 1k\n.END"))
     assert sys._drv_node.size == 0
-    x_ext = np.zeros(sys.size + 1)
-    jac = sys.g_static.copy()
-    res = sys.g_static @ x_ext + sys.rhs()
+    jac, res = assembled(sys, np.zeros(sys.size), sys.rhs())
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(jac[: sys.size, : sys.size], -res[: sys.size])
+        np.linalg.solve(dense(sys, jac)[: sys.size, : sys.size], -res[: sys.size])
     with pytest.raises(FloatingNodeError):
         sys.newton_step(jac, res)
 
@@ -235,7 +235,7 @@ def test_gmin_stepping_rescues_a_write_probe(fallbacks):
     net, held = write_bias(1.1, 0.18)
     sol = solve_dc(net, initial=held)
     assert fallbacks == [("_gmin_stepping", 1)]
-    assert sol.continuation
+    assert sol.gmin_ladder
     assert sol.max_residual < ABSTOL
 
 
@@ -249,7 +249,8 @@ def test_halved_gmin_step_rescues_a_write_probe(fallbacks, monkeypatch):
 
     def spy(self, x0, b, g_dyn, sets=None):
         x, its, failed = real(self, x0, b, g_dyn, sets)
-        rungs.append((g_dyn[0, 0] - self.g_static[0, 0], bool(failed)))
+        d = self._node_diag[0]
+        rungs.append((g_dyn[d] - self.g_static[d], bool(failed)))
         return x, its, failed
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
@@ -260,10 +261,38 @@ def test_halved_gmin_step_rescues_a_write_probe(fallbacks, monkeypatch):
     assert shunts[:5] == pytest.approx([0.0, 1e-3, 1e-4, 1e-5, 10**-4.5])
     assert failed[:5] == (True, False, False, True, False)
     assert shunts[-1] == 0.0 and not failed[-1]
-    assert sol.continuation
+    assert sol.gmin_ladder
     assert sol.max_residual < ABSTOL
     assert sol.voltage("Q") == pytest.approx(0.194, abs=1e-3)
     assert sol.voltage("QBAR") == pytest.approx(1.2, abs=1e-6)
+
+
+def test_failed_unshunted_rung_is_not_repeated(monkeypatch):
+    # Random circuit 808 passes every shunted rung of the ladder and fails
+    # the unshunted one.  Half its step would still give no shunt, so the
+    # lane fails there, keeping the state the last shunted rung accepted:
+    # two failed unshunted solves, plain Newton's and the ladder's, where
+    # retrying the same solve until the step fell under 0.01 decade took
+    # eight.
+    rng = np.random.default_rng(0)
+    text = [random_circuit_text(rng, i) for i in range(809)][808]
+    sys = MnaSystem(parse_netlist(text))
+    unshunted = []
+    real = MnaSystem._newton_lanes
+
+    def spy(self, x0, b, g_dyn, sets=None):
+        x, its, failed = real(self, x0, b, g_dyn, sets)
+        if np.array_equal(g_dyn, self.g_static):
+            unshunted.append((x0.copy(), bool(failed)))
+        return x, its, failed
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
+    start = np.zeros((1, sys.size))
+    x, _, fallback, left = sys._solve_lanes(start, sys.rhs()[None])
+    assert fallback[0] and left == {0: "gmin stepping stalled below the minimum step"}
+    assert [failed for _, failed in unshunted] == [True, True]
+    assert np.array_equal(unshunted[0][0], start)
+    assert np.array_equal(x, unshunted[1][0])
 
 
 def test_bad_resistor_value():
@@ -313,12 +342,26 @@ def random_circuit_text(rng, idx):
     return "\n".join(lines)
 
 
-def assembled_jacobian(sys, x, b):
+def dense(sys, vals):
+    """The extended (n+1)-square matrix whose planned entries are vals; the
+    sink, where stamps on ground land, is dropped."""
+    out = np.zeros((sys.size + 1, sys.size + 1))
+    out[np.divmod(sys._keys, sys.size + 1)] = vals[:-1]
+    return out
+
+
+def assembled(sys, x, b, g=None):
+    """Jacobian values and extended residual at x against b, stamped on g
+    (default g_static); the linear part of the residual is a dense product."""
+    g = sys.g_static if g is None else g
     x_ext = np.append(x, 0.0)
-    jac = sys.g_static.copy()
-    res = sys.g_static @ x_ext + b
-    mos_stamp(x_ext, sys.mos_idx, sys.mos_par, sys.vt, jac, res)
-    return jac[: sys.size, : sys.size]
+    jac, res = g.copy(), dense(sys, g) @ x_ext + b
+    mos_stamp(x_ext, sys.mos_idx, sys.mos_par, sys.vt, jac, res, sys._stamp_at)
+    return jac, res
+
+
+def assembled_jacobian(sys, x, b):
+    return dense(sys, assembled(sys, x, b)[0])[: sys.size, : sys.size]
 
 
 # ---------------------------------------------------------------------
@@ -385,14 +428,12 @@ def test_reduced_step_matches_dense_solve(case):
     sys, x, gmin = case
     assume(sys.size > 0)
     g = sys.g_static.copy()
-    d = np.arange(sys.n_nodes)
-    g[d, d] += gmin
-    x_ext = np.append(x, 0.0)
-    jac = g.copy()
-    res = g @ x_ext + sys.rhs()
-    mos_stamp(x_ext, sys.mos_idx, sys.mos_par, sys.vt, jac, res)
-    a = jac[: sys.size, : sys.size]
-    dense = np.linalg.solve(a, -res[: sys.size])
+    g[sys._node_diag] += gmin
+    jac, res = assembled(sys, x, sys.rhs(), g)
+    # The compact step against a dense solve of the same matrix scattered
+    # back to (n+1)-square form.
+    a = dense(sys, jac)[: sys.size, : sys.size]
+    want = np.linalg.solve(a, -res[: sys.size])
     # Each solve is exact to rounding: within a few n·κ·eps of the true
     # step, normwise, where κ is the condition number.  MNA mixes volts and
     # amps, so κ is large unless the conductances are near 1 S; where it is
@@ -401,9 +442,9 @@ def test_reduced_step_matches_dense_solve(case):
     # the solve magnifies by up to about ‖A⁻¹‖.
     tol = max(1e-12, 10 * sys.size * np.linalg.cond(a) * np.finfo(float).eps)
     ulps = 10 * sys.size * np.linalg.norm(np.linalg.inv(a), 2)
-    atol = tol * np.abs(dense).max() + ulps * np.finfo(float).smallest_subnormal
+    atol = tol * np.abs(want).max() + ulps * np.finfo(float).smallest_subnormal
     step = sys.newton_step(jac, res)
-    np.testing.assert_allclose(step, dense, rtol=0, atol=atol)
+    np.testing.assert_allclose(step, want, rtol=0, atol=atol)
 
 
 def test_reduction_plan_on_an_array_tile():
@@ -417,6 +458,95 @@ def test_reduction_plan_on_an_array_tile():
     sys = MnaSystem(with_elements(sramlab.build_array(rows, cols), drives))
     assert [(m, idx.shape[0]) for m, _, idx, _ in sys._blocks] == [(2, rows * cols)]
     assert sys._drv_node.size == len(rails)
+
+
+def reference_matrix(sys, gmin=0.0, cap_factor=0.0):
+    """The linear part of the extended Jacobian, (n+1)-square, assembled
+    element by element: resistors, voltage sources, capacitor companions
+    of conductance cap_factor * C, and a shunt from every node to ground."""
+    g = np.zeros((sys.size + 1, sys.size + 1))
+    for r in sys.net.elements:
+        if isinstance(r, ResElement) and not r.degenerate:
+            a, b, gg = sys._slot(r.n1), sys._slot(r.n2), 1.0 / r.value
+            g[a, a] += gg
+            g[a, b] -= gg
+            g[b, b] += gg
+            g[b, a] -= gg
+    for e in sys.vsources:
+        a, b, k = sys._slot(e.n_plus), sys._slot(e.n_minus), sys.branch_index[e.id]
+        g[a, k] += 1.0
+        g[b, k] -= 1.0
+        g[k, a] += 1.0
+        g[k, b] -= 1.0
+    for c in sys.caps:
+        a, b, geq = sys._slot(c.n1), sys._slot(c.n2), cap_factor * c.value
+        g[a, a] += geq
+        g[a, b] -= geq
+        g[b, b] += geq
+        g[b, a] -= geq
+    d = np.arange(sys.n_nodes)
+    g[d, d] += gmin
+    return g
+
+
+def test_every_linear_matrix_lies_in_the_plan(monkeypatch):
+    # Every matrix the engine hands the Newton loop (static, each gmin
+    # rung, the backward-Euler and trapezoidal companions) is, entry for
+    # entry, the element-by-element dense assembly gathered at the plan,
+    # and that assembly has no nonzero off the plan.
+    handed = []
+    real = MnaSystem._newton_lanes
+
+    def spy(self, x0, b, g_dyn, sets=None):
+        handed.append((self, g_dyn.copy()))
+        return real(self, x0, b, g_dyn, sets)
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
+    net, held = write_bias(1.2, 0.40)
+    solve_dc(net, initial=held)
+    ladder = len(handed)
+    stimulus = parse_netlist((Path(sramlab.__file__).parent / "corpus" / "cell_write_read.sp").read_text())
+    bridged = parse_netlist(RC.replace(".END", "C2 in out 2p\nR2 out 0 2k\n.END"))
+    dt = 0.1e-9
+    for method in ("be", "trap"):
+        transient(stimulus, t_stop=3 * dt, dt=dt, method=method, ics={"Q": 1.8, "QBAR": 0.0})
+        transient(bridged, t_stop=3 * dt, dt=dt, method=method)
+    shunts = set()
+    for i, (sys, g) in enumerate(handed):
+        planned = np.zeros((sys.size,) * 2, dtype=bool)
+        planned[np.divmod(sys._keys, sys.size + 1)] = True
+        d = sys._node_diag[0]
+        shunt = g[d] - sys.g_static[d] if i < ladder else 0.0
+        shunts.add(shunt)
+        refs = [reference_matrix(sys, gmin=shunt, cap_factor=f)[: sys.size, : sys.size] for f in (0.0, 1 / dt, 2 / dt)]
+        got = dense(sys, g)[: sys.size, : sys.size]
+        assert any(np.array_equal(got, ref) for ref in refs), i
+        assert not any(ref[~planned].any() for ref in refs)
+    assert len(shunts) > 4 and any(sys.caps for sys, _ in handed)
+
+
+def test_be_steps_on_a_large_tile_stay_below_one_dense_matrix():
+    # A 16x32 tile has 1105 nodes.  Building its system, the pinned t = 0
+    # solve and a few backward-Euler steps must together allocate less
+    # than one (nodes+1)-square float64 matrix, so that no step resets or
+    # multiplies a dense Jacobian.
+    rows, cols = 16, 32
+    gnd = Node(GROUND)
+    rails = {"VDD": 1.8, **{f"WL{r}": 0.0 for r in range(rows)}}
+    rails.update({f"{side}{c}": 1.8 for c in range(cols) for side in ("BL", "BLB")})
+    drives = [SourceElement(f"V{n}", Node(n), gnd, "DC", (v,)) for n, v in rails.items()]
+    net = with_elements(sramlab.build_array(rows, cols), drives)
+    bits = {(r, c): (r + c) % 2 for r in range(rows) for c in range(cols)}  # a checkerboard
+    ics = {f"Q_{r}_{c}": 1.8 * b for (r, c), b in bits.items()}
+    ics.update({f"QBAR_{r}_{c}": 1.8 * (1 - b) for (r, c), b in bits.items()})
+    tracemalloc.start()
+    try:
+        tr = transient(net, t_stop=3e-10, dt=1e-10, ics=ics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr.nodes) == 1105
+    assert peak < (len(tr.nodes) + 1) ** 2 * 8
 
 
 def test_fd_jacobian_on_random_circuits():
@@ -571,6 +701,17 @@ def test_transient_argument_validation():
         transient(net, t_stop=1e-9, dt=5e-9)
     with pytest.raises(ValueError, match="unknown node 'outt'"):
         transient(net, t_stop=1e-3, dt=1e-4, ics={"outt": 0.0})
+
+
+def test_transient_refuses_more_steps_than_memory_holds(monkeypatch):
+    # With 1 MiB of physical memory, as the engine reads it, 100 000 steps
+    # of the RC circuit's three unknowns do not fit; the refusal names the
+    # step count and comes before any table is allocated.
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    with pytest.raises(ValueError, match="^100000 steps of 1e-06 s need"):
+        transient(parse_netlist(RC), t_stop=0.1, dt=1e-6)
+    tr = transient(parse_netlist(RC), t_stop=1e-3, dt=1e-6)
+    assert tr.time.size == 1001
 
 
 def test_waveform_csv_round_trip():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sramlab import kernels
+from sramlab.engine import MnaSystem
+from sramlab.genlib import build_array
 from sramlab.devices import (
     BiasPoint,
     TechnologyParams,
@@ -23,7 +25,10 @@ from sramlab.kernels import (
     COL_TWO_PHI,
     COL_VTH0,
     COL_WLIM,
+    JAC_COL,
+    JAC_ROW,
     N_PAR,
+    RES_ROW,
     get_backend,
     mos_stamp,
     pack_device,
@@ -71,13 +76,14 @@ def test_pack_device_rejects_bad_geometry():
 # Stamp correctness
 
 
-def _stamp_loop(x_ext, idx, par, vt, jac, res):
+def _stamp_loop(x_ext, idx, par, vt, jac, res, at):
     """mos_stamp's model and scatter for one lane, written as a scalar loop.
 
     The reference the vectorised stamp and mos_eval are checked against: one
     device at a time, with the branch taken per device rather than selected
-    by masks.
+    by masks, each entry added at its planned target.
     """
+    jac, res = jac.reshape(-1), res.reshape(-1)
     n_dev = idx.shape[0]
     for k in range(n_dev):
         d = idx[k, 0]
@@ -189,16 +195,16 @@ def _stamp_loop(x_ext, idx, par, vt, jac, res):
         dsv = -gm - gds + gmb
         dbv = -gmb
 
-        res[d] += i_term
-        res[s_n] -= i_term
-        jac[d, d] += dd
-        jac[d, g] += dgv
-        jac[d, s_n] += dsv
-        jac[d, b] += dbv
-        jac[s_n, d] -= dd
-        jac[s_n, g] -= dgv
-        jac[s_n, s_n] -= dsv
-        jac[s_n, b] -= dbv
+        res[at[8, k]] += i_term
+        res[at[9, k]] -= i_term
+        jac[at[0, k]] += dd
+        jac[at[1, k]] += dgv
+        jac[at[2, k]] += dsv
+        jac[at[3, k]] += dbv
+        jac[at[4, k]] -= dd
+        jac[at[5, k]] -= dgv
+        jac[at[6, k]] -= dsv
+        jac[at[7, k]] -= dbv
 
 
 def random_lanes(rng, n_dev, n_nodes=6):
@@ -219,11 +225,22 @@ def random_lanes(rng, n_dev, n_nodes=6):
     return x_ext, idx, np.array(rows)
 
 
+def dense_targets(idx, n_ext, lanes=None):
+    """The stamp's targets in a dense (n+1)-square Jacobian and its
+    residual, for one lane or for a stack of them."""
+    t = idx.T
+    at = np.concatenate((t[JAC_ROW] * n_ext + t[JAC_COL], t[RES_ROW]))
+    if lanes is None:
+        return at
+    stride = np.where(np.arange(10) < 8, n_ext * n_ext, n_ext)
+    return at[:, None, :] + (stride[:, None] * np.arange(lanes))[:, :, None]
+
+
 def run_stamp(fn, x_ext, idx, par):
     n_ext = x_ext.shape[0]
     jac = np.zeros((n_ext, n_ext))
     res = np.zeros(n_ext)
-    fn(x_ext, idx, par, VT, jac, res)
+    fn(x_ext, idx, par, VT, jac, res, dense_targets(idx, n_ext))
     return jac, res
 
 
@@ -238,7 +255,7 @@ def run_lane_stamp(fn, x, idx, par):
     lanes, n_ext = x.shape
     jac = np.zeros((lanes, n_ext, n_ext))
     res = np.zeros((lanes, n_ext))
-    fn(x, idx, par, VT, jac, res)
+    fn(x, idx, par, VT, jac, res, dense_targets(idx, n_ext, lanes))
     return jac, res
 
 
@@ -274,6 +291,35 @@ def test_numpy_matches_python_loop():
                 jac_b, res_b = run_stamp(_stamp_loop, x[lane], idx, lane_par)
                 np.testing.assert_allclose(jac_a[lane], jac_b, rtol=5e-13, atol=1e-18)
                 np.testing.assert_allclose(res_a[lane], res_b, rtol=5e-13, atol=1e-18)
+
+
+def test_planned_targets_match_the_scalar_loop():
+    # The solver stamps into one value per planned Jacobian entry, at the
+    # targets its plan fixes.  At those targets the vectorised stamp must
+    # match the scalar loop, lane by lane, and hold exactly the dense
+    # stamp's entries, with the ground row and column left in the sink.
+    rng = np.random.default_rng(49)
+    sys = MnaSystem(build_array(2, 3))
+    n_ext, m = sys.size + 1, sys.g_static.size
+    rows, cols = np.divmod(sys._keys, n_ext)
+    lanes = 5
+    x = random_states(rng, np.zeros(n_ext), lanes)
+    par = lane_params(rng, sys.mos_par, lanes)
+    stride = np.where(np.arange(10) < 8, m, n_ext)
+    at = sys._stamp_at[:, None, :] + (stride[:, None] * np.arange(lanes))[:, :, None]
+    jac, res = np.zeros((lanes, m)), np.zeros((lanes, n_ext))
+    mos_stamp(x, sys.mos_idx, par, VT, jac, res, at)
+    for lane in range(lanes):
+        jac_1, res_1 = np.zeros(m), np.zeros(n_ext)
+        _stamp_loop(x[lane], sys.mos_idx, par[lane], VT, jac_1, res_1, sys._stamp_at)
+        np.testing.assert_allclose(jac[lane], jac_1, rtol=5e-13, atol=1e-18)
+        np.testing.assert_allclose(res[lane], res_1, rtol=5e-13, atol=1e-18)
+        full, full_res = run_stamp(mos_stamp, x[lane], sys.mos_idx, par[lane])
+        assert np.array_equal(jac[lane, :-1], full[rows, cols])
+        assert np.array_equal(res[lane], full_res)
+        off_plan = full[:-1, :-1].copy()
+        off_plan[rows, cols] = 0.0
+        assert not off_plan.any()
 
 
 def test_stamp_against_operating_point():
@@ -340,8 +386,9 @@ def test_stamp_accumulates_in_place():
     n_ext = x_ext.shape[0]
     jac2 = np.zeros((n_ext, n_ext))
     res2 = np.zeros(n_ext)
-    mos_stamp(x_ext, idx, par, VT, jac2, res2)
-    mos_stamp(x_ext, idx, par, VT, jac2, res2)
+    at = dense_targets(idx, n_ext)
+    mos_stamp(x_ext, idx, par, VT, jac2, res2, at)
+    mos_stamp(x_ext, idx, par, VT, jac2, res2, at)
     np.testing.assert_allclose(jac2, 2.0 * jac1, rtol=1e-12, atol=0)
     np.testing.assert_allclose(res2, 2.0 * res1, rtol=1e-12, atol=0)
 
@@ -364,6 +411,6 @@ def test_mos_stamp_empty_and_dispatch():
     par = np.empty((0, N_PAR))
     jac = np.zeros((2, 2))
     res = np.zeros(2)
-    mos_stamp(x_ext, empty, par, VT, jac, res)
+    mos_stamp(x_ext, empty, par, VT, jac, res, dense_targets(empty, 2))
     assert not jac.any() and not res.any()
     assert get_backend() == "numpy"

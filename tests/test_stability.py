@@ -497,18 +497,19 @@ def one_lane_chain(lobe, x0, b):
         # A decade down from 1e-3 S per accepted rung; a failed rung is
         # retried from the accepted state with half the step, which then
         # regrows by half per rung up to a decade; no shunt once the next
-        # would not exceed 1e-12 S.
-        total, shunt, step, d = 0, 1e-2, 1.0, np.arange(lobe.n_nodes)
+        # would not exceed 1e-12 S, and a failed unshunted rung is not
+        # retried while half the step still gives no shunt.
+        total, shunt, step = 0, 1e-2, 1.0
         while True:
             gmin = shunt * 10.0**-step
             gmin = gmin if gmin > 1e-12 else 0.0
             g = lobe.g_static.copy()
-            g[d, d] += gmin
+            g[lobe._node_diag] += gmin
             try:
                 x, its = lobe._newton(x, b_l, g)
             except ConvergenceError:
                 step *= 0.5
-                if step < 0.01:
+                if step < 0.01 or shunt * 10.0**-step <= 1e-12:
                     raise ConvergenceError("gmin stepping stalled below the minimum step") from None
                 continue
             total += its
@@ -1010,8 +1011,8 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
     doomed = MnaSystem(cell, vth_shift=sample_shifts(cell, vm)[2]).mos_par
     real = engine.mos_stamp
 
-    def poisoned(x_ext, mos_idx, par, vt, jac, res):
-        real(x_ext, mos_idx, par, vt, jac, res)
+    def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
+        real(x_ext, mos_idx, par, vt, jac, res, at)
         res[(par == doomed).all(axis=(-2, -1))] = np.nan
 
     monkeypatch.setattr(engine, "mos_stamp", poisoned)
