@@ -85,7 +85,7 @@ class FloatingNodeError(EngineError):
 class DcSolution:
     voltages: dict[str, float]
     branch_currents: dict[str, float]
-    iterations: int
+    iterations: int  # Newton iterations (stamps) to the solution, the passing one included
     gmin_ladder: bool  # whether plain Newton failed and the gmin ladder solved it
     max_residual: float  # A, worst node KCL residual at the solution
 
@@ -366,6 +366,7 @@ class MnaSystem:
             return "<none>"
         return self.nodes[int(np.argmax(np.abs(res[: self.n_nodes])))]
 
+    @np.errstate(invalid="ignore", over="ignore")
     def newton_step(self, jac: np.ndarray, res: np.ndarray) -> np.ndarray:
         """Solve J @ delta = -res[:n] over the n unknowns, J the Jacobian
         whose planned entries jac holds.
@@ -374,7 +375,8 @@ class MnaSystem:
         the sink, and res its extended residual: one of each or a stack of
         lanes, (lanes, entries + 1) and (lanes, n+1), whose steps come back
         as (lanes, n).  The step is exact: it equals the dense solve to
-        rounding.  A singular block raises FloatingNodeError.
+        rounding.  A singular block raises FloatingNodeError; a nearly
+        singular one may give a non-finite step, without a warning.
         """
         if res.ndim == 1:
             return self.newton_step(jac[None], res[None])[0]
@@ -415,16 +417,16 @@ class MnaSystem:
 
         At most MAX_LANES lanes are live.  Every iteration stamps them in one
         call; each stops on its own test and its place goes to the next
-        queued lane.  A lane that passes returns x plus the step already
-        solved at x, which costs no stamp and leaves it converged to
-        rounding rather than to the stop tolerance.  A lane fails when its
-        step is not finite, after MAX_ITER iterations of its own, or as soon
-        as its state, x and the small-step flag, equals its state two
-        iterations back.  The iteration is a fixed map of that state, so
-        such a lane cycles and can never pass; its message names the node
-        that iteration MAX_ITER would have named.  Returns the states, the
-        iteration count of each lane, and a failure message for each lane
-        that did not converge (its state is then its start).
+        queued lane.  A lane passes when its residual at x is within
+        tolerance and the clipped step solved at x is small (Deuflhard 2004,
+        section 2.1), and returns x plus that step, converged to rounding;
+        a lane that starts at its solution costs one stamp.  A lane fails
+        when its step is not finite, after MAX_ITER iterations, or once x
+        plus its step is its x of the iteration before: the iteration is a
+        fixed map of x, so it cycles and can never pass.  Its message names
+        the node iteration MAX_ITER would have named.  Returns the states,
+        each lane's iteration count (its stamps), and a failure message for
+        each lane that did not converge (its state is then its start).
 
         In a decoupled system each free unknown's KCL, once the eliminated
         sources' rows hold exactly, is a scalar function of that unknown
@@ -455,16 +457,14 @@ class MnaSystem:
         stride = np.repeat([g_dyn.size, n + 1], [8, 2])
         stamp_at = self._stamp_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
         # Per pool slot: the live lane's id, iteration count, right-hand
-        # side, parameter rows, extended state and whether its last step was
-        # small, then its state and residual of the iteration before, NaN
-        # (equal to nothing) for an entering lane.  A finished lane's slot
-        # takes the next queued lane; once the queue is empty the pool
-        # shrinks.
+        # side, parameter rows and extended state, then its state and
+        # residual of the iteration before, NaN (equal to nothing) for an
+        # entering lane.  A finished lane's slot takes the next queued lane;
+        # once the queue is empty the pool shrinks.
         ids = np.arange(pool)
         count = np.zeros(pool, dtype=np.int64)
         bl, parl = b[ids], self.par_sets[sets[ids]]
         xl = np.concatenate((x[ids], np.zeros((pool, 1))), axis=1)
-        small, small_last = np.zeros(pool, dtype=bool), np.zeros(pool, dtype=bool)
         x_last, res_last = np.full((pool, n), np.nan), np.zeros((pool, n + 1))
         queued = pool
         while ids.size:
@@ -490,18 +490,17 @@ class MnaSystem:
                     df[out] = 0.5 * (lo[out] + hi[out]) - xf[out]
                     delta[:, free] = df
             bad = ~np.isfinite(delta).all(axis=1)
-            converged = small & ~bad & (np.abs(res[:, :n]) < self._res_tol).all(axis=1)
             applied = np.minimum(np.maximum(delta, -MAX_STEP), MAX_STEP)
             x_new = xl[:, :n] + applied
             tol = RELTOL * np.maximum(np.abs(x_new), np.abs(xl[:, :n])) + VNTOL
-            small_new = (np.abs(applied) <= tol).all(axis=1)
-            cycled = (x_new == x_last).all(axis=1) & (small_new == small_last)
+            small = (np.abs(applied) <= tol).all(axis=1)
+            converged = small & ~bad & (np.abs(res[:, :n]) < self._res_tol).all(axis=1)
+            cycled = (x_new == x_last).all(axis=1)
             stuck = ~converged & ~bad & (cycled | (count >= MAX_ITER))
             done = converged | bad | stuck
             res_before = res_last
-            x_last, small_last, res_last = xl[:, :n].copy(), small, res
+            x_last, res_last = xl[:, :n].copy(), res
             xl[:, :n] = x_new
-            small = small_new
             if not done.any():
                 continue
             x[ids[converged]] = x_new[converged]
@@ -520,14 +519,14 @@ class MnaSystem:
                 queued += new.size
                 slots = vacant[: new.size]
                 ids[slots], count[slots], bl[slots], parl[slots] = new, 0, b[new], self.par_sets[sets[new]]
-                xl[slots, :n], small[slots], x_last[slots], small_last[slots] = x[new], False, np.nan, False
+                xl[slots, :n], x_last[slots] = x[new], np.nan
                 if bracket:
                     lo[slots], hi[slots], side[slots], flips[slots] = -np.inf, np.inf, 0.0, 0
             if new.size < vacant.size:
                 keep = np.ones(ids.size, dtype=bool)
                 keep[vacant[new.size :]] = False
-                ids, count, bl, parl, xl, small, x_last, small_last, res_last = (
-                    a[keep] for a in (ids, count, bl, parl, xl, small, x_last, small_last, res_last)
+                ids, count, bl, parl, xl, x_last, res_last = (
+                    a[keep] for a in (ids, count, bl, parl, xl, x_last, res_last)
                 )
                 if bracket:
                     lo, hi, side, flips = lo[keep], hi[keep], side[keep], flips[keep]

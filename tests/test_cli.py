@@ -106,16 +106,50 @@ def test_config_derivation_inputs_take_effect(run, cell_file, tmp_path):
     assert body_of(derived) != body_of(nominal)
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    # From a checkout, with the source tree on the path and no install.
+def python_dash_m(cwd, *argv):
+    """`python -m sramlab argv` in a fresh interpreter, from a checkout,
+    with the source tree on the path and no install, under Python's default
+    warning filters."""
     path = [str(Path(sramlab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    argv = ["power", "--cl", "35f", "--vdd", "1.8", "--fsw", "100meg"]
-    done = subprocess.run(
-        [sys.executable, "-m", "sramlab", *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "sramlab", *argv], capture_output=True, text=True, env=env, cwd=cwd
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    done = python_dash_m(tmp_path, "power", "--cl", "35f", "--vdd", "1.8", "--fsw", "100meg")
     assert done.returncode == 0 and done.stderr == ""
     assert "dynamic_power 1.134e-05 W" in body_of(done.stdout)
+
+
+# Random circuit 930 of tests/test_engine.py (rng seed 0): plain Newton and
+# the gmin ladder both fail it, and some of its steps come out non-finite.
+STALLS_WITH_NON_FINITE_STEPS = """\
+* random circuit 930
+V1 a 0 DC 0.733638
+I1 0 d DC 4.153253e-05
+R1 c a 11.7913k
+R2 c 0 26.8955k
+R3 a b 21.8988k
+M1 d b c 0 NMOS W=2.712u L=2.633u
+M2 0 d c 0 PMOS W=7.598u L=3.339u
+M3 b c a b PMOS W=14.524u L=3.703u
+M4 b d a 0 NMOS W=14.134u L=2.090u
+M5 0 a a c NMOS W=17.126u L=3.418u
+.END
+"""
+
+
+def test_dc_failure_prints_only_its_error_line(tmp_path):
+    # A non-finite Newton step fails its lane; numpy's warning about
+    # forming it must not reach stderr beside the error.
+    f = tmp_path / "c930.sp"
+    f.write_text(STALLS_WITH_NON_FINITE_STEPS)
+    done = python_dash_m(tmp_path, "dc", str(f))
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: gmin stepping stalled below the minimum step\n"
 
 
 def test_power_negative_input_exits_2(run):

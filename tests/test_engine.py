@@ -21,6 +21,8 @@ from sramlab.devices import (
 )
 from sramlab.engine import (
     ABSTOL,
+    RELTOL,
+    VNTOL,
     ConvergenceError,
     EngineError,
     FloatingNodeError,
@@ -198,19 +200,23 @@ def test_newton_failure_names_worst_node(monkeypatch):
         sys._newton(np.zeros(sys.size), sys.rhs(), sys.g_static)
 
 
-def write_bias(v_dd, v_bl):
-    """The cell holding Q high, word line on, BLB at v_dd and BL at v_bl:
-    one probe of write_margin's bisection, with its held initial state."""
+def biased_cell(drives):
+    """The default cell with a DC source on each role that drives names."""
     cell = build_6t_cell()
-    drives = {"VDD": v_dd, "WL": v_dd, "BL": v_bl, "BLB": v_dd}
-    net = with_elements(
+    return with_elements(
         cell,
         [
             SourceElement(f"VX{role}", Node(cell.role_node(role)), Node(GROUND), "DC", (v,))
             for role, v in drives.items()
         ],
     )
-    return net, {cell.role_node("Q"): v_dd, cell.role_node("QBAR"): 0.0}
+
+
+def write_bias(v_dd, v_bl):
+    """The cell holding Q high, word line on, BLB at v_dd and BL at v_bl:
+    one probe of write_margin's bisection, with its held initial state."""
+    net = biased_cell({"VDD": v_dd, "WL": v_dd, "BL": v_bl, "BLB": v_dd})
+    return net, {net.role_node("Q"): v_dd, net.role_node("QBAR"): 0.0}
 
 
 @pytest.fixture
@@ -571,6 +577,64 @@ def test_fd_jacobian_on_random_circuits():
 
 
 # ---------------------------------------------------------------------
+# The stop rule, checked from outside the Newton loop
+
+
+@pytest.fixture
+def fresh_stop(monkeypatch):
+    """For each lane that _newton_lanes returns as converged, its fresh
+    Newton step there over the stop tolerance (worst unknown) and its worst
+    KCL residual, both formed with `assembled`, not by the loop."""
+    checked = []
+    real = MnaSystem._newton_lanes
+
+    def spy(self, x0, b, g_dyn, sets=None):
+        x, its, failed = real(self, x0, b, g_dyn, sets)
+        assert sets is None or not sets.any()  # assembled stamps the first parameter set
+        for lane in sorted(set(range(len(x))) - set(failed)):
+            jac, res = assembled(self, x[lane], b[lane], g_dyn)
+            step = self.newton_step(jac, res)
+            tol = RELTOL * np.maximum(np.abs(x[lane] + step), np.abs(x[lane])) + VNTOL
+            checked.append((np.max(np.abs(step) / tol), np.abs(res[: self.n_nodes]).max(initial=0.0)))
+        return x, its, failed
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
+    return checked
+
+
+def assert_converged(checked, at_least):
+    assert len(checked) >= at_least
+    ratio, res = np.array(checked).T
+    assert ratio.max() <= 4.0
+    assert res.max() < ABSTOL
+
+
+def test_random_circuits_converge_by_a_fresh_stop_test(fresh_stop):
+    # Plain Newton from zero; the ladder's rungs are checked on the write
+    # probe below, since the circuits that stall on it take a second each.
+    rng = np.random.default_rng(0)
+    for idx in range(500):
+        sys = MnaSystem(parse_netlist(random_circuit_text(rng, idx)))
+        try:
+            sys._newton_lanes(np.zeros((1, sys.size)), sys.rhs()[None], sys.g_static)
+        except FloatingNodeError:
+            pass
+    assert_converged(fresh_stop, 380)
+
+
+def test_be_steps_converge_by_a_fresh_stop_test(fresh_stop):
+    stimulus = parse_netlist((Path(sramlab.__file__).parent / "corpus" / "cell_write_read.sp").read_text())
+    transient(stimulus, t_stop=60e-9, dt=0.1e-9, ics={"Q": 1.8, "QBAR": 0.0})
+    assert_converged(fresh_stop, 601)
+
+
+def test_write_probe_converges_by_a_fresh_stop_test(fresh_stop):
+    net, held = write_bias(1.2, 0.40)
+    solve_dc(net, initial=held)
+    assert_converged(fresh_stop, 5)
+
+
+# ---------------------------------------------------------------------
 # Sweeps
 
 
@@ -652,6 +716,34 @@ def test_transient_without_ics_starts_at_dc():
     tr = transient(net, t_stop=1e-5, dt=1e-6)
     # DC has the cap charged already; nothing should move.
     np.testing.assert_allclose(tr.node("out"), 1.0, rtol=0, atol=1e-9)
+
+
+def test_quiet_be_steps_take_one_stamp_each(monkeypatch):
+    # A held cell that starts settled, every drive constant: each backward-
+    # Euler step's residual is already within tolerance at its start, so
+    # its first Newton step is small and passes.  Counted at the device
+    # kernel, not from the loop's own iteration count.
+    net = biased_cell({"VDD": 1.8, "WL": 0.0, "BL": 1.8, "BLB": 1.8})
+    q, qbar = net.role_node("Q"), net.role_node("QBAR")
+    held = solve_dc(net, initial={q: 1.8, qbar: 0.0})
+    stamps, per_step = [], []
+    real_stamp, real_newton = engine.mos_stamp, MnaSystem._newton
+
+    def stamp(*args):
+        stamps.append(1)
+        return real_stamp(*args)
+
+    def newton(self, *args):
+        before = len(stamps)
+        out = real_newton(self, *args)
+        per_step.append(len(stamps) - before)
+        return out
+
+    monkeypatch.setattr(engine, "mos_stamp", stamp)
+    monkeypatch.setattr(MnaSystem, "_newton", newton)
+    tr = transient(net, t_stop=2e-9, dt=1e-10, ics={q: held.voltage(q), qbar: held.voltage(qbar)})
+    assert per_step == [1] * 20
+    assert tr.node(q)[-1] == pytest.approx(1.8, abs=1e-6)
 
 
 def test_transient_tracks_pwl_drive():
