@@ -4,22 +4,24 @@ DC operating points use damped Newton iteration with an adaptive
 gmin-stepping fallback; sweeps warm-start each point from the last;
 transient runs fixed-step backward Euler (default) or trapezoidal companions
 for the capacitors.  The Newton loop runs on lanes, a stack of states of one
-system each with its own right-hand side and device parameter set, so that
-many independent points (every sample's butterfly lobe grid) share every
-device evaluation; a single solve is one lane.  Lanes queue for a pool of
-at most MAX_LANES live ones, and each lane that finishes hands its place to
-the next in the queue.  In a decoupled system, where every free unknown is
-a block of its own, each lane is a set of bracketed scalar root-finds:
-independent lanes start with every driven node at its drive, and a Newton
-target that leaves the bracket the residual signs give falls back to the
-bracket's midpoint, so such lanes converge in the pool and take no
-fallback.  The fallback serves coupled systems (DC solves, sweeps and
-write-margin probes), and runs on lanes too: the lanes plain Newton fails
-walk the gmin ladder from their own starts, each with its own step, and
-the lanes at one rung share one Newton call.  Unknown ordering is
-named nodes first, in netlist first-use order, then one branch current per
-voltage source.  Extended vectors carry a trailing ground slot pinned at
-zero so every stamp writes unconditionally.
+system each with its own right-hand side, linear Jacobian and device
+parameter set, so that many independent points (every sample's butterfly
+lobe grid) share every device evaluation; a single solve or transient step
+is one lane.  Drives are data: rhs builds the right-hand sides of any source
+values, one row per value, and nothing sets a drive on the system itself.
+Lanes queue for a pool of at most MAX_LANES live ones, and each lane that
+finishes hands its place to the next in the queue.  In a decoupled system,
+where every free unknown is a block of its own, each lane is a set of
+bracketed scalar root-finds: independent lanes start with every driven node
+at its drive, and a Newton target that leaves the bracket the residual signs
+give falls back to the bracket's midpoint, so such lanes converge in the
+pool and take no fallback.  The fallback serves coupled systems (DC solves,
+sweeps and write-margin probes), and runs on lanes too: the lanes plain
+Newton fails walk the gmin ladder from their own starts, each with its own
+step, and each round is one Newton call with every lane at its own rung.
+Unknown ordering is named nodes first, in netlist first-use order, then one
+branch current per voltage source.  Extended vectors carry a trailing ground
+slot pinned at zero so every stamp writes unconditionally.
 
 Each Newton step is solved exactly, but not as one dense system.  A voltage
 source from ground to a node that no other grounded source drives fixes that
@@ -219,7 +221,6 @@ class MnaSystem:
             a, b = self._slot(e.n_plus), self._slot(e.n_minus)
             static += [(a, k, 1.0), (b, k, -1.0), (k, a, 1.0), (k, b, -1.0)]
         rows, cols, vals = np.array(static).reshape(-1, 3).T
-        self._overrides: dict[str, float] = {}
         self._plan_step(resistors, (rows * (self.size + 1) + cols).astype(np.int64))
         self.g_static = np.zeros(self._sink + 1)
         np.add.at(self.g_static, self._static_pos, vals)
@@ -323,36 +324,34 @@ class MnaSystem:
 
     # -- source drive -------------------------------------------------
 
-    def set_source(self, source_id: str, value: float) -> None:
-        """Override one source's drive, replacing its card waveform."""
-        if source_id not in self.branch_index and all(
-            e.id != source_id for e in self.isources
-        ):
-            raise EngineError(f"no stamped source named {source_id!r}")
-        self._overrides[source_id] = float(value)
-
-    def _source_value(self, e: SourceElement, t: float) -> float:
-        if e.id in self._overrides:
-            return self._overrides[e.id]
-        return e.value_at(t)
-
-    def rhs(self, t: float = 0.0) -> np.ndarray:
-        b = np.zeros(self.size + 1)
+    def rhs(self, t: float = 0.0, drive: dict[str, float | np.ndarray] | None = None) -> np.ndarray:
+        """Extended right-hand side: each source at drive[id] where drive
+        names it, else at its card waveform's value at t.  A drive value may
+        be an array; the right-hand sides then stack, one row per value, as
+        (values, n+1).  Voltage drives enter their branch rows negated,
+        current drives their two nodes, in source order."""
+        drive = drive or {}
+        stamped = {e.id for e in self.vsources + self.isources}
+        unknown = sorted(set(drive) - stamped)
+        if unknown:
+            raise EngineError(f"no stamped source named {unknown[0]!r}")
+        b = np.zeros(np.broadcast_shapes(*map(np.shape, drive.values())) + (self.size + 1,))
         for e in self.vsources:
-            b[self.branch_index[e.id]] -= self._source_value(e, t)
+            b[..., self.branch_index[e.id]] -= drive[e.id] if e.id in drive else e.value_at(t)
         for e in self.isources:
-            val = self._source_value(e, t)
-            b[self._slot(e.n_plus)] += val
-            b[self._slot(e.n_minus)] -= val
+            val = drive[e.id] if e.id in drive else e.value_at(t)
+            b[..., self._slot(e.n_plus)] += val
+            b[..., self._slot(e.n_minus)] -= val
         return b
 
     # -- solving ------------------------------------------------------
 
     def _linear(self, g: np.ndarray, x_ext: np.ndarray, b: np.ndarray) -> np.ndarray:
         """b plus g @ x_ext over the planned entries of Jacobian values g,
-        for one extended state or a stack of lanes."""
+        for one extended state or a stack of lanes, each with its own g or
+        all sharing one."""
         res = b.copy()
-        res[..., :-1] += _row_sums(g[:-1] * x_ext.take(self._col, axis=-1), self._row_runs, self.size)
+        res[..., :-1] += _row_sums(g[..., :-1] * x_ext.take(self._col, axis=-1), self._row_runs, self.size)
         return res
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -408,12 +407,15 @@ class MnaSystem:
         return -e
 
     def _newton_lanes(
-        self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray, sets: np.ndarray | None = None
+        self, x0: np.ndarray, b: np.ndarray, g: np.ndarray, sets: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """Damped Newton on a queue of lanes, x0 (lanes, n) against b
-        (lanes, n+1), all sharing g_dyn; sets gives each lane's row of
-        par_sets (default the first).  It is the only stage decoupled lanes
-        run, and the first of the coupled solves' stages (_solve_lanes).
+        (lanes, n+1), with linear Jacobian values g, one row shared by all
+        lanes, (entries+1,), or one per lane, (lanes, entries+1); sets
+        gives each lane's row of par_sets (default the first).  It is the
+        only stage decoupled lanes run, the first of the coupled solves'
+        stages (_solve_lanes), each round of the gmin ladder, and each
+        transient step.
 
         At most MAX_LANES lanes are live.  Every iteration stamps them in one
         call; each stops on its own test and its place goes to the next
@@ -440,6 +442,7 @@ class MnaSystem:
         """
         n, lanes = self.size, x0.shape[0]
         sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
+        g = np.broadcast_to(g, (lanes, g.shape[-1]))  # a view: rows are gathered as lanes enter
         x = np.array(x0, dtype=float)
         its = np.full(lanes, MAX_ITER)
         failed: dict[int, str] = {}
@@ -453,25 +456,25 @@ class MnaSystem:
             side, flips = np.zeros((pool, free.size)), np.zeros((pool, free.size), dtype=np.int64)
         # One buffer of Jacobian values, reset in place each iteration, and
         # the stamp's targets in it and in the residuals, per pool slot.
-        jac_buf = np.empty((pool, g_dyn.size))
-        stride = np.repeat([g_dyn.size, n + 1], [8, 2])
+        jac_buf = np.empty((pool, g.shape[-1]))
+        stride = np.repeat([g.shape[-1], n + 1], [8, 2])
         stamp_at = self._stamp_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
         # Per pool slot: the live lane's id, iteration count, right-hand
-        # side, parameter rows and extended state, then its state and
-        # residual of the iteration before, NaN (equal to nothing) for an
-        # entering lane.  A finished lane's slot takes the next queued lane;
-        # once the queue is empty the pool shrinks.
+        # side, linear Jacobian, parameter rows and extended state, then its
+        # state and residual of the iteration before, NaN (equal to nothing)
+        # for an entering lane.  A finished lane's slot takes the next queued
+        # lane; once the queue is empty the pool shrinks.
         ids = np.arange(pool)
         count = np.zeros(pool, dtype=np.int64)
-        bl, parl = b[ids], self.par_sets[sets[ids]]
+        bl, gl, parl = b[ids], g[ids], self.par_sets[sets[ids]]
         xl = np.concatenate((x[ids], np.zeros((pool, 1))), axis=1)
         x_last, res_last = np.full((pool, n), np.nan), np.zeros((pool, n + 1))
         queued = pool
         while ids.size:
             count += 1
             jac = jac_buf[: ids.size]
-            jac[...] = g_dyn
-            res = self._linear(g_dyn, xl, bl)
+            jac[...] = gl
+            res = self._linear(gl, xl, bl)
             mos_stamp(xl, self.mos_idx, parl, self.vt, jac, res, stamp_at[:, : ids.size])
             delta = self.newton_step(jac, res)
             if bracket:
@@ -518,26 +521,20 @@ class MnaSystem:
             if new.size:
                 queued += new.size
                 slots = vacant[: new.size]
-                ids[slots], count[slots], bl[slots], parl[slots] = new, 0, b[new], self.par_sets[sets[new]]
+                ids[slots], count[slots], bl[slots], gl[slots] = new, 0, b[new], g[new]
+                parl[slots] = self.par_sets[sets[new]]
                 xl[slots, :n], x_last[slots] = x[new], np.nan
                 if bracket:
                     lo[slots], hi[slots], side[slots], flips[slots] = -np.inf, np.inf, 0.0, 0
             if new.size < vacant.size:
                 keep = np.ones(ids.size, dtype=bool)
                 keep[vacant[new.size :]] = False
-                ids, count, bl, parl, xl, x_last, res_last = (
-                    a[keep] for a in (ids, count, bl, parl, xl, x_last, res_last)
+                ids, count, bl, gl, parl, xl, x_last, res_last = (
+                    a[keep] for a in (ids, count, bl, gl, parl, xl, x_last, res_last)
                 )
                 if bracket:
                     lo, hi, side, flips = lo[keep], hi[keep], side[keep], flips[keep]
         return x, its, failed
-
-    def _newton(self, x0: np.ndarray, b: np.ndarray, g_dyn: np.ndarray) -> tuple[np.ndarray, int]:
-        """One lane of _newton_lanes; raises ConvergenceError on failure."""
-        x, its, failed = self._newton_lanes(x0[None], b[None], g_dyn)
-        if failed:
-            raise ConvergenceError(failed[0])
-        return x[0], int(its[0])
 
     def _gmin_stepping(
         self, x0: np.ndarray, b: np.ndarray
@@ -558,8 +555,8 @@ class MnaSystem:
         Once the next shunt would not exceed 1e-12 S the rung has none, and
         passing it ends the walk; a lane that fails it fails at once if half
         its step would still give no shunt.  A lane that fails no rung walks
-        the fixed decade ladder.  The lanes at one rung share one
-        _newton_lanes call.
+        the fixed decade ladder.  Each round is one _newton_lanes call, every
+        live lane at its own rung.
         Returns the states, each lane's iteration count over its passed
         rungs, and the failure message of each lane that stalled, whose
         state is then not a solution."""
@@ -574,22 +571,20 @@ class MnaSystem:
         while live.size:
             rung = shunt[live] * 10.0 ** -step[live]
             rung[rung <= 1e-12] = 0.0
-            for gmin in sorted(set(rung.tolist()), reverse=True):
-                at = live[rung == gmin]
-                g = self.g_static.copy()
-                g[self._node_diag] += gmin
-                x[at], n, stuck = self._newton_lanes(x[at], b[at], g)
-                ok = _passed(at.size, stuck)
-                good, bad = at[ok], at[~ok]
-                its[good] += n[ok]
-                shunt[good], step[good] = gmin, np.minimum(1.0, 1.5 * step[good])
-                step[bad] *= 0.5
-                # A lane whose halved step still gives no shunt would repeat
-                # the unshunted solve it just failed, from the same state.
-                step[bad[shunt[bad] * 10.0 ** -step[bad] <= 1e-12]] = 0.0
-                failed.update(
-                    dict.fromkeys(bad[step[bad] < 0.01].tolist(), "gmin stepping stalled below the minimum step")
-                )
+            g = np.repeat(self.g_static[None], live.size, axis=0)
+            g[:, self._node_diag] += rung[:, None]
+            x[live], n, stuck = self._newton_lanes(x[live], b[live], g)
+            ok = _passed(live.size, stuck)
+            good, bad = live[ok], live[~ok]
+            its[good] += n[ok]
+            shunt[good], step[good] = rung[ok], np.minimum(1.0, 1.5 * step[good])
+            step[bad] *= 0.5
+            # A lane whose halved step still gives no shunt would repeat the
+            # unshunted solve it just failed, from the same state.
+            step[bad[shunt[bad] * 10.0 ** -step[bad] <= 1e-12]] = 0.0
+            failed.update(
+                dict.fromkeys(bad[step[bad] < 0.01].tolist(), "gmin stepping stalled below the minimum step")
+            )
             live = live[(shunt[live] > 0.0) & (step[live] >= 0.01)]
         return x, its, failed
 
@@ -614,14 +609,16 @@ class MnaSystem:
         return x, its, fallback, {int(rescue[j]): msg for j, msg in left.items()}
 
     def solve_dc_vector(
-        self, x0: np.ndarray | None = None, t: float = 0.0
+        self, x0: np.ndarray | None = None, b: np.ndarray | None = None
     ) -> tuple[np.ndarray, int, bool]:
-        """One DC solution from x0 (default zero): _solve_lanes on one lane.
-        Returns the state, its iteration count and whether it needed the
-        gmin ladder; a lane that stalls on the ladder raises
-        ConvergenceError with its message."""
+        """One DC solution from x0 (default zero) against the right-hand
+        side b (default rhs(), every source at its card value):
+        _solve_lanes on one lane.  Returns the state, its iteration count
+        and whether it needed the gmin ladder; a lane that stalls on the
+        ladder raises ConvergenceError with its message."""
         start = np.zeros(self.size) if x0 is None else x0
-        x, its, fallback, left = self._solve_lanes(start[None], self.rhs(t)[None])
+        b = self.rhs() if b is None else b
+        x, its, fallback, left = self._solve_lanes(start[None], b[None])
         if left:
             raise ConvergenceError(left[0])
         return x[0], int(its[0]), bool(fallback[0])
@@ -653,12 +650,8 @@ class MnaSystem:
             raise EngineError("independent lanes need a decoupled system; sweep it instead")
         if source_id not in self.branch_index:
             raise EngineError(f"no stamped voltage source named {source_id!r}")
-        k = self.branch_index[source_id]
         sets, points = self.par_sets.shape[0], len(values)
-        b = self.rhs()
-        b[k] = 0.0
-        b = np.repeat(b[None], points, axis=0)
-        b[:, k] -= values
+        b = self.rhs(drive={source_id: values})
         lane_sets = np.repeat(np.arange(sets), points)
         start = x0
         if x0 is None:
@@ -689,10 +682,10 @@ class MnaSystem:
             x[self.node_index[name]] = v
         return x
 
-    def solution(self, x: np.ndarray, iterations: int, gmin_ladder: bool, t: float = 0.0) -> DcSolution:
+    def solution(self, x: np.ndarray, iterations: int, gmin_ladder: bool) -> DcSolution:
         volts = {name: float(x[i]) for name, i in self.node_index.items()}
         currents = {sid: float(x[k]) for sid, k in self.branch_index.items()}
-        res = self.residual(x, self.rhs(t))
+        res = self.residual(x, self.rhs())
         worst = float(np.abs(res[: self.n_nodes]).max(initial=0.0))
         return DcSolution(volts, currents, iterations, gmin_ladder, worst)
 
@@ -737,10 +730,10 @@ def dc_sweep(
     values = sweep_grid(start, stop, step)
     xs = np.zeros((values.size, sys.size))
     x = sys.pack_state(initial) if initial else None
+    b = sys.rhs(drive={source_id: values})
     for i, v in enumerate(values):
-        sys.set_source(source_id, v)
         try:
-            x, _, _ = sys.solve_dc_vector(x0=x)
+            x, _, _ = sys.solve_dc_vector(x, b[i])
         except EngineError as exc:
             raise type(exc)(f"{exc} (sweeping {source_id}={v:g})") from exc
         xs[i] = x
@@ -763,7 +756,7 @@ def transient(
     `ics` pins the named nodes with temporary voltage sources for the t=0
     solve only; the pins are absent from the time stepping itself.  A bad
     step, a t_stop that rounds to zero steps, to no finite number of them
-    or to more than the time grid and state table can hold in this
+    or to more than the time grid and the per-step tables can hold in this
     machine's physical memory, and an initial condition on a node the
     circuit lacks raise ValueError.
     """
@@ -781,14 +774,15 @@ def transient(
     unknown = sorted(set(ics or ()) - set(sys.node_index))
     if unknown:
         raise ValueError(f"initial condition on unknown node {unknown[0]!r}")
-    # The time grid, the state table and the drive table, one float per step
-    # each: refused before any of them is allocated if they cannot fit.
-    table = 8 * (n_steps + 1) * (1 + sys.size + len(sys.vsources) + len(sys.isources))
+    # The time grid, the state table, the drive table and the right-hand
+    # side table, one row per step each: refused before any of them is
+    # allocated if they cannot fit.
+    table = 8 * (n_steps + 1) * (2 + 2 * sys.size + len(sys.vsources) + len(sys.isources))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if table > memory:
         raise ValueError(
-            f"{n_steps} steps of {dt:g} s need {table / 2**30:.3g} GiB for the time grid and "
-            f"state table, more than the {memory / 2**30:.3g} GiB of physical memory"
+            f"{n_steps} steps of {dt:g} s need {table / 2**30:.3g} GiB for the time grid, "
+            f"state and drive tables, more than the {memory / 2**30:.3g} GiB of physical memory"
         )
     for e in sys.vsources + sys.isources:
         if e.kind == "PULSE" and (dt > e.params[3] or dt > e.params[4]):
@@ -808,31 +802,22 @@ def transient(
         for sid, k in sys.branch_index.items():
             x0[k] = pinned.branch_currents[sid]
     else:
-        x0, _, _ = sys.solve_dc_vector(t=0.0)
+        x0, _, _ = sys.solve_dc_vector()
 
     times = np.arange(n_steps + 1) * dt
     # One row per unknown, so each waveform is a row of this one table.
     xs = np.zeros((sys.size, n_steps + 1))
     xs[:, 0] = x0
 
-    # Every source's drive at every time point, a DC one evaluated once;
-    # each step's right-hand side is built from this table, and it is the
-    # result's drives.  Voltage drives enter their branch rows negated;
-    # current drives enter their two nodes in source order.
+    # Every source's drive at every time point, a DC one evaluated once: the
+    # result's drives, and the right-hand side of every step, one row each.
     drives = {
         e.id: np.full(times.size, e.value_at(0.0))
         if e.kind == "DC"
         else np.array([e.value_at(t) for t in times])
         for e in sys.vsources + sys.isources
     }
-    v_rows = np.array([sys.branch_index[e.id] for e in sys.vsources], dtype=np.int64)
-    v_drive = np.array([drives[e.id] for e in sys.vsources]).reshape(v_rows.size, times.size).T
-    i_rows = np.array(
-        [sys._slot(node) for e in sys.isources for node in (e.n_plus, e.n_minus)], dtype=np.int64
-    )
-    i_drive = np.array(
-        [sign * drives[e.id] for e in sys.isources for sign in (1.0, -1.0)]
-    ).reshape(i_rows.size, times.size).T
+    b_steps = np.broadcast_to(sys.rhs(drive=drives), (times.size, sys.size + 1))
 
     cap_a = np.array([sys._slot(c.n1) for c in sys.caps], dtype=np.int64)
     cap_b = np.array([sys._slot(c.n2) for c in sys.caps], dtype=np.int64)
@@ -861,19 +846,16 @@ def transient(
     for k in range(1, n_steps + 1):
         startup = method == "trap" and k == 1
         fac_k = 1.0 / dt if startup else factor
-        b_vec = np.zeros(sys.size + 1)
-        b_vec[v_rows] -= v_drive[k]
-        np.add.at(b_vec, i_rows, i_drive[k])
+        b_vec = b_steps[k].copy()
         x_ext_prev = np.append(x, 0.0)
         v_prev = x_ext_prev[cap_a] - x_ext_prev[cap_b]
         hist = fac_k * cap_c * v_prev
         if method == "trap" and not startup:
             hist += i_hist
         np.add.at(b_vec, cap_ab, np.stack((-hist, hist), axis=1).reshape(-1))
-        try:
-            x, _ = sys._newton(x, b_vec, g_start if startup else g_dyn)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{exc} (at t={times[k]:g} s)") from exc
+        (x,), _, failed = sys._newton_lanes(x[None], b_vec[None], g_start if startup else g_dyn)
+        if failed:
+            raise ConvergenceError(f"{failed[0]} (at t={times[k]:g} s)")
         if method == "trap":
             x_ext = np.append(x, 0.0)
             dv = (x_ext[cap_a] - x_ext[cap_b]) - v_prev

@@ -498,16 +498,12 @@ def write_margin(
     sys = MnaSystem(_augment(cell, _bias_sources(ports, v_dd, wl, None)), tech)
     held = sys.pack_state({ports["Q"]: v_dd, ports["QBAR"]: 0.0})
     q, qbar = sys.node_index[ports["Q"]], sys.node_index[ports["QBAR"]]
-    k = sys.branch_index["VSNMBL"]
-    base = sys.rhs()
-    base[k] = 0.0
     # Per probed BL value: whether the cell flips, or the message of a
     # probe that stalled on the gmin ladder.
     outcome: dict[float, bool | str] = {}
 
     def probe(values: list[float]) -> None:
-        b = np.repeat(base[None], len(values), axis=0)
-        b[:, k] -= values
+        b = sys.rhs(drive={"VSNMBL": values})
         x, _, _, left = sys._solve_lanes(np.repeat(held[None], len(values), axis=0), b)
         for i, v in enumerate(values):
             outcome[v] = left.get(i, bool(x[i, q] < x[i, qbar]))

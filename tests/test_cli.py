@@ -435,6 +435,21 @@ def test_sweep_writes_csv(run, tmp_path):
     assert len(rows) == 12
 
 
+def test_sweep_of_a_current_source(run, tmp_path):
+    f = tmp_path / "isrc.sp"
+    f.write_text("* current\nI1 0 a DC 0\nR1 a 0 2k\n.END\n")
+    dest = tmp_path / "sweep.csv"
+    code, out, err = run(
+        "sweep", str(f), "--source", "I1", "--from", "0", "--to", "1m", "--step", "0.25m", "--out", str(dest)
+    )
+    assert code == 0 and err == ""
+    assert "points 5" in body_of(out)
+    with open(dest, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["I1", "V(a)"]
+    assert [float(r[1]) for r in rows[1:]] == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0], abs=1e-12)
+
+
 def test_sweep_runs_downward(run, tmp_path):
     f = tmp_path / "div.sp"
     f.write_text(DIVIDER)

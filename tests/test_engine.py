@@ -2,6 +2,7 @@ import io
 import math
 import os
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -196,8 +197,10 @@ def test_singular_extract_keeps_exit_code_and_message(capsys):
 def test_newton_failure_names_worst_node(monkeypatch):
     sys = MnaSystem(parse_netlist(DIODE))
     monkeypatch.setattr(engine, "MAX_ITER", 2)
-    with pytest.raises(ConvergenceError, match="worst residual at node"):
-        sys._newton(np.zeros(sys.size), sys.rhs(), sys.g_static)
+    x0 = np.zeros((1, sys.size))
+    x, _, failed = sys._newton_lanes(x0, sys.rhs()[None], sys.g_static)
+    assert list(failed) == [0] and "worst residual at node" in failed[0]
+    assert np.array_equal(x, x0)
 
 
 def biased_cell(drives):
@@ -245,6 +248,29 @@ def test_gmin_stepping_rescues_a_write_probe(fallbacks):
     assert sol.max_residual < ABSTOL
 
 
+def test_benchmark_tracer_records_dc_solves():
+    # The benchmark's traced run wraps MnaSystem.solve_dc_vector by name and
+    # notes from its return whether each solve took the gmin ladder; a
+    # change to that method that breaks the wrapper shows here, not only in
+    # a traced benchmark run.  spans.py is read, not imported, so nothing
+    # is written beside it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), vars(spans))
+    real = MnaSystem.solve_dc_vector
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sramlab.solve_dc(parse_netlist(DIVIDER))
+        net, held = write_bias(1.1, 0.18)
+        sramlab.solve_dc(net, initial=held)
+    finally:
+        tracer.uninstall()
+    notes = [note for name, *_, note in tracer.spans if name == "engine.solve_dc_vector"]
+    assert notes == [False, True] and all(type(note) is bool for note in notes)
+    assert MnaSystem.solve_dc_vector is real and engine.np is np
+
+
 def test_halved_gmin_step_rescues_a_write_probe(fallbacks, monkeypatch):
     # At 1.2 V, BL = 0.40 V, plain Newton from the held state fails, and so
     # does the rung at 1e-5 S of the fixed decade ladder.  The lane retries
@@ -253,10 +279,11 @@ def test_halved_gmin_step_rescues_a_write_probe(fallbacks, monkeypatch):
     rungs = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g_dyn, sets=None):
-        x, its, failed = real(self, x0, b, g_dyn, sets)
+    def spy(self, x0, b, g, sets=None):
+        x, its, failed = real(self, x0, b, g, sets)
         d = self._node_diag[0]
-        rungs.append((g_dyn[d] - self.g_static[d], bool(failed)))
+        (shunt,) = np.atleast_2d(g)[:, d] - self.g_static[d]  # one lane
+        rungs.append((shunt, bool(failed)))
         return x, its, failed
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
@@ -286,9 +313,9 @@ def test_failed_unshunted_rung_is_not_repeated(monkeypatch):
     unshunted = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g_dyn, sets=None):
-        x, its, failed = real(self, x0, b, g_dyn, sets)
-        if np.array_equal(g_dyn, self.g_static):
+    def spy(self, x0, b, g, sets=None):
+        x, its, failed = real(self, x0, b, g, sets)
+        if (np.atleast_2d(g) == self.g_static).all():  # one lane
             unshunted.append((x0.copy(), bool(failed)))
         return x, its, failed
 
@@ -312,10 +339,12 @@ def test_unknown_initial_node():
         solve_dc(parse_netlist(DIVIDER), initial={"nope": 1.0})
 
 
-def test_set_source_unknown():
-    sys = MnaSystem(parse_netlist(DIVIDER))
-    with pytest.raises(EngineError, match="no stamped source"):
-        sys.set_source("V9", 1.0)
+def test_drive_of_unknown_source():
+    net = parse_netlist(DIVIDER)
+    with pytest.raises(EngineError, match="^no stamped source named 'V9'$"):
+        MnaSystem(net).rhs(drive={"V1": 1.0, "V9": 1.0})
+    with pytest.raises(EngineError, match="^no stamped source named 'V9'$"):
+        dc_sweep(net, "V9", 0.0, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------
@@ -503,9 +532,9 @@ def test_every_linear_matrix_lies_in_the_plan(monkeypatch):
     handed = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g_dyn, sets=None):
-        handed.append((self, g_dyn.copy()))
-        return real(self, x0, b, g_dyn, sets)
+    def spy(self, x0, b, g, sets=None):
+        handed.extend((self, row.copy()) for row in np.broadcast_to(g, (len(x0), g.shape[-1])))
+        return real(self, x0, b, g, sets)
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     net, held = write_bias(1.2, 0.40)
@@ -588,11 +617,12 @@ def fresh_stop(monkeypatch):
     checked = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g_dyn, sets=None):
-        x, its, failed = real(self, x0, b, g_dyn, sets)
+    def spy(self, x0, b, g, sets=None):
+        x, its, failed = real(self, x0, b, g, sets)
         assert sets is None or not sets.any()  # assembled stamps the first parameter set
+        rows = np.broadcast_to(g, (len(x0), g.shape[-1]))
         for lane in sorted(set(range(len(x))) - set(failed)):
-            jac, res = assembled(self, x[lane], b[lane], g_dyn)
+            jac, res = assembled(self, x[lane], b[lane], rows[lane])
             step = self.newton_step(jac, res)
             tol = RELTOL * np.maximum(np.abs(x[lane] + step), np.abs(x[lane])) + VNTOL
             checked.append((np.max(np.abs(step) / tol), np.abs(res[: self.n_nodes]).max(initial=0.0)))
@@ -676,6 +706,16 @@ def test_dc_sweep_annotates_failures():
         dc_sweep(net, "V1", 0.5, 1.0, 0.5)
 
 
+def test_dc_sweep_of_a_current_source():
+    # I1 drives 2 mA at most into a through R1 alone: V(a) = I * R at every
+    # point, and the other node, behind its own source, does not move.
+    net = parse_netlist("* current\nI1 0 a DC 0\nR1 a 0 2k\nV1 b 0 DC 0.5\nR2 b 0 1k\n.END")
+    res = dc_sweep(net, "I1", 0.0, 2e-3, 2.5e-4)
+    assert res.values.size == 9
+    np.testing.assert_allclose(res.node("a"), 2e3 * res.values, rtol=1e-12, atol=1e-15)
+    assert np.all(res.node("b") == 0.5)
+
+
 def test_sweep_csv_round_trip():
     res = dc_sweep(parse_netlist(DIVIDER), "V1", 0.0, 1.0, 0.5)
     buf = io.StringIO()
@@ -711,6 +751,16 @@ def test_transient_initial_condition_pins_first_point():
     assert np.all(tr.drives["V1"] == 1.0)
 
 
+def test_source_free_transient_decays_from_its_initial_condition():
+    # No source at all: each step's right-hand side is the capacitor's
+    # history alone, and backward Euler divides the voltage by 1 + dt/RC
+    # per step.
+    net = parse_netlist("* discharge\nR1 a 0 1k\nC1 a 0 1n\n.END")
+    tr = transient(net, t_stop=5e-6, dt=1e-7, ics={"a": 1.0})
+    assert tr.drives == {} and tr.branch_currents == {}
+    np.testing.assert_allclose(tr.node("a"), 1.1 ** -np.arange(51.0), rtol=1e-12)
+
+
 def test_transient_without_ics_starts_at_dc():
     net = parse_netlist(RC)
     tr = transient(net, t_stop=1e-5, dt=1e-6)
@@ -726,22 +776,25 @@ def test_quiet_be_steps_take_one_stamp_each(monkeypatch):
     net = biased_cell({"VDD": 1.8, "WL": 0.0, "BL": 1.8, "BLB": 1.8})
     q, qbar = net.role_node("Q"), net.role_node("QBAR")
     held = solve_dc(net, initial={q: 1.8, qbar: 0.0})
-    stamps, per_step = [], []
-    real_stamp, real_newton = engine.mos_stamp, MnaSystem._newton
+    stamps, calls = [], []
+    real_stamp, real_lanes = engine.mos_stamp, MnaSystem._newton_lanes
 
     def stamp(*args):
         stamps.append(1)
         return real_stamp(*args)
 
-    def newton(self, *args):
+    def lanes(self, *args):
         before = len(stamps)
-        out = real_newton(self, *args)
-        per_step.append(len(stamps) - before)
+        out = real_lanes(self, *args)
+        calls.append((self, len(stamps) - before))
         return out
 
     monkeypatch.setattr(engine, "mos_stamp", stamp)
-    monkeypatch.setattr(MnaSystem, "_newton", newton)
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", lanes)
     tr = transient(net, t_stop=2e-9, dt=1e-10, ics={q: held.voltage(q), qbar: held.voltage(qbar)})
+    # The pinned t = 0 solve runs on a system of its own; the steps on the
+    # last one.
+    per_step = [n for sys, n in calls if sys is calls[-1][0]]
     assert per_step == [1] * 20
     assert tr.node(q)[-1] == pytest.approx(1.8, abs=1e-6)
 
@@ -767,7 +820,8 @@ def test_transient_drive_table_is_rhs_per_step():
     x, _, _ = sys.solve_dc_vector()
     for k, t in enumerate(tr.time):
         if k:
-            x, _ = sys._newton(x, sys.rhs(t), sys.g_static)
+            (x,), _, failed = sys._newton_lanes(x[None], sys.rhs(t)[None], sys.g_static)
+            assert not failed
         assert all(tr.node(name)[k] == x[i] for name, i in sys.node_index.items())
     for e in sys.vsources + sys.isources:
         assert np.array_equal(tr.drives[e.id], [e.value_at(t) for t in tr.time])

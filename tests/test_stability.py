@@ -254,21 +254,29 @@ def write_probe_lanes(cell, v_dd, values, vth_shift=None):
     right-hand sides.  Q and QBAR are coupled free unknowns here."""
     lobe = MnaSystem(biased_write(cell, 0.0, v_dd, v_dd), vth_shift=vth_shift)
     held = lobe.pack_state({cell.role_node("Q"): v_dd})
-    b = np.repeat(lobe.rhs()[None], len(values), axis=0)
-    b[:, lobe.branch_index["VWBL"]] = -np.asarray(values)
+    b = lobe.rhs(drive={"VWBL": values})
     return lobe, np.repeat(held[None], len(values), axis=0), b
+
+
+def one_lane(lobe, x0, b, g):
+    """_newton_lanes on the one lane x0 against b and linear Jacobian g:
+    its state and iteration count, or ConvergenceError with its message."""
+    (x,), (its,), failed = lobe._newton_lanes(x0[None], b[None], g)
+    if failed:
+        raise ConvergenceError(failed[0])
+    return x, int(its)
 
 
 def refuse_newton(monkeypatch, refuse):
     """Make _newton_lanes fail, with the message "refused", every lane j
-    for which refuse(system, x0, b, g_dyn, sets)[j] holds; such a lane
+    for which refuse(system, x0, b, g, sets)[j] holds; such a lane
     returns its start, as a failed lane does."""
     real = MnaSystem._newton_lanes
 
-    def refusing(self, x0, b, g_dyn, sets=None):
-        x, its, failed = real(self, x0, b, g_dyn, sets)
+    def refusing(self, x0, b, g, sets=None):
+        x, its, failed = real(self, x0, b, g, sets)
         sets = np.zeros(len(x0), dtype=np.int64) if sets is None else sets
-        for j in np.flatnonzero(refuse(self, x0, b, g_dyn, sets)).tolist():
+        for j in np.flatnonzero(refuse(self, x0, b, g, sets)).tolist():
             x[j], its[j], failed[j] = x0[j], engine.MAX_ITER, "refused"
         return x, its, failed
 
@@ -318,9 +326,9 @@ def cold_at(v_in, source="VIN"):
     (the probe, the one free unknown, at 0 V) with `source` driven at
     v_in."""
 
-    def refuse(lobe, x0, b, g_dyn, sets):
+    def refuse(lobe, x0, b, g, sets):
         probe = lobe._free[0]
-        return (x0[:, probe] == 0) & np.isclose(-b[:, lobe.branch_index[source]], v_in) & (g_dyn is lobe.g_static)
+        return (x0[:, probe] == 0) & np.isclose(-b[:, lobe.branch_index[source]], v_in) & (g is lobe.g_static)
 
     return refuse
 
@@ -356,11 +364,10 @@ def kcl_bisection(cell, mode, v_dd, v_in, node="QBAR"):
     fixed (Q at v_in), by plain bisection on [0, v_dd]; the residual is
     increasing in the node's voltage."""
     lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"))
-    lobe.set_source("VIN", v_in)
     wl = v_dd if mode == "read" else 0.0
     roles = {"VDD": v_dd, "WL": wl, "BL": v_dd, "BLB": v_dd, "Q": v_in}
     x = lobe.pack_state({cell.role_node(r): v for r, v in roles.items()})
-    row, b = lobe.node_index[cell.role_node(node)], lobe.rhs()
+    row, b = lobe.node_index[cell.role_node(node)], lobe.rhs(drive={"VIN": v_in})
 
     def kcl(v):
         x[row] = v
@@ -389,8 +396,7 @@ def test_bracketed_lane_is_the_kcl_root(cell, monkeypatch, v_dd, grid, v_in):
     tol = engine.RELTOL * abs(want) + engine.VNTOL
     assert abs(data.lobe_a.v_out[i] - want) <= tol
     lobe = MnaSystem(biased_lobe(cell, "read", v_dd, "Q"))
-    lobe.set_source("VIN", data.lobe_a.v_in[i])
-    x, _ = lobe._newton(np.zeros(lobe.size), lobe.rhs(), lobe.g_static)
+    x, _ = one_lane(lobe, np.zeros(lobe.size), lobe.rhs(drive={"VIN": data.lobe_a.v_in[i]}), lobe.g_static)
     assert abs(x[lobe.node_index[cell.role_node("QBAR")]] - want) <= tol
 
 
@@ -454,7 +460,7 @@ def test_cycling_lane_fails_before_max_iter(cell, monkeypatch):
     assert not lobe.decoupled
     lanes = stamp_counter(monkeypatch)
     with pytest.raises(ConvergenceError, match="within 100 Newton iterations; worst residual at node Q$"):
-        lobe._newton(x0[0], b[0], lobe.g_static)
+        one_lane(lobe, x0[0], b[0], lobe.g_static)
     assert len(lanes) < engine.MAX_ITER
 
 
@@ -489,11 +495,12 @@ def one_lane_chain(lobe, x0, b):
     """_solve_lanes one lane at a time, kept as the oracle of the batched
     stage: plain Newton, one one-lane _newton_lanes per lane, and then, for
     a lane it fails, the adaptive gmin ladder from that lane's own start,
-    one one-lane _newton per rung.  Returns the states, the iteration
-    counts, the fallback mask, and the message of each lane that stalls on
-    the ladder."""
+    one one-lane solve per rung.  Returns the states, the iteration
+    counts, the fallback mask, the message of each lane that stalls on
+    the ladder, and the shunts each rescued lane's rungs tried, in order."""
+    rungs: dict[int, list[float]] = {}
 
-    def gmin_stepping(x, b_l):
+    def gmin_stepping(lane, x, b_l):
         # A decade down from 1e-3 S per accepted rung; a failed rung is
         # retried from the accepted state with half the step, which then
         # regrows by half per rung up to a decade; no shunt once the next
@@ -503,10 +510,11 @@ def one_lane_chain(lobe, x0, b):
         while True:
             gmin = shunt * 10.0**-step
             gmin = gmin if gmin > 1e-12 else 0.0
+            rungs.setdefault(lane, []).append(gmin)
             g = lobe.g_static.copy()
             g[lobe._node_diag] += gmin
             try:
-                x, its = lobe._newton(x, b_l, g)
+                x, its = one_lane(lobe, x, b_l, g)
             except ConvergenceError:
                 step *= 0.5
                 if step < 0.01 or shunt * 10.0**-step <= 1e-12:
@@ -524,10 +532,10 @@ def one_lane_chain(lobe, x0, b):
         x[lane], its[lane], fallback[lane] = x_1[0], its_1[0], bool(stuck)
         if stuck:
             try:
-                x[lane], its[lane] = gmin_stepping(x0[lane], b[lane])
+                x[lane], its[lane] = gmin_stepping(lane, x0[lane], b[lane])
             except ConvergenceError as exc:
                 left[lane] = str(exc)
-    return x, its, fallback, left
+    return x, its, fallback, left, rungs
 
 
 def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
@@ -539,14 +547,32 @@ def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
     # must be rescued.  Batched, in one gmin stage, every lane must end as
     # the one-lane chain leaves it: the same fallback mask and messages,
     # and the same state and iteration count wherever a lane converges.
+    # The stage makes one _newton_lanes call per round, in which every lane
+    # still walking tries the rung the chain tries at that round, so the
+    # halved steps put the lanes of one call on different rungs.
     values = np.concatenate((sweep_grid(0.10, 0.45, 0.01), np.arange(0.37, 0.43, 0.0025)))
     lobe, x0, b = write_probe_lanes(cell, 1.2, values)
-    want_x, want_its, want_fallback, want_left = one_lane_chain(lobe, x0, b)
+    want_x, want_its, want_fallback, want_left, want_rungs = one_lane_chain(lobe, x0, b)
     stages = spy_fallbacks(monkeypatch)
+    rounds = []  # per ladder call: the shunt of each of its lanes
+    real = MnaSystem._newton_lanes
+
+    def spy(self, x0, b, g, sets=None):
+        if stages:
+            d = self._node_diag[0]
+            rounds.append(np.broadcast_to(g, (len(x0), g.shape[-1]))[:, d] - self.g_static[d])
+        return real(self, x0, b, g, sets)
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     x, its, fallback, left = lobe._solve_lanes(x0, b)
     monkeypatch.undo()
 
     assert stages == ["_gmin_stepping"]
+    walks = [want_rungs[lane] for lane in sorted(want_rungs)]
+    assert len(rounds) == max(map(len, walks))
+    for k, shunts in enumerate(rounds):
+        assert shunts == pytest.approx([walk[k] for walk in walks if len(walk) > k], rel=1e-6, abs=0)
+    assert any(np.unique(shunts).size > 2 for shunts in rounds)
     assert want_fallback[(0.11 <= values) & (values <= 0.33)].all()
     assert want_fallback[(0.374 <= values) & (values <= 0.420)].all()
     assert want_left == {}
@@ -757,7 +783,7 @@ def stall_at(bl_v, hits):
     rung, so that probe stalls on the gmin ladder.  Appends to hits once
     per refused call."""
 
-    def refuse(lobe, x0, b, g_dyn, sets):
+    def refuse(lobe, x0, b, g, sets):
         k = lobe.branch_index.get("VSNMBL", lobe.branch_index.get("VWBL"))
         mask = -b[:, k] == bl_v
         if mask.any():
@@ -1040,8 +1066,8 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
 
     cold = cold_at(0.5, "VSNMIN")
 
-    def refuse(lobe, x0, b, g_dyn, sets):
-        return cold(lobe, x0, b, g_dyn, sets) & (lobe.par_sets[sets] == nominal_par).all(axis=(1, 2))
+    def refuse(lobe, x0, b, g, sets):
+        return cold(lobe, x0, b, g, sets) & (lobe.par_sets[sets] == nominal_par).all(axis=(1, 2))
 
     refuse_newton(monkeypatch, refuse)
     monkeypatch.setattr(MnaSystem, "solve_dc_lanes", lanes_spy)
