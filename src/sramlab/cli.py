@@ -199,7 +199,7 @@ def _cmd_dc(args, tech):
 
 def _cmd_sweep(args, tech):
     net = _read_netlist(args.netlist)
-    sources = {e.id for e in net.elements if isinstance(e, SourceElement) and not e.degenerate}
+    sources = {e.id: e for e in net.elements if isinstance(e, SourceElement) and not e.degenerate}
     if args.source not in sources:
         raise ConfigError(f"no stamped source named {args.source!r}")
     if not args.step > 0:
@@ -209,8 +209,9 @@ def _cmd_sweep(args, tech):
         sweep_to_csv(result, args.out)
     rep = _report(tech)
     rep.add("points", result.values.size)
-    rep.add("start", float(result.values[0]), "V")
-    rep.add("stop", float(result.values[-1]), "V")
+    unit = "A" if sources[args.source].is_current else "V"
+    rep.add("start", float(result.values[0]), unit)
+    rep.add("stop", float(result.values[-1]), unit)
     return _emit(rep)
 
 

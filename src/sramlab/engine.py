@@ -33,6 +33,10 @@ node's KCL row.  No (n+1)-square matrix is formed: each system fixes once
 the plan of Jacobian entries that can be nonzero, a lane's Jacobian is one
 value per planned entry, and every reset, product, gather and stamp runs
 over those entries alone.
+
+A backward-Euler step whose drives equal the step before's, once the node
+moves have contracted to a geometric tail within VNTOL, is latent: it keeps
+the state of the step before and solves nothing (see transient).
 """
 
 from __future__ import annotations
@@ -742,6 +746,22 @@ def dc_sweep(
     return SweepResult(source_id, values, nodes, currents)
 
 
+def _latent(v: np.ndarray) -> bool:
+    """Whether node voltages v, (nodes, 3) over the last three steps, have
+    settled: the geometric tail d1 rho / (1 - rho) = d1^2 / (d0 - d1), rho
+    = d1 / d0, that the moves left would sum to is within VNTOL, with d1
+    the last step's largest move and d0 the largest move before.  It holds
+    when d1 is zero, and never unless d1 < d0: a constant or growing drift
+    never settles.  Nodes relax at rates of their own, so each node whose
+    move shrinks must also have its own tail within VNTOL; the others are
+    bounded by the largest move's."""
+    d0, d1 = np.abs(np.diff(v, axis=1)).T
+    big0, big1 = d0.max(initial=0.0), d1.max(initial=0.0)
+    shrinks = d1 < d0
+    each = (d1[shrinks] ** 2 <= VNTOL * (d0 - d1)[shrinks]).all()
+    return bool(big1 * big1 <= VNTOL * (big0 - big1) and each)
+
+
 def transient(
     net: Netlist,
     t_stop: float,
@@ -752,6 +772,15 @@ def transient(
     vth_shift: dict[str, float] | None = None,
 ) -> TransientResult:
     """Fixed-step transient; `method` is "be" or "trap".
+
+    A backward-Euler step k is latent when every source drive equals step
+    k-1's and _latent holds on the node voltages of steps k-3 to k-1: the
+    geometric tail of their moves is within VNTOL.  A latent step copies
+    the state of step k-1, node voltages and branch currents, and makes no
+    stamp and no Newton call; the next step then sees no move and stays
+    latent until a drive changes.  Trapezoidal steps are always solved,
+    since their companions carry each capacitor's current from the step
+    before, which a copied state would freeze.
 
     `ics` pins the named nodes with temporary voltage sources for the t=0
     solve only; the pins are absent from the time stepping itself.  A bad
@@ -841,9 +870,18 @@ def transient(
     # global order at two.
     g_start = companion_matrix(1.0 / dt) if method == "trap" else g_dyn
 
+    # A backward-Euler step whose right-hand side, before the capacitor
+    # history, equals the step before's may be latent (see _latent).
+    held = np.zeros(times.size, dtype=bool)
+    if method == "be":
+        held[1:] = (b_steps[1:] == b_steps[:-1]).all(axis=1)
+
     i_hist = np.zeros(cap_c.size)  # trapezoidal branch-current history
     x = x0.copy()
     for k in range(1, n_steps + 1):
+        if held[k] and k >= 3 and _latent(xs[: sys.n_nodes, k - 3 : k]):
+            xs[:, k] = x
+            continue
         startup = method == "trap" and k == 1
         fac_k = 1.0 / dt if startup else factor
         b_vec = b_steps[k].copy()

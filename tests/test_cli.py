@@ -443,7 +443,9 @@ def test_sweep_of_a_current_source(run, tmp_path):
         "sweep", str(f), "--source", "I1", "--from", "0", "--to", "1m", "--step", "0.25m", "--out", str(dest)
     )
     assert code == 0 and err == ""
-    assert "points 5" in body_of(out)
+    body = body_of(out)
+    assert "points 5" in body
+    assert "start 0 A" in body and "stop 0.001 A" in body
     with open(dest, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["I1", "V(a)"]

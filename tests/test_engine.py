@@ -36,7 +36,7 @@ from sramlab.engine import (
     waveform_from_csv,
     waveform_to_csv,
 )
-from sramlab.genlib import build_6t_cell
+from sramlab.genlib import build_6t_cell, build_array
 from sramlab.kernels import mos_stamp
 from sramlab.netlist import GROUND, Node, ResElement, SourceElement, parse_netlist, with_elements
 
@@ -220,6 +220,11 @@ def write_bias(v_dd, v_bl):
     one probe of write_margin's bisection, with its held initial state."""
     net = biased_cell({"VDD": v_dd, "WL": v_dd, "BL": v_bl, "BLB": v_dd})
     return net, {net.role_node("Q"): v_dd, net.role_node("QBAR"): 0.0}
+
+
+def write_read_stimulus():
+    """The corpus write/read stimulus of a single cell."""
+    return parse_netlist((Path(sramlab.__file__).parent / "corpus" / "cell_write_read.sp").read_text())
 
 
 @pytest.fixture
@@ -540,7 +545,7 @@ def test_every_linear_matrix_lies_in_the_plan(monkeypatch):
     net, held = write_bias(1.2, 0.40)
     solve_dc(net, initial=held)
     ladder = len(handed)
-    stimulus = parse_netlist((Path(sramlab.__file__).parent / "corpus" / "cell_write_read.sp").read_text())
+    stimulus = write_read_stimulus()
     bridged = parse_netlist(RC.replace(".END", "C2 in out 2p\nR2 out 0 2k\n.END"))
     dt = 0.1e-9
     for method in ("be", "trap"):
@@ -632,6 +637,31 @@ def fresh_stop(monkeypatch):
     return checked
 
 
+@pytest.fixture
+def latent_steps(monkeypatch):
+    """How often each run's latency rule held, in run order; reference(...)
+    runs transient with the rule off, every step solved."""
+    runs = []
+    real = engine._latent
+
+    def spy(v):
+        latent = real(v)
+        runs[-1] += latent
+        return latent
+
+    def run(*args, **kwargs):
+        runs.append(0)
+        return transient(*args, **kwargs)
+
+    def reference(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_latent", lambda v: False)
+            return transient(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_latent", spy)
+    return types.SimpleNamespace(runs=runs, run=run, reference=reference)
+
+
 def assert_converged(checked, at_least):
     assert len(checked) >= at_least
     ratio, res = np.array(checked).T
@@ -652,10 +682,36 @@ def test_random_circuits_converge_by_a_fresh_stop_test(fresh_stop):
     assert_converged(fresh_stop, 380)
 
 
-def test_be_steps_converge_by_a_fresh_stop_test(fresh_stop):
-    stimulus = parse_netlist((Path(sramlab.__file__).parent / "corpus" / "cell_write_read.sp").read_text())
-    transient(stimulus, t_stop=60e-9, dt=0.1e-9, ics={"Q": 1.8, "QBAR": 0.0})
-    assert_converged(fresh_stop, 601)
+def test_be_steps_converge_by_a_fresh_stop_test(fresh_stop, latent_steps):
+    # Solved steps pass the fresh stop test in the spy.  A latent step keeps
+    # the state of the step before; that state must pass the same test
+    # against the latent step's own backward-Euler equation, built here from
+    # rhs and the capacitors, not by transient.
+    stimulus = write_read_stimulus()
+    dt = 0.1e-9
+    tr = latent_steps.run(stimulus, t_stop=60e-9, dt=dt, ics={"Q": 1.8, "QBAR": 0.0})
+    (latent,) = latent_steps.runs
+    # The first checked lane is the pinned t = 0 solve.
+    solved = len(fresh_stop) - 1
+    assert solved + latent == 600
+    assert_converged(fresh_stop, 1 + solved)
+
+    sys = MnaSystem(stimulus)
+    xs = np.array([tr.node(n) for n in sys.nodes] + [tr.branch_currents[s] for s in sys.branch_index])
+    kept = [k for k in range(1, 601) if np.array_equal(xs[:, k], xs[:, k - 1])]
+    assert len(kept) == latent > 0
+    linear = reference_matrix(sys, cap_factor=1 / dt)
+    caps = linear - reference_matrix(sys)
+    g = np.append(linear.reshape(-1)[sys._keys], 0.0)
+    checked = []
+    for k in kept:
+        x = xs[:, k]
+        b = sys.rhs(tr.time[k]) - caps @ np.append(xs[:, k - 1], 0.0)
+        jac, res = assembled(sys, x, b, g)
+        step = sys.newton_step(jac, res)
+        tol = RELTOL * np.maximum(np.abs(x + step), np.abs(x)) + VNTOL
+        checked.append((np.max(np.abs(step) / tol), np.abs(res[: sys.n_nodes]).max()))
+    assert_converged(checked, len(kept))
 
 
 def test_write_probe_converges_by_a_fresh_stop_test(fresh_stop):
@@ -797,6 +853,135 @@ def test_quiet_be_steps_take_one_stamp_each(monkeypatch):
     per_step = [n for sys, n in calls if sys is calls[-1][0]]
     assert per_step == [1] * 20
     assert tr.node(q)[-1] == pytest.approx(1.8, abs=1e-6)
+
+
+# Latent steps.  Each test names the mutation of the latency rule (drive
+# check, contraction and tail bound, backward Euler only) that it catches.
+
+
+def array_write_read(bits, target):
+    """A tile of bits.shape cells holding bits, under the stimulus of
+    cell_write_read.sp at array scale: the word-line pulse on the target's
+    row, the other rows grounded, every bit line held at VDD but the
+    target column's side that writes the flipped bit, which the BL
+    waveform pulls low.  Returns the netlist, its initial condition and
+    the bits it should end in."""
+    stim = {e.id: e for e in write_read_stimulus().elements if isinstance(e, SourceElement)}
+    gnd = Node(GROUND)
+    off = SourceElement("VOFF", gnd, gnd, "DC", (0.0,))
+
+    def source(node, proto):
+        return SourceElement(f"V{node}", Node(node), gnd, proto.kind, proto.params)
+
+    rows, cols = bits.shape
+    want = bits.copy()
+    want[target] = 1 - bits[target]
+    low = "BL" if want[target] == 0 else "BLB"
+    sources = [source("VDD", stim["VDD"])]
+    sources += [source(f"WL{r}", stim["VWL"] if r == target[0] else off) for r in range(rows)]
+    sources += [
+        source(f"{side}{c}", stim["VBL"] if (c, side) == (target[1], low) else stim["VBLB"])
+        for c in range(cols)
+        for side in ("BL", "BLB")
+    ]
+    ics = {}
+    for (r, c), b in np.ndenumerate(bits):
+        ics[f"Q_{r}_{c}"], ics[f"QBAR_{r}_{c}"] = 1.8 * b, 1.8 * (1 - b)
+    return with_elements(build_array(rows, cols), sources), ics, want
+
+
+def assert_within_vntol(got, ref):
+    for name in ref.nodes:
+        np.testing.assert_allclose(got.node(name), ref.node(name), rtol=0, atol=VNTOL, err_msg=name)
+
+
+@pytest.mark.parametrize("ics", [{"Q": 1.8, "QBAR": 0.0}, None])
+def test_latent_be_steps_track_the_full_run(latent_steps, ics):
+    # Catches a tail bound loosened tenfold.
+    net = write_read_stimulus()
+    got = latent_steps.run(net, t_stop=60e-9, dt=0.1e-9, ics=ics)
+    ref = latent_steps.reference(net, t_stop=60e-9, dt=0.1e-9, ics=ics)
+    assert latent_steps.runs[-1] > 300
+    assert_within_vntol(got, ref)
+    assert (got.node("Q")[-1] > got.node("QBAR")[-1]) == (ref.node("Q")[-1] > ref.node("QBAR")[-1])
+
+
+@pytest.mark.parametrize(
+    "bits, target",
+    [
+        (np.zeros((4, 4), dtype=int), (1, 2)),
+        (np.ones((4, 4), dtype=int), (2, 1)),
+        (np.indices((4, 4)).sum(axis=0) % 2, (3, 0)),
+    ],
+)
+def test_latent_be_steps_track_the_full_run_on_a_tile(latent_steps, bits, target):
+    # Catches a tail bound taken over the largest move alone, which leaves
+    # a node that relaxes more slowly than that move too far from its end.
+    net, ics, want = array_write_read(bits, target)
+    got = latent_steps.run(net, t_stop=60e-9, dt=2e-10, ics=ics)
+    ref = latent_steps.reference(net, t_stop=60e-9, dt=2e-10, ics=ics)
+    assert latent_steps.runs[-1] > 100
+    assert_within_vntol(got, ref)
+    for out in (got, ref):
+        ends = [[out.node(f"Q_{r}_{c}")[-1] > out.node(f"QBAR_{r}_{c}")[-1] for c in range(4)] for r in range(4)]
+        assert np.array_equal(ends, want)
+
+
+def test_latency_never_freezes_a_drift(latent_steps):
+    # A constant current charges the capacitor by 1e-7 V a step, well
+    # inside VNTOL: no step may go latent.  Catches a rule without the
+    # contraction test.
+    net = parse_netlist("* charging\nI1 0 a DC 1n\nC1 a 0 1p\n.END")
+    got = latent_steps.run(net, t_stop=1e-8, dt=1e-10, ics={"a": 0.0})
+    ref = latent_steps.reference(net, t_stop=1e-8, dt=1e-10, ics={"a": 0.0})
+    assert latent_steps.runs == [0]
+    assert np.array_equal(got.node("a"), ref.node("a"))
+    np.testing.assert_allclose(np.diff(got.node("a")), 1e-7, rtol=1e-6)
+
+
+def test_latency_never_skips_an_edge(latent_steps):
+    # A long settled span, then a pulse: the driven node equals its drive
+    # on every step, so the first step of each edge was solved.  Catches a
+    # rule without the drive check.
+    net = parse_netlist("* edge\nV1 in 0 PULSE(0 1 50n 1n 1n 20n 100n)\nR1 in out 1k\nC1 out 0 1p\n.END")
+    tr = latent_steps.run(net, t_stop=100e-9, dt=0.1e-9)
+    assert latent_steps.runs[-1] > 400
+    assert np.array_equal(tr.node("in"), tr.drives["V1"])
+    assert_within_vntol(tr, latent_steps.reference(net, t_stop=100e-9, dt=0.1e-9))
+
+
+def test_trap_steps_are_never_latent(latent_steps):
+    # Catches the rule applied to the trapezoidal method.
+    net = write_read_stimulus()
+    for ics in ({"Q": 1.8, "QBAR": 0.0}, None):
+        got = latent_steps.run(net, t_stop=60e-9, dt=0.1e-9, method="trap", ics=ics)
+        ref = latent_steps.reference(net, t_stop=60e-9, dt=0.1e-9, method="trap", ics=ics)
+        for name in ref.nodes:
+            assert np.array_equal(got.node(name), ref.node(name)), name
+        for name in ref.branch_currents:
+            assert np.array_equal(got.branch_currents[name], ref.branch_currents[name]), name
+    assert latent_steps.runs == [0, 0]
+
+
+def test_settled_be_span_costs_no_stamps(monkeypatch):
+    # After the write the cell settles and every drive holds until BL
+    # rises at 25 ns: the steps from 20 to 24 ns stamp nothing.  The two
+    # runs share their first 200 steps.  Catches a rule that never holds.
+    stamps = []
+    real = engine.mos_stamp
+
+    def stamp(*args):
+        stamps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "mos_stamp", stamp)
+    net = write_read_stimulus()
+    counts = []
+    for t_stop in (20e-9, 24e-9):
+        stamps.clear()
+        transient(net, t_stop=t_stop, dt=0.1e-9, ics={"Q": 1.8, "QBAR": 0.0})
+        counts.append(len(stamps))
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 def test_transient_tracks_pwl_drive():
