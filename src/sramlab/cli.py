@@ -23,6 +23,7 @@ from .engine import (
     EngineError,
     dc_sweep,
     solve_dc,
+    sweep_grid,
     sweep_to_csv,
     transient,
     waveform_from_csv,
@@ -202,9 +203,8 @@ def _cmd_sweep(args, tech):
     sources = {e.id: e for e in net.elements if isinstance(e, SourceElement) and not e.degenerate}
     if args.source not in sources:
         raise ConfigError(f"no stamped source named {args.source!r}")
-    if not args.step > 0:
-        raise ConfigError("sweep step must be positive")
-    result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
+    with _bad_input():
+        result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
     if args.out:
         sweep_to_csv(result, args.out)
     rep = _report(tech)
@@ -240,6 +240,8 @@ def _cmd_snm(args, tech):
     _positive("grid", args.grid)
     _positive("vdd", args.vdd)
     net = _read_netlist(args.netlist)
+    with _bad_input():
+        sweep_grid(0.0, args.vdd, args.grid)
     data = butterfly(net, tech, args.mode, args.vdd, args.grid)
     if args.out:
         butterfly_to_csv(data, args.out)
@@ -376,6 +378,7 @@ def _cmd_montecarlo(args, tech):
         tech.nmos.a_vth = tech.pmos.a_vth = args.a_vth
     with _bad_input():
         vm = VariationModel(a_vth=None, n_samples=args.samples, seed=args.seed)
+        sweep_grid(0.0, args.vdd, args.grid)
     summary = monte_carlo_snm(net, tech, vm, args.mode, args.vdd, args.grid)
     if args.out:
         with open(args.out, "w", newline="") as fh:

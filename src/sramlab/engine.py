@@ -10,15 +10,18 @@ lobe grid) share every device evaluation; a single solve or transient step
 is one lane.  Drives are data: rhs builds the right-hand sides of any source
 values, one row per value, and nothing sets a drive on the system itself.
 Lanes queue for a pool of at most MAX_LANES live ones, and each lane that
-finishes hands its place to the next in the queue.  In a decoupled system,
-where every free unknown is a block of its own, each lane is a set of
-bracketed scalar root-finds: independent lanes start with every driven node
-at its drive, and a Newton target that leaves the bracket the residual signs
-give falls back to the bracket's midpoint, so such lanes converge in the
-pool and take no fallback.  The fallback serves coupled systems (DC solves,
-sweeps and write-margin probes), and runs on lanes too: the lanes plain
-Newton fails walk the gmin ladder from their own starts, each with its own
-step, and each round is one Newton call with every lane at its own rung.
+finishes hands its place to the next in the queue.  Every DC solve goes
+through one driver, solve_lanes, whose cold lanes start with every driven
+node at its drive.  It runs plain Newton on every lane, and the lanes
+Newton fails walk the gmin ladder, each from its own start with its own
+parameter set and step; each round is one Newton call with every lane at
+its own rung.  In a decoupled system, where every free unknown is a block
+of its own, each lane is a set of bracketed scalar root-finds: a Newton
+target that leaves the bracket the residual signs give falls back to the
+bracket's midpoint, so such lanes mostly converge in the pool.  A lane
+whose solution lies further than MAX_ITER clipped steps of MAX_STEP from
+its start still needs the ladder, whose rungs each bring their own
+iterations.
 Unknown ordering is named nodes first, in netlist first-use order, then one
 branch current per voltage source.  Extended vectors carry a trailing ground
 slot pinned at zero so every stamp writes unconditionally.
@@ -417,8 +420,8 @@ class MnaSystem:
         (lanes, n+1), with linear Jacobian values g, one row shared by all
         lanes, (entries+1,), or one per lane, (lanes, entries+1); sets
         gives each lane's row of par_sets (default the first).  It is the
-        only stage decoupled lanes run, the first of the coupled solves'
-        stages (_solve_lanes), each round of the gmin ladder, and each
+        plain Newton of every DC solve (solve_lanes), the only stage
+        decoupled lanes run, each round of the gmin ladder, and each
         transient step.
 
         At most MAX_LANES lanes are live.  Every iteration stamps them in one
@@ -541,16 +544,17 @@ class MnaSystem:
         return x, its, failed
 
     def _gmin_stepping(
-        self, x0: np.ndarray, b: np.ndarray
+        self, x0: np.ndarray, b: np.ndarray, sets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """Adaptive gmin stepping on lanes, x0 (lanes, n) against b (lanes,
-        n+1): a shunt from every node to ground, relaxed rung by rung, then
-        none (the SPICE2 ladder of Nagel, ERL-M520, 1975, with ngspice's
-        dynamic step).  Near a bistable trip point the exact Jacobian is
-        close to singular and plain Newton wanders; the shunted system stays
-        well conditioned, and each rung starts at the state the last passed
-        rung accepted, the first at the lane's own start, so the walk stays
-        in the caller's basin.
+        n+1), each lane with its row sets of par_sets: the lanes that
+        solve_lanes's plain Newton fails.  A shunt from every node to ground
+        is relaxed rung by rung, then none (the SPICE2 ladder of Nagel,
+        ERL-M520, 1975, with ngspice's dynamic step).  Near a bistable trip
+        point the exact Jacobian is close to singular and plain Newton
+        wanders; the shunted system stays well conditioned, and each rung
+        starts at the state the last passed rung accepted, the first at the
+        lane's own start, so the walk stays in the caller's basin.
 
         Each lane starts at 1e-3 S and lowers the shunt by its own step, a
         decade at first.  A passed rung regrows the step by half, to at most
@@ -577,7 +581,7 @@ class MnaSystem:
             rung[rung <= 1e-12] = 0.0
             g = np.repeat(self.g_static[None], live.size, axis=0)
             g[:, self._node_diag] += rung[:, None]
-            x[live], n, stuck = self._newton_lanes(x[live], b[live], g)
+            x[live], n, stuck = self._newton_lanes(x[live], b[live], g, sets[live])
             ok = _passed(live.size, stuck)
             good, bad = live[ok], live[~ok]
             its[good] += n[ok]
@@ -592,40 +596,53 @@ class MnaSystem:
             live = live[(shunt[live] > 0.0) & (step[live] >= 0.01)]
         return x, its, failed
 
-    def _solve_lanes(
-        self, x0: np.ndarray, b: np.ndarray
+    def solve_lanes(
+        self,
+        b: np.ndarray,
+        x0: np.ndarray | None = None,
+        sets: np.ndarray | None = None,
+        fallback: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-        """Newton, then gmin stepping, on lanes x0 (lanes, n) against b
-        (lanes, n+1): the one stage that coupled solves share.
-
-        Plain Newton runs all lanes through one pool, and the lanes it fails
-        walk the adaptive gmin ladder, each from its own start.  Returns the
-        states, each lane's iteration count, whether it needed the ladder,
-        and the failure message of each lane that stalled on the ladder,
-        whose state is then not a solution.
-        """
-        x, its, stuck = self._newton_lanes(x0, b, self.g_static)
-        fallback = ~_passed(x0.shape[0], stuck)
-        rescue = np.flatnonzero(fallback)
-        if not rescue.size:
-            return x, its, fallback, {}
-        x[rescue], its[rescue], left = self._gmin_stepping(x0[rescue], b[rescue])
-        return x, its, fallback, {int(rescue[j]): msg for j, msg in left.items()}
+        """DC solutions of lanes against b (lanes, n+1): the one driver of
+        every DC solve.  Each lane starts at x0, (lanes, n) or one (n,) state
+        they all share, by default cold (each eliminated source's node at
+        its drive, all else zero), with its row sets of par_sets (default
+        the first).  Plain Newton runs every lane, and with `fallback` the
+        lanes it fails walk the gmin ladder from their own starts.  A
+        decoupled system has at most one solution, but a lane further than
+        MAX_ITER steps of MAX_STEP from it still needs the ladder; without
+        `fallback` a failed lane stays failed.  Returns the states, each
+        lane's iteration count, whether it walked the ladder, and the
+        message of each lane that failed, whose state is then not a
+        solution.  A singular step raises FloatingNodeError."""
+        lanes = b.shape[0]
+        if x0 is None:
+            x0 = np.zeros((lanes, self.size))
+            x0[:, self._drv_node] = -b[:, self._drv_branch] * self._drv_sign
+        x0 = np.broadcast_to(x0, (lanes, self.size))
+        sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
+        x, its, failed = self._newton_lanes(x0, b, self.g_static, sets)
+        ladder = ~_passed(lanes, failed) if fallback else np.zeros(lanes, dtype=bool)
+        rescue = np.flatnonzero(ladder)
+        if rescue.size:
+            x[rescue], its[rescue], left = self._gmin_stepping(x0[rescue], b[rescue], sets[rescue])
+            failed = {int(rescue[j]): msg for j, msg in left.items()}
+        return x, its, ladder, failed
 
     def solve_dc_vector(
         self, x0: np.ndarray | None = None, b: np.ndarray | None = None
     ) -> tuple[np.ndarray, int, bool]:
         """One DC solution from x0 (default zero) against the right-hand
         side b (default rhs(), every source at its card value):
-        _solve_lanes on one lane.  Returns the state, its iteration count
-        and whether it needed the gmin ladder; a lane that stalls on the
-        ladder raises ConvergenceError with its message."""
+        solve_lanes on one lane.  Returns the state, its iteration count
+        and whether it needed the gmin ladder; a lane that fails raises
+        ConvergenceError with its message."""
         start = np.zeros(self.size) if x0 is None else x0
         b = self.rhs() if b is None else b
-        x, its, fallback, left = self._solve_lanes(start[None], b[None])
-        if left:
-            raise ConvergenceError(left[0])
-        return x[0], int(its[0]), bool(fallback[0])
+        x, its, ladder, failed = self.solve_lanes(b[None], start)
+        if failed:
+            raise ConvergenceError(failed[0])
+        return x[0], int(its[0]), bool(ladder[0])
 
     @property
     def decoupled(self) -> bool:
@@ -633,46 +650,6 @@ class MnaSystem:
         solves one scalar KCL, monotone in that unknown, so the system has
         at most one solution at any drive."""
         return all(m == 1 for m, *_ in self._blocks)
-
-    def solve_dc_lanes(
-        self, source_id: str, values: np.ndarray, x0: np.ndarray | None = None
-    ) -> tuple[np.ndarray, dict[int, EngineError]]:
-        """DC solutions, one lane per parameter set and drive value of one
-        voltage source, as a (sets, values, n) array, and the
-        ConvergenceError of each set in which a lane failed, with the first
-        such lane's message and drive (a failed lane's state is its start).
-        Every set's lane at point i starts at x0[i], of shape (values, n),
-        by default cold: each eliminated source's node at its drive and all
-        else zero, or at the nominal lobe's state when x0 holds it.  Lanes
-        share no warm start, so this needs a decoupled system, in which no
-        lane can choose between two states and the start changes only the
-        path to the one solution; any other raises EngineError, as does a
-        singular step in any lane.  Each lane is then a bracketed scalar
-        root-find, which converges in the pool, so the lanes run plain
-        Newton alone, with no fallback."""
-        if not self.decoupled:
-            raise EngineError("independent lanes need a decoupled system; sweep it instead")
-        if source_id not in self.branch_index:
-            raise EngineError(f"no stamped voltage source named {source_id!r}")
-        sets, points = self.par_sets.shape[0], len(values)
-        b = self.rhs(drive={source_id: values})
-        lane_sets = np.repeat(np.arange(sets), points)
-        start = x0
-        if x0 is None:
-            start = np.zeros((points, self.size))
-            start[:, self._drv_node] = -b[:, self._drv_branch] * self._drv_sign
-        try:
-            x, _, failed = self._newton_lanes(
-                np.tile(start, (sets, 1)), np.tile(b, (sets, 1)), self.g_static, lane_sets
-            )
-        except EngineError as exc:
-            raise type(exc)(f"{exc} (sweeping {source_id})") from exc
-        errors: dict[int, EngineError] = {}
-        for lane in sorted(failed):
-            if lane // points not in errors:
-                msg = f"{failed[lane]} (sweeping {source_id}={values[lane % points]:g})"
-                errors[lane // points] = ConvergenceError(msg)
-        return x.reshape(sets, points, self.size), errors
 
     # -- state packing ------------------------------------------------
 
@@ -706,14 +683,36 @@ def solve_dc(
     return sys.solution(x, its, ladder)
 
 
+def _refuse_beyond_memory(nbytes: int, what: str, tables: str) -> None:
+    """Raise ValueError if tables of nbytes, for `what`, cannot fit in this
+    machine's physical memory; called before any of them is allocated."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ValueError(
+            f"{what} need {nbytes / 2**30:.3g} GiB for {tables}, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def _sweep_points(start: float, stop: float, step: float) -> int:
+    """The number of points sweep_grid gives; a bound or step that gives no
+    finite number of them raises ValueError."""
+    if not step > 0:
+        raise ValueError("sweep step must be positive")
+    steps = abs(stop - start) / step
+    if not (math.isfinite(steps) and math.isfinite(step)):
+        raise ValueError(f"a sweep from {start:g} to {stop:g} in steps of {step:g} has no finite number of points")
+    return max(1, int(round(steps))) + 1 if start != stop else 1
+
+
 def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive uniform grid from `start` toward `stop`, up or down, in
     steps of `step`; the last point lands on `stop` exactly, and is the
-    only point when `start` equals `stop`."""
-    if not step > 0:
-        raise ValueError("sweep step must be positive")
-    n = max(1, int(round(abs(stop - start) / step))) if start != stop else 0
-    values = start + math.copysign(step, stop - start) * np.arange(n + 1)
+    only point when `start` equals `stop`.  A grid of no finite number of
+    points, or larger than this machine's physical memory, raises ValueError."""
+    points = _sweep_points(start, stop, step)
+    _refuse_beyond_memory(8 * points, f"{points:g} sweep points", "the grid")
+    values = start + math.copysign(step, stop - start) * np.arange(points)
     values[-1] = stop
     return values
 
@@ -729,8 +728,16 @@ def dc_sweep(
     initial: dict[str, float] | None = None,
 ) -> SweepResult:
     """Sweep one source's drive over an inclusive grid, warm-starting each
-    point from the previous solution."""
+    point from the previous solution.  A grid that sweep_grid refuses, or
+    whose tables cannot fit in physical memory, raises ValueError."""
     sys = MnaSystem(net, tech, vth_shift)
+    # The grid, the right-hand side and state tables, and the result's copy
+    # of each unknown: refused before any of them is allocated if they
+    # cannot fit.
+    points = _sweep_points(start, stop, step)
+    _refuse_beyond_memory(
+        8 * points * (3 * sys.size + 2), f"{points:g} sweep points", "the grid, right-hand side and state tables"
+    )
     values = sweep_grid(start, stop, step)
     xs = np.zeros((values.size, sys.size))
     x = sys.pack_state(initial) if initial else None
@@ -807,12 +814,7 @@ def transient(
     # side table, one row per step each: refused before any of them is
     # allocated if they cannot fit.
     table = 8 * (n_steps + 1) * (2 + 2 * sys.size + len(sys.vsources) + len(sys.isources))
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if table > memory:
-        raise ValueError(
-            f"{n_steps} steps of {dt:g} s need {table / 2**30:.3g} GiB for the time grid, "
-            f"state and drive tables, more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
+    _refuse_beyond_memory(table, f"{n_steps} steps of {dt:g} s", "the time grid, state and drive tables")
     for e in sys.vsources + sys.isources:
         if e.kind == "PULSE" and (dt > e.params[3] or dt > e.params[4]):
             warnings.warn(

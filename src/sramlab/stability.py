@@ -214,16 +214,17 @@ def _butterflies(
     whose shifts are all zero takes that result, error included.  In a 6T
     cell with one storage node driven, the other is the only free unknown
     and has one solution at each input, so a lobe is solved as independent
-    lanes: the nominal lobe cold-started (drives set, the free node at
-    zero), and then every grid point of every shifted sample in a batch of
-    at most BATCH_LANES lanes, on one system with one device parameter set
-    per sample, each lane started at the nominal lobe's state at its
-    point.  Such lanes are bracketed scalar root-finds and need no
-    fallback.  A cell with more free unknowns coupled to it may be bistable
-    there, and each sample's lobe is swept, each point warm-started from
-    the last.  A failed lane fails only its own sample (a nominal lane then
-    starts the samples from its cold start); an error not tied to a lane
-    fails its whole batch.
+    lanes of solve_lanes: the nominal lobe cold-started (drives set, the
+    free node at zero), and then every grid point of every shifted sample
+    in a batch of at most BATCH_LANES lanes, on one system with one device
+    parameter set per sample, each lane started at the nominal lobe's
+    state at its point.  Such lanes are bracketed scalar root-finds
+    between the supply rails, which plain Newton solves alone, so they
+    take no ladder (solve_lanes without fallback).  A cell with more free
+    unknowns coupled to it may be bistable there, and each sample's lobe
+    is swept, each point warm-started from the last.  A failed lane fails
+    only its own sample (a nominal lane then starts the samples from its
+    cold start); an error not tied to a lane fails its whole batch.
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
@@ -241,13 +242,25 @@ def _butterflies(
         aug: Netlist, probe: str, batch: list, out: np.ndarray, start: np.ndarray | None = None
     ) -> tuple[np.ndarray | None, dict[int, EngineError]]:
         # Fills out[i] with the probe along the lobe under batch[i], lanes
-        # started at `start`; returns the lanes' states (None where the
-        # lobe is swept) and the error of each sample that failed.
+        # started at `start`, (points, n); returns the lanes' states (None
+        # where the lobe is swept) and the error of each sample that failed.
+        points = v_in.size  # lane k is point k % points of sample k // points
         try:
             sys = MnaSystem(aug, tech, batch)
             if sys.decoupled:
-                x, errors = sys.solve_dc_lanes("VSNMIN", v_in, start)
+                b = np.tile(sys.rhs(drive={"VSNMIN": v_in}), (len(batch), 1))
+                x0 = None if start is None else np.tile(start, (len(batch), 1))
+                sets = np.repeat(np.arange(len(batch)), points)
+                try:
+                    x, _, _, failed = sys.solve_lanes(b, x0, sets, fallback=False)
+                except EngineError as exc:
+                    raise type(exc)(f"{exc} (sweeping VSNMIN)") from exc
+                x = x.reshape(len(batch), points, sys.size)
                 out[:] = x[:, :, sys.node_index[probe]]
+                errors: dict[int, EngineError] = {}
+                for lane in sorted(failed):
+                    msg = f"{failed[lane]} (sweeping VSNMIN={v_in[lane % points]:g})"
+                    errors.setdefault(lane // points, ConvergenceError(msg))
                 return x, errors
         except EngineError as exc:
             # Not tied to one lane (a singular step, say), so every sample
@@ -386,18 +399,22 @@ def _is_ideal(d: DrvInputs) -> bool:
     return hi / lo - 1.0 < 1e-9
 
 
-def drv_closed_form(d: DrvInputs, ideal_shortcut: bool = True) -> float:
+def drv_closed_form(d: DrvInputs) -> float:
     """Data-retention voltage from per-transistor leakage ratios.
 
-    The general expression stack (a zeroth-order balance plus two
-    first-order corrections, weighted by n2) does not collapse to the
+    The general expression stack (_drv_general) does not collapse to the
     matched-technology floor 2*v_T*ln(1+n) when every n_i is 1 and the
     leakages are equal; that documented limit is returned directly for the
-    exactly matched case.  Pass ideal_shortcut=False to evaluate the
-    general expressions regardless of the inputs.
+    exactly matched case.
     """
-    if ideal_shortcut and _is_ideal(d):
+    if _is_ideal(d):
         return drv_ideal(d.v_t, 1.0)
+    return _drv_general(d)
+
+
+def _drv_general(d: DrvInputs) -> float:
+    """The general retention expressions, whatever the inputs: a
+    zeroth-order balance plus two first-order corrections, weighted by n2."""
     i1, i2, i3, i4, i5, _ = d.i_off
     n1, n2, n3, n4, _, _ = d.n
     vt = d.v_t
@@ -485,7 +502,7 @@ def write_margin(
     A bisection on BL, each probe a DC solve started at the held state.
     The probes are solved in rounds: first the two ends, BL = 0 and v_dd,
     then every midpoint the next WRITE_ROUND_LEVELS bisection steps can
-    reach, as the lanes of one _solve_lanes call: plain Newton, and then
+    reach, as the lanes of one solve_lanes call: plain Newton, and then
     the adaptive gmin ladder for the probes it fails, each from the held
     state.  A probe that stalls on the ladder fails the margin only if the
     bisection visits it.  Each probe therefore gets the result a solve of
@@ -504,7 +521,7 @@ def write_margin(
 
     def probe(values: list[float]) -> None:
         b = sys.rhs(drive={"VSNMBL": values})
-        x, _, _, left = sys._solve_lanes(np.repeat(held[None], len(values), axis=0), b)
+        x, _, _, left = sys.solve_lanes(b, held)
         for i, v in enumerate(values):
             outcome[v] = left.get(i, bool(x[i, q] < x[i, qbar]))
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +225,37 @@ def test_sweep_nonpositive_step_exits_2(run, tmp_path, step):
     f.write_text(DIVIDER)
     argv = ("sweep", str(f), "--source", "V1", "--from", "0", "--to", "1", "--step", step)
     assert_bad_input(run, "sweep step must be positive", *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--from", "0", "--to", "1e400", "--step", "1"),
+        ("sweep", "--from", "0", "--to", "1", "--step", "1e-9"),
+        ("sweep", "--from", "0", "--to", "1", "--step", "1e-12"),
+        ("sweep", "--from", "0", "--to", "1", "--step", "1e-300"),
+        ("snm", "--vdd", "1e300", "--grid", "1e-300"),
+        ("snm", "--grid", "1e-300"),
+        ("montecarlo", "--grid", "1e-300"),
+    ],
+)
+def test_impossible_sweep_grid_exits_2(run, tmp_path, cell_file, monkeypatch, argv):
+    # A grid of no finite number of points, or whose tables need more than
+    # physical memory, is bad input, refused before it is allocated.  The
+    # host is taken to have 8 GiB: a 1e-9 step's grid alone (7.45 GiB)
+    # would fit, but not the sweep's right-hand side and state tables.
+    real = os.sysconf
+    pages = 8 * 2**30 // real("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+    command, *flags = argv
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    target = [str(f), "--source", "V1"] if command == "sweep" else ["--netlist", cell_file]
+    code, out, err = run(command, *target, *flags)
+    assert code == 2 and out == ""
+    endless = r"a sweep from \S+ to \S+ in steps of \S+ has no finite number of points"
+    too_big = r"\S+ sweep points need \S+ GiB for the grid[a-z ,-]*, more than the 8 GiB of physical memory"
+    assert re.fullmatch(rf"error: ({endless}|{too_big})\n", err)
 
 
 def test_montecarlo_nonpositive_grid_exits_2(run, cell_file):

@@ -1,3 +1,4 @@
+import ast
 import io
 import math
 import os
@@ -231,7 +232,7 @@ def write_read_stimulus():
 def fallbacks(monkeypatch):
     """Each entry to the gmin ladder, the one DC fallback, in order, as its
     name and the number of lanes in its stack (the last argument holds
-    each lane's right-hand side); it still runs."""
+    each lane's parameter set); it still runs."""
     entered = []
     real = MnaSystem._gmin_stepping
 
@@ -326,11 +327,41 @@ def test_failed_unshunted_rung_is_not_repeated(monkeypatch):
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     start = np.zeros((1, sys.size))
-    x, _, fallback, left = sys._solve_lanes(start, sys.rhs()[None])
+    x, _, fallback, left = sys.solve_lanes(sys.rhs()[None], start)
     assert fallback[0] and left == {0: "gmin stepping stalled below the minimum step"}
     assert [failed for _, failed in unshunted] == [True, True]
     assert np.array_equal(unshunted[0][0], start)
     assert np.array_equal(x, unshunted[1][0])
+
+
+def test_decoupled_lane_far_from_its_start_takes_the_ladder(fallbacks):
+    # 1 mA into 100 kOhm is decoupled, with its one solution at 100 V.
+    # Plain Newton moves at most MAX_STEP a step for MAX_ITER steps, 30 V
+    # from its start, so it fails; the gmin ladder, each rung with its own
+    # iterations, still carries the lane there, in a solve and in a sweep's
+    # first point.
+    net = parse_netlist("* far\nI1 0 n DC 1m\nR1 n 0 100k\n.END")
+    assert MnaSystem(net).decoupled
+    sol = solve_dc(net)
+    assert sol.gmin_ladder and math.isclose(sol.voltages["n"], 100.0, rel_tol=1e-9)
+    assert fallbacks == [("_gmin_stepping", 1)]
+    sweep = dc_sweep(net, "I1", 1e-3, 1e-3, 1.0)
+    assert np.allclose(sweep.nodes["n"], [100.0], rtol=1e-9, atol=0.0)
+
+
+def test_only_the_engine_reads_private_members_of_mna_system():
+    # Every other module solves through MnaSystem's public driver, so the
+    # lane pool, the ladder and the step plan can change behind one door.
+    private = {n for n in dir(MnaSystem(parse_netlist(DIVIDER))) if n.startswith("_") and not n.startswith("__")}
+    assert {"_newton_lanes", "_gmin_stepping", "_drv_node"} <= private
+    reads = [
+        (path.name, node.attr)
+        for path in sorted(Path(sramlab.__file__).parent.glob("*.py"))
+        if path.name != "engine.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert reads == []
 
 
 def test_bad_resistor_value():

@@ -19,7 +19,15 @@ from sramlab.devices import (
     derive_tech_params,
     leakage_current,
 )
-from sramlab.engine import ConvergenceError, EngineError, MnaSystem, dc_sweep, solve_dc, sweep_grid
+from sramlab.engine import (
+    ConvergenceError,
+    EngineError,
+    FloatingNodeError,
+    MnaSystem,
+    dc_sweep,
+    solve_dc,
+    sweep_grid,
+)
 from sramlab.genlib import CellGeometry, DeviceSize, build_6t_cell
 from sramlab.netlist import (
     GROUND,
@@ -492,7 +500,7 @@ def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
 
 
 def one_lane_chain(lobe, x0, b):
-    """_solve_lanes one lane at a time, kept as the oracle of the batched
+    """solve_lanes one lane at a time, kept as the oracle of the batched
     stage: plain Newton, one one-lane _newton_lanes per lane, and then, for
     a lane it fails, the adaptive gmin ladder from that lane's own start,
     one one-lane solve per rung.  Returns the states, the iteration
@@ -564,7 +572,7 @@ def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
         return real(self, x0, b, g, sets)
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
-    x, its, fallback, left = lobe._solve_lanes(x0, b)
+    x, its, fallback, left = lobe.solve_lanes(b, x0)
     monkeypatch.undo()
 
     assert stages == ["_gmin_stepping"]
@@ -585,15 +593,11 @@ def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
 def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
     # A node X hanging off QBAR through a divider is a second free unknown
     # coupled to QBAR when Q is driven, so that lobe is no longer decoupled:
-    # its points could have two solutions, and cold lanes must not be used.
+    # its points could have two solutions, and cold lanes must not be used,
+    # so the lobe is swept.
     gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
     coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
-    lobe = MnaSystem(biased_lobe(coupled, "hold", 1.8, "Q"))
-    assert not lobe.decoupled
-    with pytest.raises(EngineError, match="decoupled"):
-        lobe.solve_dc_lanes("VIN", np.array([0.0, 0.9]))
-    with pytest.raises(EngineError, match="no stamped voltage source"):
-        MnaSystem(biased_lobe(cell, "hold", 1.8, "Q")).solve_dc_lanes("VNONE", np.array([0.0]))
+    assert not MnaSystem(biased_lobe(coupled, "hold", 1.8, "Q")).decoupled
     assert MnaSystem(biased_lobe(coupled, "hold", 1.8, "QBAR")).decoupled
     assert MnaSystem(biased_lobe(cell, "hold", 1.8, "Q")).decoupled
 
@@ -611,6 +615,46 @@ def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
     monkeypatch.undo()
     assert swept == ["VSNMIN"]
     assert_matches_sequential(data, coupled)
+
+
+def test_singular_lobe_fails_every_sample_with_its_sweep(cell):
+    # A node X that only a gate touches has no conductive path to ground,
+    # so the decoupled lobe's Newton step is singular.  The error belongs
+    # to no lane: it names the swept source without a drive value, and it
+    # fails every sample of the batch, shifted or not.
+    gnd = Node(GROUND)
+    gated = with_elements(cell, [MosElement("MX", gnd, Node("X"), gnd, gnd, "NMOS", l=1e-6, w=1e-6)])
+    assert MnaSystem(biased_lobe(gated, "hold", 1.8, "Q")).decoupled
+    message = "singular system matrix; some node has no conductive path to ground (sweeping VSNMIN)"
+    with pytest.raises(FloatingNodeError) as singular:
+        butterfly(gated, mode="hold", v_dd=1.8, grid=0.05)
+    assert str(singular.value) == message
+    shifts = [{}, dict.fromkeys(CELL_MOS, 0.01), {"MPDL": -0.01}]
+    out = list(stability._butterflies(gated, None, "read", 1.8, 0.05, shifts))
+    assert [(type(e), str(e)) for e in out] == [(FloatingNodeError, message)] * len(shifts)
+    with pytest.raises(EngineError, match="^8 of 8 Monte Carlo samples failed to solve$"):
+        monte_carlo_snm(gated, vm=VariationModel(None, 8, 1), mode="hold", v_dd=1.8, grid=0.05)
+
+
+def test_parameter_sets_ride_the_gmin_ladder(cell):
+    # Write probes at 1.2 V from the held state over BL 0.11-0.33 V, where
+    # plain Newton 2-cycles and the gmin ladder runs, under two parameter
+    # sets: nominal, and both pull-downs' V_th0 raised 10 mV.  Each lane,
+    # ladder lanes included, must end bit for bit as the same lane solved
+    # on a system of its own set alone.
+    shifts = [{}, {"MPDL": 0.01, "MPDR": 0.01}]
+    values = sweep_grid(0.11, 0.33, 0.02)
+    lobe, x0, b = write_probe_lanes(cell, 1.2, np.tile(values, 2), shifts)
+    sets = np.repeat(np.arange(2), values.size)
+    assert not lobe.decoupled
+    x, its, ladder, failed = lobe.solve_lanes(b, x0[0], sets)
+    assert ladder[sets == 0].all() and ladder[sets == 1].all()
+    assert not np.array_equal(x[sets == 0], x[sets == 1])
+    for i, k in enumerate(sets):
+        alone = MnaSystem(lobe.net, vth_shift=shifts[k])
+        x_1, its_1, ladder_1, failed_1 = alone.solve_lanes(b[i : i + 1], x0[i])
+        assert np.array_equal(x[i], x_1[0]) and its[i] == its_1[0] and ladder[i] == ladder_1[0]
+        assert failed.get(i) == failed_1.get(0)
 
 
 def test_snm_grows_with_supply(cell):
@@ -656,7 +700,7 @@ def test_matched_inputs_take_the_ideal_floor():
     assert drv_closed_form(d) == drv_ideal(0.026, 1.0)
     # The general stack lands elsewhere (near 39 mV), which is exactly why
     # the matched case dispatches to the floor.
-    general = drv_closed_form(d, ideal_shortcut=False)
+    general = stability._drv_general(d)
     expected = float(oracle_drv_general(d.i_off, d.n, d.v_t))
     assert math.isclose(general, expected, rel_tol=1e-12)
     assert 0.038 < general < 0.041
@@ -671,8 +715,8 @@ def test_general_expression_against_oracle():
     )
     got = drv_closed_form(d)
     assert math.isclose(got, float(oracle_drv_general(d.i_off, d.n, d.v_t)), rel_tol=1e-12)
-    # Not matched, so the shortcut flag must not matter.
-    assert got == drv_closed_form(d, ideal_shortcut=False)
+    # Not matched, so drv_closed_form is the general stack itself.
+    assert got == stability._drv_general(d)
 
 
 def test_drv_inputs_validation():
@@ -836,10 +880,10 @@ def test_write_margin_ladder_starts_at_the_held_state(cell, v_dd, monkeypatch):
     seen, starts = [], []
     real = MnaSystem._gmin_stepping
 
-    def spy(self, x0, b):
+    def spy(self, x0, b, sets):
         seen.extend(-b[:, self.branch_index["VSNMBL"]])
         starts.extend(x0)
-        return real(self, x0, b)
+        return real(self, x0, b, sets)
 
     monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
     path = bisection_path(v_dd, write_margin(cell, v_dd=v_dd))
@@ -1058,11 +1102,11 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
     # and the unshifted ones fail as butterfly() does.
     nominal_par = MnaSystem(cell).mos_par
     starts = []
-    real_lanes = MnaSystem.solve_dc_lanes
+    real_lanes = MnaSystem.solve_lanes
 
-    def lanes_spy(self, source_id, values, x0=None):
+    def lanes_spy(self, b, x0=None, sets=None, fallback=True):
         starts.append((self, x0))
-        return real_lanes(self, source_id, values, x0)
+        return real_lanes(self, b, x0, sets, fallback)
 
     cold = cold_at(0.5, "VSNMIN")
 
@@ -1070,7 +1114,7 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
         return cold(lobe, x0, b, g, sets) & (lobe.par_sets[sets] == nominal_par).all(axis=(1, 2))
 
     refuse_newton(monkeypatch, refuse)
-    monkeypatch.setattr(MnaSystem, "solve_dc_lanes", lanes_spy)
+    monkeypatch.setattr(MnaSystem, "solve_lanes", lanes_spy)
     with pytest.raises(ConvergenceError, match="refused") as nominal:
         butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
     shift = dict(zip(CELL_MOS, (0.004, -0.003, 0.002, 0.001, -0.002, 0.003)))
@@ -1093,25 +1137,26 @@ def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
     # The nominal lobes are the cold lanes of one system each, stamp for
     # stamp the lanes of the lobes solved on their own.
     built, starts = [], []
-    real_init, real_lanes = MnaSystem.__init__, MnaSystem.solve_dc_lanes
+    real_init, real_lanes = MnaSystem.__init__, MnaSystem.solve_lanes
 
     def init_spy(self, *args, **kwargs):
         built.append(1)
         real_init(self, *args, **kwargs)
 
-    def lanes_spy(self, source_id, values, x0=None):
+    def lanes_spy(self, b, x0=None, sets=None, fallback=True):
         starts.append(x0)
-        return real_lanes(self, source_id, values, x0)
+        return real_lanes(self, b, x0, sets, fallback)
 
     monkeypatch.setattr(MnaSystem, "__init__", init_spy)
-    monkeypatch.setattr(MnaSystem, "solve_dc_lanes", lanes_spy)
+    monkeypatch.setattr(MnaSystem, "solve_lanes", lanes_spy)
     lanes = stamp_counter(monkeypatch)
     butterfly(cell, mode="hold", v_dd=1.8, grid=0.01)
     assert len(built) == 2 and starts == [None, None]
     got = lanes.copy()
     lanes.clear()
     for drive in ("Q", "QBAR"):
-        real_lanes(MnaSystem(biased_lobe(cell, "hold", 1.8, drive)), "VIN", sweep_grid(0.0, 1.8, 0.01))
+        lobe = MnaSystem(biased_lobe(cell, "hold", 1.8, drive))
+        real_lanes(lobe, lobe.rhs(drive={"VIN": sweep_grid(0.0, 1.8, 0.01)}))
     assert got == lanes
 
 
@@ -1129,7 +1174,7 @@ def test_cold_lanes_start_at_their_drives(cell, monkeypatch):
         return real(x_ext, *args)
 
     monkeypatch.setattr(engine, "mos_stamp", spy)
-    lobe.solve_dc_lanes("VIN", v_in)
+    lobe.solve_lanes(lobe.rhs(drive={"VIN": v_in}))
     start = {name: first[0][:, i] for i, name in enumerate(lobe.nodes)}
     drives = {"Q": v_in, "VDD": 1.8, "WL": 0.0, "BL": 1.8, "BLB": 1.8, "QBAR": 0.0}
     for role, v in drives.items():
