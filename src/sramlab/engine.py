@@ -739,18 +739,25 @@ def dc_sweep(
         8 * points * (3 * sys.size + 2), f"{points:g} sweep points", "the grid, right-hand side and state tables"
     )
     values = sweep_grid(start, stop, step)
-    xs = np.zeros((values.size, sys.size))
     x = sys.pack_state(initial) if initial else None
-    b = sys.rhs(drive={source_id: values})
+    xs = _warm_sweep(sys, x, sys.rhs(drive={source_id: values}), values, source_id)
+    nodes = {name: xs[:, k].copy() for name, k in sys.node_index.items()}
+    currents = {sid: xs[:, k].copy() for sid, k in sys.branch_index.items()}
+    return SweepResult(source_id, values, nodes, currents)
+
+
+def _warm_sweep(sys: MnaSystem, x: np.ndarray | None, b: np.ndarray, values: np.ndarray, label: str) -> np.ndarray:
+    """The states of a sweep, (points, n): each right-hand side of b solved
+    in turn from the state before, the first from x (None: zero).  A failed
+    point raises its error, annotated with `label` at its value."""
+    xs = np.zeros((values.size, sys.size))
     for i, v in enumerate(values):
         try:
             x, _, _ = sys.solve_dc_vector(x, b[i])
         except EngineError as exc:
-            raise type(exc)(f"{exc} (sweeping {source_id}={v:g})") from exc
+            raise type(exc)(f"{exc} (sweeping {label}={v:g})") from exc
         xs[i] = x
-    nodes = {name: xs[:, k].copy() for name, k in sys.node_index.items()}
-    currents = {sid: xs[:, k].copy() for sid, k in sys.branch_index.items()}
-    return SweepResult(source_id, values, nodes, currents)
+    return xs
 
 
 def _latent(v: np.ndarray) -> bool:

@@ -582,12 +582,12 @@ def with_elements(net: Netlist, extra: list[Element]) -> Netlist:
     return copy
 
 
-_NODE_FIELDS = {MosElement: ("drain", "gate", "source", "bulk"), CapElement: ("n1", "n2")}
+_NODE_FIELDS = {MosElement: ("drain", "gate", "source", "bulk"), SourceElement: ("n_plus", "n_minus")}
+_NODE_FIELDS |= dict.fromkeys((CapElement, ResElement), ("n1", "n2"))
 
 
 def instantiate(block: Netlist, suffix: str, ports: dict[str, str]) -> list[Element]:
-    """The elements of `block`, a generated netlist of M and C cards, as one
-    instance inside a parent netlist.
+    """The elements of `block` as one instance inside a parent netlist.
 
     Element ids take `suffix`.  A node carrying a role named in `ports`
     becomes the parent node given there, ground stays ground, and every

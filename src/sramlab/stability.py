@@ -25,16 +25,16 @@ from .engine import (
     EngineError,
     MnaSystem,
     _open_for,
-    dc_sweep,
+    _warm_sweep,
     solve_dc,
     sweep_grid,
 )
-from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, with_elements
+from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, instantiate, with_elements
 
 SQRT2 = math.sqrt(2.0)
-# Most lanes one batch of butterfly samples puts in a lobe's queue.  A
-# batch's states are held at once, so this bounds the memory of a long
-# Monte Carlo run; the Newton pool itself holds MAX_LANES.
+# Most lanes, one per grid point of a sample carrying both lobes, that one
+# batch of butterfly samples queues.  A batch's states are held at once, so
+# this bounds a long Monte Carlo run's memory; the Newton pool holds MAX_LANES.
 BATCH_LANES = 8 * MAX_LANES
 # Bisection levels whose midpoints one write-margin round solves together:
 # 2**levels - 1 probes a round.  Deeper rounds solve more probes the
@@ -191,8 +191,8 @@ def butterfly(
 ) -> ButterflyData:
     """Open-loop transfer curves of both cell inverters and their noise
     margins.  Hold mode turns the access devices off; read mode drives the
-    wordline at v_dd.  Both bitlines stay clamped at v_dd (precharged).
-    """
+    wordline at v_dd.  Both bitlines stay clamped at v_dd (precharged); both
+    curves are solved on one lobe-pair system (see _butterflies)."""
     (data,) = _butterflies(cell, tech, mode, v_dd, grid, [vth_shift or {}])
     if isinstance(data, EngineError):
         raise data
@@ -210,21 +210,24 @@ def _butterflies(
     """Butterfly data of one cell under each map of V_th0 shifts, in order;
     a sample that fails to solve gives its EngineError instead.
 
-    Each lobe is first solved once for the unshifted cell, and a sample
-    whose shifts are all zero takes that result, error included.  In a 6T
-    cell with one storage node driven, the other is the only free unknown
-    and has one solution at each input, so a lobe is solved as independent
-    lanes of solve_lanes: the nominal lobe cold-started (drives set, the
-    free node at zero), and then every grid point of every shifted sample
-    in a batch of at most BATCH_LANES lanes, on one system with one device
-    parameter set per sample, each lane started at the nominal lobe's
-    state at its point.  Such lanes are bracketed scalar root-finds
-    between the supply rails, which plain Newton solves alone, so they
-    take no ladder (solve_lanes without fallback).  A cell with more free
-    unknowns coupled to it may be bistable there, and each sample's lobe
-    is swept, each point warm-started from the last.  A failed lane fails
-    only its own sample (a nominal lane then starts the samples from its
-    cold start); an error not tied to a lane fails its whole batch.
+    Both lobes are solved on one system, a lobe pair: two disjoint copies
+    of the biased cell, every node suffixed (_A, _B), rails included, each
+    with its own sources.  A's VSNMIN drives Q, B's drives QBAR, and a
+    sample's shifts apply to both copies.  The pair is first solved once
+    for the unshifted cell, and a sample whose shifts are all zero takes
+    that result, error included.  With one storage node driven, a 6T
+    cell's other node is its copy's only free unknown, with one solution
+    at each input, so each grid point is a lane of solve_lanes carrying
+    both lobes: the nominal pair's lanes cold-started (drives set, free
+    nodes at zero), then every shifted sample's, at most BATCH_LANES a
+    batch, one parameter set per sample, each lane started at the nominal
+    pair's state at its point.  Such bracketed scalar root-finds need no
+    ladder (solve_lanes without fallback).  A pair with coupled free
+    unknowns may be bistable, and each sample's pair is swept instead,
+    both drives in lockstep, each point warm-started from the last.  A
+    failed lane fails only its own sample (a failed nominal lane starts
+    the samples from its cold start); an error not tied to a lane fails
+    its whole batch.
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
@@ -233,87 +236,69 @@ def _butterflies(
     ports = _cell_ports(cell)
     wl = v_dd if mode == "read" else 0.0
     v_in = sweep_grid(0.0, v_dd, grid)
-    lobes = [
-        (_augment(cell, _bias_sources(ports, v_dd, wl, drive)), probe)
-        for drive, probe in ((ports["Q"], ports["QBAR"]), (ports["QBAR"], ports["Q"]))
-    ]
+    sides = {"_A": ports["Q"], "_B": ports["QBAR"]}  # each instance's suffix and driven node
+    lobes = [_augment(cell, _bias_sources(ports, v_dd, wl, drive)) for drive in sides.values()]
+    pair = Netlist(entries=[e for side, lobe in zip(sides, lobes) for e in instantiate(lobe, side, {})])
+    probes = (ports["QBAR"] + "_A", ports["Q"] + "_B")
 
-    def solve(
-        aug: Netlist, probe: str, batch: list, out: np.ndarray, start: np.ndarray | None = None
-    ) -> tuple[np.ndarray | None, dict[int, EngineError]]:
-        # Fills out[i] with the probe along the lobe under batch[i], lanes
-        # started at `start`, (points, n); returns the lanes' states (None
-        # where the lobe is swept) and the error of each sample that failed.
+    def solve(batch: list, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None, dict]:
+        # Both lobes' probes along the grid under each map of batch,
+        # (samples, 2, points), lanes started at `start`, (points, n); the
+        # lanes' states (None where the pair is swept); and the error of
+        # each sample that failed.
         points = v_in.size  # lane k is point k % points of sample k // points
+        out = np.empty((len(batch), 2, points))
+        paired = [{m + side: v for m, v in shift.items() for side in sides} for shift in batch]
         try:
-            sys = MnaSystem(aug, tech, batch)
+            sys = MnaSystem(pair, tech, paired)
+            b = sys.rhs(drive={"VSNMIN" + side: v_in for side in sides})
+            probe = [sys.node_index[p] for p in probes]
             if sys.decoupled:
-                b = np.tile(sys.rhs(drive={"VSNMIN": v_in}), (len(batch), 1))
                 x0 = None if start is None else np.tile(start, (len(batch), 1))
                 sets = np.repeat(np.arange(len(batch)), points)
                 try:
-                    x, _, _, failed = sys.solve_lanes(b, x0, sets, fallback=False)
+                    x, _, _, failed = sys.solve_lanes(np.tile(b, (len(batch), 1)), x0, sets, fallback=False)
                 except EngineError as exc:
                     raise type(exc)(f"{exc} (sweeping VSNMIN)") from exc
                 x = x.reshape(len(batch), points, sys.size)
-                out[:] = x[:, :, sys.node_index[probe]]
+                out[:] = x[:, :, probe].swapaxes(1, 2)
                 errors: dict[int, EngineError] = {}
                 for lane in sorted(failed):
                     msg = f"{failed[lane]} (sweeping VSNMIN={v_in[lane % points]:g})"
                     errors.setdefault(lane // points, ConvergenceError(msg))
-                return x, errors
+                return out, x, errors
         except EngineError as exc:
             # Not tied to one lane (a singular step, say), so every sample
             # of the batch fails with it.
-            return None, dict.fromkeys(range(len(batch)), exc)
+            return out, None, dict.fromkeys(range(len(batch)), exc)
         errors = {}
-        for i, shift in enumerate(batch):
+        for i, shift in enumerate(paired):
             try:
-                out[i] = dc_sweep(aug, "VSNMIN", 0.0, v_dd, grid, tech, shift).node(probe)
+                out[i] = _warm_sweep(MnaSystem(pair, tech, shift), None, b, v_in, "VSNMIN")[:, probe].T
             except EngineError as exc:
                 errors[i] = exc
-        return None, errors
+        return out, None, errors
 
-    nominal = np.empty((2, 1, v_in.size))
-    nominal_error: EngineError | None = None
-    starts = []
-    for side, (aug, probe) in enumerate(lobes):
-        x, errors = solve(aug, probe, [{}], nominal[side])
-        starts.append(None if x is None else x[0])
-        if nominal_error is None:
-            nominal_error = errors.get(0)
+    nominal, states, errors = solve([{}])
+    nominal_error, start = errors.get(0), None if states is None else states[0]
 
     shifts = iter(shifts)
     while batch := list(itertools.islice(shifts, max(1, BATCH_LANES // v_in.size))):
         shifted = [i for i, shift in enumerate(batch) if any(shift.values())]
-        v_out = np.repeat(nominal, len(batch), axis=1)
-        errors: dict[int, EngineError] = {}
-        if nominal_error is not None:
-            errors = dict.fromkeys(set(range(len(batch))) - set(shifted), nominal_error)
-        for side, (aug, probe) in enumerate(lobes if shifted else []):
-            out = np.empty((len(shifted), v_in.size))
-            _, failed = solve(aug, probe, [batch[i] for i in shifted], out, starts[side])
-            v_out[side, shifted] = out
-            for j, exc in failed.items():
-                errors.setdefault(shifted[j], exc)
+        v_out = np.repeat(nominal, len(batch), axis=0)
+        unshifted = set(range(len(batch))) - set(shifted)
+        errors = {} if nominal_error is None else dict.fromkeys(unshifted, nominal_error)
+        if shifted:
+            v_out[shifted], _, failed = solve([batch[i] for i in shifted], start)
+            errors.update((shifted[j], exc) for j, exc in failed.items())
         for i in range(len(batch)):
             if i in errors:
                 yield errors[i]
                 continue
-            lobe_a = TransferCurve(v_in, v_out[0, i])
-            lobe_b = TransferCurve(v_in, v_out[1, i])
+            lobe_a = TransferCurve(v_in, v_out[i, 0])
+            lobe_b = TransferCurve(v_in, v_out[i, 1])
             result = inscribed_square_snm(lobe_a, lobe_b)
-            yield ButterflyData(
-                lobe_a=lobe_a,
-                lobe_b=lobe_b,
-                snm_high=result.snm_high,
-                snm_low=result.snm_low,
-                anchors_high=result.anchors_high,
-                anchors_low=result.anchors_low,
-                mode=mode,
-                v_dd=v_dd,
-                grid=grid,
-            )
+            yield ButterflyData(lobe_a, lobe_b, **vars(result), mode=mode, v_dd=v_dd, grid=grid)
 
 
 def butterfly_to_csv(data: ButterflyData, dest) -> None:
@@ -462,7 +447,8 @@ def drv_bruteforce(
 ) -> float:
     """Smallest supply (to `resolution`, or to adjacent floats where that is
     finer) at which the hold-mode butterfly still closes with positive
-    margin; bisection against full DC sweeps."""
+    margin; a bisection whose every probe is one hold butterfly, both
+    lobes solved on one lobe-pair system."""
 
     def holds(v_dd: float) -> bool:
         grid = max(v_dd / 200.0, 1e-4)
@@ -610,9 +596,10 @@ def monte_carlo_snm(
     """Butterfly SNM under independent per-device V_th0 perturbations.
 
     All draws come from one seeded generator up front.  Each sample is one
-    device parameter set, and the samples' lobes are solved together as
-    lanes of one system per lobe, each lane started at the nominal lobe's
-    state at its point; every sample equals its own
+    device parameter set, and the samples' butterflies are solved together
+    as lanes of one lobe-pair system per batch, one lane per grid point
+    carrying both lobes, each started at the nominal pair's state at its
+    point; every sample equals its own
     butterfly(..., vth_shift=...) bit for bit, so results are
     byte-identical for a given (seed, N, cell, grid) however the lanes are
     scheduled.  A sample that fails to solve is NaN and counts toward

@@ -132,6 +132,26 @@ def test_instantiate_maps_ports_and_suffixes_the_rest():
         instantiate(cell, "_0", {"SE": "SE0"})
 
 
+def test_instantiate_takes_every_element_kind():
+    # A parsed block of any cards, sources and resistors included, so that
+    # a biased cell can be placed twice in one netlist.
+    block = parse_netlist(
+        "* roles: OUT=b\nR1 a b R=1k\nV1 a 0 DC 1\nI1 b 0 PULSE(0 1m 0 1n 1n 5n 10n)\n"
+        "MN b a 0 0 NMOS L=1u W=2u\nC1 b 0 C=1f\n.END\n"
+    )
+    inst = Netlist(entries=instantiate(block, "_X", {"OUT": "Y"}))
+    assert [(e.id, *map(str, e.nodes)) for e in inst.elements] == [
+        ("R1_X", "a_X", "Y"),
+        ("V1_X", "a_X", "0"),
+        ("I1_X", "Y", "0"),
+        ("MN_X", "Y", "a_X", "0", "0"),
+        ("C1_X", "Y", "0"),
+    ]
+    # Values and waveforms stay as they were.
+    assert inst.element("R1_X").value == 1e3 and inst.element("MN_X").w == 2e-6
+    assert (inst.element("I1_X").kind, inst.element("I1_X").params) == ("PULSE", block.element("I1").params)
+
+
 def test_geometry_is_applied():
     geom = CellGeometry(pg=DeviceSize(21e-6, 2.5e-6))
     cell = build_6t_cell(geom)

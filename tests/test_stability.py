@@ -331,21 +331,22 @@ def test_batched_butterfly_matches_sequential_sweeps(cell, mode, v_dd, grid, shi
 
 def cold_at(v_in, source="VIN"):
     """A refuse() for refuse_newton: the lanes of plain Newton's cold start
-    (the probe, the one free unknown, at 0 V) with `source` driven at
-    v_in."""
+    (every free unknown, each lobe's probe, at 0 V) with `source` driven
+    at v_in."""
 
     def refuse(lobe, x0, b, g, sets):
-        probe = lobe._free[0]
-        return (x0[:, probe] == 0) & np.isclose(-b[:, lobe.branch_index[source]], v_in) & (g is lobe.g_static)
+        cold = (x0[:, lobe._free] == 0).all(axis=1)
+        return cold & np.isclose(-b[:, lobe.branch_index[source]], v_in) & (g is lobe.g_static)
 
     return refuse
 
 
 def test_stuck_decoupled_lane_fails_its_butterfly(cell, monkeypatch):
-    # A decoupled lobe lane runs plain Newton alone: made to refuse the cold
-    # lane at v_in = 0.5 V of each read lobe at 0.95 V, it fails the
-    # butterfly with its own message and drive, and no fallback stage runs.
-    refuse_newton(monkeypatch, cold_at(0.5, "VSNMIN"))
+    # A decoupled lane runs plain Newton alone: made to refuse the cold
+    # lane at v_in = 0.5 V of the read lobe pair at 0.95 V, which carries
+    # both lobes' points there, it fails the butterfly with its own message
+    # and drive, and no fallback stage runs.
+    refuse_newton(monkeypatch, cold_at(0.5, "VSNMIN_A"))
     entered = spy_fallbacks(monkeypatch)
     with pytest.raises(ConvergenceError) as failed:
         butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
@@ -367,11 +368,11 @@ def spy_fallbacks(monkeypatch):
     return entered
 
 
-def kcl_bisection(cell, mode, v_dd, v_in, node="QBAR"):
+def kcl_bisection(cell, mode, v_dd, v_in, node="QBAR", vth_shift=None):
     """Root of `node`'s KCL residual in the Q-driven lobe with every drive
     fixed (Q at v_in), by plain bisection on [0, v_dd]; the residual is
     increasing in the node's voltage."""
-    lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"))
+    lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"), vth_shift=vth_shift)
     wl = v_dd if mode == "read" else 0.0
     roles = {"VDD": v_dd, "WL": wl, "BL": v_dd, "BLB": v_dd, "Q": v_in}
     x = lobe.pack_state({cell.role_node(r): v for r, v in roles.items()})
@@ -408,20 +409,35 @@ def test_bracketed_lane_is_the_kcl_root(cell, monkeypatch, v_dd, grid, v_in):
     assert abs(x[lobe.node_index[cell.role_node("QBAR")]] - want) <= tol
 
 
+def test_recorded_draw_lobe_is_the_kcl_root(cell):
+    # A draw that once failed the batched-versus-swept oracle: read at
+    # 0.95 V on the 15 mV grid with three devices shifted.  At v_in = 0.48 V
+    # QBAR's KCL has a slope of only 8.2e-7 S, so a residual inside ABSTOL
+    # can still be microvolts off; the batched lobe A must lie within
+    # 1e-5 V of the root an independent bisection finds.
+    shift = {"MPDR": 0.02, "MPUR": 0.0162010861473456, "MPGR": -0.00390625}
+    data = butterfly(cell, mode="read", v_dd=0.95, grid=0.015, vth_shift=shift)
+    i = np.flatnonzero(np.isclose(data.lobe_a.v_in, 0.48))[0]
+    want = kcl_bisection(cell, "read", 0.95, data.lobe_a.v_in[i], vth_shift=shift)
+    assert abs(data.lobe_a.v_out[i] - want) <= 1e-5
+
+
 def test_decoupled_lanes_never_fail_plain_newton(cell, monkeypatch):
     # The oracle behind running decoupled lanes without fallbacks: no lane
     # of a decoupled system fails _newton_lanes.  Checked on hold and read
     # butterflies over every other lattice supply of 0.90-1.80 V on each
     # perfbench grid, on low supplies and the DRV bisection, and on seeded
     # Monte Carlo runs of random geometries (every W scaled by e^U(-1,1))
-    # at random supplies of 0.05-2.0 V and mismatch up to 30 mV*um.
-    lanes, failures = [], []
+    # at random supplies of 0.05-2.0 V and mismatch up to 30 mV*um.  Each
+    # free unknown of a lane is one lobe point: a lobe pair's lane carries
+    # two.
+    points, failures = [], []
     real = MnaSystem._newton_lanes
 
     def spy(self, x0, *args):
         x, its, failed = real(self, x0, *args)
         if self.decoupled:
-            lanes.append(len(x0))
+            points.append(len(x0) * self._free.size)
             failures.extend(failed.values())
         return x, its, failed
 
@@ -443,7 +459,7 @@ def test_decoupled_lanes_never_fail_plain_newton(cell, monkeypatch):
         vm = VariationModel(rng.uniform(0.0, 3e-8), 8, k)
         monte_carlo_snm(sized, vm=vm, mode=("hold", "read")[k % 2], v_dd=v_dd, grid=v_dd / 40)
     assert failures == [] and entered == []
-    assert sum(lanes) > 30_000
+    assert sum(points) > 30_000
 
 
 def stamp_counter(monkeypatch):
@@ -592,9 +608,10 @@ def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
 
 def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
     # A node X hanging off QBAR through a divider is a second free unknown
-    # coupled to QBAR when Q is driven, so that lobe is no longer decoupled:
-    # its points could have two solutions, and cold lanes must not be used,
-    # so the lobe is swept.
+    # coupled to QBAR when Q is driven, so that lobe, and the lobe pair
+    # holding it, is no longer decoupled: its points could have two
+    # solutions, and cold lanes must not be used, so the pair is swept,
+    # both drives in lockstep.
     gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
     coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
     assert not MnaSystem(biased_lobe(coupled, "hold", 1.8, "Q")).decoupled
@@ -602,18 +619,19 @@ def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
     assert MnaSystem(biased_lobe(cell, "hold", 1.8, "Q")).decoupled
 
     swept = []
-    real = stability.dc_sweep
+    real = stability._warm_sweep
 
-    def spy(net, source_id, *args, **kwargs):
-        swept.append(source_id)
-        return real(net, source_id, *args, **kwargs)
+    def spy(sys, x, b, values, label):
+        drives = [-b[:, sys.branch_index[f"VSNMIN_{side}"]] for side in "AB"]
+        swept.append((label, sys.decoupled, all(np.array_equal(d, values) for d in drives)))
+        return real(sys, x, b, values, label)
 
-    monkeypatch.setattr(stability, "dc_sweep", spy)
+    monkeypatch.setattr(stability, "_warm_sweep", spy)
     butterfly(cell, mode="hold", v_dd=1.8, grid=0.02)
     assert swept == []
     data = butterfly(coupled, mode="hold", v_dd=1.8, grid=0.02)
     monkeypatch.undo()
-    assert swept == ["VSNMIN"]
+    assert swept == [("VSNMIN", False, True)]
     assert_matches_sequential(data, coupled)
 
 
@@ -1078,7 +1096,7 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
     # residual, so each of its lanes fails plain Newton; that sample alone
     # fails.
     vm = VariationModel(3e-9, 10, 1)
-    doomed = MnaSystem(cell, vth_shift=sample_shifts(cell, vm)[2]).mos_par
+    doomed = np.tile(MnaSystem(cell, vth_shift=sample_shifts(cell, vm)[2]).mos_par, (2, 1))  # both lobes
     real = engine.mos_stamp
 
     def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
@@ -1096,11 +1114,12 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
 
 
 def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
-    # Read at 0.95 V, 12.5 mV: plain Newton is refused the nominal
-    # Q-driven lobe's cold lane at v_in = 0.5 V.  That lane hands the
-    # samples its cold start, QBAR at 0 V; the shifted samples still solve,
-    # and the unshifted ones fail as butterfly() does.
-    nominal_par = MnaSystem(cell).mos_par
+    # Read at 0.95 V, 12.5 mV: plain Newton is refused the nominal lobe
+    # pair's cold lane at v_in = 0.5 V.  That lane hands the samples its
+    # cold start, QBAR of the Q-driven lobe and Q of the QBAR-driven one at
+    # 0 V; the shifted samples still solve, and the unshifted ones fail as
+    # butterfly() does.
+    nominal_par = np.tile(MnaSystem(cell).mos_par, (2, 1))  # both lobes
     starts = []
     real_lanes = MnaSystem.solve_lanes
 
@@ -1108,7 +1127,7 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
         starts.append((self, x0))
         return real_lanes(self, b, x0, sets, fallback)
 
-    cold = cold_at(0.5, "VSNMIN")
+    cold = cold_at(0.5, "VSNMIN_A")
 
     def refuse(lobe, x0, b, g, sets):
         return cold(lobe, x0, b, g, sets) & (lobe.par_sets[sets] == nominal_par).all(axis=(1, 2))
@@ -1123,10 +1142,11 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
     out = list(stability._butterflies(cell, None, "read", 0.95, 0.0125, shifts))
     monkeypatch.undo()
     v_in = sweep_grid(0.0, 0.95, 0.0125)
-    assert [x is None for _, x in starts] == [True, True, False, False]
-    lobe, x0 = starts[2]
+    assert [x is None for _, x in starts] == [True, False]
+    pair, x0 = starts[1]
     i = np.flatnonzero(np.isclose(v_in, 0.5))[0]
-    assert x0[i, lobe.node_index["QBAR"]] == 0.0 and x0[i - 1, lobe.node_index["QBAR"]] > 0.0
+    for probe in ("QBAR_A", "Q_B"):
+        assert x0[i, pair.node_index[probe]] == 0.0 and x0[i - 1, pair.node_index[probe]] > 0.0
     for k in (0, 2):
         assert isinstance(out[k], ConvergenceError) and str(out[k]) == str(nominal.value)
     for k in (1, 3):
@@ -1134,8 +1154,9 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
 
 
 def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
-    # The nominal lobes are the cold lanes of one system each, stamp for
-    # stamp the lanes of the lobes solved on their own.
+    # The nominal lobes are the cold lanes of one lobe-pair system, one
+    # solve_lanes call, stamp for stamp the lanes of each lobe solved on
+    # its own: 10 stamps at hold 1.8 V on a 10 mV grid.
     built, starts = [], []
     real_init, real_lanes = MnaSystem.__init__, MnaSystem.solve_lanes
 
@@ -1151,13 +1172,69 @@ def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
     monkeypatch.setattr(MnaSystem, "solve_lanes", lanes_spy)
     lanes = stamp_counter(monkeypatch)
     butterfly(cell, mode="hold", v_dd=1.8, grid=0.01)
-    assert len(built) == 2 and starts == [None, None]
-    got = lanes.copy()
-    lanes.clear()
+    assert len(built) == 1 and starts == [None]
+    assert len(lanes) == 10
     for drive in ("Q", "QBAR"):
+        got = lanes.copy()
+        lanes.clear()
         lobe = MnaSystem(biased_lobe(cell, "hold", 1.8, drive))
         real_lanes(lobe, lobe.rhs(drive={"VIN": sweep_grid(0.0, 1.8, 0.01)}))
-    assert got == lanes
+        assert got == lanes
+
+
+LATTICE = [round(0.90 + 0.05 * k, 2) for k in range(19)]
+
+
+def lone_lobes(cell, mode, v_dd, grid, shifts=None):
+    """Each lobe, Q-driven then QBAR-driven, solved alone on a system of
+    its own: the nominal lobe's cold lanes, and then, under each map of
+    `shifts`, every grid point as a lane of one system started at the
+    nominal lobe's state there.  The probes, (samples, 2, points), one
+    sample when `shifts` is None."""
+    v_in = sweep_grid(0.0, v_dd, grid)
+    out = []
+    for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
+        lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive))
+        b = lobe.rhs(drive={"VIN": v_in})
+        x, _, _, failed = lobe.solve_lanes(b, fallback=False)
+        if shifts:
+            lobe = MnaSystem(lobe.net, vth_shift=shifts)
+            sets = np.repeat(np.arange(len(shifts)), v_in.size)
+            x, _, _, failed = lobe.solve_lanes(np.tile(b, (len(shifts), 1)), np.tile(x, (len(shifts), 1)), sets, False)
+        assert failed == {}
+        out.append(x[:, lobe.node_index[cell.role_node(probe)]].reshape(-1, v_in.size))
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("mode", ["hold", "read"])
+def test_lobe_pair_is_each_lobe_solved_alone(cell, mode):
+    # The lobe pair's instances share no node, rail or source, so each lobe
+    # meets the arithmetic it meets alone, and a lane stops when both of
+    # its lobes pass.  The bundled cell is mirror symmetric, so its lobes
+    # pass on the same iteration at every point: each lobe of every lattice
+    # butterfly is its lone solve, bit for bit.
+    for v_dd, grid in itertools.product(LATTICE, (0.010, 0.0125, 0.015, 0.001)):
+        data = butterfly(cell, mode=mode, v_dd=v_dd, grid=grid)
+        (want,) = lone_lobes(cell, mode, v_dd, grid)
+        assert np.array_equal(data.lobe_a.v_out, want[0]), (v_dd, grid)
+        assert np.array_equal(data.lobe_b.v_out, want[1]), (v_dd, grid)
+
+
+@pytest.mark.parametrize("mode, v_dd, seed", [("read", 1.0, 3), ("read", 1.8, 3), ("hold", 1.8, 7)])
+def test_shifted_pair_lobes_are_lone_lobe_solves(cell, mode, v_dd, seed):
+    # A shifted sample's lobes need not pass on the same iteration, and the
+    # one that passed first takes the other's remaining Newton steps: each
+    # lobe point of 200 Monte Carlo samples stays within the stop tolerance
+    # of its lone solve, and each sample's margins within 1e-8 V.
+    shifts = sample_shifts(cell, VariationModel(3e-9, 200, seed))
+    data = list(stability._butterflies(cell, None, mode, v_dd, 0.01, shifts))
+    got = np.array([(d.lobe_a.v_out, d.lobe_b.v_out) for d in data])
+    want = lone_lobes(cell, mode, v_dd, 0.01, shifts)
+    assert (np.abs(got - want) <= engine.RELTOL * np.abs(want) + engine.VNTOL).all()
+    v_in = data[0].lobe_a.v_in
+    for d, (a, b) in zip(data, want):
+        ref = inscribed_square_snm(TransferCurve(v_in, a), TransferCurve(v_in, b))
+        assert abs(d.snm_high - ref.snm_high) <= 1e-8 and abs(d.snm_low - ref.snm_low) <= 1e-8
 
 
 def test_cold_lanes_start_at_their_drives(cell, monkeypatch):
@@ -1182,16 +1259,16 @@ def test_cold_lanes_start_at_their_drives(cell, monkeypatch):
 
 
 def test_seeded_monte_carlo_lane_stamps(cell, monkeypatch):
-    # A sample's lanes start at the nominal lobe's state and take few
-    # Newton iterations: at most 4 lane-stamps each, on top of the nominal
-    # lobes' cold ones.
+    # A sample's lanes, one per grid point carrying both lobes, start at
+    # the nominal lobe pair's state and take few Newton iterations: at most
+    # 4 lane-stamps each, on top of the nominal pair's cold ones.
     lanes = stamp_counter(monkeypatch)
     butterfly(cell, mode="hold", v_dd=1.8, grid=0.01)
     cold = sum(lanes)
     lanes.clear()
     mc = monte_carlo_snm(cell, vm=VariationModel(None, 8, 1), mode="hold", v_dd=1.8, grid=0.01)
     assert mc.failures == 0
-    assert sum(lanes) <= cold + 4 * 8 * 2 * sweep_grid(0.0, 1.8, 0.01).size
+    assert sum(lanes) <= cold + 4 * 8 * sweep_grid(0.0, 1.8, 0.01).size
 
 
 def test_monte_carlo_summary_shape(cell):
