@@ -5,8 +5,12 @@ logic lives here.  Results print as `name value unit [verdict]` report
 lines (floats rendered %.9g); bulk data goes to CSV files via --out.
 Identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 1 analysis failure (no convergence, non-writable
-cell, bad measurement), 2 usage, parse, or file errors.
+Exit codes: 0 success, 1 analysis failure, 2 bad input.  main() alone
+maps a command's exception to its code: EngineError (no convergence, a
+floating node), NonWritableError and MeasurementError are analysis
+failures; NetlistError, ConfigError, OSError and every other ValueError,
+which the library raises when it checks its own arguments, are bad input.
+Handlers raise ConfigError only to add context to a message.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import argparse
 import csv
 import re
 import sys
-from contextlib import contextmanager
+from pathlib import Path
 
 from .config import ConfigError, load_config, tech_header_lines
 from .devices import TechnologyParams, derive_tech_params
@@ -23,7 +27,6 @@ from .engine import (
     EngineError,
     dc_sweep,
     solve_dc,
-    sweep_grid,
     sweep_to_csv,
     transient,
     waveform_from_csv,
@@ -99,19 +102,9 @@ def _emit(rep: AnalysisReport) -> int:
     return 0
 
 
-def _positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive")
-
-
-@contextmanager
-def _bad_input():
-    """A ValueError raised inside, by a library check of the inputs, is bad
-    input (exit 2) rather than an analysis failure."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _write_csv(path: str, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _geometry(args) -> CellGeometry:
@@ -165,19 +158,17 @@ def _cmd_generate(args, tech):
     geom = _geometry(args)
     build = _GENERATE_KINDS[args.kind]
     parasitics = {} if args.no_parasitics else None
-    with _bad_input():
-        if args.kind == "array":
-            net = build(args.rows, args.cols, geom, parasitics)
-        elif args.kind == "cell":
-            net = build(geom, parasitics)
-        elif args.no_parasitics:
-            raise ConfigError(f"--no-parasitics applies to cell and array only, not {args.kind}")
-        else:
-            net = build(geom)
+    if args.kind == "array":
+        net = build(args.rows, args.cols, geom, parasitics)
+    elif args.kind == "cell":
+        net = build(geom, parasitics)
+    elif args.no_parasitics:
+        raise ConfigError(f"--no-parasitics applies to cell and array only, not {args.kind}")
+    else:
+        net = build(geom)
     text = print_netlist(net)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text)
         rep = _report(tech)
         rep.add("nodes", net.node_count)
         rep.add("elements", net.element_count)
@@ -203,8 +194,7 @@ def _cmd_sweep(args, tech):
     sources = {e.id: e for e in net.elements if isinstance(e, SourceElement) and not e.degenerate}
     if args.source not in sources:
         raise ConfigError(f"no stamped source named {args.source!r}")
-    with _bad_input():
-        result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
+    result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
     if args.out:
         sweep_to_csv(result, args.out)
     rep = _report(tech)
@@ -226,8 +216,7 @@ def _cmd_tran(args, tech):
             ics[name] = parse_spice_number(value)
         except ValueError:
             raise ConfigError(f"bad --ic {item!r}; expected NODE=VOLTS") from None
-    with _bad_input():
-        wave = transient(net, args.tstop, args.dt, tech, args.method, ics or None)
+    wave = transient(net, args.tstop, args.dt, tech, args.method, ics or None)
     if args.out:
         waveform_to_csv(wave, args.out)
     rep = _report(tech)
@@ -237,11 +226,7 @@ def _cmd_tran(args, tech):
 
 
 def _cmd_snm(args, tech):
-    _positive("grid", args.grid)
-    _positive("vdd", args.vdd)
     net = _read_netlist(args.netlist)
-    with _bad_input():
-        sweep_grid(0.0, args.vdd, args.grid)
     data = butterfly(net, tech, args.mode, args.vdd, args.grid)
     if args.out:
         butterfly_to_csv(data, args.out)
@@ -253,8 +238,6 @@ def _cmd_snm(args, tech):
 
 
 def _cmd_drv(args, tech):
-    _positive("resolution", args.resolution)
-    _positive("vmax", args.vmax)
     net = _read_netlist(args.netlist)
     rep = _report(tech)
     closed = brute = None
@@ -270,7 +253,6 @@ def _cmd_drv(args, tech):
 
 
 def _cmd_write_margin(args, tech):
-    _positive("vdd", args.vdd)
     net = _read_netlist(args.netlist)
     wm = write_margin(net, tech, args.vdd, args.wl)
     rep = _report(tech)
@@ -279,15 +261,13 @@ def _cmd_write_margin(args, tech):
 
 
 def _cmd_power(args, tech):
-    with _bad_input():
-        power = dynamic_power(args.cl, args.vdd, args.fsw)
+    power = dynamic_power(args.cl, args.vdd, args.fsw)
     rep = _report(tech)
     rep.add("dynamic_power", power, "W")
     return _emit(rep)
 
 
 def _cmd_delay(args, tech):
-    _positive("vdd", args.vdd)
     rep = _report(tech)
     if args.tplh is not None or args.tphl is not None:
         if args.tplh is None or args.tphl is None:
@@ -315,16 +295,12 @@ def _cmd_delay(args, tech):
         rep.add("t_phl", m.t_phl, "s")
         rep.add("t_p", m.t_p, "s")
     elif args.cbit is not None:
-        _positive("cbit", args.cbit)
-        _positive("dv", args.dv)
         current = args.icell
         if current is None:
             if not args.netlist:
                 raise ConfigError("bitline mode needs --icell or --netlist")
             current = read_current(_read_netlist(args.netlist), tech, args.vdd)
             rep.add("i_cell", current, "A")
-        else:
-            _positive("icell", current)
         rep.add("bitline_delay", bitline_delay(args.cbit, args.dv, current), "s")
     else:
         raise ConfigError(
@@ -335,8 +311,7 @@ def _cmd_delay(args, tech):
 
 def _cmd_ratios(args, tech):
     geom = _geometry(args)
-    with _bad_input():
-        r = check_ratios(geom.pd, geom.pu, geom.pg)
+    r = check_ratios(geom.pd, geom.pu, geom.pg)
     rep = _report(tech)
     rep.add("cr_left", r.cr_left)
     rep.add("cr_right", r.cr_right)
@@ -357,8 +332,7 @@ def _cmd_ratios(args, tech):
 
 def _cmd_area(args, tech):
     rects = [tuple(r) for r in args.rect] if args.rect else list(DEFAULT_LAYOUT_RECTS)
-    with _bad_input():
-        result = area_report(rects)
+    result = area_report(rects)
     rep = _report(tech)
     for i, a in enumerate(result.areas):
         rep.add(f"area_{i}", a, "lambda^2")
@@ -370,22 +344,15 @@ def _cmd_area(args, tech):
 
 
 def _cmd_montecarlo(args, tech):
-    _positive("vdd", args.vdd)
-    _positive("grid", args.grid)
     net = _read_netlist(args.netlist)
     if args.a_vth is not None:  # overrides both cards, so the header echoes it
         tech = tech if tech is not None else TechnologyParams.default()
         tech.nmos.a_vth = tech.pmos.a_vth = args.a_vth
-    with _bad_input():
-        vm = VariationModel(a_vth=None, n_samples=args.samples, seed=args.seed)
-        sweep_grid(0.0, args.vdd, args.grid)
+    vm = VariationModel(a_vth=None, n_samples=args.samples, seed=args.seed)
     summary = monte_carlo_snm(net, tech, vm, args.mode, args.vdd, args.grid)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "snm"])
-            for i, v in enumerate(summary.samples):
-                writer.writerow([i, repr(float(v))])
+        rows = ((i, repr(float(v))) for i, v in enumerate(summary.samples))
+        _write_csv(args.out, [("sample", "snm"), *rows])
     rep = _report(tech)
     rep.add("samples", args.samples)
     rep.add("snm_mean", summary.mean, "V")
@@ -542,21 +509,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        tech = _resolve_tech(args)
-        return args.func(args, tech)
-    except (NetlistError, ConfigError) as exc:
+        return args.func(args, _resolve_tech(args))
+    except (EngineError, NonWritableError, MeasurementError) as exc:
+        # Caught first: MeasurementError is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except OSError as exc:
         name = f" {exc.filename}" if exc.filename else ""
         print(f"error: cannot access{name}: {exc.strerror}", file=sys.stderr)
         return 2
-    except (EngineError, NonWritableError, MeasurementError, ValueError) as exc:
+    except (NetlistError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -601,17 +601,16 @@ class MnaSystem:
         b: np.ndarray,
         x0: np.ndarray | None = None,
         sets: np.ndarray | None = None,
-        fallback: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
         """DC solutions of lanes against b (lanes, n+1): the one driver of
         every DC solve.  Each lane starts at x0, (lanes, n) or one (n,) state
         they all share, by default cold (each eliminated source's node at
         its drive, all else zero), with its row sets of par_sets (default
-        the first).  Plain Newton runs every lane, and with `fallback` the
-        lanes it fails walk the gmin ladder from their own starts.  A
-        decoupled system has at most one solution, but a lane further than
-        MAX_ITER steps of MAX_STEP from it still needs the ladder; without
-        `fallback` a failed lane stays failed.  Returns the states, each
+        the first).  Plain Newton runs every lane, and the lanes it fails
+        walk the gmin ladder from their own starts.  A decoupled system has
+        at most one solution, so the ladder cannot move its lane into
+        another basin, but a lane further than MAX_ITER steps of MAX_STEP
+        from it still needs the ladder.  Returns the states, each
         lane's iteration count, whether it walked the ladder, and the
         message of each lane that failed, whose state is then not a
         solution.  A singular step raises FloatingNodeError."""
@@ -622,7 +621,7 @@ class MnaSystem:
         x0 = np.broadcast_to(x0, (lanes, self.size))
         sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
         x, its, failed = self._newton_lanes(x0, b, self.g_static, sets)
-        ladder = ~_passed(lanes, failed) if fallback else np.zeros(lanes, dtype=bool)
+        ladder = ~_passed(lanes, failed)
         rescue = np.flatnonzero(ladder)
         if rescue.size:
             x[rescue], its[rescue], left = self._gmin_stepping(x0[rescue], b[rescue], sets[rescue])

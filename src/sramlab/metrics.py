@@ -84,6 +84,8 @@ def propagation_delay(
     crossing, each from the nearest preceding input crossing, with linear
     interpolation between samples.
     """
+    if not v_high > v_low:
+        raise ValueError("v_high must exceed v_low")
     level = v_low + fraction * (v_high - v_low)
     vin = _reference_input(w, input_node)
     vout = w.node(node)

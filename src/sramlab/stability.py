@@ -221,18 +221,20 @@ def _butterflies(
     both lobes: the nominal pair's lanes cold-started (drives set, free
     nodes at zero), then every shifted sample's, at most BATCH_LANES a
     batch, one parameter set per sample, each lane started at the nominal
-    pair's state at its point.  Such bracketed scalar root-finds need no
-    ladder (solve_lanes without fallback).  A pair with coupled free
-    unknowns may be bistable, and each sample's pair is swept instead,
-    both drives in lockstep, each point warm-started from the last.  A
-    failed lane fails only its own sample (a failed nominal lane starts
-    the samples from its cold start); an error not tied to a lane fails
-    its whole batch.
+    pair's state at its point.  A lane that plain Newton fails walks the
+    gmin ladder, which cannot leave a decoupled lane's one solution.  A
+    pair with coupled free unknowns may be bistable, and each sample's
+    pair is swept instead, both drives in lockstep, each point
+    warm-started from the last.  A failed lane fails only its own sample
+    (a failed nominal lane starts the samples from the state it was left
+    in); an error not tied to a lane fails its whole batch.
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
     if not grid > 0:
         raise ValueError("grid must be positive")
+    if not v_dd > 0:
+        raise ValueError("v_dd must be positive")
     ports = _cell_ports(cell)
     wl = v_dd if mode == "read" else 0.0
     v_in = sweep_grid(0.0, v_dd, grid)
@@ -257,7 +259,7 @@ def _butterflies(
                 x0 = None if start is None else np.tile(start, (len(batch), 1))
                 sets = np.repeat(np.arange(len(batch)), points)
                 try:
-                    x, _, _, failed = sys.solve_lanes(np.tile(b, (len(batch), 1)), x0, sets, fallback=False)
+                    x, _, _, failed = sys.solve_lanes(np.tile(b, (len(batch), 1)), x0, sets)
                 except EngineError as exc:
                     raise type(exc)(f"{exc} (sweeping VSNMIN)") from exc
                 x = x.reshape(len(batch), points, sys.size)
@@ -456,6 +458,8 @@ def drv_bruteforce(
 
     if not resolution > 0:
         raise ValueError("resolution must be positive")
+    if not v_max > 0:
+        raise ValueError("v_max must be positive")
     lo, hi = 0.0, v_max
     if not holds(hi):
         raise EngineError(f"cell is not bistable even at v_dd={v_max} V")
@@ -496,6 +500,8 @@ def write_margin(
     """
     if not resolution > 0:
         raise ValueError("resolution must be positive")
+    if not v_dd > 0:
+        raise ValueError("v_dd must be positive")
     ports = _cell_ports(cell)
     wl = v_dd if wl_voltage is None else wl_voltage
     sys = MnaSystem(_augment(cell, _bias_sources(ports, v_dd, wl, None)), tech)
@@ -570,6 +576,8 @@ class VariationModel:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.a_vth is not None and self.a_vth < 0:
             raise ValueError("a_vth must be nonnegative")
 
@@ -654,6 +662,8 @@ def read_current(
 ) -> float:
     """Cell current pulled from the BL clamp during a read of a stored 0
     (Q low); this is the discharge current a bitline capacitance sees."""
+    if not v_dd > 0:
+        raise ValueError("v_dd must be positive")
     ports = _cell_ports(cell)
     aug = _augment(cell, _bias_sources(ports, v_dd, v_dd, None))
     sol = solve_dc(aug, tech, initial={ports["Q"]: 0.0, ports["QBAR"]: v_dd})

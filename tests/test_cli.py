@@ -1,3 +1,4 @@
+import ast
 import csv
 import os
 import re
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import sramlab
+from sramlab import cli
 from sramlab.cli import main
+from sramlab.engine import MnaSystem
 from sramlab.genlib import build_6t_cell
 from sramlab.netlist import parse_netlist, print_netlist
 
@@ -165,33 +168,83 @@ def test_snm_zero_grid_exits_2(run, cell_file):
     assert err == "error: grid must be positive\n"
 
 
-def assert_bad_supply(run, name, *argv):
-    # A supply that is not positive is bad input, rejected before any
-    # analysis runs: exit 2, nothing on stdout.
+def assert_bad_supply(run, flag, name, *argv):
+    # A supply that is not positive is bad input, refused by the library
+    # function that takes it as `name`: exit 2, nothing on stdout.
     for value in ("0", "-1"):
-        code, out, err = run(*argv, f"--{name}={value}")
+        code, out, err = run(*argv, f"--{flag}={value}")
         assert code == 2 and out == "", (argv, value)
         assert err == f"error: {name} must be positive\n"
 
 
 def test_snm_nonpositive_vdd_exits_2(run, cell_file):
-    assert_bad_supply(run, "vdd", "snm", "--netlist", cell_file)
+    assert_bad_supply(run, "vdd", "v_dd", "snm", "--netlist", cell_file)
 
 
 def test_montecarlo_nonpositive_vdd_exits_2(run, cell_file):
-    assert_bad_supply(run, "vdd", "montecarlo", "--netlist", cell_file)
+    assert_bad_supply(run, "vdd", "v_dd", "montecarlo", "--netlist", cell_file)
 
 
 def test_delay_nonpositive_vdd_exits_2(run, cell_file):
-    assert_bad_supply(run, "vdd", "delay", "--netlist", cell_file, "--cbit", "1e-13")
+    assert_bad_supply(run, "vdd", "v_dd", "delay", "--netlist", cell_file, "--cbit", "1e-13")
 
 
 def test_write_margin_nonpositive_vdd_exits_2(run, cell_file):
-    assert_bad_supply(run, "vdd", "write-margin", "--netlist", cell_file)
+    assert_bad_supply(run, "vdd", "v_dd", "write-margin", "--netlist", cell_file)
 
 
 def test_drv_nonpositive_vmax_exits_2(run, cell_file):
-    assert_bad_supply(run, "vmax", "drv", "--netlist", cell_file)
+    assert_bad_supply(run, "vmax", "v_max", "drv", "--netlist", cell_file)
+
+
+def test_delay_waveform_nonpositive_vdd_exits_2(run, tmp_path):
+    # The waveform's thresholds sit between 0 V and --vdd.
+    path = tmp_path / "wave.csv"
+    path.write_text("time,V(WL),V(Q)\n0,0,1.8\n1e-9,1.8,0\n")
+    for value in ("0", "-1"):
+        argv = ("delay", "--waveform", str(path), "--node", "Q", "--input", "WL", f"--vdd={value}")
+        assert_bad_input(run, "v_high must exceed v_low", *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("snm", "--netlist", "CELL"),
+        ("dc", "DIVIDER"),
+        ("sweep", "DIVIDER", "--source", "V1", "--from", "0", "--to", "1", "--step", "0.5"),
+        ("tran", "DIVIDER", "--tstop", "1n", "--dt", "0.5n"),
+        ("write-margin", "--netlist", "CELL"),
+        ("drv", "--netlist", "CELL"),
+        ("montecarlo", "--netlist", "CELL", "--samples", "2"),
+        ("delay", "--cbit", "100f", "--netlist", "CELL"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_temperature_card_exits_2_from_every_analysis(run, cell_file, tmp_path, argv):
+    # One bad card is bad input whichever analysis first reads it.
+    cfg = tmp_path / "frozen.tech"
+    cfg.write_text("temperature = 0\n")
+    divider = tmp_path / "div.sp"
+    divider.write_text(DIVIDER)
+    argv = [{"CELL": cell_file, "DIVIDER": str(divider)}.get(a, a) for a in argv]
+    assert_bad_input(run, "temperature must be positive", *argv, "--config", str(cfg))
+
+
+def test_montecarlo_negative_seed_exits_2(run, cell_file):
+    assert_bad_input(run, "seed must be nonnegative", "montecarlo", "--netlist", cell_file, "--seed", "-1")
+
+
+def test_drv_closed_form_zero_leakage_exits_2(run, cell_file, tmp_path):
+    cfg = tmp_path / "tight.tech"
+    cfg.write_text("i0 = 0\n")
+    argv = ("drv", "--netlist", cell_file, "--method", "closed-form", "--config", str(cfg))
+    assert_bad_input(run, "leakage currents must be positive", *argv)
+
+
+def test_montecarlo_without_transistors_exits_2(run, tmp_path):
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    assert_bad_input(run, "cell has no transistors to perturb", "montecarlo", "--netlist", str(f))
 
 
 @pytest.mark.parametrize("resolution", ["0", "-1m"])
@@ -286,8 +339,44 @@ def test_ratios_nonpositive_size_exits_2(run):
     ],
 )
 def test_delay_nonpositive_bitline_input_exits_2(run, flags, name):
-    # Each would give a delay of zero, a negative one or none at all.
-    assert_bad_input(run, f"{name} must be positive", "delay", *flags)
+    # Each would give a delay of zero, a negative one or none at all;
+    # bitline_delay names the quantity the flag gives.
+    quantity = {"cbit": "bitline capacitance", "dv": "sense swing", "icell": "cell current"}[name]
+    assert_bad_input(run, f"{quantity} must be positive", "delay", *flags)
+
+
+def test_only_main_maps_exceptions_to_exit_codes():
+    # One rule sets every exit code: main() maps a command's exception to 1
+    # or 2.  Elsewhere an except clause only re-raises ConfigError with a
+    # message of its own (argparse's ArgumentTypeError in _spice), and no
+    # subcommand handler opens a with block or returns a nonzero code.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    assert {"main", "_cmd_snm", "_spice"} <= {f.name for f in functions}
+    breaches = []
+    for f in functions:
+        if f.name == "main":
+            continue
+        allowed = "argparse.ArgumentTypeError" if f.name == "_spice" else "ConfigError"
+        for node in ast.walk(f):
+            if isinstance(node, ast.ExceptHandler):
+                (stmt, *rest) = node.body
+                exc = stmt.exc if isinstance(stmt, ast.Raise) else None
+                if rest or not isinstance(exc, ast.Call) or ast.unparse(exc.func) != allowed:
+                    breaches.append((f.name, node.lineno, "except"))
+                elif allowed == "ConfigError" and not isinstance(exc.args[0], ast.JoinedStr):
+                    breaches.append((f.name, node.lineno, "message"))
+            if not f.name.startswith("_cmd_"):
+                continue
+            if isinstance(node, ast.With):
+                breaches.append((f.name, node.lineno, "with"))
+            if isinstance(node, ast.Return) and ast.unparse(node.value) != "0" and not (
+                isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "_emit"
+            ):
+                breaches.append((f.name, node.lineno, "return"))
+    assert breaches == []
+    (emit,) = [f for f in functions if f.name == "_emit"]
+    assert [ast.unparse(r.value) for r in ast.walk(emit) if isinstance(r, ast.Return)] == ["0"]
 
 
 def test_sweep_of_one_point(run, tmp_path):
@@ -359,6 +448,14 @@ def test_stimulus_corpus_write_survives_read(run, tmp_path):
     assert q < 0.05 and qbar > 1.75
 
 
+def test_parse_reports_the_title_line(run, tmp_path):
+    f = tmp_path / "div.sp"
+    f.write_text(DIVIDER)
+    code, out, err = run("parse", str(f))
+    assert code == 0 and err == ""
+    assert body_of(out) == ["title resistor divider", "nodes 2", "elements 3"]
+
+
 def test_missing_netlist_exits_2(run):
     code, out, err = run("snm", "--netlist", "no_such_cell.sp")
     assert code == 2 and out == ""
@@ -384,6 +481,13 @@ def test_usage_errors_exit_2(run):
 
 # ---------------------------------------------------------------------
 # Generation
+
+
+def test_generate_into_missing_directory_exits_2(run, tmp_path):
+    dest = tmp_path / "no_such_dir" / "cell.sp"
+    code, out, err = run("generate", "--out", str(dest))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot access {dest}: No such file or directory\n"
 
 
 def test_generate_cell_to_stdout_round_trips(run):
@@ -529,6 +633,23 @@ def test_tran_bad_ic_exits_2(run, tmp_path):
         assert message in err
 
 
+def test_tran_failed_step_exits_1(run, tmp_path, monkeypatch):
+    # Every time step is refused its Newton solve (the t=0 solve, on the
+    # static Jacobian, is not): an analysis failure, named by its time.
+    f = tmp_path / "rc.sp"
+    f.write_text(RC)
+    real = MnaSystem._newton_lanes
+
+    def refusing(self, x0, b, g, sets=None):
+        x, its, failed = real(self, x0, b, g, sets)
+        return x, its, failed if g is self.g_static else {0: "refused"}
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", refusing)
+    code, out, err = run("tran", str(f), "--tstop", "1m", "--dt", "0.1m")
+    assert code == 1 and out == ""
+    assert err == "error: refused (at t=0.0001 s)\n"
+
+
 def test_tran_larger_than_memory_exits_2(run, tmp_path, monkeypatch):
     # 1 MiB of physical memory, as the engine reads it: 100 000 steps do not
     # fit, and tran says so instead of dying in the allocation.
@@ -559,6 +680,23 @@ def test_drv_closed_form_subcommand(run, cell_file):
     line = next(l for l in body_of(out) if l.startswith("drv_closed_form "))
     assert line.endswith(" V")
     assert 0.03 < float(line.split()[1]) < 0.06
+
+
+def test_drv_both_methods_report(run, cell_file):
+    # The only CLI run of the brute-force bisection.
+    code, out, err = run("drv", "--netlist", cell_file, "--method", "both")
+    assert code == 0 and err == ""
+    assert body_of(out) == [
+        "drv_closed_form 0.0458362424 V",
+        "drv_bruteforce 0.0624023437 V",
+        "drv_delta 0.0165661014 V",
+    ]
+
+
+def test_drv_not_bistable_at_vmax_exits_1(run, cell_file):
+    code, out, err = run("drv", "--netlist", cell_file, "--method", "bruteforce", "--vmax", "0.03")
+    assert code == 1 and out == ""
+    assert err == "error: cell is not bistable even at v_dd=0.03 V\n"
 
 
 def test_write_margin_subcommand(run, cell_file):
@@ -618,6 +756,15 @@ def test_delay_waveform_needs_known_node_and_input(run, tmp_path):
         assert err.startswith("error: ") and message in err, flags
 
 
+def test_delay_waveform_without_output_crossing_exits_1(run, tmp_path):
+    # A MeasurementError is a ValueError, but an analysis failure.
+    path = tmp_path / "wave.csv"
+    path.write_text("time,V(IN),V(OUT)\n0,0,1.8\n1e-9,1.8,1.8\n2e-9,1.8,0\n")
+    code, out, err = run("delay", "--waveform", str(path), "--node", "OUT", "--input", "IN")
+    assert code == 1 and out == ""
+    assert err == "error: node OUT: no rising output transition found\n"
+
+
 def test_delay_bitline_mode(run):
     code, out, _ = run("delay", "--cbit", "100f", "--dv", "0.1", "--icell", "10u")
     assert code == 0
@@ -630,6 +777,10 @@ def test_delay_bitline_mode_from_netlist(run, cell_file):
     body = body_of(out)
     assert any(l.startswith("i_cell ") for l in body)
     assert any(l.startswith("bitline_delay ") for l in body)
+
+
+def test_delay_bitline_mode_needs_a_current(run):
+    assert_bad_input(run, "bitline mode needs --icell or --netlist", "delay", "--cbit", "1p")
 
 
 def test_delay_without_any_mode_exits_2(run):

@@ -129,6 +129,12 @@ def test_propagation_delay_needs_a_crossing_input():
         propagation_delay(w, "out", 0.0, 1.8, input_node="in")
 
 
+@pytest.mark.parametrize("v_high", [0.0, -1.8])
+def test_propagation_delay_needs_v_high_above_v_low(v_high):
+    with pytest.raises(ValueError, match="^v_high must exceed v_low$"):
+        propagation_delay(ramp_waveform(), "out", 0.0, v_high, input_node="in")
+
+
 def test_propagation_delay_fraction_moves_the_level():
     # At the 25% level (0.45 V) the output fall crossing moves later in the
     # falling ramp (2..3 ns spans 1.8..0, so 0.45 V sits at t = 2.75 ns) and

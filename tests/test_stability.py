@@ -330,28 +330,45 @@ def test_batched_butterfly_matches_sequential_sweeps(cell, mode, v_dd, grid, shi
 
 
 def cold_at(v_in, source="VIN"):
-    """A refuse() for refuse_newton: the lanes of plain Newton's cold start
-    (every free unknown, each lobe's probe, at 0 V) with `source` driven
-    at v_in."""
+    """A refuse() for refuse_newton: the lanes started cold (every free
+    unknown, each lobe's probe, at 0 V) with `source` driven at v_in, on
+    plain Newton and on every rung of the gmin ladder."""
 
     def refuse(lobe, x0, b, g, sets):
         cold = (x0[:, lobe._free] == 0).all(axis=1)
-        return cold & np.isclose(-b[:, lobe.branch_index[source]], v_in) & (g is lobe.g_static)
+        return cold & np.isclose(-b[:, lobe.branch_index[source]], v_in)
 
     return refuse
 
 
 def test_stuck_decoupled_lane_fails_its_butterfly(cell, monkeypatch):
-    # A decoupled lane runs plain Newton alone: made to refuse the cold
-    # lane at v_in = 0.5 V of the read lobe pair at 0.95 V, which carries
-    # both lobes' points there, it fails the butterfly with its own message
-    # and drive, and no fallback stage runs.
+    # Made to refuse the cold lane at v_in = 0.5 V of the read lobe pair at
+    # 0.95 V, which carries both lobes' points there, on plain Newton and
+    # on the gmin ladder it then walks, that lane fails the butterfly with
+    # the ladder's message and its own drive.
     refuse_newton(monkeypatch, cold_at(0.5, "VSNMIN_A"))
     entered = spy_fallbacks(monkeypatch)
     with pytest.raises(ConvergenceError) as failed:
         butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
-    assert str(failed.value) == "refused (sweeping VSNMIN=0.5)"
-    assert entered == []
+    assert str(failed.value) == "gmin stepping stalled below the minimum step (sweeping VSNMIN=0.5)"
+    assert entered == ["_gmin_stepping"]
+
+
+def test_refused_lobe_lane_is_landed_by_the_ladder(cell, monkeypatch):
+    # Plain Newton alone refuses the cold lane at v_in = 0.5 V of the read
+    # lobe pair at 0.95 V: the gmin ladder lands it, both lobes' points
+    # within the Newton stop tolerance of the solve plain Newton passed,
+    # and leaves every other point as it was.
+    want = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
+    cold = cold_at(0.5, "VSNMIN_A")
+    refuse_newton(monkeypatch, lambda lobe, x0, b, g, sets: cold(lobe, x0, b, g, sets) & (g is lobe.g_static))
+    entered = spy_fallbacks(monkeypatch)
+    data = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
+    assert entered == ["_gmin_stepping"]
+    i = np.flatnonzero(np.isclose(want.lobe_a.v_in, 0.5))[0]
+    for got, ref in ((data.lobe_a, want.lobe_a), (data.lobe_b, want.lobe_b)):
+        assert abs(got.v_out[i] - ref.v_out[i]) <= engine.RELTOL * abs(ref.v_out[i]) + engine.VNTOL
+        assert np.array_equal(np.delete(got.v_out, i), np.delete(ref.v_out, i))
 
 
 def spy_fallbacks(monkeypatch):
@@ -423,8 +440,9 @@ def test_recorded_draw_lobe_is_the_kcl_root(cell):
 
 
 def test_decoupled_lanes_never_fail_plain_newton(cell, monkeypatch):
-    # The oracle behind running decoupled lanes without fallbacks: no lane
-    # of a decoupled system fails _newton_lanes.  Checked on hold and read
+    # Decoupled lanes reach the gmin ladder only when plain Newton fails
+    # them, and on real workloads no lane of a decoupled system fails
+    # _newton_lanes.  Checked on hold and read
     # butterflies over every other lattice supply of 0.90-1.80 V on each
     # perfbench grid, on low supplies and the DRV bisection, and on seeded
     # Monte Carlo runs of random geometries (every W scaled by e^U(-1,1))
@@ -929,6 +947,17 @@ def test_nonpositive_resolution_is_rejected_before_any_solve(cell, resolution, m
     assert lanes == []
 
 
+@pytest.mark.parametrize("supply", [0.0, -1.0, float("nan")])
+def test_nonpositive_supply_is_rejected_before_any_solve(cell, supply, monkeypatch):
+    lanes = stamp_counter(monkeypatch)
+    for analysis in (butterfly, write_margin, read_current):
+        with pytest.raises(ValueError, match="^v_dd must be positive$"):
+            analysis(cell, v_dd=supply)
+    with pytest.raises(ValueError, match="^v_max must be positive$"):
+        drv_bruteforce(cell, v_max=supply)
+    assert lanes == []
+
+
 @contextlib.contextmanager
 def alarm_after(seconds):
     """Raise TimeoutError in the test if its body runs longer than seconds."""
@@ -999,6 +1028,8 @@ def test_variation_model_validation():
         VariationModel(a_vth=3e-9, n_samples=0, seed=1)
     with pytest.raises(ValueError):
         VariationModel(a_vth=-1e-9, n_samples=10, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        VariationModel(a_vth=3e-9, n_samples=10, seed=-1)
     with pytest.raises(ValueError):
         monte_carlo_snm(build_6t_cell(), vm=None)
 
@@ -1113,19 +1144,51 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
     assert np.array_equal(np.delete(mc.samples, 2), np.delete(want, 2))
 
 
+def test_failed_coupled_sample_is_nan_at_its_index_only(cell, monkeypatch):
+    # A coupled lobe pair is swept one sample at a time.  Poisoned as above,
+    # the third sample's sweep fails, plain Newton and the gmin ladder
+    # alike, and that sample alone is NaN.
+    gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
+    coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
+    vm = VariationModel(3e-9, 10, 1)
+    doomed = np.tile(MnaSystem(coupled, vth_shift=sample_shifts(coupled, vm)[2]).mos_par, (2, 1))
+    real = engine.mos_stamp
+
+    def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
+        real(x_ext, mos_idx, par, vt, jac, res, at)
+        res[(par == doomed).all(axis=(-2, -1))] = np.nan
+
+    swept = []
+    real_sweep = stability._warm_sweep
+
+    def sweep_spy(sys, *args):
+        swept.append(sys.decoupled)
+        return real_sweep(sys, *args)
+
+    monkeypatch.setattr(engine, "mos_stamp", poisoned)
+    monkeypatch.setattr(stability, "_warm_sweep", sweep_spy)
+    mc = monte_carlo_snm(coupled, vm=vm, mode="hold", v_dd=1.8, grid=0.05)
+    monkeypatch.undo()
+    assert swept == [False] * 11  # the nominal pair, then each sample's
+    assert mc.failures == 1
+    assert np.array_equal(np.flatnonzero(np.isnan(mc.samples)), [2])
+    want = per_sample_snm(coupled, vm, "hold", 1.8, 0.05)
+    assert np.array_equal(np.delete(mc.samples, 2), np.delete(want, 2))
+
+
 def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
-    # Read at 0.95 V, 12.5 mV: plain Newton is refused the nominal lobe
-    # pair's cold lane at v_in = 0.5 V.  That lane hands the samples its
-    # cold start, QBAR of the Q-driven lobe and Q of the QBAR-driven one at
-    # 0 V; the shifted samples still solve, and the unshifted ones fail as
-    # butterfly() does.
+    # Read at 0.95 V, 12.5 mV: plain Newton and the gmin ladder are refused
+    # the nominal lobe pair's cold lane at v_in = 0.5 V.  That lane hands
+    # the samples its cold start, QBAR of the Q-driven lobe and Q of the
+    # QBAR-driven one at 0 V; the shifted samples still solve, and the
+    # unshifted ones fail as butterfly() does.
     nominal_par = np.tile(MnaSystem(cell).mos_par, (2, 1))  # both lobes
     starts = []
     real_lanes = MnaSystem.solve_lanes
 
-    def lanes_spy(self, b, x0=None, sets=None, fallback=True):
+    def lanes_spy(self, b, x0=None, sets=None):
         starts.append((self, x0))
-        return real_lanes(self, b, x0, sets, fallback)
+        return real_lanes(self, b, x0, sets)
 
     cold = cold_at(0.5, "VSNMIN_A")
 
@@ -1134,7 +1197,7 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
 
     refuse_newton(monkeypatch, refuse)
     monkeypatch.setattr(MnaSystem, "solve_lanes", lanes_spy)
-    with pytest.raises(ConvergenceError, match="refused") as nominal:
+    with pytest.raises(ConvergenceError, match=r"stalled below the minimum step \(sweeping VSNMIN=0\.5\)$") as nominal:
         butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
     shift = dict(zip(CELL_MOS, (0.004, -0.003, 0.002, 0.001, -0.002, 0.003)))
     shifts = [{}, shift, dict.fromkeys(CELL_MOS, 0.0), {k: -v for k, v in shift.items()}]
@@ -1164,9 +1227,9 @@ def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
         built.append(1)
         real_init(self, *args, **kwargs)
 
-    def lanes_spy(self, b, x0=None, sets=None, fallback=True):
+    def lanes_spy(self, b, x0=None, sets=None):
         starts.append(x0)
-        return real_lanes(self, b, x0, sets, fallback)
+        return real_lanes(self, b, x0, sets)
 
     monkeypatch.setattr(MnaSystem, "__init__", init_spy)
     monkeypatch.setattr(MnaSystem, "solve_lanes", lanes_spy)
@@ -1196,11 +1259,11 @@ def lone_lobes(cell, mode, v_dd, grid, shifts=None):
     for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
         lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive))
         b = lobe.rhs(drive={"VIN": v_in})
-        x, _, _, failed = lobe.solve_lanes(b, fallback=False)
+        x, _, _, failed = lobe.solve_lanes(b)
         if shifts:
             lobe = MnaSystem(lobe.net, vth_shift=shifts)
             sets = np.repeat(np.arange(len(shifts)), v_in.size)
-            x, _, _, failed = lobe.solve_lanes(np.tile(b, (len(shifts), 1)), np.tile(x, (len(shifts), 1)), sets, False)
+            x, _, _, failed = lobe.solve_lanes(np.tile(b, (len(shifts), 1)), np.tile(x, (len(shifts), 1)), sets)
         assert failed == {}
         out.append(x[:, lobe.node_index[cell.role_node(probe)]].reshape(-1, v_in.size))
     return np.stack(out, axis=1)
