@@ -299,8 +299,7 @@ def _cmd_delay(args, tech):
         if current is None:
             if not args.netlist:
                 raise ConfigError("bitline mode needs --icell or --netlist")
-            current = read_current(_read_netlist(args.netlist), tech, args.vdd)
-            rep.add("i_cell", current, "A")
+            current = lambda: rep.add("i_cell", read_current(_read_netlist(args.netlist), tech, args.vdd), "A")
         rep.add("bitline_delay", bitline_delay(args.cbit, args.dv, current), "s")
     else:
         raise ConfigError(

@@ -4,6 +4,7 @@ delays, cell ratio checks, and layout area accounting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,12 +23,14 @@ def dynamic_power(c_l: float, v_dd: float, f_sw: float) -> float:
     return c_l * v_dd * v_dd * f_sw
 
 
-def bitline_delay(c_b: float, dv: float, i_cell: float) -> float:
-    """Time for a cell current to slew the bitline capacitance by dv."""
+def bitline_delay(c_b: float, dv: float, i_cell: float | Callable[[], float]) -> float:
+    """Time for a cell current to slew the bitline capacitance by dv; a
+    callable i_cell is called for the current only once c_b and dv pass."""
     if c_b <= 0:
         raise ValueError("bitline capacitance must be positive")
     if dv <= 0:
         raise ValueError("sense swing must be positive")
+    i_cell = i_cell() if callable(i_cell) else i_cell
     if i_cell <= 0:
         raise ValueError("cell current must be positive")
     return c_b * dv / i_cell

@@ -41,8 +41,9 @@ class AnalysisReport:
         value: float | int | str,
         unit: str = "",
         verdict: str | None = None,
-    ) -> None:
+    ) -> float | int | str:
         self.entries.append(ReportEntry(name, value, unit, verdict))
+        return value
 
     def get(self, name: str) -> ReportEntry:
         for entry in self.entries:

@@ -10,6 +10,7 @@ caller's object.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .engine import (
     MnaSystem,
     _open_for,
     _warm_sweep,
-    solve_dc,
     sweep_grid,
 )
 from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, instantiate, with_elements
@@ -36,10 +36,8 @@ SQRT2 = math.sqrt(2.0)
 # batch of butterfly samples queues.  A batch's states are held at once, so
 # this bounds a long Monte Carlo run's memory; the Newton pool holds MAX_LANES.
 BATCH_LANES = 8 * MAX_LANES
-# Bisection levels whose midpoints one write-margin round solves together:
-# 2**levels - 1 probes a round.  Deeper rounds solve more probes the
-# bisection never visits; shallower ones pay more rounds.
-WRITE_ROUND_LEVELS = 6
+# Points of each grid over Q that write_margin and read_current solve.
+Q_POINTS = 33
 
 
 class NonWritableError(Exception):
@@ -159,19 +157,15 @@ def _cell_ports(cell: Netlist) -> dict[str, str]:
     return ports
 
 
-def _bias_sources(
-    ports: dict[str, str], v_dd: float, wl: float, drive_node: str | None
-) -> list[SourceElement]:
+def _bias_sources(ports: dict[str, str], v_dd: float, wl: float, drive_node: str) -> list[SourceElement]:
     gnd = Node(GROUND)
-    out = [
+    return [
         SourceElement("VSNMVDD", Node(ports["VDD"]), gnd, "DC", (v_dd,)),
         SourceElement("VSNMWL", Node(ports["WL"]), gnd, "DC", (wl,)),
         SourceElement("VSNMBL", Node(ports["BL"]), gnd, "DC", (v_dd,)),
         SourceElement("VSNMBLB", Node(ports["BLB"]), gnd, "DC", (v_dd,)),
+        SourceElement("VSNMIN", Node(drive_node), gnd, "DC", (0.0,)),
     ]
-    if drive_node is not None:
-        out.append(SourceElement("VSNMIN", Node(drive_node), gnd, "DC", (0.0,)))
-    return out
 
 
 def _augment(cell: Netlist, extra: list[SourceElement]) -> Netlist:
@@ -475,7 +469,27 @@ def drv_bruteforce(
 
 
 # ---------------------------------------------------------------------
-# Write margin
+# Write margin and read current
+
+
+def _lanes(sys: MnaSystem, q: np.ndarray, **drive: np.ndarray | float) -> np.ndarray:
+    """States of sys, Q driven by VSNMIN, at each q and drive; a failed lane raises ConvergenceError."""
+    x, _, _, failed = sys.solve_lanes(sys.rhs(drive={"VSNMIN": q, **drive}))
+    if failed:
+        raise ConvergenceError(failed[min(failed)])
+    return x
+
+
+def _narrow(q: np.ndarray, values: np.ndarray, solve, index, tol: float) -> np.ndarray:
+    """values[index(values)], values = solve(q), on grids of Q_POINTS points,
+    each spanning the last one's pick and its neighbours, to tol or rounding."""
+    while True:
+        i = int(index(values))
+        lo, hi = q[max(i - 1, 0)], q[min(i + 1, q.size - 1)]
+        if not (hi - lo > tol and lo < 0.5 * (lo + hi) < hi):
+            return values[i]
+        q = np.linspace(lo, hi, Q_POINTS)
+        values = solve(q)
 
 
 def write_margin(
@@ -487,69 +501,68 @@ def write_margin(
 ) -> float:
     """Highest BL voltage (within `resolution`, or to adjacent floats where
     that is finer) that flips a cell holding Q high, with BLB held at v_dd
-    and the wordline driven (default v_dd).
+    and the wordline driven (default v_dd): where the bisection of (0,
+    v_dd) ends against the fold below which the held state is gone
+    (Grossar et al., IEEE JSSC 41(11), 2006); v_dd if there is none.
 
-    A bisection on BL, each probe a DC solve started at the held state.
-    The probes are solved in rounds: first the two ends, BL = 0 and v_dd,
-    then every midpoint the next WRITE_ROUND_LEVELS bisection steps can
-    reach, as the lanes of one solve_lanes call: plain Newton, and then
-    the adaptive gmin ladder for the probes it fails, each from the held
-    state.  A probe that stalls on the ladder fails the margin only if the
-    bisection visits it.  Each probe therefore gets the result a solve of
-    its own gives, and so does the margin.
+    Q = q is a state at one BL voltage, bl(q).  With Q driven, lanes at BL
+    = 0 and v_dd bracket it, and a q bracketed in [0, v_dd] is solved with
+    BL free, drawn by ISNMBL in VSNMBL's place at the Q source's current at
+    BL = q: QBAR and BL are then blocks of their own.  The fold is the least
+    bl(q), the grid over [0, v_dd] refined around it, on the held branch:
+    the last run of q with bl(q) up to v_dd that has a q beyond v_dd below.
     """
     if not resolution > 0:
         raise ValueError("resolution must be positive")
     if not v_dd > 0:
         raise ValueError("v_dd must be positive")
-    ports = _cell_ports(cell)
     wl = v_dd if wl_voltage is None else wl_voltage
-    sys = MnaSystem(_augment(cell, _bias_sources(ports, v_dd, wl, None)), tech)
-    held = sys.pack_state({ports["Q"]: v_dd, ports["QBAR"]: 0.0})
-    q, qbar = sys.node_index[ports["Q"]], sys.node_index[ports["QBAR"]]
-    # Per probed BL value: whether the cell flips, or the message of a
-    # probe that stalled on the gmin ladder.
-    outcome: dict[float, bool | str] = {}
+    bias = _bias_sources(_cell_ports(cell), v_dd, wl, cell.role_node("Q"))
+    draw = [SourceElement("ISNMBL", s.n_plus, s.n_minus, "DC", (0.0,)) if s.id == "VSNMBL" else s for s in bias]
+    driven, drawn = (MnaSystem(_augment(cell, extra), tech) for extra in (bias, draw))
+    k, free_bl = driven.branch_index["VSNMIN"], drawn.node_index[cell.role_node("BL")]
 
-    def probe(values: list[float]) -> None:
-        b = sys.rhs(drive={"VSNMBL": values})
-        x, _, _, left = sys.solve_lanes(b, held)
-        for i, v in enumerate(values):
-            outcome[v] = left.get(i, bool(x[i, q] < x[i, qbar]))
+    def bl(q: np.ndarray) -> np.ndarray:  # -inf below 0, +inf beyond v_dd
+        x = _lanes(driven, np.tile(q, 3), VSNMBL=np.concatenate((q, np.repeat([0.0, v_dd], q.size))))
+        i = x[:, k].reshape(3, -1)  # the Q source's current at BL = q, 0 and v_dd
+        out = np.where(i[1] > 0, -np.inf, np.where(i[2] < 0, np.inf, np.nan))
+        inside = np.isnan(out)
+        out[inside] = _lanes(drawn, q[inside], ISNMBL=i[0, inside])[:, free_bl]
+        return out
 
-    def flips(bl_v: float) -> bool:
-        if isinstance(outcome[bl_v], str):
-            raise ConvergenceError(outcome[bl_v])
-        return outcome[bl_v]
-
-    def midpoints(lo: float, hi: float, levels: int) -> list[float]:
-        # Every midpoint the next `levels` steps of the loop below can
-        # visit from (lo, hi), by the loop's own arithmetic and stops.
-        mid = 0.5 * (lo + hi)
-        if not levels or not hi - lo > resolution or not lo < mid < hi:
-            return []
-        return [mid, *midpoints(lo, mid, levels - 1), *midpoints(mid, hi, levels - 1)]
-
-    probe([0.0, v_dd])
-    if not flips(0.0):
+    q = sweep_grid(0.0, v_dd, v_dd / (Q_POINTS - 1))
+    b = bl(q)
+    end = q.size - int(np.argmax(b[::-1] <= v_dd))  # below the top run beyond v_dd, if any
+    start = end - int(np.argmax(b[:end][::-1] > v_dd))  # above the last q beyond v_dd below that
+    held = slice(start - 1, end + 1)  # with the q beyond v_dd on either side, where the fold may lie
+    fold = _narrow(q[held], b[held], bl, np.argmin, 1e-6 * v_dd) if start < end else np.inf
+    if not fold > 0:
         raise NonWritableError(
-            f"state does not flip even at BL=0 V (WL={wl:g} V); "
-            "cell is not writable under these drives"
+            f"state does not flip even at BL=0 V (WL={wl:g} V); cell is not writable under these drives"
         )
-    if flips(v_dd):
-        return v_dd
     lo, hi = 0.0, v_dd  # flips at lo, holds at hi
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        if mid not in outcome:
-            probe(midpoints(lo, hi, WRITE_ROUND_LEVELS))
-        if flips(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if mid < fold else (lo, mid)
+    return lo if fold < v_dd else v_dd
+
+
+def read_current(
+    cell: Netlist, tech: TechnologyParams | None = None, v_dd: float = 1.8
+) -> float:
+    """Cell current pulled from the BL clamp during a read of a stored 0
+    (Q low); this is the discharge current a bitline capacitance sees.
+
+    With Q driven and BL at v_dd, the Q source carries no current at each
+    state of the cell (Seevinck, List & Lohstroh, IEEE JSSC SC-22(5), 1987).
+    The stored 0 is its first sign change up from Q = 0, narrowed to
+    rounding; the read current is VSNMBL's branch current there."""
+    if not v_dd > 0:
+        raise ValueError("v_dd must be positive")
+    driven = MnaSystem(_augment(cell, _bias_sources(_cell_ports(cell), v_dd, v_dd, cell.role_node("Q"))), tech)
+    i_q, i_bl = driven.branch_index["VSNMIN"], driven.branch_index["VSNMBL"]
+    solve = functools.partial(_lanes, driven, VSNMBL=v_dd)
+    q = sweep_grid(0.0, v_dd, v_dd / (Q_POINTS - 1))
+    return abs(_narrow(q, solve(q), solve, lambda x: np.argmax(x[:, i_q] <= 0), 0.0)[i_bl])
 
 
 # ---------------------------------------------------------------------
@@ -651,20 +664,3 @@ def monte_carlo_snm(
         histogram=(counts, edges),
         failures=failures,
     )
-
-
-# ---------------------------------------------------------------------
-# Read current (for bitline delay estimates)
-
-
-def read_current(
-    cell: Netlist, tech: TechnologyParams | None = None, v_dd: float = 1.8
-) -> float:
-    """Cell current pulled from the BL clamp during a read of a stored 0
-    (Q low); this is the discharge current a bitline capacitance sees."""
-    if not v_dd > 0:
-        raise ValueError("v_dd must be positive")
-    ports = _cell_ports(cell)
-    aug = _augment(cell, _bias_sources(ports, v_dd, v_dd, None))
-    sol = solve_dc(aug, tech, initial={ports["Q"]: 0.0, ports["QBAR"]: v_dd})
-    return abs(sol.branch_currents["VSNMBL"])

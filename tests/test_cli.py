@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sramlab
-from sramlab import cli
+from sramlab import cli, engine
 from sramlab.cli import main
 from sramlab.engine import MnaSystem
 from sramlab.genlib import build_6t_cell
@@ -699,6 +699,30 @@ def test_drv_not_bistable_at_vmax_exits_1(run, cell_file):
     assert err == "error: cell is not bistable even at v_dd=0.03 V\n"
 
 
+def quick_start():
+    """The README quick start's commands, each with the report lines the
+    README shows after it."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start\n\n```sh\n", 1)[1].split("```", 1)[0]
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ sramlab "):
+            runs.append((line[len("$ sramlab ") :], []))
+        elif line:
+            runs[-1][1].append(line)
+    return runs
+
+
+def test_readme_quick_start_prints_what_it_shows(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = quick_start()
+    assert any(argv.startswith("write-margin ") for argv, _ in runs)
+    for argv, shown in runs:
+        code, out, _ = run(*argv.split())
+        assert code == 0, argv
+        assert body_of(out) == shown, argv
+
+
 def test_write_margin_subcommand(run, cell_file):
     code, out, _ = run("write-margin", "--netlist", cell_file)
     assert code == 0
@@ -777,6 +801,22 @@ def test_delay_bitline_mode_from_netlist(run, cell_file):
     body = body_of(out)
     assert any(l.startswith("i_cell ") for l in body)
     assert any(l.startswith("bitline_delay ") for l in body)
+
+
+@pytest.mark.parametrize("flags, quantity", [(("--cbit", "0"), "bitline capacitance"), (("--cbit", "1p", "--dv", "-0.1"), "sense swing")])
+def test_delay_bad_bitline_input_exits_2_before_any_solve(run, cell_file, flags, quantity, monkeypatch):
+    # bitline_delay checks --cbit and --dv before it asks for the cell's
+    # read current, so a bad one costs no device evaluation.
+    stamps = []
+    real = engine.mos_stamp
+
+    def spy(*args):
+        stamps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "mos_stamp", spy)
+    assert_bad_input(run, f"{quantity} must be positive", "delay", "--netlist", cell_file, *flags)
+    assert stamps == []
 
 
 def test_delay_bitline_mode_needs_a_current(run):

@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import io
 import itertools
 import math
 import signal
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -850,90 +852,152 @@ def sequential_write_margin(cell, v_dd, resolution=1e-3):
     return lo
 
 
-@pytest.mark.parametrize("v_dd", [0.9, 1.0, 1.2, 1.30, 1.35, 1.4, 1.8])
+@pytest.mark.parametrize("v_dd", [1.0, 1.2, 1.30, 1.35, 1.4, 1.8])
 def test_write_margin_is_the_sequential_bisection(cell, v_dd):
-    # The rounds solve many probes at once, yet each probe, and so the
-    # margin, must be what a solve of its own gives, bit for bit.
+    # Where the held probes keep their basin, the fold found on decoupled
+    # lanes ends the bisection where probe-by-probe solves from the held
+    # state do, bit for bit.  (At 0.9 V those probes lose it and flip even
+    # at BL = v_dd; see test_write_margin_fixes_at_low_supply.)
     assert write_margin(cell, v_dd=v_dd) == sequential_write_margin(cell, v_dd)
 
 
-def stall_at(bl_v, hits):
-    """A refuse() for refuse_newton: every lane of a write probe with BL at
-    bl_v (source VSNMBL in write_margin, VWBL in probe_write), at every
-    rung, so that probe stalls on the gmin ladder.  Appends to hits once
-    per refused call."""
-
-    def refuse(lobe, x0, b, g, sets):
-        k = lobe.branch_index.get("VSNMBL", lobe.branch_index.get("VWBL"))
-        mask = -b[:, k] == bl_v
-        if mask.any():
-            hits.append(bl_v)
-        return mask
-
-    return refuse
+def q_driven_write(cell, bl_v, v_dd):
+    """The write-biased cell at BL = bl_v with Q driven too, by VWQ: a
+    decoupled system."""
+    gnd = Node(GROUND)
+    net = with_elements(biased_write(cell, bl_v, v_dd, v_dd), [SourceElement("VWQ", Node(cell.role_node("Q")), gnd, "DC", (0.0,))])
+    sys = MnaSystem(net)
+    assert sys.decoupled
+    return sys
 
 
-def test_write_margin_fails_where_the_sequential_bisection_fails(cell, monkeypatch):
-    # A probe made to stall on the gmin ladder fails the margin, with the
-    # ladder's message, exactly when the bisection visits it: at 1.2 V the
-    # first midpoint, BL = 0.6 V, is on every path, while the midpoint above
-    # it is solved in the first round of speculative probes and, the cell
-    # holding at 0.6 V, never visited.
-    want = write_margin(cell, v_dd=1.2)
-    on = 0.5 * (0.0 + 1.2)
-    off = 0.5 * (on + 1.2)
-    assert want < on
-    refuse_newton(monkeypatch, stall_at(on, []))
-    with pytest.raises(ConvergenceError) as seq:
-        sequential_write_margin(cell, 1.2)
-    with pytest.raises(ConvergenceError) as got:
+def q_roots(cell, bl_v, v_dd, grid=1e-3):
+    """Brackets (lo, hi) on a grid of Q in which VWQ's current in
+    q_driven_write changes sign: each holds one DC state of the cell."""
+    sys = q_driven_write(cell, bl_v, v_dd)
+    q = sweep_grid(0.0, v_dd, grid)
+    x, _, _, failed = sys.solve_lanes(sys.rhs(drive={"VWQ": q}))
+    assert not failed
+    i = np.sign(x[:, sys.branch_index["VWQ"]])
+    return [(q[j], q[j + 1]) for j in np.flatnonzero(i[:-1] * i[1:] <= 0)]
+
+
+def cell_state(cell, bl_v, v_dd, bracket):
+    """The DC state of the write-biased cell at BL = bl_v within a bracket
+    of q_roots, bisected on single Q-driven lanes to adjacent floats, as a
+    state of the coupled cell (no coupled solve), with that system."""
+    sys = q_driven_write(cell, bl_v, v_dd)
+    k = sys.branch_index["VWQ"]
+
+    def at(q):
+        x, _, _, failed = sys.solve_lanes(sys.rhs(drive={"VWQ": np.array([q])}))
+        assert not failed
+        return x[0]
+
+    lo, hi = bracket
+    sign_lo = np.sign(at(lo)[k])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if np.sign(at(mid)[k]) == sign_lo else (lo, mid)
+    x = at(lo)
+    coupled = MnaSystem(biased_write(cell, bl_v, v_dd, v_dd))
+    state = np.zeros(coupled.size)
+    for names, own in ((coupled.node_index, sys.node_index), (coupled.branch_index, sys.branch_index)):
+        for name, j in names.items():
+            state[j] = x[own[name]]
+    return coupled, state
+
+
+@pytest.mark.parametrize("v_dd", [0.9, 1.2, 1.8])
+def test_write_margin_and_read_states_hold_the_coupled_kcl(cell, v_dd):
+    # An oracle on the lobe map with no coupled solve: just above the
+    # margin the held state is there, one of three states, and its node
+    # rows satisfy the coupled cell's KCL within ABSTOL; at the margin it
+    # is gone.  The read state, the stored 0 at BL = v_dd, satisfies it
+    # too, and its BL current is read_current.
+    res = 1e-3
+    wm = write_margin(cell, v_dd=v_dd, resolution=res)
+    assert len(q_roots(cell, wm, v_dd)) == 1
+    roots = q_roots(cell, wm + res, v_dd)
+    assert len(roots) == 3
+    read_roots = q_roots(cell, v_dd, v_dd)
+    assert len(read_roots) == 3
+    q, qbar = cell.role_node("Q"), cell.role_node("QBAR")
+    for bl_v, bracket, held in ((wm + res, roots[-1], True), (v_dd, read_roots[0], False)):
+        coupled, x = cell_state(cell, bl_v, v_dd, bracket)
+        res_kcl = coupled.residual(x, coupled.rhs())[: coupled.n_nodes]
+        assert np.abs(res_kcl).max() <= engine.ABSTOL
+        assert (x[coupled.node_index[q]] > x[coupled.node_index[qbar]]) == held
+    current = abs(x[coupled.branch_index["VWBL"]])
+    assert math.isclose(read_current(cell, v_dd=v_dd), current, rel_tol=1e-9)
+
+
+def test_write_margin_rises_with_supply(cell):
+    supplies = sweep_grid(0.9, 1.8, 0.025)
+    margins = [write_margin(cell, v_dd=float(v)) for v in supplies]
+    assert all(a < b for a, b in zip(margins, margins[1:]))
+    assert all(0.0 < m < v for m, v in zip(margins, supplies))
+
+
+def test_write_margin_fixes_at_low_supply(cell):
+    # Solves from the held state lost its basin here: the write margin read
+    # v_dd, and the read current 2e-12 to 8e-9 A, where the read state
+    # carries tens of microamps.
+    assert write_margin(cell, v_dd=0.9) < 0.9
+    for v_dd, want in ((0.90, 2.071e-5), (0.95, 2.510e-5), (1.00, 2.991e-5), (1.05, 3.516e-5)):
+        assert math.isclose(read_current(cell, v_dd=v_dd), want, rel_tol=5e-3)
+
+
+def test_write_margin_and_read_current_solve_only_decoupled_systems(cell, monkeypatch):
+    # Every system the two build is decoupled, and no lane walks the gmin
+    # ladder: a lane whose bracket puts BL outside [0, v_dd] is never solved.
+    built, laddered = [], []
+    real_init, real_ladder = MnaSystem.__init__, MnaSystem._gmin_stepping
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    def ladder(self, x0, b, sets):
+        laddered.append(len(x0))
+        return real_ladder(self, x0, b, sets)
+
+    monkeypatch.setattr(MnaSystem, "__init__", init)
+    monkeypatch.setattr(MnaSystem, "_gmin_stepping", ladder)
+    for v_dd in (0.9, 1.2, 1.8):
+        write_margin(cell, v_dd=v_dd)
+        read_current(cell, v_dd=v_dd)
+    with pytest.raises(NonWritableError):
+        write_margin(cell, wl_voltage=0.0)
+    assert len(built) == 3 * 3 + 2
+    assert all(sys.decoupled for sys in built)
+    assert laddered == []
+
+
+def test_write_margin_and_read_current_fail_with_a_lane_that_fails(cell, monkeypatch):
+    # A lane that neither plain Newton nor the gmin ladder solves fails the
+    # analysis with the ladder's message: here every lane of the system
+    # with BL free (write margin) or of every system (read current).
+    refuse_newton(monkeypatch, lambda lobe, x0, b, g, sets: np.full(len(x0), bool(lobe.isources)))
+    with pytest.raises(ConvergenceError, match="^gmin stepping stalled below the minimum step$"):
         write_margin(cell, v_dd=1.2)
-    assert str(got.value) == str(seq.value) == "gmin stepping stalled below the minimum step"
     monkeypatch.undo()
-    hits = []
-    refuse_newton(monkeypatch, stall_at(off, hits))
-    assert write_margin(cell, v_dd=1.2) == want
-    assert hits
-    assert sequential_write_margin(cell, 1.2) == want
+    refuse_newton(monkeypatch, lambda lobe, x0, b, g, sets: np.full(len(x0), True))
+    with pytest.raises(ConvergenceError, match="^gmin stepping stalled below the minimum step$"):
+        read_current(cell, v_dd=1.2)
 
 
-def bisection_path(v_dd, wm, resolution=1e-3):
-    """BL values write_margin's bisection visits on its way to wm: the two
-    ends, then each midpoint, which flips exactly when it is at most wm."""
-    path, lo, hi = [0.0, v_dd], 0.0, v_dd
-    while wm < v_dd and hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        path.append(mid)
-        lo, hi = (mid, hi) if mid <= wm else (lo, mid)
-    return path
-
-
-@pytest.mark.parametrize("v_dd", [1.25, 1.40])
-def test_write_margin_ladder_starts_at_the_held_state(cell, v_dd, monkeypatch):
-    # The gmin ladder takes speculative probes off the bisection path as
-    # well as probes on it, and every one starts from the held state (Q at
-    # v_dd, all else zero), not from a neighbouring probe's solution.
-    seen, starts = [], []
-    real = MnaSystem._gmin_stepping
-
-    def spy(self, x0, b, sets):
-        seen.extend(-b[:, self.branch_index["VSNMBL"]])
-        starts.extend(x0)
-        return real(self, x0, b, sets)
-
-    monkeypatch.setattr(MnaSystem, "_gmin_stepping", spy)
-    path = bisection_path(v_dd, write_margin(cell, v_dd=v_dd))
-    assert set(seen) - set(path)
-    assert all(np.array_equal(x, starts[0]) for x in starts)
-    assert np.count_nonzero(starts[0]) == 1 and starts[0].max() == v_dd
-
-
-def test_write_margin_flipping_at_supply_solves_only_the_ends(cell, monkeypatch):
-    # At 0.9 V the cell flips even at BL = v_dd, so the first round, the
-    # two end probes, decides the margin and no midpoint is solved.
-    lanes = stamp_counter(monkeypatch)
-    assert write_margin(cell, v_dd=0.9) == 0.9
-    assert lanes and max(lanes) <= 2
+def test_stability_starts_no_solve_from_a_stored_state():
+    # Every cell state in stability.py comes from decoupled lanes: no call
+    # there solves from a stored state (solve_dc, pack_state or initial=).
+    tree = ast.parse(Path(stability.__file__).read_text())
+    breaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name in ("solve_dc", "pack_state"):
+                breaches.append((node.lineno, name))
+            breaches += [(node.lineno, "initial=") for kw in node.keywords if kw.arg == "initial"]
+    assert breaches == []
 
 
 @pytest.mark.parametrize("resolution", [0.0, -1e-3, float("nan")])
