@@ -44,6 +44,7 @@ the state of the step before and solves nothing (see transient).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -650,36 +651,16 @@ class MnaSystem:
         at most one solution at any drive."""
         return all(m == 1 for m, *_ in self._blocks)
 
-    # -- state packing ------------------------------------------------
 
-    def pack_state(self, volts: dict[str, float] | None) -> np.ndarray:
-        x = np.zeros(self.size)
-        for name, v in (volts or {}).items():
-            if name == GROUND:
-                continue
-            if name not in self.node_index:
-                raise EngineError(f"unknown node {name!r} in initial state")
-            x[self.node_index[name]] = v
-        return x
-
-    def solution(self, x: np.ndarray, iterations: int, gmin_ladder: bool) -> DcSolution:
-        volts = {name: float(x[i]) for name, i in self.node_index.items()}
-        currents = {sid: float(x[k]) for sid, k in self.branch_index.items()}
-        res = self.residual(x, self.rhs())
-        worst = float(np.abs(res[: self.n_nodes]).max(initial=0.0))
-        return DcSolution(volts, currents, iterations, gmin_ladder, worst)
-
-
-def solve_dc(
-    net: Netlist,
-    tech: TechnologyParams | None = None,
-    vth_shift: dict[str, float] | None = None,
-    initial: dict[str, float] | None = None,
-) -> DcSolution:
-    sys = MnaSystem(net, tech, vth_shift)
-    x0 = sys.pack_state(initial) if initial else None
-    x, its, ladder = sys.solve_dc_vector(x0=x0)
-    return sys.solution(x, its, ladder)
+def solve_dc(net: Netlist, tech: TechnologyParams | None = None) -> DcSolution:
+    """The DC operating point of net, every source at its card value,
+    solved from a zero start, with the worst node residual there."""
+    sys = MnaSystem(net, tech)
+    x, its, ladder = sys.solve_dc_vector()
+    volts = {name: float(x[i]) for name, i in sys.node_index.items()}
+    currents = {sid: float(x[k]) for sid, k in sys.branch_index.items()}
+    res = sys.residual(x, sys.rhs())
+    return DcSolution(volts, currents, its, ladder, float(np.abs(res[: sys.n_nodes]).max(initial=0.0)))
 
 
 def _refuse_beyond_memory(nbytes: int, what: str, tables: str) -> None:
@@ -723,13 +704,12 @@ def dc_sweep(
     stop: float,
     step: float,
     tech: TechnologyParams | None = None,
-    vth_shift: dict[str, float] | None = None,
-    initial: dict[str, float] | None = None,
 ) -> SweepResult:
-    """Sweep one source's drive over an inclusive grid, warm-starting each
-    point from the previous solution.  A grid that sweep_grid refuses, or
+    """Sweep one source's drive over an inclusive grid, the first point
+    solved from a zero start and each later one warm-started from the
+    point before (see _warm_sweep).  A grid that sweep_grid refuses, or
     whose tables cannot fit in physical memory, raises ValueError."""
-    sys = MnaSystem(net, tech, vth_shift)
+    sys = MnaSystem(net, tech)
     # The grid, the right-hand side and state tables, and the result's copy
     # of each unknown: refused before any of them is allocated if they
     # cannot fit.
@@ -738,18 +718,18 @@ def dc_sweep(
         8 * points * (3 * sys.size + 2), f"{points:g} sweep points", "the grid, right-hand side and state tables"
     )
     values = sweep_grid(start, stop, step)
-    x = sys.pack_state(initial) if initial else None
-    xs = _warm_sweep(sys, x, sys.rhs(drive={source_id: values}), values, source_id)
+    xs = _warm_sweep(sys, sys.rhs(drive={source_id: values}), values, source_id)
     nodes = {name: xs[:, k].copy() for name, k in sys.node_index.items()}
     currents = {sid: xs[:, k].copy() for sid, k in sys.branch_index.items()}
     return SweepResult(source_id, values, nodes, currents)
 
 
-def _warm_sweep(sys: MnaSystem, x: np.ndarray | None, b: np.ndarray, values: np.ndarray, label: str) -> np.ndarray:
+def _warm_sweep(sys: MnaSystem, b: np.ndarray, values: np.ndarray, label: str) -> np.ndarray:
     """The states of a sweep, (points, n): each right-hand side of b solved
-    in turn from the state before, the first from x (None: zero).  A failed
-    point raises its error, annotated with `label` at its value."""
+    in turn from the state before, the first from zero.  A failed point
+    raises its error, annotated with `label` at its value."""
     xs = np.zeros((values.size, sys.size))
+    x = None
     for i, v in enumerate(values):
         try:
             x, _, _ = sys.solve_dc_vector(x, b[i])
@@ -782,7 +762,6 @@ def transient(
     tech: TechnologyParams | None = None,
     method: str = "be",
     ics: dict[str, float] | None = None,
-    vth_shift: dict[str, float] | None = None,
 ) -> TransientResult:
     """Fixed-step transient; `method` is "be" or "trap".
 
@@ -796,10 +775,15 @@ def transient(
     before, which a copied state would freeze.
 
     `ics` pins the named nodes with temporary voltage sources for the t=0
-    solve only; the pins are absent from the time stepping itself.  A bad
-    step, a t_stop that rounds to zero steps, to no finite number of them
-    or to more than the time grid and the per-step tables can hold in this
-    machine's physical memory, and an initial condition on a node the
+    solve only (SPICE2's initial conditions, Nagel, ERL-M520, 1975); the
+    pins are absent from the time stepping itself.  They are appended
+    after every element of net, on nodes it already has, so each unknown
+    of net keeps its index in the pinned system, and the t=0 state is the
+    first n entries of the pinned solution.
+
+    A bad step, a t_stop that rounds to zero steps, to no finite number of
+    them or to more than the time grid and the per-step tables can hold in
+    this machine's physical memory, and an initial condition on a node the
     circuit lacks raise ValueError.
     """
     if dt <= 0 or t_stop <= 0:
@@ -812,7 +796,7 @@ def transient(
     if method not in ("be", "trap"):
         raise ValueError(f"unknown integration method {method!r}")
 
-    sys = MnaSystem(net, tech, vth_shift)
+    sys = MnaSystem(net, tech)
     unknown = sorted(set(ics or ()) - set(sys.node_index))
     if unknown:
         raise ValueError(f"initial condition on unknown node {unknown[0]!r}")
@@ -834,12 +818,8 @@ def transient(
             SourceElement(f"VIC{i}", Node(name), Node(GROUND), "DC", (float(v),))
             for i, (name, v) in enumerate(ics.items())
         ]
-        pinned = solve_dc(with_elements(net, pins), tech, vth_shift=vth_shift)
-        x0 = sys.pack_state({n: pinned.voltages[n] for n in sys.nodes})
-        for sid, k in sys.branch_index.items():
-            x0[k] = pinned.branch_currents[sid]
-    else:
-        x0, _, _ = sys.solve_dc_vector()
+        pinned = MnaSystem(with_elements(net, pins), tech)
+    x0 = (pinned if ics else sys).solve_dc_vector()[0][: sys.size]
 
     times = np.arange(n_steps + 1) * dt
     # One row per unknown, so each waveform is a row of this one table.
@@ -919,49 +899,42 @@ def transient(
 # -- CSV export -------------------------------------------------------
 
 
-def _write_columns(out, first_name: str, first_col: np.ndarray, result) -> None:
-    writer = csv.writer(out)
-    writer.writerow(
-        [first_name]
-        + [f"V({n})" for n in result.nodes]
-        + [f"I({s})" for s in result.branch_currents]
-    )
-    cols = list(result.nodes.values()) + list(result.branch_currents.values())
-    for i in range(first_col.size):
-        writer.writerow([repr(float(first_col[i]))] + [repr(float(c[i])) for c in cols])
+@contextlib.contextmanager
+def _csv_stream(dest, mode: str = "w"):
+    """dest opened in mode for CSV and closed after, if it is a path, or
+    dest itself, an open stream, left open."""
+    if isinstance(dest, str) or hasattr(dest, "__fspath__"):
+        with open(dest, mode, newline="") as stream:
+            yield stream
+    else:
+        yield dest
 
 
-def _open_for(dest):
-    if isinstance(dest, (str,)) or hasattr(dest, "__fspath__"):
-        return open(dest, "w", newline=""), True
-    return dest, False
+def _write_columns(dest, first_name: str, first_col: np.ndarray, result) -> None:
+    with _csv_stream(dest) as out:
+        writer = csv.writer(out)
+        writer.writerow(
+            [first_name]
+            + [f"V({n})" for n in result.nodes]
+            + [f"I({s})" for s in result.branch_currents]
+        )
+        cols = list(result.nodes.values()) + list(result.branch_currents.values())
+        for i in range(first_col.size):
+            writer.writerow([repr(float(first_col[i]))] + [repr(float(c[i])) for c in cols])
 
 
 def sweep_to_csv(result: SweepResult, dest) -> None:
-    out, owned = _open_for(dest)
-    try:
-        _write_columns(out, result.source_id, result.values, result)
-    finally:
-        if owned:
-            out.close()
+    _write_columns(dest, result.source_id, result.values, result)
 
 
 def waveform_to_csv(result: TransientResult, dest) -> None:
-    out, owned = _open_for(dest)
-    try:
-        _write_columns(out, "time", result.time, result)
-    finally:
-        if owned:
-            out.close()
+    _write_columns(dest, "time", result.time, result)
 
 
 def waveform_from_csv(src) -> TransientResult:
     """Read back a waveform CSV written by waveform_to_csv."""
-    if isinstance(src, (str,)) or hasattr(src, "__fspath__"):
-        with open(src, newline="") as fh:
-            text = fh.read()
-    else:
-        text = src.read()
+    with _csv_stream(src, "r") as stream:
+        text = stream.read()
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 2:
         raise ValueError("needs a header row and at least one data row")

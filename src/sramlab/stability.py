@@ -25,7 +25,7 @@ from .engine import (
     ConvergenceError,
     EngineError,
     MnaSystem,
-    _open_for,
+    _csv_stream,
     _warm_sweep,
     sweep_grid,
 )
@@ -270,7 +270,7 @@ def _butterflies(
         errors = {}
         for i, shift in enumerate(paired):
             try:
-                out[i] = _warm_sweep(MnaSystem(pair, tech, shift), None, b, v_in, "VSNMIN")[:, probe].T
+                out[i] = _warm_sweep(MnaSystem(pair, tech, shift), b, v_in, "VSNMIN")[:, probe].T
             except EngineError as exc:
                 errors[i] = exc
         return out, None, errors
@@ -301,8 +301,7 @@ def butterfly_to_csv(data: ButterflyData, dest) -> None:
     """Columns V1, Vout_A, Vout_B_mirrored share the input grid; plot the
     third column with its axes exchanged to draw the second lobe.  Summary
     lines follow the data as `# name=value` comments."""
-    out, owned = _open_for(dest)
-    try:
+    with _csv_stream(dest) as out:
         writer = csv.writer(out)
         writer.writerow(["V1", "Vout_A", "Vout_B_mirrored"])
         for i in range(data.lobe_a.v_in.size):
@@ -317,9 +316,6 @@ def butterfly_to_csv(data: ButterflyData, dest) -> None:
         out.write(f"# snm_low={data.snm_low!r}\n")
         out.write(f"# snm={data.snm!r}\n")
         out.write(f"# mode={data.mode} v_dd={data.v_dd!r} grid={data.grid!r}\n")
-    finally:
-        if owned:
-            out.close()
 
 
 def snm_macro(v_dd: float, drv: float, n: float) -> float:
@@ -435,6 +431,15 @@ def drv_inputs_from_cell(
     return DrvInputs(tuple(i_off), tuple(n), v_t)
 
 
+def _bisect(lo: float, hi: float, resolution: float, below) -> tuple[float, float]:
+    """(lo, hi) halved, the midpoint replacing lo where below(mid) holds
+    and hi elsewhere, until hi - lo is within resolution or lo and hi are
+    adjacent floats, so that the midpoint is not strictly between them."""
+    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo, hi
+
+
 def drv_bruteforce(
     cell: Netlist,
     tech: TechnologyParams | None = None,
@@ -454,18 +459,9 @@ def drv_bruteforce(
         raise ValueError("resolution must be positive")
     if not v_max > 0:
         raise ValueError("v_max must be positive")
-    lo, hi = 0.0, v_max
-    if not holds(hi):
+    if not holds(v_max):
         raise EngineError(f"cell is not bistable even at v_dd={v_max} V")
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(0.0, v_max, resolution, lambda v: not holds(v))[1]
 
 
 # ---------------------------------------------------------------------
@@ -540,10 +536,7 @@ def write_margin(
         raise NonWritableError(
             f"state does not flip even at BL=0 V (WL={wl:g} V); cell is not writable under these drives"
         )
-    lo, hi = 0.0, v_dd  # flips at lo, holds at hi
-    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if mid < fold else (lo, mid)
-    return lo if fold < v_dd else v_dd
+    return _bisect(0.0, v_dd, resolution, lambda bl: bl < fold)[0] if fold < v_dd else v_dd
 
 
 def read_current(

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import io
 import math
 import os
@@ -128,18 +129,34 @@ def test_diode_connected_matches_bisection():
     assert abs(sol.voltage("d") - lo) < 1e-5
 
 
+def held_solve(net, volts):
+    """The DC solution of net started from the named nodes at volts, every
+    other unknown at zero: its system, state, iteration count and whether
+    it took the gmin ladder."""
+    sys = MnaSystem(net)
+    x0 = np.zeros(sys.size)
+    for name, v in volts.items():
+        x0[sys.node_index[name]] = v
+    return (sys, *sys.solve_dc_vector(x0))
+
+
+def max_node_residual(sys, x):
+    return np.abs(sys.residual(x, sys.rhs())[: sys.n_nodes]).max()
+
+
 def test_vth_shift_raises_diode_node():
     base = solve_dc(parse_netlist(DIODE))
-    shifted = solve_dc(parse_netlist(DIODE), vth_shift={"M1": 0.05})
-    assert shifted.voltage("d") > base.voltage("d")
+    sys = MnaSystem(parse_netlist(DIODE), vth_shift={"M1": 0.05})
+    x, _, _ = sys.solve_dc_vector()
+    assert x[sys.node_index["d"]] > base.voltage("d")
 
 
 def test_bistable_latch_follows_initial_guess():
     net = parse_netlist(LATCH)
-    up = solve_dc(net, initial={"q": 1.8, "qb": 0.0})
-    dn = solve_dc(net, initial={"q": 0.0, "qb": 1.8})
-    assert up.voltage("q") > 1.0 > up.voltage("qb")
-    assert dn.voltage("qb") > 1.0 > dn.voltage("q")
+    up, x_up, _, _ = held_solve(net, {"q": 1.8, "qb": 0.0})
+    dn, x_dn, _, _ = held_solve(net, {"q": 0.0, "qb": 1.8})
+    assert x_up[up.node_index["q"]] > 1.0 > x_up[up.node_index["qb"]]
+    assert x_dn[dn.node_index["qb"]] > 1.0 > x_dn[dn.node_index["q"]]
 
 
 def test_degenerate_elements_left_unstamped():
@@ -248,10 +265,10 @@ def test_gmin_stepping_rescues_a_write_probe(fallbacks):
     # Plain Newton from the held state fails across BL = 0.105-0.255 V at
     # 1.1 V; the gmin ladder converges there.
     net, held = write_bias(1.1, 0.18)
-    sol = solve_dc(net, initial=held)
+    sys, x, _, ladder = held_solve(net, held)
     assert fallbacks == [("_gmin_stepping", 1)]
-    assert sol.gmin_ladder
-    assert sol.max_residual < ABSTOL
+    assert ladder
+    assert max_node_residual(sys, x) < ABSTOL
 
 
 def test_benchmark_tracer_records_dc_solves():
@@ -268,8 +285,8 @@ def test_benchmark_tracer_records_dc_solves():
     tracer.install()
     try:
         sramlab.solve_dc(parse_netlist(DIVIDER))
-        net, held = write_bias(1.1, 0.18)
-        sramlab.solve_dc(net, initial=held)
+        # Decoupled, but 100 V from its cold start: it takes the ladder.
+        sramlab.solve_dc(parse_netlist("* far\nI1 0 n DC 1m\nR1 n 0 100k\n.END"))
     finally:
         tracer.uninstall()
     notes = [note for name, *_, note in tracer.spans if name == "engine.solve_dc_vector"]
@@ -294,16 +311,16 @@ def test_halved_gmin_step_rescues_a_write_probe(fallbacks, monkeypatch):
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     net, held = write_bias(1.2, 0.40)
-    sol = solve_dc(net, initial=held)
+    sys, x, _, ladder = held_solve(net, held)
     assert fallbacks == [("_gmin_stepping", 1)]
     shunts, failed = zip(*rungs)
     assert shunts[:5] == pytest.approx([0.0, 1e-3, 1e-4, 1e-5, 10**-4.5])
     assert failed[:5] == (True, False, False, True, False)
     assert shunts[-1] == 0.0 and not failed[-1]
-    assert sol.gmin_ladder
-    assert sol.max_residual < ABSTOL
-    assert sol.voltage("Q") == pytest.approx(0.194, abs=1e-3)
-    assert sol.voltage("QBAR") == pytest.approx(1.2, abs=1e-6)
+    assert ladder
+    assert max_node_residual(sys, x) < ABSTOL
+    assert x[sys.node_index["Q"]] == pytest.approx(0.194, abs=1e-3)
+    assert x[sys.node_index["QBAR"]] == pytest.approx(1.2, abs=1e-6)
 
 
 def test_failed_unshunted_rung_is_not_repeated(monkeypatch):
@@ -368,11 +385,6 @@ def test_bad_resistor_value():
     net = parse_netlist("* bad\nV1 a 0 DC 1\nR1 a 0 0\n.END")
     with pytest.raises(EngineError, match="positive value"):
         solve_dc(net)
-
-
-def test_unknown_initial_node():
-    with pytest.raises(EngineError, match="unknown node"):
-        solve_dc(parse_netlist(DIVIDER), initial={"nope": 1.0})
 
 
 def test_drive_of_unknown_source():
@@ -574,7 +586,7 @@ def test_every_linear_matrix_lies_in_the_plan(monkeypatch):
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     net, held = write_bias(1.2, 0.40)
-    solve_dc(net, initial=held)
+    held_solve(net, held)
     ladder = len(handed)
     stimulus = write_read_stimulus()
     bridged = parse_netlist(RC.replace(".END", "C2 in out 2p\nR2 out 0 2k\n.END"))
@@ -747,7 +759,7 @@ def test_be_steps_converge_by_a_fresh_stop_test(fresh_stop, latent_steps):
 
 def test_write_probe_converges_by_a_fresh_stop_test(fresh_stop):
     net, held = write_bias(1.2, 0.40)
-    solve_dc(net, initial=held)
+    held_solve(net, held)
     assert_converged(fresh_stop, 5)
 
 
@@ -838,6 +850,50 @@ def test_transient_initial_condition_pins_first_point():
     assert np.all(tr.drives["V1"] == 1.0)
 
 
+@pytest.mark.parametrize("method", ["be", "trap"])
+def test_initial_condition_first_point_is_the_pinned_solve(method):
+    # The t = 0 column is the leading slice of the pinned system's state,
+    # which holds only while the pins come after every element of the net
+    # and so every node and every source of the net keeps its index.  Pins
+    # given in reverse node order must not move any of them: every node
+    # voltage and every branch current of the net's own sources equals,
+    # bit for bit, a DC solve of the net with the pins appended.
+    net = write_read_stimulus()
+    assert MnaSystem(net).nodes[:2] == ["Q", "QBAR"]
+    ics = {"QBAR": 0.0, "Q": 1.8}
+    pins = [SourceElement(f"VPIN{name}", Node(name), Node(GROUND), "DC", (v,)) for name, v in ics.items()]
+    want = solve_dc(with_elements(net, pins))
+    tr = transient(net, t_stop=2e-10, dt=1e-10, method=method, ics=ics)
+    assert tr.nodes.keys() == want.voltages.keys()
+    assert all(tr.nodes[n][0] == v for n, v in want.voltages.items())
+    assert tr.branch_currents.keys() == {"VDD", "VWL", "VBL", "VBLB"}
+    assert all(tr.branch_currents[s][0] == want.branch_currents[s] for s in tr.branch_currents)
+
+
+def test_engine_entry_points_take_only_what_their_callers_pass():
+    # Every parameter of the engine's entry points is bound, by position or
+    # by keyword, by some call in the package outside the function itself:
+    # a parameter no caller passes is a flag that does nothing.
+    entries = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (solve_dc, dc_sweep, transient)}
+    bound = {name: set() for name in entries}
+    for path in sorted(Path(sramlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {
+            (fn.name, id(node))
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in entries
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name in entries and (name, id(node)) not in own:
+                bound[name] |= set(entries[name][: len(node.args)]) | {kw.arg for kw in node.keywords}
+    unbound = {name: [p for p in params if p not in bound[name]] for name, params in entries.items()}
+    assert unbound == {name: [] for name in entries}
+
+
 def test_source_free_transient_decays_from_its_initial_condition():
     # No source at all: each step's right-hand side is the capacitor's
     # history alone, and backward Euler divides the voltage by 1 + dt/RC
@@ -862,7 +918,7 @@ def test_quiet_be_steps_take_one_stamp_each(monkeypatch):
     # kernel, not from the loop's own iteration count.
     net = biased_cell({"VDD": 1.8, "WL": 0.0, "BL": 1.8, "BLB": 1.8})
     q, qbar = net.role_node("Q"), net.role_node("QBAR")
-    held = solve_dc(net, initial={q: 1.8, qbar: 0.0})
+    sys, x, _, _ = held_solve(net, {q: 1.8, qbar: 0.0})
     stamps, calls = [], []
     real_stamp, real_lanes = engine.mos_stamp, MnaSystem._newton_lanes
 
@@ -878,7 +934,7 @@ def test_quiet_be_steps_take_one_stamp_each(monkeypatch):
 
     monkeypatch.setattr(engine, "mos_stamp", stamp)
     monkeypatch.setattr(MnaSystem, "_newton_lanes", lanes)
-    tr = transient(net, t_stop=2e-9, dt=1e-10, ics={q: held.voltage(q), qbar: held.voltage(qbar)})
+    tr = transient(net, t_stop=2e-9, dt=1e-10, ics={q: x[sys.node_index[q]], qbar: x[sys.node_index[qbar]]})
     # The pinned t = 0 solve runs on a system of its own; the steps on the
     # last one.
     per_step = [n for sys, n in calls if sys is calls[-1][0]]

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from sramlab.engine import solve_dc
+from sramlab.engine import MnaSystem, solve_dc
 from sramlab.genlib import (
     DEFAULT_CELL_PARASITICS,
     CellGeometry,
@@ -322,9 +323,13 @@ def test_sense_amp_regenerates_an_imbalance():
             ],
         )
         net = biased(tipped, {"VDD": ("VDD", 1.8), "SE": ("SE", 1.8), "SEB": ("SEB", 0.0)})
-        return solve_dc(net, initial={hi: 1.8, lo: 0.0})
+        sys = MnaSystem(net)
+        x0 = np.zeros(sys.size)
+        x0[sys.node_index[hi]] = 1.8
+        x, _, _ = sys.solve_dc_vector(x0)
+        return {name: x[i] for name, i in sys.node_index.items()}
 
     up = sense("BL", "BLB")
-    assert up.voltage("BL") > 1.5 and up.voltage("BLB") < 0.3
+    assert up["BL"] > 1.5 and up["BLB"] < 0.3
     down = sense("BLB", "BL")
-    assert down.voltage("BLB") > 1.5 and down.voltage("BL") < 0.3
+    assert down["BLB"] > 1.5 and down["BL"] < 0.3

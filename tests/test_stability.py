@@ -26,8 +26,6 @@ from sramlab.engine import (
     EngineError,
     FloatingNodeError,
     MnaSystem,
-    dc_sweep,
-    solve_dc,
     sweep_grid,
 )
 from sramlab.genlib import CellGeometry, DeviceSize, build_6t_cell
@@ -258,12 +256,20 @@ def biased_write(cell, bl_v, v_dd=1.8, wl=1.8):
     )
 
 
+def state_at(sys, volts):
+    """A state of sys with the named nodes at volts, every other unknown at zero."""
+    x = np.zeros(sys.size)
+    for name, v in volts.items():
+        x[sys.node_index[name]] = v
+    return x
+
+
 def write_probe_lanes(cell, v_dd, values, vth_shift=None):
     """One lane per BL value of a write at v_dd (wordline at v_dd), each
     started at the held state, Q at v_dd: the system, starts and
     right-hand sides.  Q and QBAR are coupled free unknowns here."""
     lobe = MnaSystem(biased_write(cell, 0.0, v_dd, v_dd), vth_shift=vth_shift)
-    held = lobe.pack_state({cell.role_node("Q"): v_dd})
+    held = state_at(lobe, {cell.role_node("Q"): v_dd})
     b = lobe.rhs(drive={"VWBL": values})
     return lobe, np.repeat(held[None], len(values), axis=0), b
 
@@ -294,11 +300,17 @@ def refuse_newton(monkeypatch, refuse):
 
 
 def sequential_lobes(cell, mode, v_dd, grid, vth_shift=None):
-    """Both lobes by warm-started sweeps, one point at a time."""
+    """Both lobes by warm-started sweeps, one point at a time, the first
+    from zero, as dc_sweep runs them, on a system under vth_shift."""
+    values = sweep_grid(0.0, v_dd, grid)
     lobes = []
     for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
-        sweep = dc_sweep(biased_lobe(cell, mode, v_dd, drive), "VIN", 0.0, v_dd, grid, vth_shift=vth_shift)
-        lobes.append(TransferCurve(sweep.values, sweep.node(cell.role_node(probe))))
+        lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive), vth_shift=vth_shift)
+        x, v_out = None, np.empty(values.size)
+        for i, b in enumerate(lobe.rhs(drive={"VIN": values})):
+            x, _, _ = lobe.solve_dc_vector(x, b)
+            v_out[i] = x[lobe.node_index[cell.role_node(probe)]]
+        lobes.append(TransferCurve(values, v_out))
     return lobes
 
 
@@ -394,7 +406,7 @@ def kcl_bisection(cell, mode, v_dd, v_in, node="QBAR", vth_shift=None):
     lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"), vth_shift=vth_shift)
     wl = v_dd if mode == "read" else 0.0
     roles = {"VDD": v_dd, "WL": wl, "BL": v_dd, "BLB": v_dd, "Q": v_in}
-    x = lobe.pack_state({cell.role_node(r): v for r, v in roles.items()})
+    x = state_at(lobe, {cell.role_node(r): v for r, v in roles.items()})
     row, b = lobe.node_index[cell.role_node(node)], lobe.rhs(drive={"VIN": v_in})
 
     def kcl(v):
@@ -641,10 +653,10 @@ def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
     swept = []
     real = stability._warm_sweep
 
-    def spy(sys, x, b, values, label):
+    def spy(sys, b, values, label):
         drives = [-b[:, sys.branch_index[f"VSNMIN_{side}"]] for side in "AB"]
         swept.append((label, sys.decoupled, all(np.array_equal(d, values) for d in drives)))
-        return real(sys, x, b, values, label)
+        return real(sys, b, values, label)
 
     monkeypatch.setattr(stability, "_warm_sweep", spy)
     butterfly(cell, mode="hold", v_dd=1.8, grid=0.02)
@@ -812,8 +824,9 @@ def probe_write(cell, bl_v, v_dd=1.8, wl=1.8):
     """Independent write probe: bias the cell directly and ask which way
     the latch settled from the held state."""
     q, qbar = cell.role_node("Q"), cell.role_node("QBAR")
-    sol = solve_dc(biased_write(cell, bl_v, v_dd, wl), initial={q: v_dd, qbar: 0.0})
-    return sol.voltage(q) < sol.voltage(qbar)
+    sys = MnaSystem(biased_write(cell, bl_v, v_dd, wl))
+    x, _, _ = sys.solve_dc_vector(state_at(sys, {q: v_dd, qbar: 0.0}))
+    return x[sys.node_index[q]] < x[sys.node_index[qbar]]
 
 
 def test_write_margin_matches_independent_probe(cell):
@@ -988,15 +1001,15 @@ def test_write_margin_and_read_current_fail_with_a_lane_that_fails(cell, monkeyp
 
 def test_stability_starts_no_solve_from_a_stored_state():
     # Every cell state in stability.py comes from decoupled lanes: no call
-    # there solves from a stored state (solve_dc, pack_state or initial=).
+    # there makes a single solve (solve_dc, or solve_dc_vector from a
+    # stored state).
     tree = ast.parse(Path(stability.__file__).read_text())
     breaches = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if name in ("solve_dc", "pack_state"):
+            if name in ("solve_dc", "solve_dc_vector"):
                 breaches.append((node.lineno, name))
-            breaches += [(node.lineno, "initial=") for kw in node.keywords if kw.arg == "initial"]
     assert breaches == []
 
 
