@@ -1,22 +1,22 @@
 """Command-line front end.
 
 Every subcommand is a thin wrapper over one library operation; no analysis
-logic lives here.  Results print as `name value unit [verdict]` report
-lines (floats rendered %.9g); bulk data goes to CSV files via --out.
-Identical inputs produce byte-identical output.
+logic lives here.  Each handler fills the report that main() then prints
+as `name value unit [verdict]` lines (floats rendered %.9g) under the
+card's `# ` header; `generate` without --out returns its netlist, which
+main() prints instead.  Bulk data goes to CSV files via --out.  Identical
+inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 analysis failure, 2 bad input.  main() alone
 maps a command's exception to its code: EngineError (no convergence, a
-floating node), NonWritableError and MeasurementError are analysis
-failures; NetlistError, ConfigError, OSError and every other ValueError,
-which the library raises when it checks its own arguments, are bad input.
+floating node, a cell that will not write, a missing crossing) is an
+analysis failure; NetlistError, ConfigError, OSError and ValueError, which
+the library raises when it checks its own arguments, are bad input.
 Handlers raise ConfigError only to add context to a message.
 """
-
 from __future__ import annotations
 
 import argparse
-import csv
 import re
 import sys
 from pathlib import Path
@@ -46,18 +46,16 @@ from .metrics import (
     DEFAULT_LAYOUT_QUOTED_TOTAL,
     DEFAULT_LAYOUT_RECTS,
     DelayMeasurement,
-    MeasurementError,
     area_report,
     bitline_delay,
     check_ratios,
     dynamic_power,
     propagation_delay,
 )
-from .netlist import NetlistError, SourceElement, parse_netlist, print_netlist, validate
+from .netlist import NetlistError, parse_netlist, print_netlist, validate
 from .numbers import parse_spice_number
-from .report import AnalysisReport
+from .report import AnalysisReport, write_columns
 from .stability import (
-    NonWritableError,
     VariationModel,
     butterfly,
     butterfly_to_csv,
@@ -86,27 +84,6 @@ def _read_netlist(path: str):
     return parse_netlist(text)
 
 
-def _resolve_tech(args) -> TechnologyParams | None:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return None
-
-
-def _report(tech: TechnologyParams | None) -> AnalysisReport:
-    shown = derive_tech_params(tech if tech is not None else TechnologyParams.default())
-    return AnalysisReport(header=list(tech_header_lines(shown)))
-
-
-def _emit(rep: AnalysisReport) -> int:
-    sys.stdout.write(rep.render())
-    return 0
-
-
-def _write_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 def _geometry(args) -> CellGeometry:
     base = CellGeometry()
 
@@ -123,9 +100,8 @@ def _geometry(args) -> CellGeometry:
 # Subcommand handlers
 
 
-def _cmd_parse(args, tech):
+def _cmd_parse(args, tech, rep):
     net = _read_netlist(args.netlist)
-    rep = _report(tech)
     if net.title:
         rep.add("title", net.title)
     rep.add("nodes", net.node_count)
@@ -134,14 +110,10 @@ def _cmd_parse(args, tech):
         rep.add("declared_nodes", net.declared_node_count)
     if net.declared_element_count is not None:
         rep.add("declared_elements", net.declared_element_count)
-    return _emit(rep)
 
 
-def _cmd_validate(args, tech):
-    net = _read_netlist(args.netlist)
-    rep = validate(net)
-    rep.header = _report(tech).header + rep.header
-    return _emit(rep)
+def _cmd_validate(args, tech, rep):
+    rep.entries.extend(validate(_read_netlist(args.netlist)).entries)
 
 
 _GENERATE_KINDS = {
@@ -154,7 +126,7 @@ _GENERATE_KINDS = {
 }
 
 
-def _cmd_generate(args, tech):
+def _cmd_generate(args, tech, rep):
     geom = _geometry(args)
     build = _GENERATE_KINDS[args.kind]
     parasitics = {} if args.no_parasitics else None
@@ -167,45 +139,35 @@ def _cmd_generate(args, tech):
     else:
         net = build(geom)
     text = print_netlist(net)
-    if args.out:
-        Path(args.out).write_text(text)
-        rep = _report(tech)
-        rep.add("nodes", net.node_count)
-        rep.add("elements", net.element_count)
-        return _emit(rep)
-    sys.stdout.write(text)
-    return 0
+    if not args.out:
+        return text
+    Path(args.out).write_text(text)
+    rep.add("nodes", net.node_count)
+    rep.add("elements", net.element_count)
 
 
-def _cmd_dc(args, tech):
+def _cmd_dc(args, tech, rep):
     net = _read_netlist(args.netlist)
     sol = solve_dc(net, tech)
-    rep = _report(tech)
     for name in sorted(sol.voltages):
         rep.add(f"V({name})", sol.voltages[name], "V")
     for sid in sorted(sol.branch_currents):
         rep.add(f"I({sid})", sol.branch_currents[sid], "A")
     rep.add("iterations", sol.iterations)
-    return _emit(rep)
 
 
-def _cmd_sweep(args, tech):
+def _cmd_sweep(args, tech, rep):
     net = _read_netlist(args.netlist)
-    sources = {e.id: e for e in net.elements if isinstance(e, SourceElement) and not e.degenerate}
-    if args.source not in sources:
-        raise ConfigError(f"no stamped source named {args.source!r}")
     result = dc_sweep(net, args.source, args.start, args.stop, args.step, tech)
     if args.out:
         sweep_to_csv(result, args.out)
-    rep = _report(tech)
     rep.add("points", result.values.size)
-    unit = "A" if sources[args.source].is_current else "V"
+    unit = "A" if net.element(args.source).is_current else "V"
     rep.add("start", float(result.values[0]), unit)
     rep.add("stop", float(result.values[-1]), unit)
-    return _emit(rep)
 
 
-def _cmd_tran(args, tech):
+def _cmd_tran(args, tech, rep):
     net = _read_netlist(args.netlist)
     ics = {}
     for item in args.ic or []:
@@ -219,27 +181,22 @@ def _cmd_tran(args, tech):
     wave = transient(net, args.tstop, args.dt, tech, args.method, ics or None)
     if args.out:
         waveform_to_csv(wave, args.out)
-    rep = _report(tech)
     rep.add("points", wave.time.size)
     rep.add("t_stop", float(wave.time[-1]), "s")
-    return _emit(rep)
 
 
-def _cmd_snm(args, tech):
+def _cmd_snm(args, tech, rep):
     net = _read_netlist(args.netlist)
     data = butterfly(net, tech, args.mode, args.vdd, args.grid)
     if args.out:
         butterfly_to_csv(data, args.out)
-    rep = _report(tech)
     rep.add("snm_high", data.snm_high, "V")
     rep.add("snm_low", data.snm_low, "V")
     rep.add("snm", data.snm, "V", verdict="pass" if data.snm > 0 else "fail")
-    return _emit(rep)
 
 
-def _cmd_drv(args, tech):
+def _cmd_drv(args, tech, rep):
     net = _read_netlist(args.netlist)
-    rep = _report(tech)
     closed = brute = None
     if args.method in ("closed-form", "both"):
         closed = drv_closed_form(drv_inputs_from_cell(net, tech))
@@ -249,26 +206,20 @@ def _cmd_drv(args, tech):
         rep.add("drv_bruteforce", brute, "V")
     if closed is not None and brute is not None:
         rep.add("drv_delta", abs(closed - brute), "V")
-    return _emit(rep)
 
 
-def _cmd_write_margin(args, tech):
+def _cmd_write_margin(args, tech, rep):
     net = _read_netlist(args.netlist)
     wm = write_margin(net, tech, args.vdd, args.wl)
-    rep = _report(tech)
     rep.add("write_margin", wm, "V")
-    return _emit(rep)
 
 
-def _cmd_power(args, tech):
+def _cmd_power(args, tech, rep):
     power = dynamic_power(args.cl, args.vdd, args.fsw)
-    rep = _report(tech)
     rep.add("dynamic_power", power, "W")
-    return _emit(rep)
 
 
-def _cmd_delay(args, tech):
-    rep = _report(tech)
+def _cmd_delay(args, tech, rep):
     if args.tplh is not None or args.tphl is not None:
         if args.tplh is None or args.tphl is None:
             raise ConfigError("--tplh and --tphl must be given together")
@@ -305,13 +256,11 @@ def _cmd_delay(args, tech):
         raise ConfigError(
             "delay needs --tplh/--tphl, --waveform, or --cbit arguments"
         )
-    return _emit(rep)
 
 
-def _cmd_ratios(args, tech):
+def _cmd_ratios(args, tech, rep):
     geom = _geometry(args)
     r = check_ratios(geom.pd, geom.pu, geom.pg)
-    rep = _report(tech)
     rep.add("cr_left", r.cr_left)
     rep.add("cr_right", r.cr_right)
     rep.add("pr_left", r.pr_left)
@@ -326,39 +275,32 @@ def _cmd_ratios(args, tech):
         "true" if r.write_stable else "false",
         verdict="pass" if r.write_stable else "fail",
     )
-    return _emit(rep)
 
 
-def _cmd_area(args, tech):
+def _cmd_area(args, tech, rep):
     rects = [tuple(r) for r in args.rect] if args.rect else list(DEFAULT_LAYOUT_RECTS)
     result = area_report(rects)
-    rep = _report(tech)
     for i, a in enumerate(result.areas):
         rep.add(f"area_{i}", a, "lambda^2")
     rep.add("total", result.total, "lambda^2")
     if not args.rect:
         # The drawn regions sum below the quoted figure; both are reported.
         rep.add("quoted_total", DEFAULT_LAYOUT_QUOTED_TOTAL, "lambda^2")
-    return _emit(rep)
 
 
-def _cmd_montecarlo(args, tech):
+def _cmd_montecarlo(args, tech, rep):
     net = _read_netlist(args.netlist)
     if args.a_vth is not None:  # overrides both cards, so the header echoes it
-        tech = tech if tech is not None else TechnologyParams.default()
         tech.nmos.a_vth = tech.pmos.a_vth = args.a_vth
     vm = VariationModel(a_vth=None, n_samples=args.samples, seed=args.seed)
     summary = monte_carlo_snm(net, tech, vm, args.mode, args.vdd, args.grid)
     if args.out:
-        rows = ((i, repr(float(v))) for i, v in enumerate(summary.samples))
-        _write_csv(args.out, [("sample", "snm"), *rows])
-    rep = _report(tech)
+        write_columns(args.out, ["sample", "snm"], [range(len(summary.samples)), summary.samples])
     rep.add("samples", args.samples)
     rep.add("snm_mean", summary.mean, "V")
     rep.add("snm_stddev", summary.stddev, "V")
     rep.add("snm_min", summary.minimum, "V")
     rep.add("failures", summary.failures)
-    return _emit(rep)
 
 
 # ---------------------------------------------------------------------
@@ -509,10 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    rep = AnalysisReport()
     try:
-        return args.func(args, _resolve_tech(args))
-    except (EngineError, NonWritableError, MeasurementError) as exc:
-        # Caught first: MeasurementError is a ValueError.
+        tech = load_config(args.config) if args.config else TechnologyParams.default()
+        text = args.func(args, tech, rep)
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -522,6 +465,12 @@ def main(argv=None) -> int:
     except (NetlistError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if text is None:
+        # Built after the handler, which may override the card (montecarlo --a-vth).
+        rep.header[:0] = tech_header_lines(derive_tech_params(tech))
+        text = rep.render()
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

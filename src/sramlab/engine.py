@@ -44,9 +44,7 @@ the state of the step before and solves nothing (see transient).
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import io
+import itertools
 import math
 import os
 import warnings
@@ -66,6 +64,7 @@ from .netlist import (
     SourceElement,
     with_elements,
 )
+from .report import read_columns, write_columns
 
 ABSTOL = 1e-9  # A, node-row residual
 RELTOL = 1e-3
@@ -220,7 +219,7 @@ class MnaSystem:
         static = []
         for r in resistors:
             if r.value <= 0:
-                raise EngineError(f"resistor {r.id} needs a positive value")
+                raise ValueError(f"resistor {r.id} needs a positive value")
             a, b = self._slot(r.n1), self._slot(r.n2)
             gg = 1.0 / r.value
             static += [(a, a, gg), (a, b, -gg), (b, b, gg), (b, a, -gg)]
@@ -332,22 +331,22 @@ class MnaSystem:
 
     # -- source drive -------------------------------------------------
 
-    def rhs(self, t: float = 0.0, drive: dict[str, float | np.ndarray] | None = None) -> np.ndarray:
+    def rhs(self, drive: dict[str, float | np.ndarray] | None = None) -> np.ndarray:
         """Extended right-hand side: each source at drive[id] where drive
-        names it, else at its card waveform's value at t.  A drive value may
-        be an array; the right-hand sides then stack, one row per value, as
-        (values, n+1).  Voltage drives enter their branch rows negated,
+        names it, else at its card waveform's value at t = 0.  A drive value
+        may be an array; the right-hand sides then stack, one row per value,
+        as (values, n+1).  Voltage drives enter their branch rows negated,
         current drives their two nodes, in source order."""
         drive = drive or {}
         stamped = {e.id for e in self.vsources + self.isources}
         unknown = sorted(set(drive) - stamped)
         if unknown:
-            raise EngineError(f"no stamped source named {unknown[0]!r}")
+            raise ValueError(f"no stamped source named {unknown[0]!r}")
         b = np.zeros(np.broadcast_shapes(*map(np.shape, drive.values())) + (self.size + 1,))
         for e in self.vsources:
-            b[..., self.branch_index[e.id]] -= drive[e.id] if e.id in drive else e.value_at(t)
+            b[..., self.branch_index[e.id]] -= drive[e.id] if e.id in drive else e.value_at(0.0)
         for e in self.isources:
-            val = drive[e.id] if e.id in drive else e.value_at(t)
+            val = drive[e.id] if e.id in drive else e.value_at(0.0)
             b[..., self._slot(e.n_plus)] += val
             b[..., self._slot(e.n_minus)] -= val
         return b
@@ -814,10 +813,10 @@ def transient(
             )
 
     if ics:
-        pins = [
-            SourceElement(f"VIC{i}", Node(name), Node(GROUND), "DC", (float(v),))
-            for i, (name, v) in enumerate(ics.items())
-        ]
+        # Pin ids the net does not use, compared as with_elements does.
+        taken = {e.id.upper() for e in net.elements}
+        ids = (pin for pin in (f"VIC{i}" for i in itertools.count()) if pin not in taken)
+        pins = [SourceElement(next(ids), Node(name), Node(GROUND), "DC", (float(v),)) for name, v in ics.items()]
         pinned = MnaSystem(with_elements(net, pins), tech)
     x0 = (pinned if ics else sys).solve_dc_vector()[0][: sys.size]
 
@@ -899,31 +898,18 @@ def transient(
 # -- CSV export -------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _csv_stream(dest, mode: str = "w"):
-    """dest opened in mode for CSV and closed after, if it is a path, or
-    dest itself, an open stream, left open."""
-    if isinstance(dest, str) or hasattr(dest, "__fspath__"):
-        with open(dest, mode, newline="") as stream:
-            yield stream
-    else:
-        yield dest
-
-
 def _write_columns(dest, first_name: str, first_col: np.ndarray, result) -> None:
-    with _csv_stream(dest) as out:
-        writer = csv.writer(out)
-        writer.writerow(
-            [first_name]
-            + [f"V({n})" for n in result.nodes]
-            + [f"I({s})" for s in result.branch_currents]
-        )
-        cols = list(result.nodes.values()) + list(result.branch_currents.values())
-        for i in range(first_col.size):
-            writer.writerow([repr(float(first_col[i]))] + [repr(float(c[i])) for c in cols])
+    write_columns(
+        dest,
+        [first_name, *(f"V({n})" for n in result.nodes), *(f"I({s})" for s in result.branch_currents)],
+        [first_col, *result.nodes.values(), *result.branch_currents.values()],
+    )
 
 
 def sweep_to_csv(result: SweepResult, dest) -> None:
+    """The swept source's values, then V(node) for every node and I(source)
+    for every branch current, one row per point, as a column file (see
+    report.write_columns) at dest, a path or an open stream."""
     _write_columns(dest, result.source_id, result.values, result)
 
 
@@ -932,13 +918,10 @@ def waveform_to_csv(result: TransientResult, dest) -> None:
 
 
 def waveform_from_csv(src) -> TransientResult:
-    """Read back a waveform CSV written by waveform_to_csv."""
-    with _csv_stream(src, "r") as stream:
-        text = stream.read()
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2:
-        raise ValueError("needs a header row and at least one data row")
-    header, data = rows[0], np.array([[float(v) for v in row] for row in rows[1:]])
+    """Read back a waveform column file written by waveform_to_csv: the
+    first column is time, V(name) columns are nodes and I(name) columns
+    branch currents; a column named otherwise is taken as a node."""
+    header, data = read_columns(src)
     nodes: dict[str, np.ndarray] = {}
     currents: dict[str, np.ndarray] = {}
     for j, name in enumerate(header[1:], start=1):

@@ -8,11 +8,11 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import TransientResult
+from .engine import EngineError, TransientResult
 from .genlib import DeviceSize
 
 
-class MeasurementError(ValueError):
+class MeasurementError(EngineError):
     pass
 
 

@@ -1,8 +1,17 @@
-"""Uniform result records for analyses and the command-line layer."""
+"""The two output formats: report entries, printed as `name value unit
+[verdict]` lines, and column CSV files: a header row, one row per point
+with each float as its repr (so it reads back bit for bit) and each
+integer as itself, then any `# note` lines."""
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import os
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,3 +67,33 @@ class AnalysisReport:
         lines = [f"# {line}" for line in self.header]
         lines.extend(entry.render() for entry in self.entries)
         return "\n".join(lines) + "\n"
+
+
+def _opened(dest, mode: str):
+    """dest opened in mode for CSV and closed after, if it is a path, or
+    dest itself, an open stream, left open."""
+    if isinstance(dest, (str, os.PathLike)):
+        return open(dest, mode, newline="")
+    return contextlib.nullcontext(dest)
+
+
+def write_columns(dest, header: Sequence[str], columns: Sequence, notes: Sequence[str] = ()) -> None:
+    """Write equal-length columns under header to dest, a path or an open
+    stream, followed by one `# note` line per note."""
+    with _opened(dest, "w") as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        # csv writes a Python float as its repr and an int as itself.
+        writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+        out.writelines(f"# {note}\n" for note in notes)
+
+
+def read_columns(src) -> tuple[list[str], np.ndarray]:
+    """The header and the data rows, as a float array (rows, columns), of
+    the column file src, a path or an open stream.  A file without a data
+    row, or with a cell that is not a number, raises ValueError."""
+    with _opened(src, "r") as stream:
+        rows = list(csv.reader(stream))
+    if len(rows) < 2:
+        raise ValueError("needs a header row and at least one data row")
+    return rows[0], np.array([[float(v) for v in row] for row in rows[1:]])

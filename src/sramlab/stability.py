@@ -9,7 +9,6 @@ caller's object.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -25,11 +24,11 @@ from .engine import (
     ConvergenceError,
     EngineError,
     MnaSystem,
-    _csv_stream,
     _warm_sweep,
     sweep_grid,
 )
-from .netlist import GROUND, Netlist, NetlistError, Node, SourceElement, instantiate, with_elements
+from .netlist import GROUND, Netlist, Node, SourceElement, instantiate, with_elements
+from .report import write_columns
 
 SQRT2 = math.sqrt(2.0)
 # Most lanes, one per grid point of a sample carrying both lobes, that one
@@ -40,7 +39,7 @@ BATCH_LANES = 8 * MAX_LANES
 Q_POINTS = 33
 
 
-class NonWritableError(Exception):
+class NonWritableError(EngineError):
     pass
 
 
@@ -148,13 +147,7 @@ def inscribed_square_snm(curve_a: TransferCurve, curve_b: TransferCurve) -> SnmR
 
 
 def _cell_ports(cell: Netlist) -> dict[str, str]:
-    ports = {}
-    for role in ("Q", "QBAR", "BL", "BLB", "WL", "VDD"):
-        try:
-            ports[role] = cell.role_node(role)
-        except NetlistError as exc:
-            raise ConfigError(str(exc)) from None
-    return ports
+    return {role: cell.role_node(role) for role in ("Q", "QBAR", "BL", "BLB", "WL", "VDD")}
 
 
 def _bias_sources(ports: dict[str, str], v_dd: float, wl: float, drive_node: str) -> list[SourceElement]:
@@ -166,13 +159,6 @@ def _bias_sources(ports: dict[str, str], v_dd: float, wl: float, drive_node: str
         SourceElement("VSNMBLB", Node(ports["BLB"]), gnd, "DC", (v_dd,)),
         SourceElement("VSNMIN", Node(drive_node), gnd, "DC", (0.0,)),
     ]
-
-
-def _augment(cell: Netlist, extra: list[SourceElement]) -> Netlist:
-    try:
-        return with_elements(cell, extra)
-    except NetlistError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def butterfly(
@@ -233,7 +219,7 @@ def _butterflies(
     wl = v_dd if mode == "read" else 0.0
     v_in = sweep_grid(0.0, v_dd, grid)
     sides = {"_A": ports["Q"], "_B": ports["QBAR"]}  # each instance's suffix and driven node
-    lobes = [_augment(cell, _bias_sources(ports, v_dd, wl, drive)) for drive in sides.values()]
+    lobes = [with_elements(cell, _bias_sources(ports, v_dd, wl, drive)) for drive in sides.values()]
     pair = Netlist(entries=[e for side, lobe in zip(sides, lobes) for e in instantiate(lobe, side, {})])
     probes = (ports["QBAR"] + "_A", ports["Q"] + "_B")
 
@@ -299,23 +285,20 @@ def _butterflies(
 
 def butterfly_to_csv(data: ButterflyData, dest) -> None:
     """Columns V1, Vout_A, Vout_B_mirrored share the input grid; plot the
-    third column with its axes exchanged to draw the second lobe.  Summary
-    lines follow the data as `# name=value` comments."""
-    with _csv_stream(dest) as out:
-        writer = csv.writer(out)
-        writer.writerow(["V1", "Vout_A", "Vout_B_mirrored"])
-        for i in range(data.lobe_a.v_in.size):
-            writer.writerow(
-                [
-                    repr(float(data.lobe_a.v_in[i])),
-                    repr(float(data.lobe_a.v_out[i])),
-                    repr(float(data.lobe_b.v_out[i])),
-                ]
-            )
-        out.write(f"# snm_high={data.snm_high!r}\n")
-        out.write(f"# snm_low={data.snm_low!r}\n")
-        out.write(f"# snm={data.snm!r}\n")
-        out.write(f"# mode={data.mode} v_dd={data.v_dd!r} grid={data.grid!r}\n")
+    third column with its axes exchanged to draw the second lobe.  The
+    summary follows the data as `# name=value` notes (see
+    report.write_columns)."""
+    write_columns(
+        dest,
+        ["V1", "Vout_A", "Vout_B_mirrored"],
+        [data.lobe_a.v_in, data.lobe_a.v_out, data.lobe_b.v_out],
+        [
+            f"snm_high={data.snm_high!r}",
+            f"snm_low={data.snm_low!r}",
+            f"snm={data.snm!r}",
+            f"mode={data.mode} v_dd={data.v_dd!r} grid={data.grid!r}",
+        ],
+    )
 
 
 def snm_macro(v_dd: float, drv: float, n: float) -> float:
@@ -515,7 +498,7 @@ def write_margin(
     wl = v_dd if wl_voltage is None else wl_voltage
     bias = _bias_sources(_cell_ports(cell), v_dd, wl, cell.role_node("Q"))
     draw = [SourceElement("ISNMBL", s.n_plus, s.n_minus, "DC", (0.0,)) if s.id == "VSNMBL" else s for s in bias]
-    driven, drawn = (MnaSystem(_augment(cell, extra), tech) for extra in (bias, draw))
+    driven, drawn = (MnaSystem(with_elements(cell, extra), tech) for extra in (bias, draw))
     k, free_bl = driven.branch_index["VSNMIN"], drawn.node_index[cell.role_node("BL")]
 
     def bl(q: np.ndarray) -> np.ndarray:  # -inf below 0, +inf beyond v_dd
@@ -551,7 +534,7 @@ def read_current(
     rounding; the read current is VSNMBL's branch current there."""
     if not v_dd > 0:
         raise ValueError("v_dd must be positive")
-    driven = MnaSystem(_augment(cell, _bias_sources(_cell_ports(cell), v_dd, v_dd, cell.role_node("Q"))), tech)
+    driven = MnaSystem(with_elements(cell, _bias_sources(_cell_ports(cell), v_dd, v_dd, cell.role_node("Q"))), tech)
     i_q, i_bl = driven.branch_index["VSNMIN"], driven.branch_index["VSNMBL"]
     solve = functools.partial(_lanes, driven, VSNMBL=v_dd)
     q = sweep_grid(0.0, v_dd, v_dd / (Q_POINTS - 1))

@@ -346,10 +346,12 @@ def test_delay_nonpositive_bitline_input_exits_2(run, flags, name):
 
 
 def test_only_main_maps_exceptions_to_exit_codes():
-    # One rule sets every exit code: main() maps a command's exception to 1
-    # or 2.  Elsewhere an except clause only re-raises ConfigError with a
-    # message of its own (argparse's ArgumentTypeError in _spice), and no
-    # subcommand handler opens a with block or returns a nonzero code.
+    # One rule sets every exit code and one place writes stdout: main()
+    # maps a command's exception to 1 or 2, and prints the report the
+    # handler filled.  Elsewhere an except clause only re-raises
+    # ConfigError with a message of its own (argparse's ArgumentTypeError
+    # in _spice), and no subcommand handler opens a with block, writes
+    # stdout or returns a value, except _cmd_generate's netlist text.
     tree = ast.parse(Path(cli.__file__).read_text())
     functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
     assert {"main", "_cmd_snm", "_spice"} <= {f.name for f in functions}
@@ -370,13 +372,27 @@ def test_only_main_maps_exceptions_to_exit_codes():
                 continue
             if isinstance(node, ast.With):
                 breaches.append((f.name, node.lineno, "with"))
-            if isinstance(node, ast.Return) and ast.unparse(node.value) != "0" and not (
-                isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "_emit"
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("print", "sys.stdout.write"):
+                breaches.append((f.name, node.lineno, "stdout"))
+            if isinstance(node, ast.Return) and node.value is not None and (
+                (f.name, ast.unparse(node.value)) != ("_cmd_generate", "text")
             ):
                 breaches.append((f.name, node.lineno, "return"))
     assert breaches == []
-    (emit,) = [f for f in functions if f.name == "_emit"]
-    assert [ast.unparse(r.value) for r in ast.walk(emit) if isinstance(r, ast.Return)] == ["0"]
+
+
+def test_only_report_imports_csv():
+    # report.py owns the column file format: no other module reads or
+    # writes CSV itself.
+    importers = []
+    for path in sorted(Path(sramlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+            importers += [path.name for m in modules if m == "csv"]
+    assert importers == ["report.py"]
 
 
 def test_sweep_of_one_point(run, tmp_path):
@@ -616,13 +632,10 @@ def test_tran_reports_and_writes(run, tmp_path):
 def test_tran_bad_ic_exits_2(run, tmp_path):
     f = tmp_path / "rc.sp"
     f.write_text(RC)
-    clash = tmp_path / "clash.sp"
-    clash.write_text(RC.replace("V1 in", "VIC0 in"))  # the id of the first --ic pin
     cases = [
         (f, ["--ic", "out"], "NODE=VOLTS"),
         (f, ["--ic", "out=abc"], "NODE=VOLTS"),
         (f, ["--ic", "outt=0"], "unknown node 'outt'"),
-        (clash, ["--ic", "out=0"], "element named VIC0"),
         (f, ["--dt", "0"], "must be positive"),
         (f, ["--tstop", "0.04m"], "zero steps"),
         (f, ["--tstop", "1e300", "--dt", "1e-300"], "not a finite number of steps"),
@@ -631,6 +644,36 @@ def test_tran_bad_ic_exits_2(run, tmp_path):
         code, out, err = run("tran", str(path), "--tstop", "1m", "--dt", "0.1m", *extra)
         assert code == 2 and out == "", extra
         assert message in err
+
+
+def test_tran_ic_pins_take_ids_the_netlist_leaves_free(run, tmp_path):
+    # The netlist's own VIC0 (any case) is the id the first pin would take.
+    clash = tmp_path / "clash.sp"
+    clash.write_text("* clash\nvic0 in 0 DC 1\nR1 in out 1k\nC1 out 0 1n\n.END\n")
+    dest = tmp_path / "wave.csv"
+    code, out, err = run("tran", str(clash), "--tstop", "1u", "--dt", "0.1u", "--ic", "out=0.5", "--out", str(dest))
+    assert code == 0 and err == ""
+    assert "points 11" in body_of(out)
+    with open(dest, newline="") as fh:
+        header, first = list(csv.reader(fh))[:2]
+    assert header == ["time", "V(in)", "V(out)", "I(vic0)"]
+    assert float(first[header.index("V(out)")]) == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dc",),
+        ("sweep", "--source", "V1", "--from", "0", "--to", "1", "--step", "0.5"),
+        ("tran", "--tstop", "1n", "--dt", "0.5n"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_ohm_resistor_exits_2(run, tmp_path, argv):
+    # The engine refuses the value when it builds the system: bad input.
+    f = tmp_path / "short.sp"
+    f.write_text(DIVIDER.replace("R2 mid 0 1k", "R2 mid 0 0"))
+    assert_bad_input(run, "resistor R2 needs a positive value", argv[0], str(f), *argv[1:])
 
 
 def test_tran_failed_step_exits_1(run, tmp_path, monkeypatch):
@@ -781,7 +824,7 @@ def test_delay_waveform_needs_known_node_and_input(run, tmp_path):
 
 
 def test_delay_waveform_without_output_crossing_exits_1(run, tmp_path):
-    # A MeasurementError is a ValueError, but an analysis failure.
+    # A MeasurementError is an EngineError: an analysis failure.
     path = tmp_path / "wave.csv"
     path.write_text("time,V(IN),V(OUT)\n0,0,1.8\n1e-9,1.8,1.8\n2e-9,1.8,0\n")
     code, out, err = run("delay", "--waveform", str(path), "--node", "OUT", "--input", "IN")

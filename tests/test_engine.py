@@ -27,7 +27,6 @@ from sramlab.engine import (
     RELTOL,
     VNTOL,
     ConvergenceError,
-    EngineError,
     FloatingNodeError,
     MnaSystem,
     dc_sweep,
@@ -383,15 +382,15 @@ def test_only_the_engine_reads_private_members_of_mna_system():
 
 def test_bad_resistor_value():
     net = parse_netlist("* bad\nV1 a 0 DC 1\nR1 a 0 0\n.END")
-    with pytest.raises(EngineError, match="positive value"):
+    with pytest.raises(ValueError, match="positive value"):
         solve_dc(net)
 
 
 def test_drive_of_unknown_source():
     net = parse_netlist(DIVIDER)
-    with pytest.raises(EngineError, match="^no stamped source named 'V9'$"):
+    with pytest.raises(ValueError, match="^no stamped source named 'V9'$"):
         MnaSystem(net).rhs(drive={"V1": 1.0, "V9": 1.0})
-    with pytest.raises(EngineError, match="^no stamped source named 'V9'$"):
+    with pytest.raises(ValueError, match="^no stamped source named 'V9'$"):
         dc_sweep(net, "V9", 0.0, 1.0, 0.5)
 
 
@@ -749,7 +748,8 @@ def test_be_steps_converge_by_a_fresh_stop_test(fresh_stop, latent_steps):
     checked = []
     for k in kept:
         x = xs[:, k]
-        b = sys.rhs(tr.time[k]) - caps @ np.append(xs[:, k - 1], 0.0)
+        drive = {e.id: e.value_at(tr.time[k]) for e in sys.vsources + sys.isources}
+        b = sys.rhs(drive=drive) - caps @ np.append(xs[:, k - 1], 0.0)
         jac, res = assembled(sys, x, b, g)
         step = sys.newton_step(jac, res)
         tol = RELTOL * np.maximum(np.abs(x + step), np.abs(x)) + VNTOL
@@ -874,7 +874,10 @@ def test_engine_entry_points_take_only_what_their_callers_pass():
     # Every parameter of the engine's entry points is bound, by position or
     # by keyword, by some call in the package outside the function itself:
     # a parameter no caller passes is a flag that does nothing.
-    entries = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (solve_dc, dc_sweep, transient)}
+    entries = {
+        fn.__name__: [p for p in inspect.signature(fn).parameters if p != "self"]
+        for fn in (solve_dc, dc_sweep, transient, MnaSystem.rhs)
+    }
     bound = {name: set() for name in entries}
     for path in sorted(Path(sramlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -1082,7 +1085,8 @@ def test_transient_tracks_pwl_drive():
 def test_transient_drive_table_is_rhs_per_step():
     # No capacitors, so each step is a DC solve warm-started from the last:
     # the steps built from the drive table must equal solves against
-    # rhs(t), bit for bit, and the table must be each source's waveform.
+    # rhs of every source's value at t, bit for bit, and the table must be
+    # each source's waveform.
     net = parse_netlist(
         "* drives\nV1 a 0 PWL(0 0 1u 1)\nV2 b 0 DC 0.3\nR1 a c 1k\nR2 c b 2k\n"
         "I1 0 c PULSE(0 1m 0.2u 0.1u 0.1u 0.3u 1u)\nI2 c a DC 0.2m\n.END"
@@ -1092,7 +1096,8 @@ def test_transient_drive_table_is_rhs_per_step():
     x, _, _ = sys.solve_dc_vector()
     for k, t in enumerate(tr.time):
         if k:
-            (x,), _, failed = sys._newton_lanes(x[None], sys.rhs(t)[None], sys.g_static)
+            b = sys.rhs(drive={e.id: e.value_at(t) for e in sys.vsources + sys.isources})
+            (x,), _, failed = sys._newton_lanes(x[None], b[None], sys.g_static)
             assert not failed
         assert all(tr.node(name)[k] == x[i] for name, i in sys.node_index.items())
     for e in sys.vsources + sys.isources:

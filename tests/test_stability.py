@@ -32,6 +32,7 @@ from sramlab.genlib import CellGeometry, DeviceSize, build_6t_cell
 from sramlab.netlist import (
     GROUND,
     MosElement,
+    NetlistError,
     Node,
     ResElement,
     SourceElement,
@@ -198,7 +199,7 @@ def test_butterfly_validation(cell):
     with pytest.raises(ValueError, match="grid"):
         butterfly(cell, grid=0.0)
     bare = parse_netlist("* no roles\nR1 a 0 1k\n.END")
-    with pytest.raises(ConfigError):
+    with pytest.raises(NetlistError, match="no 'Q' role"):
         butterfly(bare)
 
 
@@ -206,7 +207,7 @@ def test_butterfly_rejects_bias_id_collision(cell):
     taken = with_elements(
         cell, [SourceElement("VSNMBL", Node("QBAR"), Node(GROUND), "DC", (0.0,))]
     )
-    with pytest.raises(ConfigError, match="VSNMBL"):
+    with pytest.raises(NetlistError, match="VSNMBL"):
         butterfly(taken)
 
 
