@@ -5,13 +5,10 @@ of merit, and circuit generators."""
 
 from .config import ConfigError, load_config, parse_config, tech_header_lines
 from .devices import (
-    BiasPoint,
     DeviceParams,
-    MosOperatingPoint,
     TechnologyParams,
     derive_tech_params,
     leakage_current,
-    mos_operating_point,
     thermal_voltage,
 )
 from .engine import (

@@ -223,7 +223,7 @@ def _cmd_delay(args, tech, rep):
     if args.tplh is not None or args.tphl is not None:
         if args.tplh is None or args.tphl is None:
             raise ConfigError("--tplh and --tphl must be given together")
-        m = DelayMeasurement(args.tplh, args.tphl, args.vdd / 2, args.vdd / 2)
+        m = DelayMeasurement(args.tplh, args.tphl)
         rep.add("t_plh", m.t_plh, "s")
         rep.add("t_phl", m.t_phl, "s")
         rep.add("t_p", m.t_p, "s")

@@ -6,9 +6,9 @@ netlist numbers.  `lambda` is accepted for the channel-length-modulation
 field (stored as `lam`).  Blank lines and `#` comments are skipped; unknown
 keys are rejected with their line number.
 
-parse_config sets exactly the keys the text names.  load_config reads a
-whole file, in which a physical input also clears the card value derived
-from it, so that the derivation runs on the file's inputs.
+parse_config is the one parser: keys apply over the default card, and a
+physical input also clears the card value derived from it, so that the
+derivation runs on the text's inputs.  load_config parses a file's text.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ _DERIVED_FROM = {
 }
 
 
-def parse_config(text: str, base: TechnologyParams | None = None) -> TechnologyParams:
-    return _parse(text, base)[0]
-
-
-def _parse(
-    text: str, base: TechnologyParams | None
-) -> tuple[TechnologyParams, set[tuple[str, str]]]:
-    """The updated card and the (polarity, key) pairs the text sets."""
-    tech = base if base is not None else TechnologyParams.default()
+def parse_config(text: str) -> TechnologyParams:
+    """The card a config text gives, over the default card.  Setting a
+    physical input clears, for that polarity, each value derived from it
+    unless the text sets it too; a derivation then short of an input raises
+    ConfigError."""
+    tech = TechnologyParams.default()
     assigned: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -69,15 +66,6 @@ def _parse(
         for target in ("nmos", "pmos") if polarity is None else (polarity,):
             setattr(tech.device(target), key, value)
             assigned.add((target, key))
-    return tech, assigned
-
-
-def load_config(path) -> TechnologyParams:
-    """The card a config file gives.  Setting a physical input clears, for
-    that polarity, each value derived from it unless the file sets it too;
-    a derivation then short of an input raises ConfigError."""
-    with open(path) as fh:
-        tech, assigned = _parse(fh.read(), None)
     for polarity in ("nmos", "pmos"):
         keys = {key for target, key in assigned if target == polarity}
         for derived, inputs in _DERIVED_FROM.items():
@@ -88,6 +76,12 @@ def load_config(path) -> TechnologyParams:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return tech
+
+
+def load_config(path) -> TechnologyParams:
+    """The card the config file at path gives (see parse_config)."""
+    with open(path) as fh:
+        return parse_config(fh.read())
 
 
 def tech_header_lines(tech: TechnologyParams) -> list[str]:

@@ -3,17 +3,14 @@ subthreshold conduction and a level-1 square law, blended C0-continuously.
 
 This module holds the model cards, their derivation from physical inputs,
 and the closed-form off-state leakage.  The model itself is one function,
-kernels.mos_eval; mos_operating_point evaluates a single device through it.
+kernels.mos_eval, over parameter rows that kernels.pack_device makes from
+these cards; one device is one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
-
-from . import kernels
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 Q_ELECTRON = 1.602176634e-19  # C
@@ -100,30 +97,6 @@ class TechnologyParams:
         raise ValueError(f"unknown polarity {polarity!r}")
 
 
-@dataclass(frozen=True)
-class BiasPoint:
-    v_gs: float
-    v_ds: float
-    v_sb: float = 0.0
-    w: float = 10.5e-6
-    l: float = 2e-6
-
-
-@dataclass(frozen=True)
-class MosOperatingPoint:
-    """Drain current and its partials wrt (v_gs, v_ds, v_sb).
-
-    g_mb is d(i_d)/d(v_sb), i.e. negative for an NMOS whose source rides
-    above bulk; the node-frame stamp code derives all four terminal
-    derivatives from these three.
-    """
-
-    i_d: float
-    g_m: float
-    g_ds: float
-    g_mb: float
-
-
 def _derive_device(dev: DeviceParams) -> DeviceParams:
     out = replace(dev)
     if out.c_ox is None:
@@ -161,24 +134,3 @@ def leakage_current(dev: DeviceParams, w: float, l: float, v_t: float) -> float:
         raise ValueError("device geometry must be positive")
     return (w / l) * dev.i0 * math.exp(-dev.vth0 / (dev.n * v_t))
 
-
-def mos_operating_point(
-    dev: DeviceParams,
-    bias: BiasPoint,
-    v_t: float | None = None,
-    polarity: str = "NMOS",
-) -> MosOperatingPoint:
-    """Drain current and small-signal conductances at a bias point.
-
-    Pass terminal-frame voltages (negative for a conducting PMOS) and
-    magnitude parameters; the returned current carries the PMOS sign.  The
-    device is evaluated as a one-row array by kernels.mos_eval, the model
-    the solver stamps.
-    """
-    if v_t is None:
-        v_t = thermal_voltage(DEFAULT_TEMPERATURE)
-    par = kernels.pack_device(dev, polarity, bias.w, bias.l, v_t)[None, :]
-    i_d, g_m, g_ds, g_mb = kernels.mos_eval(
-        par, np.array([bias.v_gs]), np.array([bias.v_ds]), np.array([bias.v_sb]), v_t
-    )
-    return MosOperatingPoint(float(i_d[0]), float(g_m[0]), float(g_ds[0]), float(g_mb[0]))

@@ -920,8 +920,9 @@ def waveform_to_csv(result: TransientResult, dest) -> None:
 def waveform_from_csv(src) -> TransientResult:
     """Read back a waveform column file written by waveform_to_csv: the
     first column is time, V(name) columns are nodes and I(name) columns
-    branch currents; a column named otherwise is taken as a node."""
-    header, data = read_columns(src)
+    branch currents; a column named otherwise is taken as a node.  Notes
+    are ignored."""
+    header, data, _ = read_columns(src)
     nodes: dict[str, np.ndarray] = {}
     currents: dict[str, np.ndarray] = {}
     for j, name in enumerate(header[1:], start=1):

@@ -1,11 +1,10 @@
 """The compact MOS model and its stamping into the nodal solver.
 
 The model is one array-valued function, mos_eval: packed device parameters
-and terminal voltage differences in, drain current and its three partials
-out.  mos_stamp evaluates every device of every lane through mos_eval in one
-call and scatters the results into each lane's Jacobian values and
-residual, at targets the caller plans once, and devices.mos_operating_point
-evaluates single devices through mos_eval.
+(one pack_device row per device) and terminal voltage differences in, drain
+current and its three partials out.  mos_stamp evaluates every device of
+every lane through mos_eval in one call and scatters the results into each
+lane's Jacobian values and residual, at targets the caller plans once.
 """
 
 from __future__ import annotations

@@ -40,8 +40,6 @@ def bitline_delay(c_b: float, dv: float, i_cell: float | Callable[[], float]) ->
 class DelayMeasurement:
     t_plh: float
     t_phl: float
-    input_threshold: float = float("nan")
-    output_threshold: float = float("nan")
 
     @property
     def t_p(self) -> float:
@@ -79,9 +77,8 @@ def propagation_delay(
     v_low: float,
     v_high: float,
     input_node: str | None = None,
-    fraction: float = 0.5,
 ) -> DelayMeasurement:
-    """Input-to-output delay at the `fraction` level between v_low/v_high.
+    """Input-to-output delay at the midpoint of v_low and v_high.
 
     t_pLH is measured to the output's rising crossing, t_pHL to its falling
     crossing, each from the nearest preceding input crossing, with linear
@@ -89,7 +86,7 @@ def propagation_delay(
     """
     if not v_high > v_low:
         raise ValueError("v_high must exceed v_low")
-    level = v_low + fraction * (v_high - v_low)
+    level = v_low + 0.5 * (v_high - v_low)
     vin = _reference_input(w, input_node)
     vout = w.node(node)
     in_x = _crossings(w.time, vin, level)
@@ -110,7 +107,7 @@ def propagation_delay(
     if t_plh is None or t_phl is None:
         missing = "rising" if t_plh is None else "falling"
         raise MeasurementError(f"node {node}: no {missing} output transition found")
-    return DelayMeasurement(t_plh, t_phl, level, level)
+    return DelayMeasurement(t_plh, t_phl)
 
 
 @dataclass(frozen=True)

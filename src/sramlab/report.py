@@ -1,7 +1,7 @@
 """The two output formats: report entries, printed as `name value unit
 [verdict]` lines, and column CSV files: a header row, one row per point
 with each float as its repr (so it reads back bit for bit) and each
-integer as itself, then any `# note` lines."""
+integer as itself, then any `# note` lines, every line ending in CRLF."""
 
 from __future__ import annotations
 
@@ -79,21 +79,28 @@ def _opened(dest, mode: str):
 
 def write_columns(dest, header: Sequence[str], columns: Sequence, notes: Sequence[str] = ()) -> None:
     """Write equal-length columns under header to dest, a path or an open
-    stream, followed by one `# note` line per note."""
+    stream, followed by one `# note` line per note; notes end in CRLF, as
+    the csv module ends rows."""
     with _opened(dest, "w") as out:
         writer = csv.writer(out)
         writer.writerow(header)
         # csv writes a Python float as its repr and an int as itself.
         writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
-        out.writelines(f"# {note}\n" for note in notes)
+        out.writelines(f"# {note}\r\n" for note in notes)
 
 
-def read_columns(src) -> tuple[list[str], np.ndarray]:
-    """The header and the data rows, as a float array (rows, columns), of
-    the column file src, a path or an open stream.  A file without a data
-    row, or with a cell that is not a number, raises ValueError."""
+def read_columns(src) -> tuple[list[str], np.ndarray, list[str]]:
+    """The header, the data rows as a float array (rows, columns), and the
+    trailing notes of the column file src, a path or an open stream.  A
+    file without a data row, or with a cell that is not a number, raises
+    ValueError."""
     with _opened(src, "r") as stream:
-        rows = list(csv.reader(stream))
+        lines = stream.read().splitlines()
+    end = len(lines)
+    while end and lines[end - 1].startswith("# "):
+        end -= 1
+    rows = list(csv.reader(lines[:end]))
     if len(rows) < 2:
         raise ValueError("needs a header row and at least one data row")
-    return rows[0], np.array([[float(v) for v in row] for row in rows[1:]])
+    notes = [line[2:] for line in lines[end:]]
+    return rows[0], np.array([[float(v) for v in row] for row in rows[1:]]), notes

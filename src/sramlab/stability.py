@@ -414,15 +414,6 @@ def drv_inputs_from_cell(
     return DrvInputs(tuple(i_off), tuple(n), v_t)
 
 
-def _bisect(lo: float, hi: float, resolution: float, below) -> tuple[float, float]:
-    """(lo, hi) halved, the midpoint replacing lo where below(mid) holds
-    and hi elsewhere, until hi - lo is within resolution or lo and hi are
-    adjacent floats, so that the midpoint is not strictly between them."""
-    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    return lo, hi
-
-
 def drv_bruteforce(
     cell: Netlist,
     tech: TechnologyParams | None = None,
@@ -444,7 +435,10 @@ def drv_bruteforce(
         raise ValueError("v_max must be positive")
     if not holds(v_max):
         raise EngineError(f"cell is not bistable even at v_dd={v_max} V")
-    return _bisect(0.0, v_max, resolution, lambda v: not holds(v))[1]
+    lo, hi = 0.0, v_max
+    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------
@@ -476,13 +470,11 @@ def write_margin(
     tech: TechnologyParams | None = None,
     v_dd: float = 1.8,
     wl_voltage: float | None = None,
-    resolution: float = 1e-3,
 ) -> float:
-    """Highest BL voltage (within `resolution`, or to adjacent floats where
-    that is finer) that flips a cell holding Q high, with BLB held at v_dd
-    and the wordline driven (default v_dd): where the bisection of (0,
-    v_dd) ends against the fold below which the held state is gone
-    (Grossar et al., IEEE JSSC 41(11), 2006); v_dd if there is none.
+    """Highest BL voltage that flips a cell holding Q high, with BLB held at
+    v_dd and the wordline driven (default v_dd): the fold below which the
+    held state is gone (Grossar et al., IEEE JSSC 41(11), 2006), its Q
+    narrowed to 1e-6*v_dd; v_dd if there is none.
 
     Q = q is a state at one BL voltage, bl(q).  With Q driven, lanes at BL
     = 0 and v_dd bracket it, and a q bracketed in [0, v_dd] is solved with
@@ -491,8 +483,6 @@ def write_margin(
     bl(q), the grid over [0, v_dd] refined around it, on the held branch:
     the last run of q with bl(q) up to v_dd that has a q beyond v_dd below.
     """
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
     if not v_dd > 0:
         raise ValueError("v_dd must be positive")
     wl = v_dd if wl_voltage is None else wl_voltage
@@ -519,7 +509,7 @@ def write_margin(
         raise NonWritableError(
             f"state does not flip even at BL=0 V (WL={wl:g} V); cell is not writable under these drives"
         )
-    return _bisect(0.0, v_dd, resolution, lambda bl: bl < fold)[0] if fold < v_dd else v_dd
+    return float(min(fold, v_dd))
 
 
 def read_current(
@@ -577,7 +567,6 @@ class McSummary:
     mean: float
     stddev: float
     minimum: float
-    histogram: tuple[np.ndarray, np.ndarray]  # counts, bin edges
     failures: int
 
 
@@ -588,7 +577,6 @@ def monte_carlo_snm(
     mode: str = "hold",
     v_dd: float = 1.8,
     grid: float = 1e-2,
-    bins: int = 20,
 ) -> McSummary:
     """Butterfly SNM under independent per-device V_th0 perturbations.
 
@@ -631,12 +619,10 @@ def monte_carlo_snm(
             f"{failures} of {vm.n_samples} Monte Carlo samples failed to solve"
         )
     clean = samples[np.isfinite(samples)]
-    counts, edges = np.histogram(clean, bins=bins)
     return McSummary(
         samples=samples,
         mean=float(clean.mean()),
         stddev=float(clean.std()),
         minimum=float(clean.min()),
-        histogram=(counts, edges),
         failures=failures,
     )

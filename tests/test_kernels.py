@@ -6,12 +6,7 @@ import pytest
 from sramlab import kernels
 from sramlab.engine import MnaSystem
 from sramlab.genlib import build_array
-from sramlab.devices import (
-    BiasPoint,
-    TechnologyParams,
-    derive_tech_params,
-    mos_operating_point,
-)
+from sramlab.devices import TechnologyParams, derive_tech_params
 from sramlab.kernels import (
     COL_BETA,
     COL_DIBL,
@@ -30,6 +25,7 @@ from sramlab.kernels import (
     N_PAR,
     RES_ROW,
     get_backend,
+    mos_eval,
     mos_stamp,
     pack_device,
 )
@@ -341,22 +337,16 @@ def test_stamp_against_operating_point():
         par = pack_device(dev, pol, w, l, VT)[None, :]
         jac, res = run_stamp(_stamp_loop, x_ext, idx, par)
 
-        bias = BiasPoint(
-            v_gs=x_ext[g] - x_ext[s],
-            v_ds=x_ext[d] - x_ext[s],
-            v_sb=x_ext[s] - x_ext[b],
-            w=w,
-            l=l,
-        )
-        op = mos_operating_point(dev, bias, None, pol)
-        np.testing.assert_allclose(res[d], op.i_d, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(res[s], -op.i_d, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(jac[d, d], op.g_ds, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(jac[d, g], op.g_m, rtol=1e-9, atol=1e-30)
+        v_gs, v_ds, v_sb = (np.array([x_ext[i] - x_ext[j]]) for i, j in ((g, s), (d, s), (s, b)))
+        i_d, g_m, g_ds, g_mb = (float(a[0]) for a in mos_eval(par, v_gs, v_ds, v_sb, VT))
+        np.testing.assert_allclose(res[d], i_d, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(res[s], -i_d, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(jac[d, d], g_ds, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(jac[d, g], g_m, rtol=1e-9, atol=1e-30)
         np.testing.assert_allclose(
-            jac[d, s], -op.g_m - op.g_ds + op.g_mb, rtol=1e-9, atol=1e-30
+            jac[d, s], -g_m - g_ds + g_mb, rtol=1e-9, atol=1e-30
         )
-        np.testing.assert_allclose(jac[d, b], -op.g_mb, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(jac[d, b], -g_mb, rtol=1e-9, atol=1e-30)
         # Source row is the exact negation, and each row sums to zero.
         np.testing.assert_allclose(jac[s], -jac[d], rtol=0, atol=0)
         assert abs(jac[d].sum()) <= 1e-16 + 1e-12 * np.abs(jac[d]).max()

@@ -87,8 +87,6 @@ def test_propagation_delay_from_hand_built_ramps():
     assert d.t_phl == pytest.approx(2.0 * NS, rel=1e-12)
     assert d.t_plh == pytest.approx(2.5 * NS, rel=1e-12)
     assert d.t_p == pytest.approx(2.25 * NS, rel=1e-12)
-    assert d.input_threshold == 0.9
-    assert d.output_threshold == 0.9
 
 
 def test_propagation_delay_is_shift_invariant():
@@ -135,13 +133,13 @@ def test_propagation_delay_needs_v_high_above_v_low(v_high):
         propagation_delay(ramp_waveform(), "out", 0.0, v_high, input_node="in")
 
 
-def test_propagation_delay_fraction_moves_the_level():
-    # At the 25% level (0.45 V) the output fall crossing moves later in the
-    # falling ramp (2..3 ns spans 1.8..0, so 0.45 V sits at t = 2.75 ns) and
-    # the input rise crossing earlier (0.25 ns).
-    d = propagation_delay(ramp_waveform(), "out", 0.0, 1.8, input_node="in", fraction=0.25)
-    assert d.t_phl == pytest.approx(2.5 * NS, rel=1e-12)
-    assert d.input_threshold == pytest.approx(0.45, rel=1e-12)
+def test_propagation_delay_level_is_the_midpoint():
+    # Between 0.9 and 1.8 V the level is 1.35 V: the input crosses it at
+    # 0.75 and 10.25 ns, the output at 2.25 ns (falling) and 13.5 ns
+    # (rising).
+    d = propagation_delay(ramp_waveform(), "out", 0.9, 1.8, input_node="in")
+    assert d.t_phl == pytest.approx(1.5 * NS, rel=1e-12)
+    assert d.t_plh == pytest.approx(3.25 * NS, rel=1e-12)
 
 
 # ---------------------------------------------------------------------
