@@ -12,13 +12,15 @@ maps a command's exception to its code: EngineError (no convergence, a
 floating node, a cell that will not write, a missing crossing) is an
 analysis failure; NetlistError, ConfigError, OSError and ValueError, which
 the library raises when it checks its own arguments, are bad input.
-Handlers raise ConfigError only to add context to a message.
+Handlers raise ConfigError only to add context to a message.  main()
+prints each library warning as one `warning: <message>` line on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from .config import ConfigError, load_config, tech_header_lines
@@ -453,8 +455,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     rep = AnalysisReport()
     try:
-        tech = load_config(args.config) if args.config else TechnologyParams.default()
-        text = args.func(args, tech, rep)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            tech = load_config(args.config) if args.config else TechnologyParams.default()
+            text = args.func(args, tech, rep)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,18 +10,18 @@ lobe grid) share every device evaluation; a single solve or transient step
 is one lane.  Drives are data: rhs builds the right-hand sides of any source
 values, one row per value, and nothing sets a drive on the system itself.
 Lanes queue for a pool of at most MAX_LANES live ones, and each lane that
-finishes hands its place to the next in the queue.  Every DC solve goes
-through one driver, solve_lanes, whose cold lanes start with every driven
-node at its drive.  It runs plain Newton on every lane, and the lanes
-Newton fails walk the gmin ladder, each from its own start with its own
+finishes hands its place to the next in the queue.  Every solve, DC or
+transient step, goes through one driver, solve_lanes, whose cold lanes
+start with every driven node at its drive.  It runs plain Newton on every
+lane, and the lanes Newton fails walk the gmin ladder, each with its own
 parameter set and step; each round is one Newton call with every lane at
-its own rung.  In a decoupled system, where every free unknown is a block
-of its own, each lane is a set of bracketed scalar root-finds: a Newton
-target that leaves the bracket the residual signs give falls back to the
-bracket's midpoint, so such lanes mostly converge in the pool.  A lane
-whose solution lies further than MAX_ITER clipped steps of MAX_STEP from
-its start still needs the ladder, whose rungs each bring their own
-iterations.
+its own rung.  A lane the ladder fails too gets the one failure message,
+naming its worst-residual node.  In a decoupled system, where every free
+unknown is a block of its own, each lane is a set of bracketed scalar
+root-finds: a Newton target that leaves the bracket the residual signs
+give falls back to the bracket's midpoint, so such lanes mostly converge
+in the pool.  A lane whose solution lies further than MAX_ITER clipped
+steps of MAX_STEP from its start still needs the ladder.
 Unknown ordering is named nodes first, in netlist first-use order, then one
 branch current per voltage source.  Extended vectors carry a trailing ground
 slot pinned at zero so every stamp writes unconditionally.
@@ -420,9 +420,8 @@ class MnaSystem:
         (lanes, n+1), with linear Jacobian values g, one row shared by all
         lanes, (entries+1,), or one per lane, (lanes, entries+1); sets
         gives each lane's row of par_sets (default the first).  It is the
-        plain Newton of every DC solve (solve_lanes), the only stage
-        decoupled lanes run, each round of the gmin ladder, and each
-        transient step.
+        plain Newton of every solve_lanes call, the only stage decoupled
+        lanes run, and each round of the gmin ladder; nothing else calls it.
 
         At most MAX_LANES lanes are live.  Every iteration stamps them in one
         call; each stops on its own test and its place goes to the next
@@ -432,10 +431,10 @@ class MnaSystem:
         a lane that starts at its solution costs one stamp.  A lane fails
         when its step is not finite, after MAX_ITER iterations, or once x
         plus its step is its x of the iteration before: the iteration is a
-        fixed map of x, so it cycles and can never pass.  Its message names
-        the node iteration MAX_ITER would have named.  Returns the states,
-        each lane's iteration count (its stamps), and a failure message for
-        each lane that did not converge (its state is then its start).
+        fixed map of x, so it cycles and can never pass.  Returns the states,
+        each lane's iteration count (its stamps), and for each lane that did
+        not converge the node of its worst residual at its last iteration
+        (its state is then its start).
 
         In a decoupled system each free unknown's KCL, once the eliminated
         sources' rows hold exactly, is a scalar function of that unknown
@@ -468,14 +467,14 @@ class MnaSystem:
         stamp_at = self._stamp_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
         # Per pool slot: the live lane's id, iteration count, right-hand
         # side, linear Jacobian, parameter rows and extended state, then its
-        # state and residual of the iteration before, NaN (equal to nothing)
-        # for an entering lane.  A finished lane's slot takes the next queued
+        # state of the iteration before, NaN (equal to nothing) for an
+        # entering lane.  A finished lane's slot takes the next queued
         # lane; once the queue is empty the pool shrinks.
         ids = np.arange(pool)
         count = np.zeros(pool, dtype=np.int64)
         bl, gl, parl = b[ids], g[ids], self.par_sets[sets[ids]]
         xl = np.concatenate((x[ids], np.zeros((pool, 1))), axis=1)
-        x_last, res_last = np.full((pool, n), np.nan), np.zeros((pool, n + 1))
+        x_last = np.full((pool, n), np.nan)
         queued = pool
         while ids.size:
             count += 1
@@ -506,23 +505,14 @@ class MnaSystem:
             small = (np.abs(applied) <= tol).all(axis=1)
             converged = small & ~bad & (np.abs(res[:, :n]) < self._res_tol).all(axis=1)
             cycled = (x_new == x_last).all(axis=1)
-            stuck = ~converged & ~bad & (cycled | (count >= MAX_ITER))
-            done = converged | bad | stuck
-            res_before = res_last
-            x_last, res_last = xl[:, :n].copy(), res
+            done = converged | bad | cycled | (count >= MAX_ITER)
+            x_last = xl[:, :n].copy()
             xl[:, :n] = x_new
             if not done.any():
                 continue
             x[ids[converged]] = x_new[converged]
             its[ids[converged]] = count[converged]
-            failed.update(dict.fromkeys(ids[bad].tolist(), "Newton iteration produced non-finite values"))
-            for lane, c, r, r_before in zip(ids[stuck].tolist(), count[stuck], res[stuck], res_before[stuck]):
-                # A cycle alternates this state with the one before.
-                worst = self._worst_node(r if (MAX_ITER - c) % 2 == 0 else r_before)
-                failed[lane] = (
-                    f"no convergence within {MAX_ITER} Newton iterations; "
-                    f"worst residual at node {worst}"
-                )
+            failed.update(zip(ids[done & ~converged].tolist(), map(self._worst_node, res[done & ~converged])))
             vacant = np.flatnonzero(done)
             new = np.arange(queued, min(lanes, queued + vacant.size))
             if new.size:
@@ -536,20 +526,19 @@ class MnaSystem:
             if new.size < vacant.size:
                 keep = np.ones(ids.size, dtype=bool)
                 keep[vacant[new.size :]] = False
-                ids, count, bl, gl, parl, xl, x_last, res_last = (
-                    a[keep] for a in (ids, count, bl, gl, parl, xl, x_last, res_last)
-                )
+                ids, count, bl, gl, parl, xl, x_last = (a[keep] for a in (ids, count, bl, gl, parl, xl, x_last))
                 if bracket:
                     lo, hi, side, flips = lo[keep], hi[keep], side[keep], flips[keep]
         return x, its, failed
 
     def _gmin_stepping(
-        self, x0: np.ndarray, b: np.ndarray, sets: np.ndarray
+        self, x0: np.ndarray, b: np.ndarray, g: np.ndarray, sets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """Adaptive gmin stepping on lanes, x0 (lanes, n) against b (lanes,
-        n+1), each lane with its row sets of par_sets: the lanes that
-        solve_lanes's plain Newton fails.  A shunt from every node to ground
-        is relaxed rung by rung, then none (the SPICE2 ladder of Nagel,
+        n+1), with linear Jacobian values g, one row they all share, and
+        each lane's row sets of par_sets: the lanes that solve_lanes's plain
+        Newton fails.  A shunt from every node to ground, on top of g, is
+        relaxed rung by rung, then none (the SPICE2 ladder of Nagel,
         ERL-M520, 1975, with ngspice's dynamic step).  Near a bistable trip
         point the exact Jacobian is close to singular and plain Newton
         wanders; the shunted system stays well conditioned, and each rung
@@ -566,8 +555,9 @@ class MnaSystem:
         the fixed decade ladder.  Each round is one _newton_lanes call, every
         live lane at its own rung.
         Returns the states, each lane's iteration count over its passed
-        rungs, and the failure message of each lane that stalled, whose
-        state is then not a solution."""
+        rungs, and the failure message of each lane that stalled, naming the
+        worst-residual node of its last failed rung; its state is then not
+        a solution.  This message is the one every failed solve shows."""
         lanes = x0.shape[0]
         x = np.array(x0, dtype=float)
         its = np.zeros(lanes, dtype=np.int64)
@@ -579,9 +569,9 @@ class MnaSystem:
         while live.size:
             rung = shunt[live] * 10.0 ** -step[live]
             rung[rung <= 1e-12] = 0.0
-            g = np.repeat(self.g_static[None], live.size, axis=0)
-            g[:, self._node_diag] += rung[:, None]
-            x[live], n, stuck = self._newton_lanes(x[live], b[live], g, sets[live])
+            gl = np.repeat(g[None], live.size, axis=0)
+            gl[:, self._node_diag] += rung[:, None]
+            x[live], n, stuck = self._newton_lanes(x[live], b[live], gl, sets[live])
             ok = _passed(live.size, stuck)
             good, bad = live[ok], live[~ok]
             its[good] += n[ok]
@@ -590,9 +580,9 @@ class MnaSystem:
             # A lane whose halved step still gives no shunt would repeat the
             # unshunted solve it just failed, from the same state.
             step[bad[shunt[bad] * 10.0 ** -step[bad] <= 1e-12]] = 0.0
-            failed.update(
-                dict.fromkeys(bad[step[bad] < 0.01].tolist(), "gmin stepping stalled below the minimum step")
-            )
+            for j, lane in enumerate(live.tolist()):
+                if step[lane] < 0.01:  # it failed this rung
+                    failed[lane] = f"gmin stepping stalled below the minimum step; worst residual at node {stuck[j]}"
             live = live[(shunt[live] > 0.0) & (step[live] >= 0.01)]
         return x, its, failed
 
@@ -601,30 +591,35 @@ class MnaSystem:
         b: np.ndarray,
         x0: np.ndarray | None = None,
         sets: np.ndarray | None = None,
+        g: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-        """DC solutions of lanes against b (lanes, n+1): the one driver of
-        every DC solve.  Each lane starts at x0, (lanes, n) or one (n,) state
-        they all share, by default cold (each eliminated source's node at
-        its drive, all else zero), with its row sets of par_sets (default
+        """Solutions of lanes against b (lanes, n+1), with linear Jacobian
+        values g, one row they all share (default g_static, the DC system):
+        the one driver of every DC solve and transient step, and the only
+        way into Newton.  Each lane starts at x0, (lanes, n) or one (n,)
+        state they all share, by default cold (each eliminated source's node
+        at its drive, all else zero), with its row sets of par_sets (default
         the first).  Plain Newton runs every lane, and the lanes it fails
-        walk the gmin ladder from their own starts.  A decoupled system has
-        at most one solution, so the ladder cannot move its lane into
-        another basin, but a lane further than MAX_ITER steps of MAX_STEP
-        from it still needs the ladder.  Returns the states, each
-        lane's iteration count, whether it walked the ladder, and the
-        message of each lane that failed, whose state is then not a
-        solution.  A singular step raises FloatingNodeError."""
+        walk the gmin ladder.  A coupled lane walks it from its own start,
+        whose basin matters; a decoupled system has one solution at each
+        drive, so its lanes walk it from the cold start, which a lane
+        further than MAX_ITER steps of MAX_STEP from its solution still
+        needs.  Returns the states, each lane's iteration count, whether it
+        walked the ladder, and the message of each lane that failed, whose
+        state is then not a solution.  A singular step raises
+        FloatingNodeError."""
         lanes = b.shape[0]
-        if x0 is None:
-            x0 = np.zeros((lanes, self.size))
-            x0[:, self._drv_node] = -b[:, self._drv_branch] * self._drv_sign
-        x0 = np.broadcast_to(x0, (lanes, self.size))
+        cold = np.zeros((lanes, self.size))
+        cold[:, self._drv_node] = 0.0 - b[:, self._drv_branch] * self._drv_sign  # +0.0 at a zero drive
+        x0 = cold if x0 is None else np.broadcast_to(x0, (lanes, self.size))
         sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
-        x, its, failed = self._newton_lanes(x0, b, self.g_static, sets)
+        g = self.g_static if g is None else g
+        x, its, failed = self._newton_lanes(x0, b, g, sets)
         ladder = ~_passed(lanes, failed)
         rescue = np.flatnonzero(ladder)
         if rescue.size:
-            x[rescue], its[rescue], left = self._gmin_stepping(x0[rescue], b[rescue], sets[rescue])
+            start = (cold if self.decoupled else x0)[rescue]
+            x[rescue], its[rescue], left = self._gmin_stepping(start, b[rescue], g, sets[rescue])
             failed = {int(rescue[j]): msg for j, msg in left.items()}
         return x, its, ladder, failed
 
@@ -762,7 +757,10 @@ def transient(
     method: str = "be",
     ics: dict[str, float] | None = None,
 ) -> TransientResult:
-    """Fixed-step transient; `method` is "be" or "trap".
+    """Fixed-step transient; `method` is "be" or "trap".  Each step is one
+    lane of solve_lanes on the companion Jacobian, so a step plain Newton
+    fails walks the gmin ladder; one the ladder fails raises
+    ConvergenceError, its message followed by its time.
 
     A backward-Euler step k is latent when every source drive equals step
     k-1's and _latent holds on the node voltages of steps k-3 to k-1: the
@@ -878,7 +876,7 @@ def transient(
         if method == "trap" and not startup:
             hist += i_hist
         np.add.at(b_vec, cap_ab, np.stack((-hist, hist), axis=1).reshape(-1))
-        (x,), _, failed = sys._newton_lanes(x[None], b_vec[None], g_start if startup else g_dyn)
+        (x,), _, _, failed = sys.solve_lanes(b_vec[None], x, g=g_start if startup else g_dyn)
         if failed:
             raise ConvergenceError(f"{failed[0]} (at t={times[k]:g} s)")
         if method == "trap":

@@ -231,28 +231,25 @@ def _butterflies(
         points = v_in.size  # lane k is point k % points of sample k // points
         out = np.empty((len(batch), 2, points))
         paired = [{m + side: v for m, v in shift.items() for side in sides} for shift in batch]
-        try:
-            sys = MnaSystem(pair, tech, paired)
-            b = sys.rhs(drive={"VSNMIN" + side: v_in for side in sides})
-            probe = [sys.node_index[p] for p in probes]
-            if sys.decoupled:
-                x0 = None if start is None else np.tile(start, (len(batch), 1))
-                sets = np.repeat(np.arange(len(batch)), points)
-                try:
-                    x, _, _, failed = sys.solve_lanes(np.tile(b, (len(batch), 1)), x0, sets)
-                except EngineError as exc:
-                    raise type(exc)(f"{exc} (sweeping VSNMIN)") from exc
-                x = x.reshape(len(batch), points, sys.size)
-                out[:] = x[:, :, probe].swapaxes(1, 2)
-                errors: dict[int, EngineError] = {}
-                for lane in sorted(failed):
-                    msg = f"{failed[lane]} (sweeping VSNMIN={v_in[lane % points]:g})"
-                    errors.setdefault(lane // points, ConvergenceError(msg))
-                return out, x, errors
-        except EngineError as exc:
-            # Not tied to one lane (a singular step, say), so every sample
-            # of the batch fails with it.
-            return out, None, dict.fromkeys(range(len(batch)), exc)
+        sys = MnaSystem(pair, tech, paired)
+        b = sys.rhs(drive={"VSNMIN" + side: v_in for side in sides})
+        probe = [sys.node_index[p] for p in probes]
+        if sys.decoupled:
+            x0 = None if start is None else np.tile(start, (len(batch), 1))
+            sets = np.repeat(np.arange(len(batch)), points)
+            try:
+                x, _, _, failed = sys.solve_lanes(np.tile(b, (len(batch), 1)), x0, sets)
+            except EngineError as exc:
+                # Not tied to one lane (a singular step, say), so every
+                # sample of the batch fails with it.
+                return out, None, dict.fromkeys(range(len(batch)), type(exc)(f"{exc} (sweeping VSNMIN)"))
+            x = x.reshape(len(batch), points, sys.size)
+            out[:] = x[:, :, probe].swapaxes(1, 2)
+            errors: dict[int, EngineError] = {}
+            for lane in sorted(failed):
+                msg = f"{failed[lane]} (sweeping VSNMIN={v_in[lane % points]:g})"
+                errors.setdefault(lane // points, ConvergenceError(msg))
+            return out, x, errors
         errors = {}
         for i, shift in enumerate(paired):
             try:

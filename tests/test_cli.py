@@ -153,7 +153,33 @@ def test_dc_failure_prints_only_its_error_line(tmp_path):
     f.write_text(STALLS_WITH_NON_FINITE_STEPS)
     done = python_dash_m(tmp_path, "dc", str(f))
     assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == "error: gmin stepping stalled below the minimum step\n"
+    assert done.stderr == "error: gmin stepping stalled below the minimum step; worst residual at node d\n"
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [(("dc",), ""), (("sweep", "--source", "V1", "--from", "0.733638", "--to", "0.733638", "--step", "1"), " (sweeping V1=0.733638)")],
+    ids=["dc", "sweep"],
+)
+def test_failed_solve_names_its_worst_node(run, tmp_path, argv, where):
+    # The ladder's one failure message names the node of the worst
+    # residual, in a DC solve and in a sweep point alike.
+    f = tmp_path / "c930.sp"
+    f.write_text(STALLS_WITH_NON_FINITE_STEPS)
+    code, out, err = run(argv[0], str(f), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == f"error: gmin stepping stalled below the minimum step; worst residual at node d{where}\n"
+
+
+def test_zero_drive_prints_as_zero_after_a_cold_ladder(run, tmp_path):
+    # Plain Newton cannot reach V(n) = 100 V from zero, and the decoupled
+    # lane walks the ladder from its cold start, each driven node at its
+    # drive: +0.0 for the 0 V source, so V(m) prints 0, not -0.
+    f = tmp_path / "far.sp"
+    f.write_text("* far\nI1 0 n DC 1m\nR1 n 0 100k\nV2 m 0 DC 0\nR2 m 0 1k\n.END\n")
+    code, out, err = run("dc", str(f))
+    assert code == 0 and err == ""
+    assert body_of(out)[:3] == ["V(m) 0 V", "V(n) 100 V", "I(V2) 0 A"]
 
 
 def test_power_negative_input_exits_2(run):
@@ -518,6 +544,39 @@ def test_stimulus_corpus_write_survives_read(run, tmp_path):
     assert q < 0.05 and qbar > 1.75
 
 
+@pytest.mark.parametrize("argv", [("--dt", "2n"), ("--dt", "5n", "--method", "trap")], ids=["be-2n", "trap-5n"])
+def test_coarse_write_steps_take_the_gmin_ladder(run, tmp_path, argv):
+    # Steps this coarse fail plain Newton at the write edge (t = 6 ns on
+    # BE at 2 ns, 10 ns on trap at 5 ns); each walks the gmin ladder, as a
+    # DC lane does, and the write still flips the cell by t = 20 ns.
+    csv_path = tmp_path / "coarse.csv"
+    code, _, err = run(
+        "tran", str(CORPUS / "cell_write_read.sp"), "--tstop", "20n", *argv,
+        "--ic", "Q=1.8", "--ic", "QBAR=0", "--out", str(csv_path),
+    )
+    assert code == 0 and err.startswith("warning: time step ")
+    with csv_path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[-1][0]) == pytest.approx(20e-9)
+    assert float(rows[-1][rows[0].index("V(Q)")]) < 0.1
+    assert float(rows[-1][rows[0].index("V(QBAR)")]) > 1.7
+
+
+def test_library_warning_prints_as_one_line(tmp_path):
+    # A fresh process under Python's default filters: the warning is one
+    # `warning:` line on stderr, with no source location or echoed code,
+    # and stdout is the report alone.
+    done = python_dash_m(
+        tmp_path, "tran", str(CORPUS / "cell_write_read.sp"), "--tstop", "20n", "--dt", "2n",
+        "--ic", "Q=1.8", "--ic", "QBAR=0",
+    )
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: time step 2e-09 s exceeds a rise/fall time of source VWL; edges will be under-resolved\n"
+    )
+    assert body_of(done.stdout) == ["points 11", "t_stop 2e-08 s"]
+
+
 def test_parse_reports_the_title_line(run, tmp_path):
     f = tmp_path / "div.sp"
     f.write_text(DIVIDER)
@@ -731,8 +790,10 @@ def test_zero_ohm_resistor_exits_2(run, tmp_path, argv):
 
 
 def test_tran_failed_step_exits_1(run, tmp_path, monkeypatch):
-    # Every time step is refused its Newton solve (the t=0 solve, on the
-    # static Jacobian, is not): an analysis failure, named by its time.
+    # Every time step is refused its Newton solve, on plain Newton and on
+    # each rung of the gmin ladder (the t=0 solve, on the static Jacobian,
+    # is not): an analysis failure with the ladder's message, naming the
+    # node the refusals name, and named by its time.
     f = tmp_path / "rc.sp"
     f.write_text(RC)
     real = MnaSystem._newton_lanes
@@ -744,7 +805,9 @@ def test_tran_failed_step_exits_1(run, tmp_path, monkeypatch):
     monkeypatch.setattr(MnaSystem, "_newton_lanes", refusing)
     code, out, err = run("tran", str(f), "--tstop", "1m", "--dt", "0.1m")
     assert code == 1 and out == ""
-    assert err == "error: refused (at t=0.0001 s)\n"
+    assert err == (
+        "error: gmin stepping stalled below the minimum step; worst residual at node refused (at t=0.0001 s)\n"
+    )
 
 
 def test_tran_larger_than_memory_exits_2(run, tmp_path, monkeypatch):

@@ -211,7 +211,7 @@ def test_newton_failure_names_worst_node(monkeypatch):
     monkeypatch.setattr(engine, "MAX_ITER", 2)
     x0 = np.zeros((1, sys.size))
     x, _, failed = sys._newton_lanes(x0, sys.rhs()[None], sys.g_static)
-    assert list(failed) == [0] and "worst residual at node" in failed[0]
+    assert failed == {0: "d"}
     assert np.array_equal(x, x0)
 
 
@@ -339,7 +339,7 @@ def test_failed_unshunted_rung_is_not_repeated(monkeypatch):
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     start = np.zeros((1, sys.size))
     x, _, fallback, left = sys.solve_lanes(sys.rhs()[None], start)
-    assert fallback[0] and left == {0: "gmin stepping stalled below the minimum step"}
+    assert fallback[0] and left == {0: "gmin stepping stalled below the minimum step; worst residual at node c"}
     assert [failed for _, failed in unshunted] == [True, True]
     assert np.array_equal(unshunted[0][0], start)
     assert np.array_equal(x, unshunted[1][0])
@@ -358,6 +358,35 @@ def test_decoupled_lane_far_from_its_start_takes_the_ladder(fallbacks):
     assert fallbacks == [("_gmin_stepping", 1)]
     sweep = dc_sweep(net, "I1", 1e-3, 1e-3, 1.0)
     assert np.allclose(sweep.nodes["n"], [100.0], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("start, stop, step", [(0.5e-3, 1e-3, 0.5e-3), (1e-3, 0.5e-3, 0.5e-3), (0.0, 1e-3, 0.1e-3)])
+def test_decoupled_sweep_reaches_far_points_both_ways(start, stop, step):
+    # 1 mA into 100 kOhm, in steps of 0.5 mA: each point lies 50 V from the
+    # one before, beyond what plain Newton's clipped steps cover.  A
+    # decoupled system has one solution at each drive, so the ladder walks
+    # from the cold start, not from the warm start 50 V off.  Steps of
+    # 0.1 mA up from zero pass too.
+    net = parse_netlist("* far\nI1 0 n DC 1m\nR1 n 0 100k\n.END")
+    sweep = dc_sweep(net, "I1", start, stop, step)
+    assert np.allclose(sweep.nodes["n"], sweep.values * 1e5, rtol=1e-9, atol=0.0)
+
+
+def test_only_the_ladder_and_the_driver_call_newton():
+    # solve_lanes is the one way into Newton, and _gmin_stepping its one
+    # fallback: every other solve, a transient step included, goes through
+    # solve_lanes, and so takes the same ladder and failure message.
+    refs, callers = 0, {}
+    for path in sorted(Path(sramlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += sum(isinstance(node, ast.Attribute) and node.attr == "_newton_lanes" for node in ast.walk(tree))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Attribute) and node.attr == "_newton_lanes":
+                        callers[node] = (path.name, fn.name)  # outer functions come first: the innermost wins
+    assert len(callers) == refs
+    assert sorted(set(callers.values())) == [("engine.py", "_gmin_stepping"), ("engine.py", "solve_lanes")]
 
 
 def test_only_the_engine_reads_private_members_of_mna_system():
