@@ -1,7 +1,7 @@
 """Modified-nodal-analysis solver.
 
 DC operating points use damped Newton iteration with an adaptive
-gmin-stepping fallback; sweeps warm-start each point from the last;
+gmin-stepping fallback; sweeps warm-start only a coupled system's points;
 transient runs fixed-step backward Euler (default) or trapezoidal companions
 for the capacitors.  The Newton loop runs on lanes, a stack of states of one
 system each with its own right-hand side, linear Jacobian and device
@@ -623,20 +623,45 @@ class MnaSystem:
             failed = {int(rescue[j]): msg for j, msg in left.items()}
         return x, its, ladder, failed
 
-    def solve_dc_vector(
-        self, x0: np.ndarray | None = None, b: np.ndarray | None = None
-    ) -> tuple[np.ndarray, int, bool]:
-        """One DC solution from x0 (default zero) against the right-hand
-        side b (default rhs(), every source at its card value):
-        solve_lanes on one lane.  Returns the state, its iteration count
-        and whether it needed the gmin ladder; a lane that fails raises
-        ConvergenceError with its message."""
-        start = np.zeros(self.size) if x0 is None else x0
-        b = self.rhs() if b is None else b
-        x, its, ladder, failed = self.solve_lanes(b[None], start)
+    def solve_dc_vector(self) -> tuple[np.ndarray, int, bool]:
+        """The DC solution with every source at its card value, from a zero
+        start: solve_lanes on one lane.  Returns the state, its iteration
+        count and whether it needed the gmin ladder; a lane that fails
+        raises ConvergenceError with its message."""
+        x, its, ladder, failed = self.solve_lanes(self.rhs()[None], np.zeros(self.size))
         if failed:
             raise ConvergenceError(failed[0])
         return x[0], int(its[0]), bool(ladder[0])
+
+    def sweep(
+        self, b: np.ndarray, x0: np.ndarray | None = None, sets: np.ndarray | None = None
+    ) -> tuple[np.ndarray, dict[int, str]]:
+        """States of a sweep, lanes against b (lanes, n+1), each with its
+        row sets of par_sets (default the first): the one driver of every
+        DC sweep.  A decoupled system has one solution at each drive, so
+        its lanes are one solve_lanes call, started at x0 (lanes, n), by
+        default cold.  A coupled one's are solved in order, so the walk
+        follows one branch: each lane from the lane before when both share
+        a set, else from its row of x0, by default zero.  A set stops at
+        its first failed lane, whose message its later lanes share.
+        Returns the states and the message of each lane that failed, whose
+        state is then not a solution.  A singular step raises
+        FloatingNodeError."""
+        if self.decoupled:
+            x, _, _, failed = self.solve_lanes(b, x0, sets)
+            return x, failed
+        sets = np.zeros(len(b), dtype=np.int64) if sets is None else sets
+        x = np.zeros((len(b), self.size)) if x0 is None else np.array(x0, dtype=float)
+        failed: dict[int, str] = {}
+        for i in range(len(b)):
+            warm = i > 0 and sets[i] == sets[i - 1]
+            if warm and i - 1 in failed:
+                failed[i] = failed[i - 1]
+                continue
+            (x[i],), _, _, left = self.solve_lanes(b[i : i + 1], x[i - 1] if warm else x[i], sets[i : i + 1])
+            if left:
+                failed[i] = left[0]
+        return x, failed
 
     @property
     def decoupled(self) -> bool:
@@ -699,38 +724,30 @@ def dc_sweep(
     step: float,
     tech: TechnologyParams | None = None,
 ) -> SweepResult:
-    """Sweep one source's drive over an inclusive grid, the first point
-    solved from a zero start and each later one warm-started from the
-    point before (see _warm_sweep).  A grid that sweep_grid refuses, or
-    whose tables cannot fit in physical memory, raises ValueError."""
+    """Sweep one source's drive over an inclusive grid, one lane per point
+    of MnaSystem.sweep.  The first failed point raises ConvergenceError,
+    named by the source at its value, and a singular step
+    FloatingNodeError, named by the source.  A grid that sweep_grid
+    refuses, or whose tables cannot fit in physical memory, raises
+    ValueError."""
     sys = MnaSystem(net, tech)
-    # The grid, the right-hand side and state tables, and the result's copy
-    # of each unknown: refused before any of them is allocated if they
-    # cannot fit.
+    # The grid, the right-hand sides, the lanes' tables and the result's
+    # copies: refused before any of them is allocated if they cannot fit.
     points = _sweep_points(start, stop, step)
     _refuse_beyond_memory(
-        8 * points * (3 * sys.size + 2), f"{points:g} sweep points", "the grid, right-hand side and state tables"
+        8 * points * (4 * sys.size + 5), f"{points:g} sweep points", "the grid, right-hand side and state tables"
     )
     values = sweep_grid(start, stop, step)
-    xs = _warm_sweep(sys, sys.rhs(drive={source_id: values}), values, source_id)
+    try:
+        xs, failed = sys.sweep(sys.rhs(drive={source_id: values}))
+    except FloatingNodeError as exc:
+        raise FloatingNodeError(f"{exc} (sweeping {source_id})") from exc
+    if failed:
+        first = min(failed)
+        raise ConvergenceError(f"{failed[first]} (sweeping {source_id}={values[first]:g})")
     nodes = {name: xs[:, k].copy() for name, k in sys.node_index.items()}
     currents = {sid: xs[:, k].copy() for sid, k in sys.branch_index.items()}
     return SweepResult(source_id, values, nodes, currents)
-
-
-def _warm_sweep(sys: MnaSystem, b: np.ndarray, values: np.ndarray, label: str) -> np.ndarray:
-    """The states of a sweep, (points, n): each right-hand side of b solved
-    in turn from the state before, the first from zero.  A failed point
-    raises its error, annotated with `label` at its value."""
-    xs = np.zeros((values.size, sys.size))
-    x = None
-    for i, v in enumerate(values):
-        try:
-            x, _, _ = sys.solve_dc_vector(x, b[i])
-        except EngineError as exc:
-            raise type(exc)(f"{exc} (sweeping {label}={v:g})") from exc
-        xs[i] = x
-    return xs
 
 
 def _latent(v: np.ndarray) -> bool:
@@ -760,7 +777,8 @@ def transient(
     """Fixed-step transient; `method` is "be" or "trap".  Each step is one
     lane of solve_lanes on the companion Jacobian, so a step plain Newton
     fails walks the gmin ladder; one the ladder fails raises
-    ConvergenceError, its message followed by its time.
+    ConvergenceError, its message followed by its time.  A run in which
+    any solve took the ladder, the t=0 one included, warns once at its end.
 
     A backward-Euler step k is latent when every source drive equals step
     k-1's and _latent holds on the node voltages of steps k-3 to k-1: the
@@ -816,12 +834,13 @@ def transient(
         ids = (pin for pin in (f"VIC{i}" for i in itertools.count()) if pin not in taken)
         pins = [SourceElement(next(ids), Node(name), Node(GROUND), "DC", (float(v),)) for name, v in ics.items()]
         pinned = MnaSystem(with_elements(net, pins), tech)
-    x0 = (pinned if ics else sys).solve_dc_vector()[0][: sys.size]
+    x_ic, _, ladder = (pinned if ics else sys).solve_dc_vector()
+    rescued = [0.0] if ladder else []  # the time of each solve that needed the gmin ladder
 
     times = np.arange(n_steps + 1) * dt
     # One row per unknown, so each waveform is a row of this one table.
     xs = np.zeros((sys.size, n_steps + 1))
-    xs[:, 0] = x0
+    xs[:, 0] = x_ic[: sys.size]
 
     # Every source's drive at every time point, a DC one evaluated once: the
     # result's drives, and the right-hand side of every step, one row each.
@@ -862,7 +881,7 @@ def transient(
         held[1:] = (b_steps[1:] == b_steps[:-1]).all(axis=1)
 
     i_hist = np.zeros(cap_c.size)  # trapezoidal branch-current history
-    x = x0.copy()
+    x = xs[:, 0].copy()
     for k in range(1, n_steps + 1):
         if held[k] and k >= 3 and _latent(xs[: sys.n_nodes, k - 3 : k]):
             xs[:, k] = x
@@ -876,9 +895,11 @@ def transient(
         if method == "trap" and not startup:
             hist += i_hist
         np.add.at(b_vec, cap_ab, np.stack((-hist, hist), axis=1).reshape(-1))
-        (x,), _, _, failed = sys.solve_lanes(b_vec[None], x, g=g_start if startup else g_dyn)
+        (x,), _, (ladder,), failed = sys.solve_lanes(b_vec[None], x, g=g_start if startup else g_dyn)
         if failed:
             raise ConvergenceError(f"{failed[0]} (at t={times[k]:g} s)")
+        if ladder:
+            rescued.append(times[k])
         if method == "trap":
             x_ext = np.append(x, 0.0)
             dv = (x_ext[cap_a] - x_ext[cap_b]) - v_prev
@@ -888,6 +909,8 @@ def transient(
                 i_hist = factor * cap_c * dv - i_hist
         xs[:, k] = x
 
+    if rescued:
+        warnings.warn(f"{len(rescued)} solve(s) needed the gmin ladder, the first at t={rescued[0]:g} s", stacklevel=2)
     nodes = {name: xs[i] for name, i in sys.node_index.items()}
     currents = {sid: xs[i] for sid, i in sys.branch_index.items()}
     return TransientResult(times, nodes, currents, drives)

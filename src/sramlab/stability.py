@@ -19,14 +19,7 @@ import numpy as np
 
 from .config import ConfigError
 from .devices import TechnologyParams, derive_tech_params, leakage_current
-from .engine import (
-    MAX_LANES,
-    ConvergenceError,
-    EngineError,
-    MnaSystem,
-    _warm_sweep,
-    sweep_grid,
-)
+from .engine import MAX_LANES, ConvergenceError, EngineError, FloatingNodeError, MnaSystem, sweep_grid
 from .netlist import GROUND, Netlist, Node, SourceElement, instantiate, with_elements
 from .report import write_columns
 
@@ -65,21 +58,13 @@ class SnmResult:
         return min(self.snm_high, self.snm_low)
 
 
-@dataclass
-class ButterflyData:
+@dataclass(frozen=True)
+class ButterflyData(SnmResult):
     lobe_a: TransferCurve  # input V1 = V(Q), output V2 = V(QBAR)
     lobe_b: TransferCurve  # input V2 = V(QBAR), output V1 = V(Q)
-    snm_high: float
-    snm_low: float
-    anchors_high: tuple[tuple[float, float], tuple[float, float]] | None
-    anchors_low: tuple[tuple[float, float], tuple[float, float]] | None
     mode: str
     v_dd: float
     grid: float
-
-    @property
-    def snm(self) -> float:
-        return min(self.snm_high, self.snm_low)
 
 
 def _first_of_runs(u: np.ndarray) -> np.ndarray:
@@ -195,19 +180,22 @@ def _butterflies(
     with its own sources.  A's VSNMIN drives Q, B's drives QBAR, and a
     sample's shifts apply to both copies.  The pair is first solved once
     for the unshifted cell, and a sample whose shifts are all zero takes
-    that result, error included.  With one storage node driven, a 6T
-    cell's other node is its copy's only free unknown, with one solution
-    at each input, so each grid point is a lane of solve_lanes carrying
-    both lobes: the nominal pair's lanes cold-started (drives set, free
-    nodes at zero), then every shifted sample's, at most BATCH_LANES a
-    batch, one parameter set per sample, each lane started at the nominal
-    pair's state at its point.  A lane that plain Newton fails walks the
-    gmin ladder, which cannot leave a decoupled lane's one solution.  A
-    pair with coupled free unknowns may be bistable, and each sample's
-    pair is swept instead, both drives in lockstep, each point
-    warm-started from the last.  A failed lane fails only its own sample
-    (a failed nominal lane starts the samples from the state it was left
-    in); an error not tied to a lane fails its whole batch.
+    that result, error included.  Each grid point is a lane of one
+    MnaSystem.sweep call carrying both lobes, both drives in lockstep: the
+    nominal pair's lanes from sweep's default start, then every shifted
+    sample's, at most BATCH_LANES a batch, one parameter set per sample,
+    each started at the nominal pair's state.  With one storage node
+    driven, a 6T cell's other node is its copy's only free unknown, with
+    one solution at each input: the pair is decoupled, every lane is
+    solved at once, the nominal lanes cold-started (drives set, free nodes
+    at zero), and a lane that plain Newton fails walks the gmin ladder,
+    which cannot leave a decoupled lane's one solution.  A pair with
+    coupled free unknowns may be bistable, and each sample's lanes are
+    walked in order instead, each point warm-started from the last, the
+    first from zero for the nominal pair and from the nominal pair's
+    state for a sample.  A failed lane fails only its own sample (a failed
+    nominal lane starts the samples from the state it was left in); an
+    error not tied to a lane fails its whole batch.
     """
     if mode not in ("hold", "read"):
         raise ValueError(f"unknown butterfly mode {mode!r}")
@@ -225,38 +213,26 @@ def _butterflies(
 
     def solve(batch: list, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None, dict]:
         # Both lobes' probes along the grid under each map of batch,
-        # (samples, 2, points), lanes started at `start`, (points, n); the
-        # lanes' states (None where the pair is swept); and the error of
-        # each sample that failed.
+        # (samples, 2, points), each sample's sweep started at `start`,
+        # (points, n); the lanes' states (None after a singular step); and
+        # the error of each sample that failed.
         points = v_in.size  # lane k is point k % points of sample k // points
-        out = np.empty((len(batch), 2, points))
         paired = [{m + side: v for m, v in shift.items() for side in sides} for shift in batch]
         sys = MnaSystem(pair, tech, paired)
-        b = sys.rhs(drive={"VSNMIN" + side: v_in for side in sides})
-        probe = [sys.node_index[p] for p in probes]
-        if sys.decoupled:
-            x0 = None if start is None else np.tile(start, (len(batch), 1))
-            sets = np.repeat(np.arange(len(batch)), points)
-            try:
-                x, _, _, failed = sys.solve_lanes(np.tile(b, (len(batch), 1)), x0, sets)
-            except EngineError as exc:
-                # Not tied to one lane (a singular step, say), so every
-                # sample of the batch fails with it.
-                return out, None, dict.fromkeys(range(len(batch)), type(exc)(f"{exc} (sweeping VSNMIN)"))
-            x = x.reshape(len(batch), points, sys.size)
-            out[:] = x[:, :, probe].swapaxes(1, 2)
-            errors: dict[int, EngineError] = {}
-            for lane in sorted(failed):
-                msg = f"{failed[lane]} (sweeping VSNMIN={v_in[lane % points]:g})"
-                errors.setdefault(lane // points, ConvergenceError(msg))
-            return out, x, errors
-        errors = {}
-        for i, shift in enumerate(paired):
-            try:
-                out[i] = _warm_sweep(MnaSystem(pair, tech, shift), b, v_in, "VSNMIN")[:, probe].T
-            except EngineError as exc:
-                errors[i] = exc
-        return out, None, errors
+        b = np.tile(sys.rhs(drive={"VSNMIN" + side: v_in for side in sides}), (len(batch), 1))
+        x0 = None if start is None else np.tile(start, (len(batch), 1))
+        try:
+            x, failed = sys.sweep(b, x0, np.repeat(np.arange(len(batch)), points))
+        except FloatingNodeError as exc:
+            # Not tied to one lane, so every sample of the batch fails with it.
+            error = FloatingNodeError(f"{exc} (sweeping VSNMIN)")
+            return np.empty((len(batch), 2, points)), None, dict.fromkeys(range(len(batch)), error)
+        x = x.reshape(len(batch), points, sys.size)
+        errors: dict[int, EngineError] = {}
+        for lane in sorted(failed):
+            msg = f"{failed[lane]} (sweeping VSNMIN={v_in[lane % points]:g})"
+            errors.setdefault(lane // points, ConvergenceError(msg))
+        return x[:, :, [sys.node_index[p] for p in probes]].swapaxes(1, 2), x, errors
 
     nominal, states, errors = solve([{}])
     nominal_error, start = errors.get(0), None if states is None else states[0]
@@ -277,7 +253,7 @@ def _butterflies(
             lobe_a = TransferCurve(v_in, v_out[i, 0])
             lobe_b = TransferCurve(v_in, v_out[i, 1])
             result = inscribed_square_snm(lobe_a, lobe_b)
-            yield ButterflyData(lobe_a, lobe_b, **vars(result), mode=mode, v_dd=v_dd, grid=grid)
+            yield ButterflyData(**vars(result), lobe_a=lobe_a, lobe_b=lobe_b, mode=mode, v_dd=v_dd, grid=grid)
 
 
 def butterfly_to_csv(data: ButterflyData, dest) -> None:

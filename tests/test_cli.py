@@ -544,17 +544,21 @@ def test_stimulus_corpus_write_survives_read(run, tmp_path):
     assert q < 0.05 and qbar > 1.75
 
 
-@pytest.mark.parametrize("argv", [("--dt", "2n"), ("--dt", "5n", "--method", "trap")], ids=["be-2n", "trap-5n"])
-def test_coarse_write_steps_take_the_gmin_ladder(run, tmp_path, argv):
+@pytest.mark.parametrize(
+    "argv, at", [(("--dt", "2n"), "6e-09"), (("--dt", "5n", "--method", "trap"), "1e-08")], ids=["be-2n", "trap-5n"]
+)
+def test_coarse_write_steps_take_the_gmin_ladder(run, tmp_path, argv, at):
     # Steps this coarse fail plain Newton at the write edge (t = 6 ns on
     # BE at 2 ns, 10 ns on trap at 5 ns); each walks the gmin ladder, as a
-    # DC lane does, and the write still flips the cell by t = 20 ns.
+    # DC lane does, and says so once, and the write still flips the cell by
+    # t = 20 ns.
     csv_path = tmp_path / "coarse.csv"
     code, _, err = run(
         "tran", str(CORPUS / "cell_write_read.sp"), "--tstop", "20n", *argv,
         "--ic", "Q=1.8", "--ic", "QBAR=0", "--out", str(csv_path),
     )
     assert code == 0 and err.startswith("warning: time step ")
+    assert err.endswith(f"\nwarning: 1 solve(s) needed the gmin ladder, the first at t={at} s\n")
     with csv_path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert float(rows[-1][0]) == pytest.approx(20e-9)
@@ -573,8 +577,21 @@ def test_library_warning_prints_as_one_line(tmp_path):
     assert done.returncode == 0
     assert done.stderr == (
         "warning: time step 2e-09 s exceeds a rise/fall time of source VWL; edges will be under-resolved\n"
+        "warning: 1 solve(s) needed the gmin ladder, the first at t=6e-09 s\n"
     )
     assert body_of(done.stdout) == ["points 11", "t_stop 2e-08 s"]
+
+
+@pytest.mark.parametrize("method", ["be", "trap"])
+def test_fine_write_steps_print_no_warning(run, method):
+    # At 0.1 ns every edge is resolved and plain Newton solves every step,
+    # the t=0 solve included, so neither warning prints.
+    code, out, err = run(
+        "tran", str(CORPUS / "cell_write_read.sp"), "--tstop", "60n", "--dt", "0.1n", "--method", method,
+        "--ic", "Q=1.8", "--ic", "QBAR=0",
+    )
+    assert code == 0 and err == ""
+    assert body_of(out) == ["points 601", "t_stop 6e-08 s"]
 
 
 def test_parse_reports_the_title_line(run, tmp_path):

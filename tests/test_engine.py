@@ -131,7 +131,10 @@ def held_solve(net, volts):
     x0 = np.zeros(sys.size)
     for name, v in volts.items():
         x0[sys.node_index[name]] = v
-    return (sys, *sys.solve_dc_vector(x0))
+    x, its, ladder, failed = sys.solve_lanes(sys.rhs()[None], x0)
+    if failed:
+        raise ConvergenceError(failed[0])
+    return sys, x[0], int(its[0]), bool(ladder[0])
 
 
 def max_node_residual(sys, x):
@@ -402,6 +405,21 @@ def test_only_the_engine_reads_private_members_of_mna_system():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert reads == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A single-underscore name belongs to its own module: other modules
+    # reach its behaviour through public names, so it can change in one
+    # place.
+    imported = [
+        (path.name, alias.name)
+        for path in sorted(Path(sramlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert imported == []
 
 
 def test_bad_resistor_value():
@@ -825,8 +843,43 @@ def test_dc_sweep_inverter_transfer():
 
 def test_dc_sweep_annotates_failures():
     net = parse_netlist("* floating\nV1 in 0 DC 1\nC1 in adrift 1p\n.END")
-    with pytest.raises(FloatingNodeError, match=r"sweeping V1=0\.5"):
+    with pytest.raises(FloatingNodeError, match=r"sweeping V1\)"):
         dc_sweep(net, "V1", 0.5, 1.0, 0.5)
+
+
+def test_decoupled_dc_sweep_is_one_batch_of_lanes(monkeypatch):
+    # An inverter with its input driven has one free unknown, so each
+    # point of its transfer curve has one solution: the sweep is one
+    # solve_lanes call of every point, each landing within VNTOL of the
+    # root of out's KCL, found by bisection on the drain currents.
+    net = parse_netlist(INVERTER)
+    calls = []
+    real = MnaSystem.solve_lanes
+
+    def spy(self, b, *args, **kwargs):
+        calls.append(len(b))
+        return real(self, b, *args, **kwargs)
+
+    monkeypatch.setattr(MnaSystem, "solve_lanes", spy)
+    res = dc_sweep(net, "VIN", 0.0, 1.8, 1e-3)
+    monkeypatch.undo()
+    assert MnaSystem(net).decoupled and calls == [1801]
+    tech = derive_tech_params(TechnologyParams.default())
+    par_n = pack_device(tech.nmos, "NMOS", 6e-6, 2e-6, tech.v_t)[None, :]
+    par_p = pack_device(tech.pmos, "PMOS", 10.5e-6, 2e-6, tech.v_t)[None, :]
+    vin, zero = res.values[:, None], np.zeros((res.values.size, 1))
+
+    def leaving(v):  # the current out of node out at V(out) = v, increasing in v
+        i_n = mos_eval(par_n, vin, v, zero, tech.v_t)[0]
+        i_p = mos_eval(par_p, vin - 1.8, v - 1.8, zero, tech.v_t)[0]
+        return (i_n + i_p)[:, 0]
+
+    lo, hi = np.zeros((res.values.size, 1)), np.full((res.values.size, 1), 1.8)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = (leaving(mid) > 0)[:, None]
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    assert np.abs(res.node("out") - 0.5 * (lo + hi)[:, 0]).max() <= VNTOL
 
 
 def test_dc_sweep_of_a_current_source():

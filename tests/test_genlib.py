@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sramlab.engine import MnaSystem, solve_dc
+from sramlab.engine import ConvergenceError, MnaSystem, solve_dc
 from sramlab.genlib import (
     DEFAULT_CELL_PARASITICS,
     CellGeometry,
@@ -326,7 +326,9 @@ def test_sense_amp_regenerates_an_imbalance():
         sys = MnaSystem(net)
         x0 = np.zeros(sys.size)
         x0[sys.node_index[hi]] = 1.8
-        x, _, _ = sys.solve_dc_vector(x0)
+        (x,), _, _, failed = sys.solve_lanes(sys.rhs()[None], x0)
+        if failed:
+            raise ConvergenceError(failed[0])
         return {name: x[i] for name, i in sys.node_index.items()}
 
     up = sense("BL", "BLB")

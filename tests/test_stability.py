@@ -337,9 +337,11 @@ def sequential_lobes(cell, mode, v_dd, grid, vth_shift=None):
     lobes = []
     for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
         lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive), vth_shift=vth_shift)
-        x, v_out = None, np.empty(values.size)
+        x, v_out = np.zeros(lobe.size), np.empty(values.size)
         for i, b in enumerate(lobe.rhs(drive={"VIN": values})):
-            x, _, _ = lobe.solve_dc_vector(x, b)
+            (x,), _, _, failed = lobe.solve_lanes(b[None], x)
+            if failed:
+                raise ConvergenceError(failed[0])
             v_out[i] = x[lobe.node_index[cell.role_node(probe)]]
         lobes.append(TransferCurve(values, v_out))
     return lobes
@@ -684,19 +686,21 @@ def test_coupled_lobe_is_swept_not_batched(cell, monkeypatch):
     assert MnaSystem(biased_lobe(cell, "hold", 1.8, "Q")).decoupled
 
     swept = []
-    real = stability._warm_sweep
+    real = MnaSystem.sweep
+    values = sweep_grid(0.0, 1.8, 0.02)
 
-    def spy(sys, b, values, label):
-        drives = [-b[:, sys.branch_index[f"VSNMIN_{side}"]] for side in "AB"]
-        swept.append((label, sys.decoupled, all(np.array_equal(d, values) for d in drives)))
-        return real(sys, b, values, label)
+    def spy(self, b, *args):
+        drives = [-b[:, self.branch_index[f"VSNMIN_{side}"]] for side in "AB"]
+        swept.append((self.decoupled, all(np.array_equal(d, values) for d in drives)))
+        return real(self, b, *args)
 
-    monkeypatch.setattr(stability, "_warm_sweep", spy)
+    monkeypatch.setattr(MnaSystem, "sweep", spy)
     butterfly(cell, mode="hold", v_dd=1.8, grid=0.02)
-    assert swept == []
+    assert swept == [(True, True)]
+    swept.clear()
     data = butterfly(coupled, mode="hold", v_dd=1.8, grid=0.02)
     monkeypatch.undo()
-    assert swept == [("VSNMIN", False, True)]
+    assert swept == [(False, True)]
     assert_matches_sequential(data, coupled)
 
 
@@ -858,7 +862,9 @@ def probe_write(cell, bl_v, v_dd=1.8, wl=1.8):
     the latch settled from the held state."""
     q, qbar = cell.role_node("Q"), cell.role_node("QBAR")
     sys = MnaSystem(biased_write(cell, bl_v, v_dd, wl))
-    x, _, _ = sys.solve_dc_vector(state_at(sys, {q: v_dd, qbar: 0.0}))
+    (x,), _, _, failed = sys.solve_lanes(sys.rhs()[None], state_at(sys, {q: v_dd, qbar: 0.0}))
+    if failed:
+        raise ConvergenceError(failed[0])
     return x[sys.node_index[q]] < x[sys.node_index[qbar]]
 
 
@@ -1253,9 +1259,10 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
 
 
 def test_failed_coupled_sample_is_nan_at_its_index_only(cell, monkeypatch):
-    # A coupled lobe pair is swept one sample at a time.  Poisoned as above,
-    # the third sample's sweep fails, plain Newton and the gmin ladder
-    # alike, and that sample alone is NaN.
+    # A coupled lobe pair's samples are swept as one batch, each sample's
+    # points walked in turn.  Poisoned as above, the third sample's walk
+    # fails at its first point, plain Newton and the gmin ladder alike, and
+    # stops there; that sample alone is NaN.
     gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
     coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
     vm = VariationModel(3e-9, 10, 1)
@@ -1267,21 +1274,47 @@ def test_failed_coupled_sample_is_nan_at_its_index_only(cell, monkeypatch):
         res[(par == doomed).all(axis=(-2, -1))] = np.nan
 
     swept = []
-    real_sweep = stability._warm_sweep
+    real_sweep = MnaSystem.sweep
 
-    def sweep_spy(sys, *args):
-        swept.append(sys.decoupled)
-        return real_sweep(sys, *args)
+    def sweep_spy(self, *args):
+        swept.append(self.decoupled)
+        return real_sweep(self, *args)
 
     monkeypatch.setattr(engine, "mos_stamp", poisoned)
-    monkeypatch.setattr(stability, "_warm_sweep", sweep_spy)
+    monkeypatch.setattr(MnaSystem, "sweep", sweep_spy)
+    entered = spy_fallbacks(monkeypatch)
     mc = monte_carlo_snm(coupled, vm=vm, mode="hold", v_dd=1.8, grid=0.05)
     monkeypatch.undo()
-    assert swept == [False] * 11  # the nominal pair, then each sample's
+    assert swept == [False] * 2  # the nominal pair, then the samples' batch
+    assert entered == ["_gmin_stepping"]  # the failed sample's first point only
     assert mc.failures == 1
     assert np.array_equal(np.flatnonzero(np.isnan(mc.samples)), [2])
     want = per_sample_snm(coupled, vm, "hold", 1.8, 0.05)
     assert np.array_equal(np.delete(mc.samples, 2), np.delete(want, 2))
+
+
+def test_coupled_monte_carlo_builds_one_system_per_batch(cell, monkeypatch):
+    # A coupled batch rides its samples' parameter sets, as a decoupled one
+    # does: one lobe-pair system for the nominal pair and one per batch,
+    # here of four samples, and every sample still equals its own
+    # butterfly bit for bit.
+    gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
+    coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
+    vm = VariationModel(3e-9, 10, 1)
+    built = []
+    real_init = MnaSystem.__init__
+
+    def init_spy(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.decoupled)
+
+    monkeypatch.setattr(MnaSystem, "__init__", init_spy)
+    monkeypatch.setattr(stability, "BATCH_LANES", 4 * sweep_grid(0.0, 1.8, 0.05).size)
+    mc = monte_carlo_snm(coupled, vm=vm, mode="hold", v_dd=1.8, grid=0.05)
+    monkeypatch.undo()
+    assert built == [False] * 4  # the nominal pair, then batches of 4, 4 and 2 samples
+    assert mc.failures == 0
+    assert np.array_equal(mc.samples, per_sample_snm(coupled, vm, "hold", 1.8, 0.05))
 
 
 def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
