@@ -50,7 +50,6 @@ from .netlist import (
     instantiate,
     parse_netlist,
     print_netlist,
-    structurally_equal,
     validate,
     with_elements,
 )

@@ -162,18 +162,18 @@ def _row_sums(terms: np.ndarray, runs: tuple[np.ndarray, np.ndarray], n: int) ->
 class MnaSystem:
     """Equation assembly for one netlist against one technology card.
 
-    vth_shift maps element ids to additive V_th0 perturbations, or is a list
-    of such maps; each map gives one device parameter set, a row of
-    par_sets, which lanes pick by index.  Single solves use the first set,
-    mos_par.  Degenerate elements (zero geometry or placeholder terminals)
-    are left unstamped.
+    vth_shift is a list of maps from element ids to additive V_th0
+    perturbations, None for one map with none; each map gives one device
+    parameter set, a row of par_sets, which lanes pick by index.  Single
+    solves use the first set, mos_par.  Degenerate elements (zero geometry
+    or placeholder terminals) are left unstamped.
     """
 
     def __init__(
         self,
         net: Netlist,
         tech: TechnologyParams | None = None,
-        vth_shift: dict[str, float] | list[dict[str, float]] | None = None,
+        vth_shift: list[dict[str, float]] | None = None,
     ):
         self.net = net
         self.tech = derive_tech_params(tech if tech is not None else TechnologyParams.default())
@@ -195,19 +195,20 @@ class MnaSystem:
         self.ground = self.size  # trailing extended slot
         self.branch_index = {e.id: self.n_nodes + k for k, e in enumerate(self.vsources)}
 
-        shifts = vth_shift if isinstance(vth_shift, list) else [vth_shift or {}]
+        shifts = [{}] if vth_shift is None else vth_shift
         if not shifts:
             raise ValueError("need at least one device parameter set")
-        self.mos_idx = np.zeros((len(mos), 4), dtype=np.int64)
+        # Each element's terminal slots, one row per element in list order:
+        # the devices', the capacitors' (transient's too), the resistors'
+        # and the voltage sources'.
+        self.mos_idx, self._cap_slots, res_slots, src_slots = (
+            np.array([[self._slot(n) for n in e.nodes] for e in group], dtype=np.int64).reshape(-1, width)
+            for group, width in ((mos, 4), (self.caps, 2), (resistors, 2), (self.vsources, 2))
+        )
+        res_slots, src_slots = res_slots.tolist(), src_slots.tolist()
         par = np.zeros((len(mos), N_PAR))
         for k, m in enumerate(mos):
             par[k] = pack_device(self.tech.device(m.polarity), m.polarity, m.w, m.l, self.vt)
-            self.mos_idx[k] = (
-                self._slot(m.drain),
-                self._slot(m.gate),
-                self._slot(m.source),
-                self._slot(m.bulk),
-            )
         self.par_sets = np.repeat(par[None], len(shifts), axis=0)
         self.par_sets[:, :, COL_VTH0] += np.array(
             [[shift.get(m.id, 0.0) for m in mos] for shift in shifts]
@@ -217,18 +218,15 @@ class MnaSystem:
         # The linear elements' (row, column, value) entries, in the order
         # they accumulate.
         static = []
-        for r in resistors:
+        for r, (a, b) in zip(resistors, res_slots):
             if r.value <= 0:
                 raise ValueError(f"resistor {r.id} needs a positive value")
-            a, b = self._slot(r.n1), self._slot(r.n2)
             gg = 1.0 / r.value
             static += [(a, a, gg), (a, b, -gg), (b, b, gg), (b, a, -gg)]
-        for e in self.vsources:
-            k = self.branch_index[e.id]
-            a, b = self._slot(e.n_plus), self._slot(e.n_minus)
+        for k, (a, b) in enumerate(src_slots, start=self.n_nodes):
             static += [(a, k, 1.0), (b, k, -1.0), (k, a, 1.0), (k, b, -1.0)]
         rows, cols, vals = np.array(static).reshape(-1, 3).T
-        self._plan_step(resistors, (rows * (self.size + 1) + cols).astype(np.int64))
+        self._plan_step(res_slots, src_slots, (rows * (self.size + 1) + cols).astype(np.int64))
         self.g_static = np.zeros(self._sink + 1)
         np.add.at(self.g_static, self._static_pos, vals)
 
@@ -237,16 +235,15 @@ class MnaSystem:
             return self.ground
         return self.node_index[node.name]
 
-    def _plan_step(self, resistors: list[ResElement], static_keys: np.ndarray) -> None:
+    def _plan_step(self, res_slots: list[list[int]], src_slots: list[list[int]], static_keys: np.ndarray) -> None:
         # Eliminated sources: grounded, and the only grounded source on
         # their node.  sign is +1 when the node is the + terminal.
         size, ground = self.size, self.ground
         drives: dict[int, list[tuple[int, float]]] = {}
-        for e in self.vsources:
-            a, b = self._slot(e.n_plus), self._slot(e.n_minus)
+        for k, (a, b) in enumerate(src_slots, start=self.n_nodes):
             if (a == ground) != (b == ground):
                 node, sign = (a, 1.0) if b == ground else (b, -1.0)
-                drives.setdefault(node, []).append((self.branch_index[e.id], sign))
+                drives.setdefault(node, []).append((k, sign))
         fixed = sorted((node, *ks[0]) for node, ks in drives.items() if len(ks) == 1)
         self._drv_node = np.array([f[0] for f in fixed], dtype=np.int64)
         self._drv_branch = np.array([f[1] for f in fixed], dtype=np.int64)
@@ -268,14 +265,11 @@ class MnaSystem:
             for r in free[1:]:
                 parent[r] = root(free[0])
 
-        for row in self.mos_idx.tolist():
+        for row in self.mos_idx.tolist() + res_slots + self._cap_slots.tolist():
             join(row)
-        for e in resistors + self.caps:
-            join((self._slot(e.n1), self._slot(e.n2)))
-        for e in self.vsources:
-            k = self.branch_index[e.id]
+        for k, (a, b) in enumerate(src_slots, start=self.n_nodes):
             if k not in eliminated:
-                join((self._slot(e.n_plus), self._slot(e.n_minus), k))
+                join((a, b, k))
         components: dict[int, list[int]] = {}
         for i in range(size):
             if i not in eliminated:
@@ -294,11 +288,10 @@ class MnaSystem:
         n_ext = size + 1
         self._free = free = np.array(sorted(set(range(size)) - eliminated), dtype=np.int64)
         blocks = [np.array(by_size[m], dtype=np.int64) for m in sorted(by_size)]
-        caps = np.array([(self._slot(c.n1), self._slot(c.n2)) for c in self.caps], dtype=np.int64).reshape(-1, 2)
         terminals = self.mos_idx.T
         parts = [static_keys, np.arange(self.n_nodes) * (n_ext + 1), free * (n_ext + 1)]
         parts += [terminals[JAC_ROW] * n_ext + terminals[JAC_COL]]
-        parts += [sq[:, :, None] * n_ext + sq[:, None, :] for sq in [caps] + blocks]
+        parts += [sq[:, :, None] * n_ext + sq[:, None, :] for sq in [self._cap_slots] + blocks]
         query = np.concatenate([part.ravel() for part in parts])
         off = (query >= size * n_ext) | (query % n_ext == size)
         keys = np.sort(query[~off])
@@ -343,12 +336,13 @@ class MnaSystem:
         if unknown:
             raise ValueError(f"no stamped source named {unknown[0]!r}")
         b = np.zeros(np.broadcast_shapes(*map(np.shape, drive.values())) + (self.size + 1,))
-        for e in self.vsources:
-            b[..., self.branch_index[e.id]] -= drive[e.id] if e.id in drive else e.value_at(0.0)
+        for k, e in enumerate(self.vsources, start=self.n_nodes):
+            b[..., k] -= drive[e.id] if e.id in drive else e.value_at(0.0)
         for e in self.isources:
             val = drive[e.id] if e.id in drive else e.value_at(0.0)
-            b[..., self._slot(e.n_plus)] += val
-            b[..., self._slot(e.n_minus)] -= val
+            plus, minus = map(self._slot, e.nodes)
+            b[..., plus] += val
+            b[..., minus] -= val
         return b
 
     # -- solving ------------------------------------------------------
@@ -378,14 +372,12 @@ class MnaSystem:
         whose planned entries jac holds.
 
         jac holds this system's Jacobian values, one per planned entry plus
-        the sink, and res its extended residual: one of each or a stack of
-        lanes, (lanes, entries + 1) and (lanes, n+1), whose steps come back
-        as (lanes, n).  The step is exact: it equals the dense solve to
+        the sink, and res its extended residual, each a stack of lanes,
+        (lanes, entries + 1) and (lanes, n+1), whose steps come back as
+        (lanes, n).  The step is exact: it equals the dense solve to
         rounding.  A singular block raises FloatingNodeError; a nearly
         singular one may give a non-finite step, without a warning.
         """
-        if res.ndim == 1:
-            return self.newton_step(jac[None], res[None])[0]
         lanes = res.shape[0]
         # Worked in the negated step e = -delta, which saves negations.
         # Gathers use take, several times faster here than fancy indexing.
@@ -852,12 +844,11 @@ def transient(
     }
     b_steps = np.broadcast_to(sys.rhs(drive=drives), (times.size, sys.size + 1))
 
-    cap_a = np.array([sys._slot(c.n1) for c in sys.caps], dtype=np.int64)
-    cap_b = np.array([sys._slot(c.n2) for c in sys.caps], dtype=np.int64)
+    cap_a, cap_b = sys._cap_slots.T
     cap_c = np.array([c.value for c in sys.caps])
     # Scatter targets interleaved per capacitor, so shared slots accumulate
     # in capacitor order.
-    cap_ab = np.stack((cap_a, cap_b), axis=1).reshape(-1)
+    cap_ab = sys._cap_slots.reshape(-1)
     cap_pos = sys._cap_pos[:, [0, 0, 1, 1], [0, 1, 1, 0]].reshape(-1)
 
     def companion_matrix(factor: float) -> np.ndarray:

@@ -58,8 +58,8 @@ def _mos(mid: str, d: Node, g: Node, s: Node, b: Node, polarity: str, size: Devi
 
 
 def _finish(net: Netlist, roles: dict[str, str]) -> Netlist:
-    net.set_roles(roles)
-    net.add_trailer()
+    net.roles = roles
+    net.declared_node_count, net.declared_element_count = net.node_count, net.element_count
     return net
 
 

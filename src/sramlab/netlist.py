@@ -14,16 +14,18 @@ The dialect is a strict subset of SPICE, one card per line:
 Node "0" is ground.  "?" is an unresolved placeholder left by the extractor;
 every occurrence is a distinct node.  Card keywords are case-insensitive,
 node names are case-sensitive.  Three comment shapes carry structure and are
-recognized on top of plain retention: device bounding boxes
+read into fields rather than kept as comments: device bounding boxes
 ("* M5 DRAIN GATE SOURCE BULK (34 31 36 41.5)" attaches to the preceding
 card), extractor totals ("* Total Nodes: 6"), and role annotations
-("* roles: Q=3 QBAR=4").
+("* roles: Q=3 QBAR=4").  The printer writes each from its field: the bounding
+box after its card, the roles after the title, the totals before .END.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .numbers import format_spice_number, parse_spice_number
 from .report import AnalysisReport
@@ -43,16 +45,18 @@ class NetlistError(Exception):
     """Base class for netlist parsing and validation failures."""
 
 
-class NetlistSyntaxError(NetlistError):
+class _LineError(NetlistError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
 
 
-class NetlistSemanticError(NetlistError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+class NetlistSyntaxError(_LineError):
+    pass
+
+
+class NetlistSemanticError(_LineError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,27 @@ class Comment:
     text: str  # verbatim line, including the leading "*"
 
 
+class _Element:
+    """Base of the element types.  TERMINALS names a type's node fields in
+    card order; nodes, their values, is one getter made per type."""
+
+    TERMINALS: tuple[str, ...]
+    nodes: tuple[Node, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.nodes = property(attrgetter(*cls.TERMINALS))
+
+    @property
+    def degenerate(self) -> bool:
+        """True when the extractor left a '?' node."""
+        return any(n.placeholder for n in self.nodes)
+
+
 @dataclass
-class MosElement:
+class MosElement(_Element):
+    TERMINALS = ("drain", "gate", "source", "bulk")
+
     id: str
     drain: Node
     gate: Node
@@ -93,50 +116,36 @@ class MosElement:
     bbox: tuple[float, float, float, float] | None = None
 
     @property
-    def nodes(self) -> tuple[Node, Node, Node, Node]:
-        return (self.drain, self.gate, self.source, self.bulk)
-
-    @property
     def degenerate(self) -> bool:
         """True when the extractor emitted a stub: zero geometry or '?' nodes."""
-        return self.l <= 0.0 or self.w <= 0.0 or any(n.placeholder for n in self.nodes)
+        return self.l <= 0.0 or self.w <= 0.0 or super().degenerate
 
 
 @dataclass
-class CapElement:
+class CapElement(_Element):
+    TERMINALS = ("n1", "n2")
+
     id: str
     n1: Node
     n2: Node
     value: float
 
-    @property
-    def nodes(self) -> tuple[Node, Node]:
-        return (self.n1, self.n2)
-
-    @property
-    def degenerate(self) -> bool:
-        return any(n.placeholder for n in self.nodes)
-
 
 @dataclass
-class ResElement:
+class ResElement(_Element):
+    TERMINALS = ("n1", "n2")
+
     id: str
     n1: Node
     n2: Node
     value: float
 
-    @property
-    def nodes(self) -> tuple[Node, Node]:
-        return (self.n1, self.n2)
-
-    @property
-    def degenerate(self) -> bool:
-        return any(n.placeholder for n in self.nodes)
-
 
 @dataclass
-class SourceElement:
+class SourceElement(_Element):
     """Independent V or I source; positive current flows n+ -> n- internally."""
+
+    TERMINALS = ("n_plus", "n_minus")
 
     id: str
     n_plus: Node
@@ -147,14 +156,6 @@ class SourceElement:
     @property
     def is_current(self) -> bool:
         return self.id[0].upper() == "I"
-
-    @property
-    def nodes(self) -> tuple[Node, Node]:
-        return (self.n_plus, self.n_minus)
-
-    @property
-    def degenerate(self) -> bool:
-        return any(n.placeholder for n in self.nodes)
 
     def value_at(self, t: float) -> float:
         if self.kind == "DC":
@@ -197,9 +198,9 @@ Entry = Element | Comment
 class Netlist:
     title: str = ""
     entries: list[Entry] = field(default_factory=list)
-    # Filled by the parser from trailer/roles comments that remain in
-    # `entries`; calling code that builds netlists by hand should use
-    # add_trailer()/set_roles() so text and fields stay in sync.
+    # The extractor's totals and the role annotations: the parser reads
+    # them from their comments, which stay out of `entries`, and the
+    # printer writes them from these fields.
     declared_node_count: int | None = None
     declared_element_count: int | None = None
     roles: dict[str, str] = field(default_factory=dict)
@@ -256,21 +257,6 @@ class Netlist:
         except KeyError:
             raise NetlistError(f"netlist carries no {role!r} role annotation") from None
 
-    def set_roles(self, roles: dict[str, str]) -> None:
-        self.roles = dict(roles)
-        body = " ".join(f"{k}={v}" for k, v in roles.items())
-        self.entries = [
-            e for e in self.entries
-            if not (isinstance(e, Comment) and _ROLES_RE.match(e.text))
-        ]
-        self.entries.insert(0, Comment(f"* roles: {body}"))
-
-    def add_trailer(self) -> None:
-        self.declared_node_count = self.node_count
-        self.declared_element_count = self.element_count
-        self.entries.append(Comment(f"* Total Nodes: {self.declared_node_count}"))
-        self.entries.append(Comment(f"* Total Elements: {self.declared_element_count}"))
-
 
 def _parse_value(token: str, lineno: int, what: str) -> float:
     try:
@@ -305,25 +291,25 @@ class _Parser:
         self.ids[key] = lineno
 
     def run(self) -> Netlist:
-        saw_entry = False
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("*"):
-                if self.comment(line, lineno, saw_entry):
-                    saw_entry = True
+                self.comment(line, lineno)
                 continue
             if line.startswith("."):
                 if line.upper() == ".END":
                     break
                 raise NetlistSyntaxError(lineno, f"unsupported directive {line.split()[0]!r}")
             self.card(line, lineno)
-            saw_entry = True
         return self.net
 
-    def comment(self, line: str, lineno: int, saw_entry: bool) -> bool:
-        """Returns True when the comment was kept as an entry."""
+    def comment(self, line: str, lineno: int) -> None:
+        """A bounding box, totals or roles line goes into its field.  Any
+        other comment is the title when no title or entry precedes it, and
+        an entry otherwise: the printer writes the roles and totals in
+        places of their own, so they cannot claim the title's place."""
         bbox = _BBOX_RE.match(line)
         if bbox is not None:
             owner = bbox.group(1)
@@ -333,7 +319,7 @@ class _Parser:
                 if len(coords) != 4:
                     raise NetlistSyntaxError(lineno, "bounding box needs 4 coordinates")
                 prev.bbox = tuple(_parse_value(c, lineno, "bbox") for c in coords)
-                return False
+                return
         total = _TOTAL_RE.match(line)
         if total is not None:
             count = int(total.group(2))
@@ -341,8 +327,7 @@ class _Parser:
                 self.net.declared_node_count = count
             else:
                 self.net.declared_element_count = count
-            self.net.entries.append(Comment(line))
-            return True
+            return
         roles = _ROLES_RE.match(line)
         if roles is not None:
             for pair in roles.group(1).split():
@@ -350,20 +335,18 @@ class _Parser:
                     raise NetlistSyntaxError(lineno, f"bad role annotation {pair!r}")
                 key, _, value = pair.partition("=")
                 self.net.roles[key] = value
-            self.net.entries.append(Comment(line))
-            return True
-        if not saw_entry and not self.net.title and not self.net.entries:
+            return
+        if not self.net.title and not self.net.entries:
             self.net.title = line.lstrip("*").strip()
-            return False
-        self.net.entries.append(Comment(line))
-        return True
+        else:
+            self.net.entries.append(Comment(line))
 
     def card(self, line: str, lineno: int) -> None:
         letter = line[0].upper()
         handler = {
             "M": self.mos_card,
-            "C": self.cap_card,
-            "R": self.res_card,
+            "C": self.value_card,
+            "R": self.value_card,
             "V": self.source_card,
             "I": self.source_card,
         }.get(letter)
@@ -393,20 +376,11 @@ class _Parser:
             raise NetlistSyntaxError(lineno, "M card needs both L= and W=")
         if fields["l"] < 0 or fields["w"] < 0:
             raise NetlistSyntaxError(lineno, "negative device geometry")
-        self.net.entries.append(
-            MosElement(
-                id=element_id,
-                drain=self.node(tokens[1]),
-                gate=self.node(tokens[2]),
-                source=self.node(tokens[3]),
-                bulk=self.node(tokens[4]),
-                polarity=polarity,
-                **fields,
-            )
-        )
+        self.net.entries.append(MosElement(element_id, *map(self.node, tokens[1:5]), polarity, **fields))
 
-    def _two_node_value(self, line: str, lineno: int, key: str) -> tuple[str, Node, Node, float]:
+    def value_card(self, line: str, lineno: int) -> None:
         tokens = line.split()
+        key = tokens[0][0].upper()
         if len(tokens) != 4:
             raise NetlistSyntaxError(lineno, f"{key} card needs two nodes and one value")
         value_token = tokens[3]
@@ -418,17 +392,9 @@ class _Parser:
         value = _parse_value(value_token, lineno, key)
         if value < 0:
             raise NetlistSyntaxError(lineno, f"negative {key} value")
-        return tokens[0], self.node(tokens[1]), self.node(tokens[2]), value
-
-    def cap_card(self, line: str, lineno: int) -> None:
-        element_id, n1, n2, value = self._two_node_value(line, lineno, "C")
-        self.register_id(element_id, lineno)
-        self.net.entries.append(CapElement(element_id, n1, n2, value))
-
-    def res_card(self, line: str, lineno: int) -> None:
-        element_id, n1, n2, value = self._two_node_value(line, lineno, "R")
-        self.register_id(element_id, lineno)
-        self.net.entries.append(ResElement(element_id, n1, n2, value))
+        self.register_id(tokens[0], lineno)
+        element_type = CapElement if key == "C" else ResElement
+        self.net.entries.append(element_type(tokens[0], *map(self.node, tokens[1:3]), value))
 
     def source_card(self, line: str, lineno: int) -> None:
         tokens = line.split()
@@ -436,8 +402,6 @@ class _Parser:
             raise NetlistSyntaxError(lineno, "source card needs two nodes and a value")
         element_id = tokens[0]
         self.register_id(element_id, lineno)
-        n_plus = self.node(tokens[1])
-        n_minus = self.node(tokens[2])
         rest = " ".join(tokens[3:])
         upper = rest.upper()
         if upper.startswith("PULSE") or upper.startswith("PWL"):
@@ -456,7 +420,7 @@ class _Parser:
                 raise NetlistSyntaxError(lineno, "bad source value")
             kind = "DC"
             params = (_parse_value(tokens[3], lineno, "DC"),)
-        self.net.entries.append(SourceElement(element_id, n_plus, n_minus, kind, params))
+        self.net.entries.append(SourceElement(element_id, *map(self.node, tokens[1:3]), kind, params))
 
     @staticmethod
     def _check_source_params(kind: str, values: tuple[float, ...], lineno: int) -> None:
@@ -479,12 +443,10 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def _format_card(element: Element) -> list[str]:
+    head = " ".join(map(str, (element.id, *element.nodes)))
     if isinstance(element, MosElement):
-        card = (
-            f"{element.id} {element.drain} {element.gate} {element.source} "
-            f"{element.bulk} {element.polarity} "
-            f"L={format_spice_number(element.l)} W={format_spice_number(element.w)}"
-        )
+        l, w = format_spice_number(element.l), format_spice_number(element.w)
+        card = f"{head} {element.polarity} L={l} W={w}"
         for name in MOS_FIELD_ORDER:
             value = getattr(element, name)
             if value is not None:
@@ -495,36 +457,34 @@ def _format_card(element: Element) -> list[str]:
             lines.append(f"* {element.id} DRAIN GATE SOURCE BULK ({coords})")
         return lines
     if isinstance(element, CapElement):
-        return [f"{element.id} {element.n1} {element.n2} C={format_spice_number(element.value)}"]
+        return [f"{head} C={format_spice_number(element.value)}"]
     if isinstance(element, ResElement):
-        return [f"{element.id} {element.n1} {element.n2} R={format_spice_number(element.value)}"]
+        return [f"{head} R={format_spice_number(element.value)}"]
     if element.kind == "DC":
-        value = format_spice_number(element.params[0])
-        return [f"{element.id} {element.n_plus} {element.n_minus} DC {value}"]
+        return [f"{head} DC {format_spice_number(element.params[0])}"]
     body = " ".join(format_spice_number(v) for v in element.params)
-    return [f"{element.id} {element.n_plus} {element.n_minus} {element.kind}({body})"]
+    return [f"{head} {element.kind}({body})"]
 
 
 def print_netlist(net: Netlist) -> str:
-    """Canonical text form; printing is idempotent under parse/print cycles."""
+    """Canonical text form: the title, the roles, the entries, then the
+    totals; printing is idempotent under parse/print cycles."""
     lines: list[str] = []
     if net.title:
         lines.append(f"* {net.title}")
+    if net.roles:
+        lines.append("* roles: " + " ".join(f"{k}={v}" for k, v in net.roles.items()))
     for entry in net.entries:
         if isinstance(entry, Comment):
             lines.append(entry.text)
         else:
             lines.extend(_format_card(entry))
+    if net.declared_node_count is not None:
+        lines.append(f"* Total Nodes: {net.declared_node_count}")
+    if net.declared_element_count is not None:
+        lines.append(f"* Total Elements: {net.declared_element_count}")
     lines.append(".END")
     return "\n".join(lines) + "\n"
-
-
-def _structural_key(net: Netlist):
-    return (net.title, net.entries, net.roles)
-
-
-def structurally_equal(a: Netlist, b: Netlist) -> bool:
-    return _structural_key(a) == _structural_key(b)
 
 
 def validate(net: Netlist) -> AnalysisReport:
@@ -582,10 +542,6 @@ def with_elements(net: Netlist, extra: list[Element]) -> Netlist:
     return copy
 
 
-_NODE_FIELDS = {MosElement: ("drain", "gate", "source", "bulk"), SourceElement: ("n_plus", "n_minus")}
-_NODE_FIELDS |= dict.fromkeys((CapElement, ResElement), ("n1", "n2"))
-
-
 def instantiate(block: Netlist, suffix: str, ports: dict[str, str]) -> list[Element]:
     """The elements of `block` as one instance inside a parent netlist.
 
@@ -597,7 +553,6 @@ def instantiate(block: Netlist, suffix: str, ports: dict[str, str]) -> list[Elem
     rename = {name: Node(parent.get(name, name + suffix)) for name in block.named_nodes()}
 
     def renamed(e: Element) -> dict[str, Node]:
-        nodes = {f: getattr(e, f) for f in _NODE_FIELDS[type(e)]}
-        return {f: rename.get(n.name, n) for f, n in nodes.items()}
+        return {f: rename.get(n.name, n) for f, n in zip(e.TERMINALS, e.nodes)}
 
     return [replace(e, id=e.id + suffix, **renamed(e)) for e in block.elements]

@@ -460,7 +460,7 @@ def write_margin(
         raise ValueError("v_dd must be positive")
     wl = v_dd if wl_voltage is None else wl_voltage
     bias = _bias_sources(_cell_ports(cell), v_dd, wl, cell.role_node("Q"))
-    draw = [SourceElement("ISNMBL", s.n_plus, s.n_minus, "DC", (0.0,)) if s.id == "VSNMBL" else s for s in bias]
+    draw = [SourceElement("ISNMBL", *s.nodes, "DC", (0.0,)) if s.id == "VSNMBL" else s for s in bias]
     driven, drawn = (MnaSystem(with_elements(cell, extra), tech) for extra in (bias, draw))
     k, free_bl = driven.branch_index["VSNMIN"], drawn.node_index[cell.role_node("BL")]
 

@@ -14,7 +14,7 @@ from sramlab.engine import MnaSystem, solve_dc, transient
 from sramlab.genlib import build_6t_cell
 from sramlab.kernels import mos_stamp
 from sramlab.metrics import DelayMeasurement, check_ratios, dynamic_power
-from sramlab.netlist import parse_netlist, print_netlist, structurally_equal, validate
+from sramlab.netlist import parse_netlist, print_netlist, validate
 from sramlab.stability import (
     DrvInputs,
     TransferCurve,
@@ -103,7 +103,7 @@ def test_criterion_5_parser_corpus():
         again = parse_netlist(printed)
         rep = validate(net)
         results.append(
-            structurally_equal(net, again)
+            net == again
             and print_netlist(again) == printed
             and rep.get("declared_nodes_match").verdict == "pass"
             and rep.get("declared_elements_match").verdict == "pass"

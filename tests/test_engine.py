@@ -33,7 +33,16 @@ from sramlab.engine import (
 )
 from sramlab.genlib import build_6t_cell, build_array
 from sramlab.kernels import mos_eval, mos_stamp, pack_device
-from sramlab.netlist import GROUND, Node, ResElement, SourceElement, parse_netlist, with_elements
+from sramlab.netlist import (
+    GROUND,
+    CapElement,
+    MosElement,
+    Node,
+    ResElement,
+    SourceElement,
+    parse_netlist,
+    with_elements,
+)
 
 DIVIDER = """* resistive divider
 V1 in 0 DC 1.8
@@ -143,7 +152,7 @@ def max_node_residual(sys, x):
 
 def test_vth_shift_raises_diode_node():
     base = solve_dc(parse_netlist(DIODE))
-    sys = MnaSystem(parse_netlist(DIODE), vth_shift={"M1": 0.05})
+    sys = MnaSystem(parse_netlist(DIODE), vth_shift=[{"M1": 0.05}])
     x, _, _ = sys.solve_dc_vector()
     assert x[sys.node_index["d"]] > base.voltage("d")
 
@@ -195,7 +204,7 @@ def test_node_driven_twice_raises_on_both_paths():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(dense(sys, jac)[: sys.size, : sys.size], -res[: sys.size])
     with pytest.raises(FloatingNodeError):
-        sys.newton_step(jac, res)
+        sys.newton_step(jac[None], res[None])
 
 
 def test_singular_extract_keeps_exit_code_and_message(capsys):
@@ -422,6 +431,21 @@ def test_no_module_imports_a_private_name_of_another():
     assert imported == []
 
 
+def test_only_the_netlist_reads_terminal_fields():
+    # An element's terminals are declared once, in its type's TERMINALS;
+    # every other module reads them through `nodes`.  `source` is left out:
+    # cli reads the parsed option args.source.
+    fields = {f for t in (MosElement, CapElement, ResElement, SourceElement) for f in t.TERMINALS} - {"source"}
+    reads = [
+        (path.name, node.lineno, node.attr)
+        for path in sorted(Path(sramlab.__file__).parent.glob("*.py"))
+        if path.name != "netlist.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+    assert reads == []
+
+
 def test_bad_resistor_value():
     net = parse_netlist("* bad\nV1 a 0 DC 1\nR1 a 0 0\n.END")
     with pytest.raises(ValueError, match="positive value"):
@@ -567,7 +591,7 @@ def test_reduced_step_matches_dense_solve(case):
     tol = max(1e-12, 10 * sys.size * np.linalg.cond(a) * np.finfo(float).eps)
     ulps = 10 * sys.size * np.linalg.norm(np.linalg.inv(a), 2)
     atol = tol * np.abs(want).max() + ulps * np.finfo(float).smallest_subnormal
-    step = sys.newton_step(jac, res)
+    step = sys.newton_step(jac[None], res[None])[0]
     np.testing.assert_allclose(step, want, rtol=0, atol=atol)
 
 
@@ -712,7 +736,7 @@ def fresh_stop(monkeypatch):
         rows = np.broadcast_to(g, (len(x0), g.shape[-1]))
         for lane in sorted(set(range(len(x))) - set(failed)):
             jac, res = assembled(self, x[lane], b[lane], rows[lane])
-            step = self.newton_step(jac, res)
+            step = self.newton_step(jac[None], res[None])[0]
             tol = RELTOL * np.maximum(np.abs(x[lane] + step), np.abs(x[lane])) + VNTOL
             checked.append((np.max(np.abs(step) / tol), np.abs(res[: self.n_nodes]).max(initial=0.0)))
         return x, its, failed
@@ -793,7 +817,7 @@ def test_be_steps_converge_by_a_fresh_stop_test(fresh_stop, latent_steps):
         drive = {e.id: e.value_at(tr.time[k]) for e in sys.vsources + sys.isources}
         b = sys.rhs(drive=drive) - caps @ np.append(xs[:, k - 1], 0.0)
         jac, res = assembled(sys, x, b, g)
-        step = sys.newton_step(jac, res)
+        step = sys.newton_step(jac[None], res[None])[0]
         tol = RELTOL * np.maximum(np.abs(x + step), np.abs(x)) + VNTOL
         checked.append((np.max(np.abs(step) / tol), np.abs(res[: sys.n_nodes]).max()))
     assert_converged(checked, len(kept))

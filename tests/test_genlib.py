@@ -23,7 +23,6 @@ from sramlab.netlist import (
     SourceElement,
     parse_netlist,
     print_netlist,
-    structurally_equal,
     instantiate,
     validate,
     with_elements,
@@ -175,8 +174,7 @@ def test_generated_netlists_validate_clean(name):
 def test_generated_netlists_round_trip(name):
     net = ALL_BUILDERS[name]()
     back = parse_netlist(print_netlist(net))
-    assert structurally_equal(net, back)
-    assert back.roles == net.roles
+    assert net == back
     assert back.declared_element_count == net.element_count
 
 
@@ -230,8 +228,7 @@ def test_array_element_and_node_order():
 
 
 def test_single_cell_array_is_the_cell():
-    assert structurally_equal(build_array(1, 1), build_6t_cell())
-    assert build_array(1, 1).roles == build_6t_cell().roles
+    assert build_array(1, 1) == build_6t_cell()
 
 
 def test_array_rejects_empty_shapes():

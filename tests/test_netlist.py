@@ -15,7 +15,6 @@ from sramlab.netlist import (
     Node,
     parse_netlist,
     print_netlist,
-    structurally_equal,
     validate,
     with_elements,
 )
@@ -23,6 +22,7 @@ from sramlab.netlist import (
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "sramlab" / "corpus"
 CELL = (CORPUS / "cell_extract.sp").read_text()
 ARRAY = (CORPUS / "array_extract.sp").read_text()
+WRITE_READ = (CORPUS / "cell_write_read.sp").read_text()
 
 
 # ---------------------------------------------------------------------
@@ -164,13 +164,13 @@ def test_corpus_roundtrip_stable(text):
     once = print_netlist(parse_netlist(text))
     twice = print_netlist(parse_netlist(once))
     assert once == twice
-    assert structurally_equal(parse_netlist(text), parse_netlist(once))
+    assert parse_netlist(text) == parse_netlist(once)
 
 
 def test_double_roundtrip_structural_identity():
     a = parse_netlist(CELL)
     b = parse_netlist(print_netlist(parse_netlist(print_netlist(a))))
-    assert structurally_equal(a, b)
+    assert a == b
 
 
 def test_print_cap_format():
@@ -194,10 +194,43 @@ def test_single_cap_floats_both_nodes():
 
 def test_roles_round_trip():
     net = parse_netlist(CELL)
-    net.set_roles({"Q": "3", "QBAR": "4", "BL": "2", "BLB": "?", "WL": "1", "VDD": "6"})
+    net.roles = {"Q": "3", "QBAR": "4", "BL": "2", "BLB": "?", "WL": "1", "VDD": "6"}
     back = parse_netlist(print_netlist(net))
     assert back.role_node("Q") == "3"
     assert back.role_node("WL") == "1"
+
+
+def test_changed_roles_and_totals_read_back():
+    # Roles and totals are fields that the printer writes, so a changed
+    # value survives a print and a re-parse.
+    net = parse_netlist(WRITE_READ)
+    net.roles = {**net.roles, "Q": "QBAR", "QBAR": "Q"}
+    net.declared_element_count = 99
+    back = parse_netlist(print_netlist(net))
+    assert back.role_node("Q") == "QBAR" and back.role_node("QBAR") == "Q"
+    assert back.declared_element_count == 99
+    assert back == net
+
+
+def test_netlist_prints_one_roles_line():
+    # Roles split over two lines, and roles set on a hand-built netlist:
+    # one line each, and no comment entry holds them.
+    split = parse_netlist("* split\n* roles: Q=a\nR1 a b 1k\n* roles: QBAR=b\nR2 b 0 1k\n.END\n")
+    for net in (split, Netlist(title="built", roles={"Q": "a"})):
+        text = print_netlist(net)
+        assert text.count("* roles:") == 1
+        assert parse_netlist(text).roles == net.roles
+    assert split.roles == {"Q": "a", "QBAR": "b"} and split.comments == []
+
+
+@pytest.mark.parametrize("head", ["* Total Nodes: 1\n*hello\n", "* roles: Q=a\n*hello\n", "*hello\n* roles: Q=a\n"])
+def test_roles_and_totals_leave_the_title_in_place(head):
+    # The printer writes the roles after the title and the totals before
+    # .END, so neither may take the title's place, or a print would move it.
+    net = parse_netlist(head + "R1 a 0 1k\n.END\n")
+    assert net.title == "hello" and net.comments == []
+    text = print_netlist(net)
+    assert parse_netlist(text) == net and print_netlist(parse_netlist(text)) == text
 
 
 def test_with_elements_does_not_mutate():

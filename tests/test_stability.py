@@ -336,7 +336,7 @@ def sequential_lobes(cell, mode, v_dd, grid, vth_shift=None):
     values = sweep_grid(0.0, v_dd, grid)
     lobes = []
     for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
-        lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive), vth_shift=vth_shift)
+        lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive), vth_shift=[vth_shift or {}])
         x, v_out = np.zeros(lobe.size), np.empty(values.size)
         for i, b in enumerate(lobe.rhs(drive={"VIN": values})):
             (x,), _, _, failed = lobe.solve_lanes(b[None], x)
@@ -438,7 +438,7 @@ def kcl_bisection(cell, mode, v_dd, v_in, node="QBAR", vth_shift=None):
     """Root of `node`'s KCL residual in the Q-driven lobe with every drive
     fixed (Q at v_in), by plain bisection on [0, v_dd]; the residual is
     increasing in the node's voltage."""
-    lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"), vth_shift=vth_shift)
+    lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"), vth_shift=[vth_shift or {}])
     wl = v_dd if mode == "read" else 0.0
     roles = {"VDD": v_dd, "WL": wl, "BL": v_dd, "BLB": v_dd, "Q": v_in}
     x = state_at(lobe, {cell.role_node(r): v for r, v in roles.items()})
@@ -738,7 +738,7 @@ def test_parameter_sets_ride_the_gmin_ladder(cell):
     assert ladder[sets == 0].all() and ladder[sets == 1].all()
     assert not np.array_equal(x[sets == 0], x[sets == 1])
     for i, k in enumerate(sets):
-        alone = MnaSystem(lobe.net, vth_shift=shifts[k])
+        alone = MnaSystem(lobe.net, vth_shift=[shifts[k]])
         x_1, its_1, ladder_1, failed_1 = alone.solve_lanes(b[i : i + 1], x0[i])
         assert np.array_equal(x[i], x_1[0]) and its[i] == its_1[0] and ladder[i] == ladder_1[0]
         assert failed.get(i) == failed_1.get(0)
@@ -1241,7 +1241,7 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
     # residual, so each of its lanes fails plain Newton; that sample alone
     # fails.
     vm = VariationModel(3e-9, 10, 1)
-    doomed = np.tile(MnaSystem(cell, vth_shift=sample_shifts(cell, vm)[2]).mos_par, (2, 1))  # both lobes
+    doomed = np.tile(MnaSystem(cell, vth_shift=[sample_shifts(cell, vm)[2]]).mos_par, (2, 1))  # both lobes
     real = engine.mos_stamp
 
     def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
@@ -1266,7 +1266,7 @@ def test_failed_coupled_sample_is_nan_at_its_index_only(cell, monkeypatch):
     gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
     coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
     vm = VariationModel(3e-9, 10, 1)
-    doomed = np.tile(MnaSystem(coupled, vth_shift=sample_shifts(coupled, vm)[2]).mos_par, (2, 1))
+    doomed = np.tile(MnaSystem(coupled, vth_shift=[sample_shifts(coupled, vm)[2]]).mos_par, (2, 1))
     real = engine.mos_stamp
 
     def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
