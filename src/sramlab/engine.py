@@ -37,6 +37,15 @@ the plan of Jacobian entries that can be nonzero, a lane's Jacobian is one
 value per planned entry, and every reset, product, gather and stamp runs
 over those entries alone.
 
+A device writes only its drain's and source's rows.  One whose drain and
+source both lie on ground or a driven node is inert: it feeds nothing but
+the eliminated sources' branch currents and cannot move a free unknown.
+Each system marks its inert devices once, from structure alone, and Newton
+stamps the active devices only; once a lane has passed, solve_lanes
+evaluates the inert devices at its state, their currents alone, and adds
+them to the eliminated branch currents.  residual still counts every
+device.
+
 A backward-Euler step whose drives equal the step before's, once the node
 moves have contracted to a geometric tail within VNTOL, is latent: it keeps
 the state of the step before and solves nothing (see transient).
@@ -53,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .devices import TechnologyParams, derive_tech_params
-from .kernels import COL_VTH0, JAC_COL, JAC_ROW, N_PAR, RES_ROW, mos_stamp, pack_device
+from .kernels import COL_VTH0, JAC_COL, JAC_ROW, N_PAR, RES_ROW, mos_eval, mos_stamp, pack_device
 from .netlist import (
     GROUND,
     CapElement,
@@ -230,6 +239,19 @@ class MnaSystem:
         self.g_static = np.zeros(self._sink + 1)
         np.add.at(self.g_static, self._static_pos, vals)
 
+        # The inert devices, drain and source both on ground or a driven
+        # node, and the active ones' rows of the arrays Newton stamps: the
+        # full arrays themselves when none is inert.
+        fixed = np.zeros(self.size + 1, dtype=bool)
+        fixed[self._drv_node] = fixed[self.ground] = True
+        inert = fixed[self.mos_idx[:, RES_ROW]].all(axis=1)
+        self._inert = np.flatnonzero(inert)
+        self._active_idx, self._active_par, self._active_at = (
+            (self.mos_idx[~inert], self.par_sets[:, ~inert], self._stamp_at[:, ~inert])
+            if self._inert.size
+            else (self.mos_idx, self.par_sets, self._stamp_at)
+        )
+
     def _slot(self, node: Node) -> int:
         if node.is_ground:
             return self.ground
@@ -356,6 +378,8 @@ class MnaSystem:
         return res
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Extended residual of state x against b, over every device, inert
+        ones included."""
         x_ext = np.append(x, 0.0)
         res = self._linear(self.g_static, x_ext, b)
         mos_stamp(x_ext, self.mos_idx, self.mos_par, self.vt, self.g_static.copy(), res, self._stamp_at)
@@ -416,8 +440,10 @@ class MnaSystem:
         lanes run, and each round of the gmin ladder; nothing else calls it.
 
         At most MAX_LANES lanes are live.  Every iteration stamps them in one
-        call; each stops on its own test and its place goes to the next
-        queued lane.  A lane passes when its residual at x is within
+        call, the active devices only; each stops on its own test and its
+        place goes to the next queued lane.  The eliminated branch currents
+        of the states returned leave out the inert devices, which
+        solve_lanes adds.  A lane passes when its residual at x is within
         tolerance and the clipped step solved at x is small (Deuflhard 2004,
         section 2.1), and returns x plus that step, converged to rounding;
         a lane that starts at its solution costs one stamp.  A lane fails
@@ -456,7 +482,7 @@ class MnaSystem:
         # the stamp's targets in it and in the residuals, per pool slot.
         jac_buf = np.empty((pool, g.shape[-1]))
         stride = np.repeat([g.shape[-1], n + 1], [8, 2])
-        stamp_at = self._stamp_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
+        stamp_at = self._active_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
         # Per pool slot: the live lane's id, iteration count, right-hand
         # side, linear Jacobian, parameter rows and extended state, then its
         # state of the iteration before, NaN (equal to nothing) for an
@@ -464,7 +490,7 @@ class MnaSystem:
         # lane; once the queue is empty the pool shrinks.
         ids = np.arange(pool)
         count = np.zeros(pool, dtype=np.int64)
-        bl, gl, parl = b[ids], g[ids], self.par_sets[sets[ids]]
+        bl, gl, parl = b[ids], g[ids], self._active_par[sets[ids]]
         xl = np.concatenate((x[ids], np.zeros((pool, 1))), axis=1)
         x_last = np.full((pool, n), np.nan)
         queued = pool
@@ -473,7 +499,7 @@ class MnaSystem:
             jac = jac_buf[: ids.size]
             jac[...] = gl
             res = self._linear(gl, xl, bl)
-            mos_stamp(xl, self.mos_idx, parl, self.vt, jac, res, stamp_at[:, : ids.size])
+            mos_stamp(xl, self._active_idx, parl, self.vt, jac, res, stamp_at[:, : ids.size])
             delta = self.newton_step(jac, res)
             if bracket:
                 xf, df = xl.take(free, axis=1), delta.take(free, axis=1)
@@ -511,7 +537,7 @@ class MnaSystem:
                 queued += new.size
                 slots = vacant[: new.size]
                 ids[slots], count[slots], bl[slots], gl[slots] = new, 0, b[new], g[new]
-                parl[slots] = self.par_sets[sets[new]]
+                parl[slots] = self._active_par[sets[new]]
                 xl[slots, :n], x_last[slots] = x[new], np.nan
                 if bracket:
                     lo[slots], hi[slots], side[slots], flips[slots] = -np.inf, np.inf, 0.0, 0
@@ -596,10 +622,13 @@ class MnaSystem:
         whose basin matters; a decoupled system has one solution at each
         drive, so its lanes walk it from the cold start, which a lane
         further than MAX_ITER steps of MAX_STEP from its solution still
-        needs.  Returns the states, each lane's iteration count, whether it
-        walked the ladder, and the message of each lane that failed, whose
-        state is then not a solution.  A singular step raises
-        FloatingNodeError."""
+        needs.  Newton stamps the active devices only; each lane that
+        passes, by either stage, then has the inert devices' currents at its
+        state added to its eliminated branch currents, so its state solves
+        KCL over every device.  Returns the states, each lane's iteration
+        count, whether it walked the ladder, and the message of each lane
+        that failed, whose state is then not a solution.  A singular step
+        raises FloatingNodeError."""
         lanes = b.shape[0]
         cold = np.zeros((lanes, self.size))
         cold[:, self._drv_node] = 0.0 - b[:, self._drv_branch] * self._drv_sign  # +0.0 at a zero drive
@@ -613,7 +642,26 @@ class MnaSystem:
             start = (cold if self.decoupled else x0)[rescue]
             x[rescue], its[rescue], left = self._gmin_stepping(start, b[rescue], g, sets[rescue])
             failed = {int(rescue[j]): msg for j, msg in left.items()}
+        if self._inert.size:
+            self._add_inert_currents(x, sets, np.flatnonzero(_passed(lanes, failed)))
         return x, its, ladder, failed
+
+    def _add_inert_currents(self, x: np.ndarray, sets: np.ndarray, lanes: np.ndarray) -> None:
+        """Correct the eliminated branch currents of the given lanes of
+        states x, in place, for the inert devices that Newton leaves out:
+        each source takes up what they drive into its node at the lane's
+        state, under the lane's row sets of par_sets.  One mos_eval call,
+        currents only, per MAX_LANES lanes."""
+        idx, par = self.mos_idx[self._inert], self.par_sets[:, self._inert]
+        rows = idx[:, RES_ROW].T.ravel()  # every drain, then every source
+        for at in range(0, lanes.size, MAX_LANES):
+            chunk = lanes[at : at + MAX_LANES]
+            x_ext = np.concatenate((x[chunk], np.zeros((chunk.size, 1))), axis=1)
+            v_d, v_g, v_s, v_b = x_ext.take(idx.T, axis=1).swapaxes(0, 1)
+            i = mos_eval(par[sets[chunk]], v_g - v_s, v_d - v_s, v_s - v_b, self.vt)[0]
+            flow = np.zeros_like(x_ext)
+            np.add.at(flow, (slice(None), rows), np.concatenate((i, -i), axis=1))
+            x[chunk[:, None], self._drv_branch] -= self._drv_sign * flow.take(self._drv_node, axis=1)
 
     def solve_dc_vector(self) -> tuple[np.ndarray, int, bool]:
         """The DC solution with every source at its card value, from a zero

@@ -531,13 +531,17 @@ def validate(net: Netlist) -> AnalysisReport:
 
 def with_elements(net: Netlist, extra: list[Element]) -> Netlist:
     """Copy of `net` with additional elements appended (comments untouched).
-    Element ids compare case-insensitively; a clash raises NetlistError."""
+    The copy declares no totals: the extractor's counts describe `net`, not
+    the grown circuit.  Element ids compare case-insensitively; a clash
+    raises NetlistError."""
     taken = {e.id.upper() for e in net.elements}
     for e in extra:
         if e.id.upper() in taken:
             raise NetlistError(f"netlist already contains an element named {e.id}")
         taken.add(e.id.upper())
-    copy = replace(net, entries=list(net.entries) + list(extra))
+    copy = replace(
+        net, entries=list(net.entries) + list(extra), declared_node_count=None, declared_element_count=None
+    )
     copy.roles = dict(net.roles)
     return copy
 

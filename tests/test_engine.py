@@ -498,13 +498,19 @@ def dense(sys, vals):
     return out
 
 
-def assembled(sys, x, b, g=None):
+def assembled(sys, x, b, g=None, active=False):
     """Jacobian values and extended residual at x against b, stamped on g
-    (default g_static); the linear part of the residual is a dense product."""
+    (default g_static) with every device, or with the active ones alone,
+    those Newton stamps; the linear part of the residual is a dense
+    product."""
     g = sys.g_static if g is None else g
     x_ext = np.append(x, 0.0)
     jac, res = g.copy(), dense(sys, g) @ x_ext + b
-    mos_stamp(x_ext, sys.mos_idx, sys.mos_par, sys.vt, jac, res, sys._stamp_at)
+    if active:
+        idx, par, at = sys._active_idx, sys._active_par[0], sys._active_at
+    else:
+        idx, par, at = sys.mos_idx, sys.mos_par, sys._stamp_at
+    mos_stamp(x_ext, idx, par, sys.vt, jac, res, at)
     return jac, res
 
 
@@ -595,17 +601,53 @@ def test_reduced_step_matches_dense_solve(case):
     np.testing.assert_allclose(step, want, rtol=0, atol=atol)
 
 
-def test_reduction_plan_on_an_array_tile():
-    # Grounded drives on every rail: what is left is one 2x2 block per
-    # cell (its two storage nodes).
-    rows, cols = 2, 3
+def driven_tile(rows, cols):
+    """An array tile with a grounded 1.8 V drive on every rail, and the
+    rails' names."""
     gnd = Node(GROUND)
     rails = ["VDD"] + [f"WL{r}" for r in range(rows)]
     rails += [f"{side}{c}" for c in range(cols) for side in ("BL", "BLB")]
     drives = [SourceElement(f"V{n}", Node(n), gnd, "DC", (1.8,)) for n in rails]
-    sys = MnaSystem(with_elements(sramlab.build_array(rows, cols), drives))
+    return with_elements(sramlab.build_array(rows, cols), drives), rails
+
+
+def test_reduction_plan_on_an_array_tile():
+    # Grounded drives on every rail: what is left is one 2x2 block per
+    # cell (its two storage nodes).
+    rows, cols = 2, 3
+    net, rails = driven_tile(rows, cols)
+    sys = MnaSystem(net)
     assert [(m, idx.shape[0]) for m, _, idx, _ in sys._blocks] == [(2, rows * cols)]
     assert sys._drv_node.size == len(rails)
+
+
+def test_driven_array_tile_has_no_inert_device():
+    # Every device of a driven tile has its drain or source on a storage
+    # node, a free unknown, so Newton stamps the full arrays themselves.
+    sys = MnaSystem(driven_tile(2, 3)[0])
+    assert sys._inert.size == 0
+    assert sys._active_idx is sys.mos_idx
+    assert sys._active_par is sys.par_sets
+    assert sys._active_at is sys._stamp_at
+
+
+def test_converged_random_circuits_hold_full_kcl():
+    # Newton leaves out the devices whose drain and source both sit on
+    # ground or a driven node; solve_lanes adds their currents to the
+    # driven nodes' sources afterwards.  Every converged solution then
+    # holds KCL over every device, the inert ones included, at every node;
+    # 123 of the solutions have an inert device.
+    rng = np.random.default_rng(0)
+    inert = 0
+    for idx in range(400):
+        net = parse_netlist(random_circuit_text(rng, idx))
+        try:
+            sol = solve_dc(net)
+        except (FloatingNodeError, ConvergenceError):
+            continue
+        assert sol.max_residual < ABSTOL
+        inert += MnaSystem(net)._inert.size > 0
+    assert inert == 123
 
 
 def reference_matrix(sys, gmin=0.0, cap_factor=0.0):
@@ -726,7 +768,9 @@ def test_fd_jacobian_on_random_circuits():
 def fresh_stop(monkeypatch):
     """For each lane that _newton_lanes returns as converged, its fresh
     Newton step there over the stop tolerance (worst unknown) and its worst
-    KCL residual, both formed with `assembled`, not by the loop."""
+    KCL residual, both formed with `assembled`, not by the loop, over the
+    devices the loop stamps: the inert ones' currents join the branch
+    currents only after it (see test_converged_random_circuits_hold_full_kcl)."""
     checked = []
     real = MnaSystem._newton_lanes
 
@@ -735,7 +779,7 @@ def fresh_stop(monkeypatch):
         assert sets is None or not sets.any()  # assembled stamps the first parameter set
         rows = np.broadcast_to(g, (len(x0), g.shape[-1]))
         for lane in sorted(set(range(len(x))) - set(failed)):
-            jac, res = assembled(self, x[lane], b[lane], rows[lane])
+            jac, res = assembled(self, x[lane], b[lane], rows[lane], active=True)
             step = self.newton_step(jac[None], res[None])[0]
             tol = RELTOL * np.maximum(np.abs(x[lane] + step), np.abs(x[lane])) + VNTOL
             checked.append((np.max(np.abs(step) / tol), np.abs(res[: self.n_nodes]).max(initial=0.0)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sramlab.genlib import build_6t_cell
 from sramlab.netlist import (
     CapElement,
     MosElement,
@@ -13,6 +14,7 @@ from sramlab.netlist import (
     NetlistSemanticError,
     NetlistSyntaxError,
     Node,
+    SourceElement,
     parse_netlist,
     print_netlist,
     validate,
@@ -240,6 +242,20 @@ def test_with_elements_does_not_mutate():
     grown = with_elements(base, extra)
     assert base.element_count == n0
     assert grown.element_count == n0 + 1
+
+
+def test_grown_copy_declares_no_stale_totals():
+    # A generated cell declares its 6 nodes and 10 elements; a copy with a
+    # supply source appended is no longer that circuit, so after a print
+    # and a parse it declares no totals and validate checks none.
+    cell = build_6t_cell()
+    supply = SourceElement("VSUPPLY", Node(cell.role_node("VDD")), Node("0"), "DC", (1.8,))
+    grown = parse_netlist(print_netlist(with_elements(cell, [supply])))
+    assert (cell.declared_node_count, cell.declared_element_count) == (cell.node_count, cell.element_count)
+    assert grown.element_count == cell.element_count + 1
+    assert (grown.declared_node_count, grown.declared_element_count) == (None, None)
+    assert "declared_elements_match" not in validate(grown)
+    assert "declared_nodes_match" not in validate(grown)
 
 
 def test_with_elements_rejects_id_clashes():

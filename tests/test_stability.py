@@ -29,6 +29,7 @@ from sramlab.engine import (
     sweep_grid,
 )
 from sramlab.genlib import CellGeometry, DeviceSize, build_6t_cell
+from sramlab.kernels import COL_VTH0
 from sramlab.netlist import (
     GROUND,
     MosElement,
@@ -1236,19 +1237,26 @@ def test_monte_carlo_samples_are_per_sample_butterflies(cell, seed, mode, v_dd, 
     assert mc.failures == np.isnan(want).sum()
 
 
+def poison_sample(monkeypatch, cell, vm, k):
+    """Make every stamp of sample k of monte_carlo_snm(cell, vm=vm) return
+    a non-finite residual.  Its lanes are those whose stamped rows all hold
+    that sample's shifted V_th0 values, whichever devices are stamped."""
+    doomed = MnaSystem(cell, vth_shift=[sample_shifts(cell, vm)[k]]).mos_par[:, COL_VTH0]
+    real = engine.mos_stamp
+
+    def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
+        real(x_ext, mos_idx, par, vt, jac, res, at)
+        res[np.isin(par[..., COL_VTH0], doomed).all(axis=-1)] = np.nan
+
+    monkeypatch.setattr(engine, "mos_stamp", poisoned)
+
+
 def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
     # Every stamp of the third sample's devices returns a non-finite
     # residual, so each of its lanes fails plain Newton; that sample alone
     # fails.
     vm = VariationModel(3e-9, 10, 1)
-    doomed = np.tile(MnaSystem(cell, vth_shift=[sample_shifts(cell, vm)[2]]).mos_par, (2, 1))  # both lobes
-    real = engine.mos_stamp
-
-    def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
-        real(x_ext, mos_idx, par, vt, jac, res, at)
-        res[(par == doomed).all(axis=(-2, -1))] = np.nan
-
-    monkeypatch.setattr(engine, "mos_stamp", poisoned)
+    poison_sample(monkeypatch, cell, vm, 2)
     monkeypatch.setattr(stability, "BATCH_LANES", 10**6)  # one batch, sets = samples
     mc = monte_carlo_snm(cell, vm=vm, mode="hold", v_dd=1.8, grid=0.02)
     monkeypatch.undo()
@@ -1266,13 +1274,7 @@ def test_failed_coupled_sample_is_nan_at_its_index_only(cell, monkeypatch):
     gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
     coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
     vm = VariationModel(3e-9, 10, 1)
-    doomed = np.tile(MnaSystem(coupled, vth_shift=[sample_shifts(coupled, vm)[2]]).mos_par, (2, 1))
-    real = engine.mos_stamp
-
-    def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
-        real(x_ext, mos_idx, par, vt, jac, res, at)
-        res[(par == doomed).all(axis=(-2, -1))] = np.nan
-
+    poison_sample(monkeypatch, coupled, vm, 2)
     swept = []
     real_sweep = MnaSystem.sweep
 
@@ -1280,7 +1282,6 @@ def test_failed_coupled_sample_is_nan_at_its_index_only(cell, monkeypatch):
         swept.append(self.decoupled)
         return real_sweep(self, *args)
 
-    monkeypatch.setattr(engine, "mos_stamp", poisoned)
     monkeypatch.setattr(MnaSystem, "sweep", sweep_spy)
     entered = spy_fallbacks(monkeypatch)
     mc = monte_carlo_snm(coupled, vm=vm, mode="hold", v_dd=1.8, grid=0.05)
@@ -1385,6 +1386,55 @@ def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
         lobe = MnaSystem(biased_lobe(cell, "hold", 1.8, drive))
         real_lanes(lobe, lobe.rhs(drive={"VIN": sweep_grid(0.0, 1.8, 0.01)}))
         assert got == lanes
+
+
+@pytest.mark.parametrize("mode", ["hold", "read"])
+def test_lobe_pair_leaves_each_driven_sides_devices_out_of_newton(cell, monkeypatch, mode):
+    # With Q driven, copy A's left inverter and left access device have
+    # drain and source on ground, a rail or Q alone, so they cannot move
+    # its free QBAR; with QBAR driven, copy B's right-hand three likewise.
+    # Newton stamps the other six.
+    pairs = []
+    real = MnaSystem.sweep
+
+    def spy(self, *args):
+        pairs.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(MnaSystem, "sweep", spy)
+    butterfly(cell, mode=mode, v_dd=1.8, grid=0.1)
+    (pair,) = pairs
+    names = [m.id for m in pair.net.mos_elements]
+    assert {names[k] for k in pair._inert} == {"MPDL_A", "MPUL_A", "MPGL_A", "MPDR_B", "MPUR_B", "MPGR_B"}
+    active = np.delete(np.arange(len(names)), pair._inert)
+    assert np.array_equal(pair._active_idx, pair.mos_idx[active])
+    assert np.array_equal(pair._active_par, pair.par_sets[:, active])
+
+
+def test_monte_carlo_kernel_calls_stay_within_the_pool(cell, monkeypatch):
+    # 200 samples queue far more lanes than the Newton pool holds.  Each
+    # stamp, and each pass that adds the inert devices' currents after
+    # Newton, evaluates at most MAX_LANES lanes, which bounds the run's
+    # memory.
+    stamped, evaluated = [], []
+    real_stamp, real_eval = engine.mos_stamp, engine.mos_eval
+
+    def stamp(x_ext, *args):
+        stamped.append(x_ext.shape[0])
+        return real_stamp(x_ext, *args)
+
+    def inert_eval(par, vgs, *args):
+        evaluated.append(vgs.shape[0])
+        return real_eval(par, vgs, *args)
+
+    monkeypatch.setattr(engine, "mos_stamp", stamp)
+    monkeypatch.setattr(engine, "mos_eval", inert_eval)
+    vm = VariationModel(3e-9, 200, 3)
+    mc = monte_carlo_snm(cell, vm=vm, mode="hold", v_dd=1.8, grid=0.01)
+    assert mc.failures == 0
+    assert max(stamped) == max(evaluated) == engine.MAX_LANES
+    # Every lane of every sample, and of the nominal pair, once each.
+    assert sum(evaluated) == (vm.n_samples + 1) * sweep_grid(0.0, 1.8, 0.01).size
 
 
 LATTICE = [round(0.90 + 0.05 * k, 2) for k in range(19)]
