@@ -41,10 +41,10 @@ A device writes only its drain's and source's rows.  One whose drain and
 source both lie on ground or a driven node is inert: it feeds nothing but
 the eliminated sources' branch currents and cannot move a free unknown.
 Each system marks its inert devices once, from structure alone, and Newton
-stamps the active devices only; once a lane has passed, solve_lanes
-evaluates the inert devices at its state, their currents alone, and adds
-them to the eliminated branch currents.  residual still counts every
-device.
+stamps the active devices only, so the branch currents it returns leave
+them out: a caller that reads branch currents has add_inert_currents add
+them, and a butterfly, which reads node voltages alone, never does.
+residual still counts every device.
 
 A backward-Euler step whose drives equal the step before's, once the node
 moves have contracted to a geometric tail within VNTOL, is latent: it keeps
@@ -440,19 +440,18 @@ class MnaSystem:
         lanes run, and each round of the gmin ladder; nothing else calls it.
 
         At most MAX_LANES lanes are live.  Every iteration stamps them in one
-        call, the active devices only; each stops on its own test and its
-        place goes to the next queued lane.  The eliminated branch currents
-        of the states returned leave out the inert devices, which
-        solve_lanes adds.  A lane passes when its residual at x is within
-        tolerance and the clipped step solved at x is small (Deuflhard 2004,
-        section 2.1), and returns x plus that step, converged to rounding;
-        a lane that starts at its solution costs one stamp.  A lane fails
-        when its step is not finite, after MAX_ITER iterations, or once x
-        plus its step is its x of the iteration before: the iteration is a
-        fixed map of x, so it cycles and can never pass.  Returns the states,
-        each lane's iteration count (its stamps), and for each lane that did
-        not converge the node of its worst residual at its last iteration
-        (its state is then its start).
+        call, the active devices only, so the branch currents returned leave
+        out the inert ones; each lane stops on its own test and its place
+        goes to the next queued lane.  A lane passes when its residual at x
+        is within tolerance and the clipped step solved at x is small
+        (Deuflhard 2004, section 2.1), and returns x plus that step,
+        converged to rounding; a lane that starts at its solution costs one
+        stamp.  A lane fails when its step is not finite, after MAX_ITER
+        iterations, or once x plus its step is its x of the iteration
+        before: the iteration is a fixed map of x, so it cycles and can
+        never pass.  Returns the states, each lane's iteration count (its
+        stamps), and for each lane that did not converge the node of its
+        worst residual at its last iteration (its state is then its start).
 
         In a decoupled system each free unknown's KCL, once the eliminated
         sources' rows hold exactly, is a scalar function of that unknown
@@ -622,13 +621,10 @@ class MnaSystem:
         whose basin matters; a decoupled system has one solution at each
         drive, so its lanes walk it from the cold start, which a lane
         further than MAX_ITER steps of MAX_STEP from its solution still
-        needs.  Newton stamps the active devices only; each lane that
-        passes, by either stage, then has the inert devices' currents at its
-        state added to its eliminated branch currents, so its state solves
-        KCL over every device.  Returns the states, each lane's iteration
-        count, whether it walked the ladder, and the message of each lane
-        that failed, whose state is then not a solution.  A singular step
-        raises FloatingNodeError."""
+        needs.  Returns the states, whose branch currents leave out the
+        inert devices, each lane's iteration count, whether it walked the
+        ladder, and the message of each lane that failed, whose state is
+        then not a solution.  A singular step raises FloatingNodeError."""
         lanes = b.shape[0]
         cold = np.zeros((lanes, self.size))
         cold[:, self._drv_node] = 0.0 - b[:, self._drv_branch] * self._drv_sign  # +0.0 at a zero drive
@@ -642,36 +638,37 @@ class MnaSystem:
             start = (cold if self.decoupled else x0)[rescue]
             x[rescue], its[rescue], left = self._gmin_stepping(start, b[rescue], g, sets[rescue])
             failed = {int(rescue[j]): msg for j, msg in left.items()}
-        if self._inert.size:
-            self._add_inert_currents(x, sets, np.flatnonzero(_passed(lanes, failed)))
         return x, its, ladder, failed
 
-    def _add_inert_currents(self, x: np.ndarray, sets: np.ndarray, lanes: np.ndarray) -> None:
-        """Correct the eliminated branch currents of the given lanes of
-        states x, in place, for the inert devices that Newton leaves out:
-        each source takes up what they drive into its node at the lane's
-        state, under the lane's row sets of par_sets.  One mos_eval call,
-        currents only, per MAX_LANES lanes."""
-        idx, par = self.mos_idx[self._inert], self.par_sets[:, self._inert]
+    def add_inert_currents(self, x: np.ndarray) -> np.ndarray:
+        """States x, (lanes, n), of the first parameter set, each eliminated
+        source's branch current corrected in place for what the inert
+        devices drive into its node, so each solves KCL over every device.
+        One mos_eval call, currents only, per MAX_LANES lanes; none when no
+        device is inert.  Returns x."""
+        if not self._inert.size:
+            return x
+        idx, par = self.mos_idx[self._inert], self.mos_par[self._inert]
         rows = idx[:, RES_ROW].T.ravel()  # every drain, then every source
-        for at in range(0, lanes.size, MAX_LANES):
-            chunk = lanes[at : at + MAX_LANES]
-            x_ext = np.concatenate((x[chunk], np.zeros((chunk.size, 1))), axis=1)
+        for at in range(0, len(x), MAX_LANES):
+            chunk = x[at : at + MAX_LANES]  # a view: written in place
+            x_ext = np.concatenate((chunk, np.zeros((len(chunk), 1))), axis=1)
             v_d, v_g, v_s, v_b = x_ext.take(idx.T, axis=1).swapaxes(0, 1)
-            i = mos_eval(par[sets[chunk]], v_g - v_s, v_d - v_s, v_s - v_b, self.vt)[0]
+            i = mos_eval(par, v_g - v_s, v_d - v_s, v_s - v_b, self.vt)[0]
             flow = np.zeros_like(x_ext)
             np.add.at(flow, (slice(None), rows), np.concatenate((i, -i), axis=1))
-            x[chunk[:, None], self._drv_branch] -= self._drv_sign * flow.take(self._drv_node, axis=1)
+            chunk[:, self._drv_branch] -= self._drv_sign * flow.take(self._drv_node, axis=1)
+        return x
 
     def solve_dc_vector(self) -> tuple[np.ndarray, int, bool]:
         """The DC solution with every source at its card value, from a zero
-        start: solve_lanes on one lane.  Returns the state, its iteration
-        count and whether it needed the gmin ladder; a lane that fails
-        raises ConvergenceError with its message."""
+        start: solve_lanes on one lane, then add_inert_currents.  Returns
+        the state, its iteration count and whether it needed the gmin
+        ladder; a lane that fails raises ConvergenceError with its message."""
         x, its, ladder, failed = self.solve_lanes(self.rhs()[None], np.zeros(self.size))
         if failed:
             raise ConvergenceError(failed[0])
-        return x[0], int(its[0]), bool(ladder[0])
+        return self.add_inert_currents(x)[0], int(its[0]), bool(ladder[0])
 
     def sweep(
         self, b: np.ndarray, x0: np.ndarray | None = None, sets: np.ndarray | None = None
@@ -684,9 +681,9 @@ class MnaSystem:
         follows one branch: each lane from the lane before when both share
         a set, else from its row of x0, by default zero.  A set stops at
         its first failed lane, whose message its later lanes share.
-        Returns the states and the message of each lane that failed, whose
-        state is then not a solution.  A singular step raises
-        FloatingNodeError."""
+        Returns the states, their branch currents without the inert devices,
+        and the message of each lane that failed, whose state is then not a
+        solution.  A singular step raises FloatingNodeError."""
         if self.decoupled:
             x, _, _, failed = self.solve_lanes(b, x0, sets)
             return x, failed
@@ -785,6 +782,7 @@ def dc_sweep(
     if failed:
         first = min(failed)
         raise ConvergenceError(f"{failed[first]} (sweeping {source_id}={values[first]:g})")
+    sys.add_inert_currents(xs)
     nodes = {name: xs[:, k].copy() for name, k in sys.node_index.items()}
     currents = {sid: xs[:, k].copy() for sid, k in sys.branch_index.items()}
     return SweepResult(source_id, values, nodes, currents)
@@ -815,10 +813,11 @@ def transient(
     ics: dict[str, float] | None = None,
 ) -> TransientResult:
     """Fixed-step transient; `method` is "be" or "trap".  Each step is one
-    lane of solve_lanes on the companion Jacobian, so a step plain Newton
-    fails walks the gmin ladder; one the ladder fails raises
-    ConvergenceError, its message followed by its time.  A run in which
-    any solve took the ladder, the t=0 one included, warns once at its end.
+    lane of solve_lanes on the companion Jacobian, then add_inert_currents,
+    as the next step starts from it and its stop test reads currents too.
+    A step plain Newton fails walks the gmin ladder; one the ladder fails
+    raises ConvergenceError, its message followed by its time.  A run in
+    which any solve took the ladder, t=0 included, warns once at its end.
 
     A backward-Euler step k is latent when every source drive equals step
     k-1's and _latent holds on the node voltages of steps k-3 to k-1: the
@@ -934,9 +933,10 @@ def transient(
         if method == "trap" and not startup:
             hist += i_hist
         np.add.at(b_vec, cap_ab, np.stack((-hist, hist), axis=1).reshape(-1))
-        (x,), _, (ladder,), failed = sys.solve_lanes(b_vec[None], x, g=g_start if startup else g_dyn)
+        x, _, (ladder,), failed = sys.solve_lanes(b_vec[None], x, g=g_start if startup else g_dyn)
         if failed:
             raise ConvergenceError(f"{failed[0]} (at t={times[k]:g} s)")
+        (x,) = sys.add_inert_currents(x)
         if ladder:
             rescued.append(times[k])
         if method == "trap":

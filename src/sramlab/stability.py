@@ -419,11 +419,11 @@ def drv_bruteforce(
 
 
 def _lanes(sys: MnaSystem, q: np.ndarray, **drive: np.ndarray | float) -> np.ndarray:
-    """States of sys, Q driven by VSNMIN, at each q and drive; a failed lane raises ConvergenceError."""
+    """Full-KCL states of sys, Q driven by VSNMIN, at each q and drive; a failed lane raises ConvergenceError."""
     x, _, _, failed = sys.solve_lanes(sys.rhs(drive={"VSNMIN": q, **drive}))
     if failed:
         raise ConvergenceError(failed[min(failed)])
-    return x
+    return sys.add_inert_currents(x)
 
 
 def _narrow(q: np.ndarray, values: np.ndarray, solve, index, tol: float) -> np.ndarray:

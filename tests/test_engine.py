@@ -146,8 +146,10 @@ def held_solve(net, volts):
     return sys, x[0], int(its[0]), bool(ladder[0])
 
 
-def max_node_residual(sys, x):
-    return np.abs(sys.residual(x, sys.rhs())[: sys.n_nodes]).max()
+def max_node_residual(sys, x, b=None):
+    """Worst node KCL residual over every device of state x against b,
+    by default every source at its card value."""
+    return np.abs(sys.residual(x, sys.rhs() if b is None else b)[: sys.n_nodes]).max()
 
 
 def test_vth_shift_raises_diode_node():
@@ -246,9 +248,14 @@ def write_bias(v_dd, v_bl):
     return net, {net.role_node("Q"): v_dd, net.role_node("QBAR"): 0.0}
 
 
+def write_read_stimulus_text():
+    """The corpus write/read stimulus of a single cell, as netlist text."""
+    return (Path(sramlab.__file__).parent / "corpus" / "cell_write_read.sp").read_text()
+
+
 def write_read_stimulus():
     """The corpus write/read stimulus of a single cell."""
-    return parse_netlist((Path(sramlab.__file__).parent / "corpus" / "cell_write_read.sp").read_text())
+    return parse_netlist(write_read_stimulus_text())
 
 
 @pytest.fixture
@@ -399,6 +406,23 @@ def test_only_the_ladder_and_the_driver_call_newton():
                         callers[node] = (path.name, fn.name)  # outer functions come first: the innermost wins
     assert len(callers) == refs
     assert sorted(set(callers.values())) == [("engine.py", "_gmin_stepping"), ("engine.py", "solve_lanes")]
+
+
+def test_only_the_stamp_and_the_currents_pass_evaluate_the_model():
+    # Newton evaluates the devices through mos_stamp alone; the inert
+    # devices' currents are evaluated only by add_inert_currents, which a
+    # caller that reads branch currents calls, never the driver itself.
+    names, callers = 0, {}
+    for path in sorted(Path(sramlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names += sum(isinstance(node, ast.Name) and node.id == "mos_eval" for node in ast.walk(tree))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "mos_eval":
+                        callers[node] = (path.name, fn.name)  # outer functions come first: the innermost wins
+    assert len(callers) == names  # every use of the name is a call
+    assert sorted(set(callers.values())) == [("engine.py", "add_inert_currents"), ("kernels.py", "mos_stamp")]
 
 
 def test_only_the_engine_reads_private_members_of_mna_system():
@@ -633,10 +657,10 @@ def test_driven_array_tile_has_no_inert_device():
 
 def test_converged_random_circuits_hold_full_kcl():
     # Newton leaves out the devices whose drain and source both sit on
-    # ground or a driven node; solve_lanes adds their currents to the
-    # driven nodes' sources afterwards.  Every converged solution then
-    # holds KCL over every device, the inert ones included, at every node;
-    # 123 of the solutions have an inert device.
+    # ground or a driven node; solve_dc has add_inert_currents add their
+    # currents to the driven nodes' sources afterwards.  Every converged
+    # solution then holds KCL over every device, the inert ones included,
+    # at every node; 123 of the solutions have an inert device.
     rng = np.random.default_rng(0)
     inert = 0
     for idx in range(400):
@@ -648,6 +672,57 @@ def test_converged_random_circuits_hold_full_kcl():
         assert sol.max_residual < ABSTOL
         inert += MnaSystem(net)._inert.size > 0
     assert inert == 123
+
+
+INERT_EXTRAS = {
+    # A coupled latch: an NMOS from VDD to ground and a PMOS from BLB to
+    # VDD, each gated by a storage node.
+    "latch": "MX1 VDD Q 0 0 NMOS L=2u W=6u\nMX2 BLB QBAR VDD VDD PMOS L=2u W=3u",
+    # A decoupled cell: Q driven, which leaves MPUL, MPDL and MPGL inert.
+    "q-driven": "VQ Q 0 DC 0.4",
+}
+
+
+def columns(result):
+    """A sweep's or waveform's states, one column per point: nodes, then
+    branch currents, in the order of the system's unknowns."""
+    return np.stack([*result.nodes.values(), *result.branch_currents.values()])
+
+
+@pytest.mark.parametrize("extra", INERT_EXTRAS.values(), ids=INERT_EXTRAS.keys())
+def test_states_read_for_currents_hold_full_kcl_with_inert_devices(extra):
+    # Newton stamps no inert device, so every caller that gives branch
+    # currents adds theirs: its states solve KCL at every node over every
+    # device, driven nodes included.  A transient step's residual adds
+    # each capacitor's companion current.
+    text = write_read_stimulus_text().replace(".END", extra + "\n.END")
+    net = parse_netlist(text)
+    sys = MnaSystem(net)
+    assert sys._inert.size >= 2
+    assert solve_dc(net).max_residual < ABSTOL
+    for source in ("VBL", "VDD"):
+        sweep = dc_sweep(net, source, 0.0, 1.8, 0.05)
+        for v, x in zip(sweep.values, columns(sweep).T):
+            assert max_node_residual(sys, x, sys.rhs(drive={source: v})) < ABSTOL, (source, v)
+    a, b = sys._cap_slots.T
+    caps = np.array([c.value for c in sys.caps])
+    for method, ics in (("be", {"QBAR": 0.0}), ("trap", None)):
+        tran = transient(net, 60e-9, 0.2e-9, method=method, ics=ics)
+        dt = tran.time[1]
+        xs = columns(tran)
+        x_ext = np.vstack((xs, np.zeros(xs.shape[1])))
+        u = x_ext[a] - x_ext[b]
+        i_cap = np.zeros(caps.size)  # open at t = 0
+        for k, x in enumerate(xs.T):
+            if k:
+                du = u[:, k] - u[:, k - 1]
+                i_cap = caps * du / dt if method == "be" or k == 1 else 2.0 * caps * du / dt - i_cap
+            elif ics:
+                continue  # the t = 0 state solves the pinned system
+            res = sys.residual(x, sys.rhs(drive={sid: w[k] for sid, w in tran.drives.items()}))
+            np.add.at(res, a, i_cap)
+            np.add.at(res, b, -i_cap)
+            assert np.abs(res[: sys.n_nodes]).max() < ABSTOL, (method, tran.time[k])
 
 
 def reference_matrix(sys, gmin=0.0, cap_factor=0.0):

@@ -935,7 +935,7 @@ def q_roots(cell, bl_v, v_dd, grid=1e-3):
     q = sweep_grid(0.0, v_dd, grid)
     x, _, _, failed = sys.solve_lanes(sys.rhs(drive={"VWQ": q}))
     assert not failed
-    i = np.sign(x[:, sys.branch_index["VWQ"]])
+    i = np.sign(sys.add_inert_currents(x)[:, sys.branch_index["VWQ"]])
     return [(q[j], q[j + 1]) for j in np.flatnonzero(i[:-1] * i[1:] <= 0)]
 
 
@@ -949,7 +949,7 @@ def cell_state(cell, bl_v, v_dd, bracket):
     def at(q):
         x, _, _, failed = sys.solve_lanes(sys.rhs(drive={"VWQ": np.array([q])}))
         assert not failed
-        return x[0]
+        return sys.add_inert_currents(x)[0]
 
     lo, hi = bracket
     sign_lo = np.sign(at(lo)[k])
@@ -986,6 +986,27 @@ def test_write_margin_and_read_states_hold_the_coupled_kcl(cell, v_dd):
         assert (x[coupled.node_index[q]] > x[coupled.node_index[qbar]]) == held
     current = abs(x[coupled.branch_index["VWBL"]])
     assert math.isclose(read_current(cell, v_dd=v_dd), current, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("v_dd", [0.9, 1.8])
+def test_write_margin_and_read_current_states_hold_full_kcl(cell, v_dd, monkeypatch):
+    # With Q driven, the Q-side devices of a write or read probe are inert,
+    # and the branch currents both read count them: every state either
+    # reads solves KCL at every node over every device.
+    worst = []
+    real = stability._lanes
+
+    def spy(sys, q, **drive):
+        x = real(sys, q, **drive)
+        b = sys.rhs(drive={"VSNMIN": q, **drive})
+        worst.append((sys._inert.size, max(np.abs(sys.residual(*lane)[: sys.n_nodes]).max() for lane in zip(x, b))))
+        return x
+
+    monkeypatch.setattr(stability, "_lanes", spy)
+    read_current(cell, v_dd=v_dd)
+    write_margin(cell, v_dd=v_dd)
+    assert worst
+    assert all(inert > 0 and res < engine.ABSTOL for inert, res in worst)
 
 
 def test_write_margin_rises_with_supply(cell):
@@ -1413,9 +1434,9 @@ def test_lobe_pair_leaves_each_driven_sides_devices_out_of_newton(cell, monkeypa
 
 def test_monte_carlo_kernel_calls_stay_within_the_pool(cell, monkeypatch):
     # 200 samples queue far more lanes than the Newton pool holds.  Each
-    # stamp, and each pass that adds the inert devices' currents after
-    # Newton, evaluates at most MAX_LANES lanes, which bounds the run's
-    # memory.
+    # stamp evaluates at most MAX_LANES lanes, which bounds the run's
+    # memory.  A butterfly reads node voltages alone, so the inert devices'
+    # currents are never evaluated.
     stamped, evaluated = [], []
     real_stamp, real_eval = engine.mos_stamp, engine.mos_eval
 
@@ -1432,9 +1453,8 @@ def test_monte_carlo_kernel_calls_stay_within_the_pool(cell, monkeypatch):
     vm = VariationModel(3e-9, 200, 3)
     mc = monte_carlo_snm(cell, vm=vm, mode="hold", v_dd=1.8, grid=0.01)
     assert mc.failures == 0
-    assert max(stamped) == max(evaluated) == engine.MAX_LANES
-    # Every lane of every sample, and of the nominal pair, once each.
-    assert sum(evaluated) == (vm.n_samples + 1) * sweep_grid(0.0, 1.8, 0.01).size
+    assert max(stamped) == engine.MAX_LANES
+    assert evaluated == []
 
 
 LATTICE = [round(0.90 + 0.05 * k, 2) for k in range(19)]
