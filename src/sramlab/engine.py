@@ -332,6 +332,10 @@ class MnaSystem:
         # vector), the free-by-driven coupling, and the rows of the driven
         # nodes, each with its columns and row runs.
         self._blocks = [(idx.shape[1], np.searchsorted(free, idx), idx, at) for idx, at in zip(blocks, block_pos)]
+        # Decoupled: every free unknown is a block of its own.  Each then
+        # solves one scalar KCL, monotone in that unknown, so the system has
+        # at most one solution at any drive.
+        self.decoupled = set(by_size) <= {1}
         free_of, drv_of = np.full(size, -1), np.full(size, -1)
         free_of[free], drv_of[self._drv_node] = np.arange(free.size), np.arange(self._drv_node.size)
         at = np.flatnonzero((free_of[row] >= 0) & (drv_of[col] >= 0))
@@ -439,19 +443,22 @@ class MnaSystem:
         plain Newton of every solve_lanes call, the only stage decoupled
         lanes run, and each round of the gmin ladder; nothing else calls it.
 
-        At most MAX_LANES lanes are live.  Every iteration stamps them in one
-        call, the active devices only, so the branch currents returned leave
-        out the inert ones; each lane stops on its own test and its place
-        goes to the next queued lane.  A lane passes when its residual at x
-        is within tolerance and the clipped step solved at x is small
-        (Deuflhard 2004, section 2.1), and returns x plus that step,
-        converged to rounding; a lane that starts at its solution costs one
-        stamp.  A lane fails when its step is not finite, after MAX_ITER
-        iterations, or once x plus its step is its x of the iteration
-        before: the iteration is a fixed map of x, so it cycles and can
-        never pass.  Returns the states, each lane's iteration count (its
-        stamps), and for each lane that did not converge the node of its
-        worst residual at its last iteration (its state is then its start).
+        Lanes queue for a pool of at most MAX_LANES slots.  A lane enters a
+        slot with its rows of the pool's table (see enter), is stamped with
+        every live lane in one call, the active devices only, so the branch
+        currents returned leave out the inert ones, and leaves on its own
+        test, its slot going to the next queued lane or, once the queue is
+        empty, out of the pool; its arithmetic is its own, whatever its
+        slot.  A lane passes when its residual at x is within tolerance and
+        the clipped step solved at x is small (Deuflhard 2004, section
+        2.1), and returns x plus that step, converged to rounding; a lane
+        that starts at its solution costs one stamp.  A lane fails when its
+        step is not finite, after MAX_ITER iterations, or once x plus its
+        step is its x of the iteration before: the iteration is a fixed map
+        of x, so it cycles and can never pass.  Returns the states, each
+        lane's iteration count (its stamps), and for each lane that did not
+        converge the node of its worst residual at its last iteration (its
+        state is then its start).
 
         In a decoupled system each free unknown's KCL, once the eliminated
         sources' rows hold exactly, is a scalar function of that unknown
@@ -465,51 +472,52 @@ class MnaSystem:
         """
         n, lanes = self.size, x0.shape[0]
         sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
-        g = np.broadcast_to(g, (lanes, g.shape[-1]))  # a view: rows are gathered as lanes enter
+        g = np.broadcast_to(g, (lanes, g.shape[-1]))  # a view: rows are gathered each iteration
         x = np.array(x0, dtype=float)
         its = np.full(lanes, MAX_ITER)
         failed: dict[int, str] = {}
         pool = min(lanes, MAX_LANES)
-        bracket = self.decoupled
-        if bracket:
-            # Per pool slot and free unknown: the bracket, the residual's
-            # last nonzero sign, and how often that sign has changed.
-            free = self._free
-            lo, hi = np.full((pool, free.size), -np.inf), np.full((pool, free.size), np.inf)
-            side, flips = np.zeros((pool, free.size)), np.zeros((pool, free.size), dtype=np.int64)
+        bracket, free = self.decoupled, self._free
+
+        def enter(new: np.ndarray) -> list[np.ndarray]:
+            # The rows lanes `new` bring to their slots: id, iteration
+            # count, right-hand side, parameter rows, extended state, and
+            # state of the iteration before, NaN (equal to nothing); in a
+            # decoupled system also, per free unknown, the bracket, the
+            # residual's last nonzero sign and how often that sign changed.
+            m = new.size
+            rows = [new, np.zeros(m, dtype=np.int64), b[new], self._active_par[sets[new]]]
+            rows += [np.concatenate((x[new], np.zeros((m, 1))), axis=1), np.full((m, n), np.nan)]
+            if bracket:
+                rows += [np.full((m, free.size), v) for v in (-np.inf, np.inf, 0.0, 0)]
+            return rows
+
         # One buffer of Jacobian values, reset in place each iteration, and
         # the stamp's targets in it and in the residuals, per pool slot.
         jac_buf = np.empty((pool, g.shape[-1]))
         stride = np.repeat([g.shape[-1], n + 1], [8, 2])
         stamp_at = self._active_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
-        # Per pool slot: the live lane's id, iteration count, right-hand
-        # side, linear Jacobian, parameter rows and extended state, then its
-        # state of the iteration before, NaN (equal to nothing) for an
-        # entering lane.  A finished lane's slot takes the next queued
-        # lane; once the queue is empty the pool shrinks.
-        ids = np.arange(pool)
-        count = np.zeros(pool, dtype=np.int64)
-        bl, gl, parl = b[ids], g[ids], self._active_par[sets[ids]]
-        xl = np.concatenate((x[ids], np.zeros((pool, 1))), axis=1)
-        x_last = np.full((pool, n), np.nan)
-        queued = pool
-        while ids.size:
+        table, queued = enter(np.arange(pool)), pool
+        while table[0].size:
+            ids, count, bl, parl, xl, x_last, *bounds = table
             count += 1
-            jac = jac_buf[: ids.size]
-            jac[...] = gl
-            res = self._linear(gl, xl, bl)
+            # The live lanes' linear Jacobians, read by _linear before the
+            # stamp; "clip" (ids are in range) skips take's buffered copy.
+            jac = g.take(ids, axis=0, out=jac_buf[: ids.size], mode="clip")
+            res = self._linear(jac, xl, bl)
             mos_stamp(xl, self._active_idx, parl, self.vt, jac, res, stamp_at[:, : ids.size])
             delta = self.newton_step(jac, res)
             if bracket:
+                lo, hi, side, flips = bounds
                 xf, df = xl.take(free, axis=1), delta.take(free, axis=1)
                 known = (res.take(self._drv_branch, axis=1) == 0).all(axis=1)[:, None] & (
                     jac.take(self._free_diag, axis=1) > 0
                 )
                 s = np.where(known, np.sign(res.take(free, axis=1)), 0.0)
                 flips += s * side < 0
-                side = np.where(s != 0, s, side)
-                hi = np.where(s > 0, np.minimum(hi, xf), hi)
-                lo = np.where(s < 0, np.maximum(lo, xf), lo)
+                np.copyto(side, s, where=s != 0)
+                np.minimum(hi, xf, out=hi, where=s > 0)
+                np.maximum(lo, xf, out=lo, where=s < 0)
                 t = xf + df
                 out = (flips >= 2) & ((t < lo) | (t > hi))
                 if out.any():
@@ -523,7 +531,7 @@ class MnaSystem:
             converged = small & ~bad & (np.abs(res[:, :n]) < self._res_tol).all(axis=1)
             cycled = (x_new == x_last).all(axis=1)
             done = converged | bad | cycled | (count >= MAX_ITER)
-            x_last = xl[:, :n].copy()
+            x_last[...] = xl[:, :n]
             xl[:, :n] = x_new
             if not done.any():
                 continue
@@ -531,21 +539,16 @@ class MnaSystem:
             its[ids[converged]] = count[converged]
             failed.update(zip(ids[done & ~converged].tolist(), map(self._worst_node, res[done & ~converged])))
             vacant = np.flatnonzero(done)
-            new = np.arange(queued, min(lanes, queued + vacant.size))
-            if new.size:
+            if queued < lanes:
+                new = np.arange(queued, min(lanes, queued + vacant.size))
                 queued += new.size
-                slots = vacant[: new.size]
-                ids[slots], count[slots], bl[slots], gl[slots] = new, 0, b[new], g[new]
-                parl[slots] = self._active_par[sets[new]]
-                xl[slots, :n], x_last[slots] = x[new], np.nan
-                if bracket:
-                    lo[slots], hi[slots], side[slots], flips[slots] = -np.inf, np.inf, 0.0, 0
-            if new.size < vacant.size:
+                for pooled, rows in zip(table, enter(new)):
+                    pooled[vacant[: new.size]] = rows
+                vacant = vacant[new.size :]
+            if vacant.size:
                 keep = np.ones(ids.size, dtype=bool)
-                keep[vacant[new.size :]] = False
-                ids, count, bl, gl, parl, xl, x_last = (a[keep] for a in (ids, count, bl, gl, parl, xl, x_last))
-                if bracket:
-                    lo, hi, side, flips = lo[keep], hi[keep], side[keep], flips[keep]
+                keep[vacant] = False
+                table = [pooled[keep] for pooled in table]
         return x, its, failed
 
     def _gmin_stepping(
@@ -699,13 +702,6 @@ class MnaSystem:
             if left:
                 failed[i] = left[0]
         return x, failed
-
-    @property
-    def decoupled(self) -> bool:
-        """Whether every free unknown is a block of its own.  Each then
-        solves one scalar KCL, monotone in that unknown, so the system has
-        at most one solution at any drive."""
-        return all(m == 1 for m, *_ in self._blocks)
 
 
 def solve_dc(net: Netlist, tech: TechnologyParams | None = None) -> DcSolution:

@@ -9,7 +9,6 @@ caller's object.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -419,11 +418,12 @@ def drv_bruteforce(
 
 
 def _lanes(sys: MnaSystem, q: np.ndarray, **drive: np.ndarray | float) -> np.ndarray:
-    """Full-KCL states of sys, Q driven by VSNMIN, at each q and drive; a failed lane raises ConvergenceError."""
+    """States of sys, Q driven by VSNMIN, at each q and drive, as solve_lanes gives them (see
+    add_inert_currents); a failed lane raises ConvergenceError."""
     x, _, _, failed = sys.solve_lanes(sys.rhs(drive={"VSNMIN": q, **drive}))
     if failed:
         raise ConvergenceError(failed[min(failed)])
-    return sys.add_inert_currents(x)
+    return x
 
 
 def _narrow(q: np.ndarray, values: np.ndarray, solve, index, tol: float) -> np.ndarray:
@@ -465,7 +465,8 @@ def write_margin(
     k, free_bl = driven.branch_index["VSNMIN"], drawn.node_index[cell.role_node("BL")]
 
     def bl(q: np.ndarray) -> np.ndarray:  # -inf below 0, +inf beyond v_dd
-        x = _lanes(driven, np.tile(q, 3), VSNMBL=np.concatenate((q, np.repeat([0.0, v_dd], q.size))))
+        bls = np.concatenate((q, np.repeat([0.0, v_dd], q.size)))
+        x = driven.add_inert_currents(_lanes(driven, np.tile(q, 3), VSNMBL=bls))
         i = x[:, k].reshape(3, -1)  # the Q source's current at BL = q, 0 and v_dd
         out = np.where(i[1] > 0, -np.inf, np.where(i[2] < 0, np.inf, np.nan))
         inside = np.isnan(out)
@@ -499,7 +500,7 @@ def read_current(
         raise ValueError("v_dd must be positive")
     driven = MnaSystem(with_elements(cell, _bias_sources(_cell_ports(cell), v_dd, v_dd, cell.role_node("Q"))), tech)
     i_q, i_bl = driven.branch_index["VSNMIN"], driven.branch_index["VSNMBL"]
-    solve = functools.partial(_lanes, driven, VSNMBL=v_dd)
+    solve = lambda q: driven.add_inert_currents(_lanes(driven, q, VSNMBL=v_dd))
     q = sweep_grid(0.0, v_dd, v_dd / (Q_POINTS - 1))
     return abs(_narrow(q, solve(q), solve, lambda x: np.argmax(x[:, i_q] <= 0), 0.0)[i_bl])
 

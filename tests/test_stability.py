@@ -557,30 +557,48 @@ def test_cycling_lane_fails_before_max_iter(cell, monkeypatch):
 
 
 def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
-    # Write probes at 1.2 V under three parameter sets, BL every 25 mV from
-    # the held state: the probes below about 0.1 V and above about 0.35 V
-    # converge, most between 2-cycle, so lanes leave a small pool at
-    # different iterations and the queue refills it.  Every lane must end
-    # as it does alone, in state, iteration count and failed node, and
-    # the pool must share its stamps among many lanes.
+    # Two queues of lanes for a pool of 16, which lanes leave at different
+    # iterations, so the queue refills it.  First, write probes at 1.2 V
+    # under three parameter sets, BL every 25 mV from the held state, Q
+    # and QBAR coupled: the probes below about 0.1 V and above about
+    # 0.35 V converge, most between 2-cycle.  Then the 77 cold lanes of
+    # the read lobe pair at 0.95 V on the 12.5 mV grid, a decoupled system
+    # whose lanes keep brackets: the lane at v_in = 0.5 V enters by refill
+    # and takes its bracket's midpoint in place of a Newton target
+    # (checked once by instrumenting the pool).  Every lane must end as it
+    # does alone, in state, iteration count and failed node, and the pool
+    # must share its stamps among many lanes.
     rng = np.random.default_rng(5)
     shifts = [dict(zip(CELL_MOS, rng.normal(0.0, 0.02, 6))) for _ in range(3)]
     grid = sweep_grid(0.0, 1.2, 0.025)
-    lobe, x0, b = write_probe_lanes(cell, 1.2, np.tile(grid, 3), shifts)
-    sets = np.repeat(np.arange(3), grid.size)
+    probes = (*write_probe_lanes(cell, 1.2, np.tile(grid, 3), shifts), np.repeat(np.arange(3), grid.size))
+    entered = []
+    real = MnaSystem._newton_lanes
+
+    def spy(self, x0, b, g, sets=None):
+        entered.append((self, x0, b, sets))
+        return real(self, x0, b, g, sets)
+
+    monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
+    butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
+    monkeypatch.undo()
+    pair = entered[0]  # plain Newton on the nominal pair's cold lanes
+    assert pair[0].decoupled and len(pair[1]) == 77
     monkeypatch.setattr(engine, "MAX_LANES", 16)
     lanes = stamp_counter(monkeypatch)
-    x, its, failed = lobe._newton_lanes(x0, b, lobe.g_static, sets)
-    pooled = len(lanes)
-    assert max(lanes) == 16
-    assert 0 < len(failed) < len(x0)
-    assert set(failed.values()) <= set(lobe.node_index)
-    for i in range(len(x0)):
-        x_1, its_1, failed_1 = lobe._newton_lanes(x0[i : i + 1], b[i : i + 1], lobe.g_static, sets[i : i + 1])
-        assert np.array_equal(x[i], x_1[0])
-        assert its[i] == its_1[0]
-        assert failed.get(i) == failed_1.get(0)
-    assert 8 * pooled < len(lanes) - pooled
+    for (lobe, x0, b, sets), some_fail in ((probes, True), (pair, False)):
+        lanes.clear()
+        x, its, failed = lobe._newton_lanes(x0, b, lobe.g_static, sets)
+        pooled = len(lanes)
+        assert max(lanes) == 16
+        assert 0 < len(failed) < len(x0) if some_fail else failed == {}
+        assert set(failed.values()) <= set(lobe.node_index)
+        for i in range(len(x0)):
+            x_1, its_1, failed_1 = lobe._newton_lanes(x0[i : i + 1], b[i : i + 1], lobe.g_static, sets[i : i + 1])
+            assert np.array_equal(x[i], x_1[0])
+            assert its[i] == its_1[0]
+            assert failed.get(i) == failed_1.get(0)
+        assert 8 * pooled < len(lanes) - pooled
 
 
 def one_lane_chain(lobe, x0, b):
@@ -991,22 +1009,35 @@ def test_write_margin_and_read_states_hold_the_coupled_kcl(cell, v_dd):
 @pytest.mark.parametrize("v_dd", [0.9, 1.8])
 def test_write_margin_and_read_current_states_hold_full_kcl(cell, v_dd, monkeypatch):
     # With Q driven, the Q-side devices of a write or read probe are inert,
-    # and the branch currents both read count them: every state either
-    # reads solves KCL at every node over every device.
-    worst = []
-    real = stability._lanes
+    # and the branch currents both read count them: every state corrected
+    # for branch currents solves KCL at every node over every device.  The
+    # write margin's drawn system, BL drawn by ISNMBL, is read at its free
+    # BL node alone, so it is solved but never corrected.  A system with
+    # no current source has no drive in its node rows, so its card
+    # right-hand side gives every state's node residuals.
+    solved, worst = [], []
+    real_lanes, real_add = MnaSystem.solve_lanes, MnaSystem.add_inert_currents
 
-    def spy(sys, q, **drive):
-        x = real(sys, q, **drive)
-        b = sys.rhs(drive={"VSNMIN": q, **drive})
-        worst.append((sys._inert.size, max(np.abs(sys.residual(*lane)[: sys.n_nodes]).max() for lane in zip(x, b))))
+    def lanes(self, b, *args):
+        solved.append(self)
+        return real_lanes(self, b, *args)
+
+    def add(self, x):
+        x = real_add(self, x)
+        assert not self.isources  # never the drawn system
+        b = self.rhs()
+        res = [np.abs(self.residual(lane, b)[: self.n_nodes]).max() for lane in x]
+        worst.append((self._inert.size, max(res)))
         return x
 
-    monkeypatch.setattr(stability, "_lanes", spy)
+    monkeypatch.setattr(MnaSystem, "solve_lanes", lanes)
+    monkeypatch.setattr(MnaSystem, "add_inert_currents", add)
     read_current(cell, v_dd=v_dd)
+    read = len(worst)
     write_margin(cell, v_dd=v_dd)
-    assert worst
+    assert 0 < read < len(worst)
     assert all(inert > 0 and res < engine.ABSTOL for inert, res in worst)
+    assert any(sys.isources for sys in solved)
 
 
 def test_write_margin_rises_with_supply(cell):
