@@ -3,19 +3,20 @@
 DC operating points use damped Newton iteration with an adaptive
 gmin-stepping fallback; sweeps warm-start only a coupled system's points;
 transient runs fixed-step backward Euler (default) or trapezoidal companions
-for the capacitors.  The Newton loop runs on lanes, a stack of states of one
-system each with its own right-hand side, linear Jacobian and device
-parameter set, so that many independent points (every sample's butterfly
-lobe grid) share every device evaluation; a single solve or transient step
-is one lane.  Drives are data: rhs builds the right-hand sides of any source
-values, one row per value, and nothing sets a drive on the system itself.
+for the capacitors.  An MnaSystem is the circuit alone, and the Newton loop
+runs on lanes, a stack of its states each with its own right-hand side and
+row of V_th0 shifts, so that many independent points (every sample's
+butterfly lobe grid) share every device evaluation; a single solve or
+transient step is one lane.  Drives and shifts are data: rhs builds the
+right-hand sides of any source values, one row per value, and nothing sets
+a drive or a device parameter on the system itself.
 Lanes queue for a pool of at most MAX_LANES live ones, and each lane that
 finishes hands its place to the next in the queue.  Every solve, DC or
 transient step, goes through one driver, solve_lanes, whose cold lanes
 start with every driven node at its drive.  It runs plain Newton on every
 lane, and the lanes Newton fails walk the gmin ladder, each with its own
-parameter set and step; each round is one Newton call with every lane at
-its own rung.  A lane the ladder fails too gets the one failure message,
+shifts and step; each round is one Newton call with every lane's rung a
+row of shunts.  A lane the ladder fails too gets the one failure message,
 naming its worst-residual node.  In a decoupled system, where every free
 unknown is a block of its own, each lane is a set of bracketed scalar
 root-finds: a Newton target that leaves the bracket the residual signs
@@ -169,21 +170,14 @@ def _row_sums(terms: np.ndarray, runs: tuple[np.ndarray, np.ndarray], n: int) ->
 
 
 class MnaSystem:
-    """Equation assembly for one netlist against one technology card.
-
-    vth_shift is a list of maps from element ids to additive V_th0
-    perturbations, None for one map with none; each map gives one device
-    parameter set, a row of par_sets, which lanes pick by index.  Single
-    solves use the first set, mos_par.  Degenerate elements (zero geometry
-    or placeholder terminals) are left unstamped.
+    """Equation assembly for one netlist against one technology card: the
+    circuit alone.  mos_par holds one parameter row per live transistor, in
+    card order; what varies per solve (drives, V_th0 shifts, gmin shunts)
+    is lane data passed to solve_lanes and sweep.  Degenerate elements
+    (zero geometry or placeholder terminals) are left unstamped.
     """
 
-    def __init__(
-        self,
-        net: Netlist,
-        tech: TechnologyParams | None = None,
-        vth_shift: list[dict[str, float]] | None = None,
-    ):
+    def __init__(self, net: Netlist, tech: TechnologyParams | None = None):
         self.net = net
         self.tech = derive_tech_params(tech if tech is not None else TechnologyParams.default())
         self.vt = self.tech.v_t
@@ -204,9 +198,6 @@ class MnaSystem:
         self.ground = self.size  # trailing extended slot
         self.branch_index = {e.id: self.n_nodes + k for k, e in enumerate(self.vsources)}
 
-        shifts = [{}] if vth_shift is None else vth_shift
-        if not shifts:
-            raise ValueError("need at least one device parameter set")
         # Each element's terminal slots, one row per element in list order:
         # the devices', the capacitors' (transient's too), the resistors'
         # and the voltage sources'.
@@ -215,14 +206,9 @@ class MnaSystem:
             for group, width in ((mos, 4), (self.caps, 2), (resistors, 2), (self.vsources, 2))
         )
         res_slots, src_slots = res_slots.tolist(), src_slots.tolist()
-        par = np.zeros((len(mos), N_PAR))
+        self.mos_par = np.zeros((len(mos), N_PAR))
         for k, m in enumerate(mos):
-            par[k] = pack_device(self.tech.device(m.polarity), m.polarity, m.w, m.l, self.vt)
-        self.par_sets = np.repeat(par[None], len(shifts), axis=0)
-        self.par_sets[:, :, COL_VTH0] += np.array(
-            [[shift.get(m.id, 0.0) for m in mos] for shift in shifts]
-        ).reshape(len(shifts), len(mos))
-        self.mos_par = self.par_sets[0]
+            self.mos_par[k] = pack_device(self.tech.device(m.polarity), m.polarity, m.w, m.l, self.vt)
 
         # The linear elements' (row, column, value) entries, in the order
         # they accumulate.
@@ -240,16 +226,16 @@ class MnaSystem:
         np.add.at(self.g_static, self._static_pos, vals)
 
         # The inert devices, drain and source both on ground or a driven
-        # node, and the active ones' rows of the arrays Newton stamps: the
-        # full arrays themselves when none is inert.
+        # node, and the active ones' selector and rows of the arrays Newton
+        # stamps: the full arrays themselves when none is inert.
         fixed = np.zeros(self.size + 1, dtype=bool)
         fixed[self._drv_node] = fixed[self.ground] = True
         inert = fixed[self.mos_idx[:, RES_ROW]].all(axis=1)
         self._inert = np.flatnonzero(inert)
-        self._active_idx, self._active_par, self._active_at = (
-            (self.mos_idx[~inert], self.par_sets[:, ~inert], self._stamp_at[:, ~inert])
+        self._active, self._active_idx, self._active_par, self._active_at = (
+            (~inert, self.mos_idx[~inert], self.mos_par[~inert], self._stamp_at[:, ~inert])
             if self._inert.size
-            else (self.mos_idx, self.par_sets, self._stamp_at)
+            else (slice(None), self.mos_idx, self.mos_par, self._stamp_at)
         )
 
     def _slot(self, node: Node) -> int:
@@ -375,8 +361,7 @@ class MnaSystem:
 
     def _linear(self, g: np.ndarray, x_ext: np.ndarray, b: np.ndarray) -> np.ndarray:
         """b plus g @ x_ext over the planned entries of Jacobian values g,
-        for one extended state or a stack of lanes, each with its own g or
-        all sharing one."""
+        for one extended state or a stack of lanes, each with its own g."""
         res = b.copy()
         res[..., :-1] += _row_sums(g[..., :-1] * x_ext.take(self._col, axis=-1), self._row_runs, self.size)
         return res
@@ -434,14 +419,15 @@ class MnaSystem:
         return -e
 
     def _newton_lanes(
-        self, x0: np.ndarray, b: np.ndarray, g: np.ndarray, sets: np.ndarray | None = None
+        self, x0: np.ndarray, b: np.ndarray, g: np.ndarray, vth: np.ndarray, shunt: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """Damped Newton on a queue of lanes, x0 (lanes, n) against b
-        (lanes, n+1), with linear Jacobian values g, one row shared by all
-        lanes, (entries+1,), or one per lane, (lanes, entries+1); sets
-        gives each lane's row of par_sets (default the first).  It is the
-        plain Newton of every solve_lanes call, the only stage decoupled
-        lanes run, and each round of the gmin ladder; nothing else calls it.
+        (lanes, n+1), with linear Jacobian values g, one row all lanes
+        share, each lane's V_th0 shifts vth (see solve_lanes) and its shunt
+        from every node to ground, (lanes,), on g's node diagonals (default
+        none).  It is the plain Newton of every solve_lanes call, the only
+        stage decoupled lanes run, and each round of the gmin ladder, the
+        one caller that passes shunt; nothing else calls it.
 
         Lanes queue for a pool of at most MAX_LANES slots.  A lane enters a
         slot with its rows of the pool's table (see enter), is stamped with
@@ -471,8 +457,6 @@ class MnaSystem:
         converges instead of cycling.
         """
         n, lanes = self.size, x0.shape[0]
-        sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
-        g = np.broadcast_to(g, (lanes, g.shape[-1]))  # a view: rows are gathered each iteration
         x = np.array(x0, dtype=float)
         its = np.full(lanes, MAX_ITER)
         failed: dict[int, str] = {}
@@ -481,12 +465,15 @@ class MnaSystem:
 
         def enter(new: np.ndarray) -> list[np.ndarray]:
             # The rows lanes `new` bring to their slots: id, iteration
-            # count, right-hand side, parameter rows, extended state, and
-            # state of the iteration before, NaN (equal to nothing); in a
-            # decoupled system also, per free unknown, the bracket, the
-            # residual's last nonzero sign and how often that sign changed.
+            # count, right-hand side, parameter rows (V_th0 plus the lane's
+            # shift), shunt, extended state, and state of the iteration
+            # before, NaN (equal to nothing); in a decoupled system also,
+            # per free unknown, the bracket, the residual's last nonzero
+            # sign and how often that sign changed.
             m = new.size
-            rows = [new, np.zeros(m, dtype=np.int64), b[new], self._active_par[sets[new]]]
+            par = np.repeat(self._active_par[None], m, axis=0)
+            par[..., COL_VTH0] += vth[new][:, self._active]
+            rows = [new, np.zeros(m, dtype=np.int64), b[new], par, np.zeros(m) if shunt is None else shunt[new]]
             rows += [np.concatenate((x[new], np.zeros((m, 1))), axis=1), np.full((m, n), np.nan)]
             if bracket:
                 rows += [np.full((m, free.size), v) for v in (-np.inf, np.inf, 0.0, 0)]
@@ -494,16 +481,18 @@ class MnaSystem:
 
         # One buffer of Jacobian values, reset in place each iteration, and
         # the stamp's targets in it and in the residuals, per pool slot.
-        jac_buf = np.empty((pool, g.shape[-1]))
-        stride = np.repeat([g.shape[-1], n + 1], [8, 2])
+        jac_buf = np.empty((pool, g.size))
+        stride = np.repeat([g.size, n + 1], [8, 2])
         stamp_at = self._active_at[:, None, :] + (stride[:, None] * np.arange(pool))[:, :, None]
         table, queued = enter(np.arange(pool)), pool
         while table[0].size:
-            ids, count, bl, parl, xl, x_last, *bounds = table
+            ids, count, bl, parl, rung, xl, x_last, *bounds = table
             count += 1
-            # The live lanes' linear Jacobians, read by _linear before the
-            # stamp; "clip" (ids are in range) skips take's buffered copy.
-            jac = g.take(ids, axis=0, out=jac_buf[: ids.size], mode="clip")
+            # The live lanes' linear Jacobians, read by _linear before the stamp.
+            jac = jac_buf[: ids.size]
+            jac[...] = g
+            if shunt is not None:
+                jac[:, self._node_diag] += rung[:, None]
             res = self._linear(jac, xl, bl)
             mos_stamp(xl, self._active_idx, parl, self.vt, jac, res, stamp_at[:, : ids.size])
             delta = self.newton_step(jac, res)
@@ -552,11 +541,11 @@ class MnaSystem:
         return x, its, failed
 
     def _gmin_stepping(
-        self, x0: np.ndarray, b: np.ndarray, g: np.ndarray, sets: np.ndarray
+        self, x0: np.ndarray, b: np.ndarray, g: np.ndarray, vth: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """Adaptive gmin stepping on lanes, x0 (lanes, n) against b (lanes,
         n+1), with linear Jacobian values g, one row they all share, and
-        each lane's row sets of par_sets: the lanes that solve_lanes's plain
+        each lane's V_th0 shifts vth: the lanes that solve_lanes's plain
         Newton fails.  A shunt from every node to ground, on top of g, is
         relaxed rung by rung, then none (the SPICE2 ladder of Nagel,
         ERL-M520, 1975, with ngspice's dynamic step).  Near a bistable trip
@@ -573,7 +562,7 @@ class MnaSystem:
         passing it ends the walk; a lane that fails it fails at once if half
         its step would still give no shunt.  A lane that fails no rung walks
         the fixed decade ladder.  Each round is one _newton_lanes call, every
-        live lane at its own rung.
+        live lane at its own rung, passed as its shunt.
         Returns the states, each lane's iteration count over its passed
         rungs, and the failure message of each lane that stalled, naming the
         worst-residual node of its last failed rung; its state is then not
@@ -589,9 +578,7 @@ class MnaSystem:
         while live.size:
             rung = shunt[live] * 10.0 ** -step[live]
             rung[rung <= 1e-12] = 0.0
-            gl = np.repeat(g[None], live.size, axis=0)
-            gl[:, self._node_diag] += rung[:, None]
-            x[live], n, stuck = self._newton_lanes(x[live], b[live], gl, sets[live])
+            x[live], n, stuck = self._newton_lanes(x[live], b[live], g, vth[live], rung)
             ok = _passed(live.size, stuck)
             good, bad = live[ok], live[~ok]
             its[good] += n[ok]
@@ -610,7 +597,7 @@ class MnaSystem:
         self,
         b: np.ndarray,
         x0: np.ndarray | None = None,
-        sets: np.ndarray | None = None,
+        vth: np.ndarray | None = None,
         g: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
         """Solutions of lanes against b (lanes, n+1), with linear Jacobian
@@ -618,9 +605,10 @@ class MnaSystem:
         the one driver of every DC solve and transient step, and the only
         way into Newton.  Each lane starts at x0, (lanes, n) or one (n,)
         state they all share, by default cold (each eliminated source's node
-        at its drive, all else zero), with its row sets of par_sets (default
-        the first).  Plain Newton runs every lane, and the lanes it fails
-        walk the gmin ladder.  A coupled lane walks it from its own start,
+        at its drive, all else zero), with its row of vth, (lanes, devices),
+        V_th0 shifts of the live transistors in card order (default none).
+        Plain Newton runs every lane, and the lanes it fails walk the gmin
+        ladder.  A coupled lane walks it from its own start,
         whose basin matters; a decoupled system has one solution at each
         drive, so its lanes walk it from the cold start, which a lane
         further than MAX_ITER steps of MAX_STEP from its solution still
@@ -632,19 +620,19 @@ class MnaSystem:
         cold = np.zeros((lanes, self.size))
         cold[:, self._drv_node] = 0.0 - b[:, self._drv_branch] * self._drv_sign  # +0.0 at a zero drive
         x0 = cold if x0 is None else np.broadcast_to(x0, (lanes, self.size))
-        sets = np.zeros(lanes, dtype=np.int64) if sets is None else sets
+        vth = np.zeros((lanes, len(self.mos_par))) if vth is None else vth
         g = self.g_static if g is None else g
-        x, its, failed = self._newton_lanes(x0, b, g, sets)
+        x, its, failed = self._newton_lanes(x0, b, g, vth)
         ladder = ~_passed(lanes, failed)
         rescue = np.flatnonzero(ladder)
         if rescue.size:
             start = (cold if self.decoupled else x0)[rescue]
-            x[rescue], its[rescue], left = self._gmin_stepping(start, b[rescue], g, sets[rescue])
+            x[rescue], its[rescue], left = self._gmin_stepping(start, b[rescue], g, vth[rescue])
             failed = {int(rescue[j]): msg for j, msg in left.items()}
         return x, its, ladder, failed
 
     def add_inert_currents(self, x: np.ndarray) -> np.ndarray:
-        """States x, (lanes, n), of the first parameter set, each eliminated
+        """Unshifted states x, (lanes, n), each eliminated
         source's branch current corrected in place for what the inert
         devices drive into its node, so each solves KCL over every device.
         One mos_eval call, currents only, per MAX_LANES lanes; none when no
@@ -674,31 +662,31 @@ class MnaSystem:
         return self.add_inert_currents(x)[0], int(its[0]), bool(ladder[0])
 
     def sweep(
-        self, b: np.ndarray, x0: np.ndarray | None = None, sets: np.ndarray | None = None
+        self, b: np.ndarray, x0: np.ndarray | None = None, vth: np.ndarray | None = None
     ) -> tuple[np.ndarray, dict[int, str]]:
         """States of a sweep, lanes against b (lanes, n+1), each with its
-        row sets of par_sets (default the first): the one driver of every
+        row of V_th0 shifts vth (see solve_lanes): the one driver of every
         DC sweep.  A decoupled system has one solution at each drive, so
         its lanes are one solve_lanes call, started at x0 (lanes, n), by
         default cold.  A coupled one's are solved in order, so the walk
-        follows one branch: each lane from the lane before when both share
-        a set, else from its row of x0, by default zero.  A set stops at
-        its first failed lane, whose message its later lanes share.
-        Returns the states, their branch currents without the inert devices,
-        and the message of each lane that failed, whose state is then not a
-        solution.  A singular step raises FloatingNodeError."""
+        follows one branch: each lane from the lane before when both have
+        the same shift row, else from its row of x0, by default zero.  A
+        walk stops at its first failed lane, whose message its later lanes
+        share.  Returns the states, their branch currents without the inert
+        devices, and the message of each lane that failed, whose state is
+        then not a solution.  A singular step raises FloatingNodeError."""
         if self.decoupled:
-            x, _, _, failed = self.solve_lanes(b, x0, sets)
+            x, _, _, failed = self.solve_lanes(b, x0, vth)
             return x, failed
-        sets = np.zeros(len(b), dtype=np.int64) if sets is None else sets
+        vth = np.zeros((len(b), len(self.mos_par))) if vth is None else vth
         x = np.zeros((len(b), self.size)) if x0 is None else np.array(x0, dtype=float)
         failed: dict[int, str] = {}
         for i in range(len(b)):
-            warm = i > 0 and sets[i] == sets[i - 1]
+            warm = i > 0 and (vth[i] == vth[i - 1]).all()
             if warm and i - 1 in failed:
                 failed[i] = failed[i - 1]
                 continue
-            (x[i],), _, _, left = self.solve_lanes(b[i : i + 1], x[i - 1] if warm else x[i], sets[i : i + 1])
+            (x[i],), _, _, left = self.solve_lanes(b[i : i + 1], x[i - 1] if warm else x[i], vth[i : i + 1])
             if left:
                 failed[i] = left[0]
         return x, failed

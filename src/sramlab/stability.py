@@ -9,17 +9,16 @@ caller's object.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .config import ConfigError
 from .devices import TechnologyParams, derive_tech_params, leakage_current
 from .engine import MAX_LANES, ConvergenceError, EngineError, FloatingNodeError, MnaSystem, sweep_grid
-from .netlist import GROUND, Netlist, Node, SourceElement, instantiate, with_elements
+from .netlist import GROUND, MosElement, Netlist, Node, SourceElement, instantiate, with_elements
 from .report import write_columns
 
 SQRT2 = math.sqrt(2.0)
@@ -145,6 +144,11 @@ def _bias_sources(ports: dict[str, str], v_dd: float, wl: float, drive_node: str
     ]
 
 
+def _transistors(cell: Netlist) -> list[MosElement]:
+    """The cell's live transistors in card order: a V_th0 shift row's columns."""
+    return [m for m in cell.mos_elements if not m.degenerate]
+
+
 def butterfly(
     cell: Netlist,
     tech: TechnologyParams | None = None,
@@ -156,8 +160,14 @@ def butterfly(
     """Open-loop transfer curves of both cell inverters and their noise
     margins.  Hold mode turns the access devices off; read mode drives the
     wordline at v_dd.  Both bitlines stay clamped at v_dd (precharged); both
-    curves are solved on one lobe-pair system (see _butterflies)."""
-    (data,) = _butterflies(cell, tech, mode, v_dd, grid, [vth_shift or {}])
+    curves are solved on one lobe-pair system (see _butterflies).  vth_shift
+    adds to the V_th0 of the live transistors it names; any other id raises
+    ValueError."""
+    shift, mos = vth_shift or {}, _transistors(cell)
+    unknown = sorted(set(shift) - {m.id for m in mos})
+    if unknown:
+        raise ValueError(f"vth_shift names {unknown[0]!r}, which is not a live transistor of the cell")
+    (data,) = _butterflies(cell, tech, mode, v_dd, grid, np.array([[shift.get(m.id, 0.0) for m in mos]]))
     if isinstance(data, EngineError):
         raise data
     return data
@@ -169,21 +179,21 @@ def _butterflies(
     mode: str,
     v_dd: float,
     grid: float,
-    shifts: Iterable[dict[str, float]],
+    shifts: np.ndarray,
 ) -> Iterator[ButterflyData | EngineError]:
-    """Butterfly data of one cell under each map of V_th0 shifts, in order;
-    a sample that fails to solve gives its EngineError instead.
+    """Butterfly data of one cell under each row of V_th0 shifts (samples,
+    _transistors(cell)), in order; a sample that fails gives its EngineError.
 
-    Both lobes are solved on one system, a lobe pair: two disjoint copies
-    of the biased cell, every node suffixed (_A, _B), rails included, each
-    with its own sources.  A's VSNMIN drives Q, B's drives QBAR, and a
-    sample's shifts apply to both copies.  The pair is first solved once
-    for the unshifted cell, and a sample whose shifts are all zero takes
-    that result, error included.  Each grid point is a lane of one
+    Both lobes are solved on one system, planned once, a lobe pair: two
+    disjoint copies of the biased cell, every node suffixed (_A, _B), rails
+    included, each with its own sources.  A's VSNMIN drives Q, B's drives
+    QBAR, and a sample's shifts apply to both copies.  The pair is first
+    solved for the unshifted cell, and a sample whose shifts are all zero
+    takes that result, error included.  Each grid point is a lane of one
     MnaSystem.sweep call carrying both lobes, both drives in lockstep: the
     nominal pair's lanes from sweep's default start, then every shifted
-    sample's, at most BATCH_LANES a batch, one parameter set per sample,
-    each started at the nominal pair's state.  With one storage node
+    sample's, at most BATCH_LANES a batch, each with the sample's shift
+    row, started at the nominal pair's state.  With one storage node
     driven, a 6T cell's other node is its copy's only free unknown, with
     one solution at each input: the pair is decoupled, every lane is
     solved at once, the nominal lanes cold-started (drives set, free nodes
@@ -205,46 +215,46 @@ def _butterflies(
     ports = _cell_ports(cell)
     wl = v_dd if mode == "read" else 0.0
     v_in = sweep_grid(0.0, v_dd, grid)
+    points = v_in.size  # lane k is point k % points of sample k // points
     sides = {"_A": ports["Q"], "_B": ports["QBAR"]}  # each instance's suffix and driven node
     lobes = [with_elements(cell, _bias_sources(ports, v_dd, wl, drive)) for drive in sides.values()]
     pair = Netlist(entries=[e for side, lobe in zip(sides, lobes) for e in instantiate(lobe, side, {})])
     probes = (ports["QBAR"] + "_A", ports["Q"] + "_B")
+    sys = MnaSystem(pair, tech)
+    b = sys.rhs(drive={"VSNMIN" + side: v_in for side in sides})
 
-    def solve(batch: list, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None, dict]:
-        # Both lobes' probes along the grid under each map of batch,
-        # (samples, 2, points), each sample's sweep started at `start`,
-        # (points, n); the lanes' states (None after a singular step); and
-        # the error of each sample that failed.
-        points = v_in.size  # lane k is point k % points of sample k // points
-        paired = [{m + side: v for m, v in shift.items() for side in sides} for shift in batch]
-        sys = MnaSystem(pair, tech, paired)
-        b = np.tile(sys.rhs(drive={"VSNMIN" + side: v_in for side in sides}), (len(batch), 1))
-        x0 = None if start is None else np.tile(start, (len(batch), 1))
+    def solve(rows: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None, dict]:
+        # Both lobes' probes along the grid under each row of shifts (the
+        # pair's transistors are A's, then B's), (samples, 2, points), each
+        # sample's sweep started at `start`, (points, n); the lanes' states
+        # (None after a singular step); and each failed sample's error.
+        samples = len(rows)
+        x0 = None if start is None else np.tile(start, (samples, 1))
         try:
-            x, failed = sys.sweep(b, x0, np.repeat(np.arange(len(batch)), points))
+            x, failed = sys.sweep(np.tile(b, (samples, 1)), x0, np.repeat(np.tile(rows, 2), points, axis=0))
         except FloatingNodeError as exc:
             # Not tied to one lane, so every sample of the batch fails with it.
             error = FloatingNodeError(f"{exc} (sweeping VSNMIN)")
-            return np.empty((len(batch), 2, points)), None, dict.fromkeys(range(len(batch)), error)
-        x = x.reshape(len(batch), points, sys.size)
+            return np.empty((samples, 2, points)), None, dict.fromkeys(range(samples), error)
+        x = x.reshape(samples, points, sys.size)
         errors: dict[int, EngineError] = {}
         for lane in sorted(failed):
             msg = f"{failed[lane]} (sweeping VSNMIN={v_in[lane % points]:g})"
             errors.setdefault(lane // points, ConvergenceError(msg))
         return x[:, :, [sys.node_index[p] for p in probes]].swapaxes(1, 2), x, errors
 
-    nominal, states, errors = solve([{}])
+    nominal, states, errors = solve(np.zeros((1, shifts.shape[1])))
     nominal_error, start = errors.get(0), None if states is None else states[0]
 
-    shifts = iter(shifts)
-    while batch := list(itertools.islice(shifts, max(1, BATCH_LANES // v_in.size))):
-        shifted = [i for i, shift in enumerate(batch) if any(shift.values())]
+    per_batch = max(1, BATCH_LANES // points)
+    for batch in (shifts[at : at + per_batch] for at in range(0, len(shifts), per_batch)):
+        shifted = np.flatnonzero(batch.any(axis=1))
         v_out = np.repeat(nominal, len(batch), axis=0)
-        unshifted = set(range(len(batch))) - set(shifted)
+        unshifted = set(range(len(batch))) - set(shifted.tolist())
         errors = {} if nominal_error is None else dict.fromkeys(unshifted, nominal_error)
-        if shifted:
-            v_out[shifted], _, failed = solve([batch[i] for i in shifted], start)
-            errors.update((shifted[j], exc) for j, exc in failed.items())
+        if shifted.size:
+            v_out[shifted], _, failed = solve(batch[shifted], start)
+            errors.update((int(shifted[j]), exc) for j, exc in failed.items())
         for i in range(len(batch)):
             if i in errors:
                 yield errors[i]
@@ -554,11 +564,11 @@ def monte_carlo_snm(
 ) -> McSummary:
     """Butterfly SNM under independent per-device V_th0 perturbations.
 
-    All draws come from one seeded generator up front.  Each sample is one
-    device parameter set, and the samples' butterflies are solved together
-    as lanes of one lobe-pair system per batch, one lane per grid point
-    carrying both lobes, each started at the nominal pair's state at its
-    point; every sample equals its own
+    All draws come from one seeded generator up front, a row of V_th0
+    shifts per sample, and the samples' butterflies are solved together as
+    lanes of one lobe-pair system, one lane per grid point carrying both
+    lobes, each started at the nominal pair's state at its point; every
+    sample equals its own
     butterfly(..., vth_shift=...) bit for bit, so results are
     byte-identical for a given (seed, N, cell, grid) however the lanes are
     scheduled.  A sample that fails to solve is NaN and counts toward
@@ -566,7 +576,7 @@ def monte_carlo_snm(
     """
     if vm is None:
         raise ValueError("a VariationModel is required")
-    mos = [m for m in cell.mos_elements if not m.degenerate]
+    mos = _transistors(cell)
     if not mos:
         raise ConfigError("cell has no transistors to perturb")
     card = tech if tech is not None else TechnologyParams.default()
@@ -579,11 +589,7 @@ def monte_carlo_snm(
 
     samples = np.full(vm.n_samples, np.nan)
     failures = 0
-    shifts = (
-        {m.id: float(draws[k, j] * sig[j]) for j, m in enumerate(mos)}
-        for k in range(vm.n_samples)
-    )
-    for k, data in enumerate(_butterflies(cell, tech, mode, v_dd, grid, shifts)):
+    for k, data in enumerate(_butterflies(cell, tech, mode, v_dd, grid, draws * sig)):
         if isinstance(data, EngineError):
             failures += 1
         else:

@@ -14,6 +14,7 @@ from sramlab.cli import main
 from sramlab.engine import MnaSystem
 from sramlab.genlib import build_6t_cell
 from sramlab.netlist import parse_netlist, print_netlist
+from sramlab.report import AnalysisReport
 
 CORPUS = Path(sramlab.__file__).parent / "corpus"
 
@@ -616,6 +617,30 @@ def test_unparseable_netlist_exits_2(run, tmp_path):
     assert "line 1" in err
 
 
+def test_bad_number_flag_exits_2_naming_the_token(run, capsys):
+    # A flag's number goes through parse_spice_number, whose message, not
+    # argparse's generic one, names the token.
+    with pytest.raises(SystemExit) as exc:
+        main(["write-margin", "--netlist", "cell.sp", "--vdd", "1.2.3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --vdd: not a number: '1.2.3'\n")
+
+
+def test_tran_ic_without_a_node_exits_2(run, tmp_path):
+    f = tmp_path / "rc.sp"
+    f.write_text(RC)
+    argv = ("tran", str(f), "--tstop", "1m", "--dt", "0.1m", "--ic", "=0.5")
+    assert_bad_input(run, "bad --ic '=0.5'; expected NODE=VOLTS", *argv)
+
+
+def test_report_get_of_a_missing_name_raises_key_error():
+    rep = AnalysisReport()
+    rep.add("points", 3)
+    assert rep.get("points").value == 3
+    with pytest.raises(KeyError):
+        rep.get("t_stop")
+
+
 def test_usage_errors_exit_2(run):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -815,8 +840,8 @@ def test_tran_failed_step_exits_1(run, tmp_path, monkeypatch):
     f.write_text(RC)
     real = MnaSystem._newton_lanes
 
-    def refusing(self, x0, b, g, sets=None):
-        x, its, failed = real(self, x0, b, g, sets)
+    def refusing(self, x0, b, g, vth, shunt=None):
+        x, its, failed = real(self, x0, b, g, vth, shunt)
         return x, its, failed if g is self.g_static else {0: "refused"}
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", refusing)

@@ -365,6 +365,9 @@ def test_gamma_from_doping():
     tech.nmos.n_a = None
     with pytest.raises(ValueError):
         derive_tech_params(tech)
+    tech.nmos.n_a = -1e23
+    with pytest.raises(ValueError, match="^gamma derivation needs nonnegative n_a and eps_si$"):
+        derive_tech_params(tech)
 
 
 def test_vth0_from_charges():

@@ -154,8 +154,9 @@ def max_node_residual(sys, x, b=None):
 
 def test_vth_shift_raises_diode_node():
     base = solve_dc(parse_netlist(DIODE))
-    sys = MnaSystem(parse_netlist(DIODE), vth_shift=[{"M1": 0.05}])
-    x, _, _ = sys.solve_dc_vector()
+    sys = MnaSystem(parse_netlist(DIODE))
+    (x,), _, _, failed = sys.solve_lanes(sys.rhs()[None], np.zeros(sys.size), np.array([[0.05]]))
+    assert not failed
     assert x[sys.node_index["d"]] > base.voltage("d")
 
 
@@ -224,7 +225,7 @@ def test_newton_failure_names_worst_node(monkeypatch):
     sys = MnaSystem(parse_netlist(DIODE))
     monkeypatch.setattr(engine, "MAX_ITER", 2)
     x0 = np.zeros((1, sys.size))
-    x, _, failed = sys._newton_lanes(x0, sys.rhs()[None], sys.g_static)
+    x, _, failed = sys._newton_lanes(x0, sys.rhs()[None], sys.g_static, np.zeros((1, len(sys.mos_par))))
     assert failed == {0: "d"}
     assert np.array_equal(x, x0)
 
@@ -262,7 +263,7 @@ def write_read_stimulus():
 def fallbacks(monkeypatch):
     """Each entry to the gmin ladder, the one DC fallback, in order, as its
     name and the number of lanes in its stack (the last argument holds
-    each lane's parameter set); it still runs."""
+    each lane's row of V_th0 shifts); it still runs."""
     entered = []
     real = MnaSystem._gmin_stepping
 
@@ -315,11 +316,10 @@ def test_halved_gmin_step_rescues_a_write_probe(fallbacks, monkeypatch):
     rungs = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g, sets=None):
-        x, its, failed = real(self, x0, b, g, sets)
-        d = self._node_diag[0]
-        (shunt,) = np.atleast_2d(g)[:, d] - self.g_static[d]  # one lane
-        rungs.append((shunt, bool(failed)))
+    def spy(self, x0, b, g, vth, shunt=None):
+        x, its, failed = real(self, x0, b, g, vth, shunt)
+        (rung,) = np.zeros(1) if shunt is None else shunt  # one lane
+        rungs.append((rung, bool(failed)))
         return x, its, failed
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
@@ -349,9 +349,9 @@ def test_failed_unshunted_rung_is_not_repeated(monkeypatch):
     unshunted = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g, sets=None):
-        x, its, failed = real(self, x0, b, g, sets)
-        if (np.atleast_2d(g) == self.g_static).all():  # one lane
+    def spy(self, x0, b, g, vth, shunt=None):
+        x, its, failed = real(self, x0, b, g, vth, shunt)
+        if g is self.g_static and (shunt is None or not shunt.any()):  # one lane
             unshunted.append((x0.copy(), bool(failed)))
         return x, its, failed
 
@@ -406,6 +406,14 @@ def test_only_the_ladder_and_the_driver_call_newton():
                         callers[node] = (path.name, fn.name)  # outer functions come first: the innermost wins
     assert len(callers) == refs
     assert sorted(set(callers.values())) == [("engine.py", "_gmin_stepping"), ("engine.py", "solve_lanes")]
+    # The ladder alone passes a shunt, the fifth argument.
+    arity = {}
+    for fn in ast.walk(ast.parse(Path(engine.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_newton_lanes":
+                    arity[node] = (fn.name, len(node.args) + len(node.keywords))  # the innermost wins
+    assert sorted(arity.values()) == [("_gmin_stepping", 5), ("solve_lanes", 4)]
 
 
 def test_only_the_stamp_and_the_currents_pass_evaluate_the_model():
@@ -531,11 +539,20 @@ def assembled(sys, x, b, g=None, active=False):
     x_ext = np.append(x, 0.0)
     jac, res = g.copy(), dense(sys, g) @ x_ext + b
     if active:
-        idx, par, at = sys._active_idx, sys._active_par[0], sys._active_at
+        idx, par, at = sys._active_idx, sys._active_par, sys._active_at
     else:
         idx, par, at = sys.mos_idx, sys.mos_par, sys._stamp_at
     mos_stamp(x_ext, idx, par, sys.vt, jac, res, at)
     return jac, res
+
+
+def lane_jacobians(sys, g, lanes, shunt=None):
+    """Each lane's linear Jacobian values in a _newton_lanes call: g, plus
+    the lane's shunt on every node diagonal where one is passed."""
+    rows = np.repeat(g[None], lanes, axis=0)
+    if shunt is not None:
+        rows[:, sys._node_diag] += shunt[:, None]
+    return rows
 
 
 def assembled_jacobian(sys, x, b):
@@ -651,7 +668,7 @@ def test_driven_array_tile_has_no_inert_device():
     sys = MnaSystem(driven_tile(2, 3)[0])
     assert sys._inert.size == 0
     assert sys._active_idx is sys.mos_idx
-    assert sys._active_par is sys.par_sets
+    assert sys._active_par is sys.mos_par
     assert sys._active_at is sys._stamp_at
 
 
@@ -762,9 +779,9 @@ def test_every_linear_matrix_lies_in_the_plan(monkeypatch):
     handed = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g, sets=None):
-        handed.extend((self, row.copy()) for row in np.broadcast_to(g, (len(x0), g.shape[-1])))
-        return real(self, x0, b, g, sets)
+    def spy(self, x0, b, g, vth, shunt=None):
+        handed.extend((self, row) for row in lane_jacobians(self, g, len(x0), shunt))
+        return real(self, x0, b, g, vth, shunt)
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     net, held = write_bias(1.2, 0.40)
@@ -849,10 +866,10 @@ def fresh_stop(monkeypatch):
     checked = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g, sets=None):
-        x, its, failed = real(self, x0, b, g, sets)
-        assert sets is None or not sets.any()  # assembled stamps the first parameter set
-        rows = np.broadcast_to(g, (len(x0), g.shape[-1]))
+    def spy(self, x0, b, g, vth, shunt=None):
+        x, its, failed = real(self, x0, b, g, vth, shunt)
+        assert vth is None or not vth.any()  # assembled stamps the unshifted devices
+        rows = lane_jacobians(self, g, len(x0), shunt)
         for lane in sorted(set(range(len(x))) - set(failed)):
             jac, res = assembled(self, x[lane], b[lane], rows[lane], active=True)
             step = self.newton_step(jac[None], res[None])[0]
@@ -903,7 +920,7 @@ def test_random_circuits_converge_by_a_fresh_stop_test(fresh_stop):
     for idx in range(500):
         sys = MnaSystem(parse_netlist(random_circuit_text(rng, idx)))
         try:
-            sys._newton_lanes(np.zeros((1, sys.size)), sys.rhs()[None], sys.g_static)
+            sys._newton_lanes(np.zeros((1, sys.size)), sys.rhs()[None], sys.g_static, np.zeros((1, len(sys.mos_par))))
         except FloatingNodeError:
             pass
     assert_converged(fresh_stop, 380)
@@ -982,6 +999,35 @@ def test_dc_sweep_inverter_transfer():
     assert out[-1] < 0.1
     assert all(b <= a + 1e-9 for a, b in zip(out, out[1:]))
     assert np.all(res.node("0") == 0.0)
+
+
+def test_coupled_sweep_restarts_where_the_shift_rows_change(monkeypatch):
+    # A coupled sweep walks its lanes in order, each from the state of the
+    # lane before while both have the same row of V_th0 shifts, and from
+    # its own row of x0 wherever the row changes, a return to an earlier
+    # row included.  The starts alternate between the latch's two held
+    # states, so a walk that carried on where it should restart would
+    # start from the other basin.
+    sys = MnaSystem(parse_netlist(LATCH))
+    assert not sys.decoupled
+    vth = np.array([[0.0, 0.0], [0.0, 0.0], [0.02, 0.0], [0.02, 0.0], [0.02, 0.0], [0.0, 0.0], [0.0, -0.01]])
+    restart = [True, False, True, False, False, True, True]
+    q, qb = sys.node_index["q"], sys.node_index["qb"]
+    x0 = np.zeros((len(vth), sys.size))
+    x0[1::2, q] = x0[::2, qb] = 1.8
+    starts = []
+    real = MnaSystem.solve_lanes
+
+    def spy(self, b, x0=None, vth=None, g=None):
+        starts.append(np.array(x0))
+        return real(self, b, x0, vth, g)
+
+    monkeypatch.setattr(MnaSystem, "solve_lanes", spy)
+    x, failed = sys.sweep(np.repeat(sys.rhs()[None], len(vth), axis=0), x0, vth)
+    assert failed == {} and len(starts) == len(vth)
+    for i, fresh in enumerate(restart):
+        assert np.array_equal(starts[i], x0[i] if fresh else x[i - 1]), i
+        assert not np.array_equal(x0[i], x[i - 1]) or i == 0
 
 
 def test_dc_sweep_annotates_failures():
@@ -1068,6 +1114,7 @@ def test_transient_initial_condition_pins_first_point():
     assert abs(tr.node("out")[0] - 0.25) < 1e-9
     assert abs(tr.node("in")[0] - 1.0) < 1e-9
     assert np.all(tr.drives["V1"] == 1.0)
+    assert np.array_equal(tr.node("0"), np.zeros(tr.time.size))
 
 
 @pytest.mark.parametrize("method", ["be", "trap"])
@@ -1290,7 +1337,7 @@ def test_transient_drive_table_is_rhs_per_step():
     for k, t in enumerate(tr.time):
         if k:
             b = sys.rhs(drive={e.id: e.value_at(t) for e in sys.vsources + sys.isources})
-            (x,), _, failed = sys._newton_lanes(x[None], b[None], sys.g_static)
+            (x,), _, failed = sys._newton_lanes(x[None], b[None], sys.g_static, np.zeros((1, len(sys.mos_par))))
             assert not failed
         assert all(tr.node(name)[k] == x[i] for name, i in sys.node_index.items())
     for e in sys.vsources + sys.isources:

@@ -96,6 +96,19 @@ def test_propagation_delay_is_shift_invariant():
     assert b.t_phl == pytest.approx(a.t_phl, rel=1e-9)
 
 
+def test_propagation_delay_skips_an_output_crossing_before_any_input_crossing():
+    # The output falls at 0.5 ns, before the input first crosses (rising at
+    # 1.5 ns): that crossing has no input to answer and is skipped, so
+    # t_pHL is the later fall, 5.5 ns against the input's fall at 4.5 ns.
+    t = np.arange(8.0) * NS
+    vin = np.array([0.0, 0.0, 1.8, 1.8, 1.8, 0.0, 0.0, 0.0])
+    vout = np.array([1.8, 0.0, 0.0, 1.8, 1.8, 1.8, 0.0, 0.0])
+    w = TransientResult(time=t, nodes={"in": vin, "out": vout}, branch_currents={})
+    d = propagation_delay(w, "out", 0.0, 1.8, input_node="in")
+    assert d.t_plh == pytest.approx(1.0 * NS, rel=1e-12)
+    assert d.t_phl == pytest.approx(1.0 * NS, rel=1e-12)
+
+
 def test_propagation_delay_infers_single_moving_drive():
     w = ramp_waveform()
     d = propagation_delay(w, "out", 0.0, 1.8)  # VDD is flat, so VIN is it

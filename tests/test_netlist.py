@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sramlab import netlist
 from sramlab.genlib import build_6t_cell
 from sramlab.netlist import (
     CapElement,
@@ -94,6 +96,63 @@ def test_syntax_error_carries_line_number():
     with pytest.raises(NetlistSyntaxError) as err:
         parse_netlist("* fine\nM1 1 2 3\n.END\n")
     assert "line 2" in str(err.value)
+
+
+M_CARD = "M1 a b c d NMOS L=1u W=1u"
+
+# One row per `raise NetlistSyntaxError` in the parser: the line before the
+# bad one (a title unless the rejection needs an element first), the bad
+# line, and the message.
+REJECTIONS = [
+    ("* t", "R1 a 0 abc", "bad R value 'abc'"),
+    ("* t", ".MODEL foo", "unsupported directive '.MODEL'"),
+    (M_CARD, "* M1 DRAIN GATE SOURCE BULK (1 2 3)", "bounding box needs 4 coordinates"),
+    ("* t", "* roles: Q", "bad role annotation 'Q'"),
+    ("* t", "X1 a b", "unknown card type 'X1'"),
+    ("* t", "M1 1 2 3", "M card needs drain gate source bulk and polarity"),
+    ("* t", "M1 a b c d XMOS L=1u W=1u", "bad polarity 'XMOS'"),
+    ("* t", "M1 a b c d NMOS L=1u W=1u Q=3", "bad M-card field 'Q=3'"),
+    ("* t", "M1 a b c d NMOS L=1u W=1u l=2u", "repeated M-card field 'l'"),
+    ("* t", "M1 a b c d NMOS L=1u", "M card needs both L= and W="),
+    ("* t", "M1 a b c d NMOS L=-1u W=1u", "negative device geometry"),
+    ("* t", "R1 a 0", "R card needs two nodes and one value"),
+    ("* t", "C1 a 0 R=1p", "bad C-card field 'R=1p'"),
+    ("* t", "R1 a 0 -1k", "negative R value"),
+    ("* t", "V1 a 0", "source card needs two nodes and a value"),
+    ("* t", "V1 a 0 PULSE(0 1.8", "malformed PULSE specification"),
+    ("* t", "V1 a 0 1.8 2", "bad source value"),
+    ("* t", "V1 a 0 PULSE(0 1.8 1n)", "PULSE needs v1 v2 td tr tf pw per"),
+    ("* t", "V1 a 0 PULSE(0 1.8 1n 0 1n 5n 20n)", "PULSE rise and fall times must be > 0"),
+    ("* t", "I1 a 0 PWL(0 0 1n)", "PWL needs time/value pairs"),
+    ("* t", "V1 a 0 PWL(0 0 1n 1 1n 0)", "PWL times must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("head, card, message", REJECTIONS)
+def test_parser_rejections(head, card, message):
+    with pytest.raises(NetlistSyntaxError) as err:
+        parse_netlist(f"{head}\n{card}\n.END\n")
+    assert type(err.value) is NetlistSyntaxError and err.value.lineno == 2
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_every_parser_rejection_is_in_the_table():
+    # The table grows with the parser: one row per raise site.
+    tree = ast.parse((Path(netlist.__file__)).read_text())
+    sites = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "NetlistSyntaxError"
+    ]
+    assert len(sites) == len(REJECTIONS)
+
+
+def test_bare_number_source_card_is_dc():
+    v1, i1 = parse_netlist("* t\nV1 a 0 1.8\nI1 a 0 -2m\n.END\n").elements
+    assert (v1.kind, v1.params) == ("DC", (1.8,))
+    assert (i1.kind, i1.params) == ("DC", (-2e-3,))
 
 
 def test_duplicate_id_rejected():

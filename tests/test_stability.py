@@ -155,6 +155,16 @@ def test_separated_curves_are_not_bistable():
     assert r.snm_high == 0.0 and r.snm_low == 0.0
 
 
+def test_disjoint_abscissas_are_not_bistable():
+    # Rotated 45 degrees, curve A spans u in [-1.0, -0.9] / sqrt(2) and
+    # mirrored curve B [0.9, 1.0] / sqrt(2): no abscissa is shared, so
+    # there is no gap to measure.
+    flat = TransferCurve(np.array([0.0, 0.1]), np.array([1.0, 1.0]))
+    r = inscribed_square_snm(flat, flat)
+    assert r.snm_high == 0.0 and r.snm_low == 0.0
+    assert r.anchors_high is None and r.anchors_low is None
+
+
 def test_anchor_points_lie_on_the_gap_extremes():
     a = smooth_inverter(1.8, 6.0, 0.0)
     r = inscribed_square_snm(a, a)
@@ -295,11 +305,17 @@ def state_at(sys, volts):
     return x
 
 
-def write_probe_lanes(cell, v_dd, values, vth_shift=None):
+def shift_rows(net, shifts):
+    """Rows of V_th0 shifts, one per map of `shifts`, over net's live
+    transistors in card order; a device a map does not name is unshifted."""
+    return np.array([[shift.get(m.id, 0.0) for m in net.mos_elements if not m.degenerate] for shift in shifts])
+
+
+def write_probe_lanes(cell, v_dd, values):
     """One lane per BL value of a write at v_dd (wordline at v_dd), each
     started at the held state, Q at v_dd: the system, starts and
     right-hand sides.  Q and QBAR are coupled free unknowns here."""
-    lobe = MnaSystem(biased_write(cell, 0.0, v_dd, v_dd), vth_shift=vth_shift)
+    lobe = MnaSystem(biased_write(cell, 0.0, v_dd, v_dd))
     held = state_at(lobe, {cell.role_node("Q"): v_dd})
     b = lobe.rhs(drive={"VWBL": values})
     return lobe, np.repeat(held[None], len(values), axis=0), b
@@ -309,7 +325,7 @@ def one_lane(lobe, x0, b, g):
     """_newton_lanes on the one lane x0 against b and linear Jacobian g:
     its state and iteration count, or ConvergenceError naming its worst
     node."""
-    (x,), (its,), failed = lobe._newton_lanes(x0[None], b[None], g)
+    (x,), (its,), failed = lobe._newton_lanes(x0[None], b[None], g, np.zeros((1, len(lobe.mos_par))))
     if failed:
         raise ConvergenceError(failed[0])
     return x, int(its)
@@ -317,14 +333,14 @@ def one_lane(lobe, x0, b, g):
 
 def refuse_newton(monkeypatch, refuse):
     """Make _newton_lanes fail, naming the node "refused", every lane j
-    for which refuse(system, x0, b, g, sets)[j] holds; such a lane
-    returns its start, as a failed lane does."""
+    for which refuse(system, x0, b, vth, shunt)[j] holds, vth the lanes'
+    V_th0 shift rows and shunt their gmin rungs (None on plain Newton);
+    such a lane returns its start, as a failed lane does."""
     real = MnaSystem._newton_lanes
 
-    def refusing(self, x0, b, g, sets=None):
-        x, its, failed = real(self, x0, b, g, sets)
-        sets = np.zeros(len(x0), dtype=np.int64) if sets is None else sets
-        for j in np.flatnonzero(refuse(self, x0, b, g, sets)).tolist():
+    def refusing(self, x0, b, g, vth, shunt=None):
+        x, its, failed = real(self, x0, b, g, vth, shunt)
+        for j in np.flatnonzero(refuse(self, x0, b, vth, shunt)).tolist():
             x[j], its[j], failed[j] = x0[j], engine.MAX_ITER, "refused"
         return x, its, failed
 
@@ -333,14 +349,15 @@ def refuse_newton(monkeypatch, refuse):
 
 def sequential_lobes(cell, mode, v_dd, grid, vth_shift=None):
     """Both lobes by warm-started sweeps, one point at a time, the first
-    from zero, as dc_sweep runs them, on a system under vth_shift."""
+    from zero, as dc_sweep runs them, each lane under vth_shift."""
     values = sweep_grid(0.0, v_dd, grid)
     lobes = []
     for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
-        lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive), vth_shift=[vth_shift or {}])
+        lobe = MnaSystem(biased_lobe(cell, mode, v_dd, drive))
+        vth = shift_rows(lobe.net, [vth_shift or {}])
         x, v_out = np.zeros(lobe.size), np.empty(values.size)
         for i, b in enumerate(lobe.rhs(drive={"VIN": values})):
-            (x,), _, _, failed = lobe.solve_lanes(b[None], x)
+            (x,), _, _, failed = lobe.solve_lanes(b[None], x, vth)
             if failed:
                 raise ConvergenceError(failed[0])
             v_out[i] = x[lobe.node_index[cell.role_node(probe)]]
@@ -382,7 +399,7 @@ def cold_at(v_in, source="VIN"):
     unknown, each lobe's probe, at 0 V) with `source` driven at v_in, on
     plain Newton and on every rung of the gmin ladder."""
 
-    def refuse(lobe, x0, b, g, sets):
+    def refuse(lobe, x0, b, vth, shunt):
         cold = (x0[:, lobe._free] == 0).all(axis=1)
         return cold & np.isclose(-b[:, lobe.branch_index[source]], v_in)
 
@@ -411,7 +428,7 @@ def test_refused_lobe_lane_is_landed_by_the_ladder(cell, monkeypatch):
     # and leaves every other point as it was.
     want = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
     cold = cold_at(0.5, "VSNMIN_A")
-    refuse_newton(monkeypatch, lambda lobe, x0, b, g, sets: cold(lobe, x0, b, g, sets) & (g is lobe.g_static))
+    refuse_newton(monkeypatch, lambda lobe, x0, b, vth, shunt: cold(lobe, x0, b, vth, shunt) & (shunt is None))
     entered = spy_fallbacks(monkeypatch)
     data = butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
     assert entered == ["_gmin_stepping"]
@@ -437,9 +454,10 @@ def spy_fallbacks(monkeypatch):
 
 def kcl_bisection(cell, mode, v_dd, v_in, node="QBAR", vth_shift=None):
     """Root of `node`'s KCL residual in the Q-driven lobe with every drive
-    fixed (Q at v_in), by plain bisection on [0, v_dd]; the residual is
-    increasing in the node's voltage."""
-    lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"), vth_shift=[vth_shift or {}])
+    fixed (Q at v_in) and the devices under vth_shift, by plain bisection
+    on [0, v_dd]; the residual is increasing in the node's voltage."""
+    lobe = MnaSystem(biased_lobe(cell, mode, v_dd, "Q"))
+    lobe.mos_par[:, COL_VTH0] += shift_rows(lobe.net, [vth_shift or {}])[0]  # what residual stamps
     wl = v_dd if mode == "read" else 0.0
     roles = {"VDD": v_dd, "WL": wl, "BL": v_dd, "BLB": v_dd, "Q": v_in}
     x = state_at(lobe, {cell.role_node(r): v for r, v in roles.items()})
@@ -571,13 +589,14 @@ def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
     rng = np.random.default_rng(5)
     shifts = [dict(zip(CELL_MOS, rng.normal(0.0, 0.02, 6))) for _ in range(3)]
     grid = sweep_grid(0.0, 1.2, 0.025)
-    probes = (*write_probe_lanes(cell, 1.2, np.tile(grid, 3), shifts), np.repeat(np.arange(3), grid.size))
+    probes = write_probe_lanes(cell, 1.2, np.tile(grid, 3))
+    probes = (*probes, np.repeat(shift_rows(probes[0].net, shifts), grid.size, axis=0))
     entered = []
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g, sets=None):
-        entered.append((self, x0, b, sets))
-        return real(self, x0, b, g, sets)
+    def spy(self, x0, b, g, vth, shunt=None):
+        entered.append((self, x0, b, vth))
+        return real(self, x0, b, g, vth, shunt)
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     butterfly(cell, mode="read", v_dd=0.95, grid=0.0125)
@@ -586,15 +605,15 @@ def test_refilled_pool_matches_one_lane_solves(cell, monkeypatch):
     assert pair[0].decoupled and len(pair[1]) == 77
     monkeypatch.setattr(engine, "MAX_LANES", 16)
     lanes = stamp_counter(monkeypatch)
-    for (lobe, x0, b, sets), some_fail in ((probes, True), (pair, False)):
+    for (lobe, x0, b, vth), some_fail in ((probes, True), (pair, False)):
         lanes.clear()
-        x, its, failed = lobe._newton_lanes(x0, b, lobe.g_static, sets)
+        x, its, failed = lobe._newton_lanes(x0, b, lobe.g_static, vth)
         pooled = len(lanes)
         assert max(lanes) == 16
         assert 0 < len(failed) < len(x0) if some_fail else failed == {}
         assert set(failed.values()) <= set(lobe.node_index)
         for i in range(len(x0)):
-            x_1, its_1, failed_1 = lobe._newton_lanes(x0[i : i + 1], b[i : i + 1], lobe.g_static, sets[i : i + 1])
+            x_1, its_1, failed_1 = lobe._newton_lanes(x0[i : i + 1], b[i : i + 1], lobe.g_static, vth[i : i + 1])
             assert np.array_equal(x[i], x_1[0])
             assert its[i] == its_1[0]
             assert failed.get(i) == failed_1.get(0)
@@ -638,7 +657,8 @@ def one_lane_chain(lobe, x0, b):
     x, its = x0.copy(), np.zeros(len(x0), dtype=np.int64)
     fallback, left = np.zeros(len(x0), dtype=bool), {}
     for lane in range(len(x0)):
-        x_1, its_1, stuck = lobe._newton_lanes(x0[lane : lane + 1], b[lane : lane + 1], lobe.g_static)
+        unshifted = np.zeros((1, len(lobe.mos_par)))
+        x_1, its_1, stuck = lobe._newton_lanes(x0[lane : lane + 1], b[lane : lane + 1], lobe.g_static, unshifted)
         x[lane], its[lane], fallback[lane] = x_1[0], its_1[0], bool(stuck)
         if stuck:
             try:
@@ -667,11 +687,10 @@ def test_batched_fallbacks_match_the_one_lane_chain(cell, monkeypatch):
     rounds = []  # per ladder call: the shunt of each of its lanes
     real = MnaSystem._newton_lanes
 
-    def spy(self, x0, b, g, sets=None):
+    def spy(self, x0, b, g, vth, shunt=None):
         if stages:
-            d = self._node_diag[0]
-            rounds.append(np.broadcast_to(g, (len(x0), g.shape[-1]))[:, d] - self.g_static[d])
-        return real(self, x0, b, g, sets)
+            rounds.append(shunt)
+        return real(self, x0, b, g, vth, shunt)
 
     monkeypatch.setattr(MnaSystem, "_newton_lanes", spy)
     x, its, fallback, left = lobe.solve_lanes(b, x0)
@@ -736,29 +755,30 @@ def test_singular_lobe_fails_every_sample_with_its_sweep(cell):
         butterfly(gated, mode="hold", v_dd=1.8, grid=0.05)
     assert str(singular.value) == message
     shifts = [{}, dict.fromkeys(CELL_MOS, 0.01), {"MPDL": -0.01}]
-    out = list(stability._butterflies(gated, None, "read", 1.8, 0.05, shifts))
+    out = list(stability._butterflies(gated, None, "read", 1.8, 0.05, shift_rows(gated, shifts)))
     assert [(type(e), str(e)) for e in out] == [(FloatingNodeError, message)] * len(shifts)
     with pytest.raises(EngineError, match="^8 of 8 Monte Carlo samples failed to solve$"):
         monte_carlo_snm(gated, vm=VariationModel(None, 8, 1), mode="hold", v_dd=1.8, grid=0.05)
 
 
-def test_parameter_sets_ride_the_gmin_ladder(cell):
+def test_shift_rows_ride_the_gmin_ladder(cell):
     # Write probes at 1.2 V from the held state over BL 0.11-0.33 V, where
-    # plain Newton 2-cycles and the gmin ladder runs, under two parameter
-    # sets: nominal, and both pull-downs' V_th0 raised 10 mV.  Each lane,
-    # ladder lanes included, must end bit for bit as the same lane solved
-    # on a system of its own set alone.
+    # plain Newton 2-cycles and the gmin ladder runs, under two rows of
+    # V_th0 shifts: none, and both pull-downs' V_th0 raised 10 mV.  Each
+    # lane, ladder lanes included, must end bit for bit as the same lane
+    # solved alone, with its own row, on a system of its own.
     shifts = [{}, {"MPDL": 0.01, "MPDR": 0.01}]
     values = sweep_grid(0.11, 0.33, 0.02)
-    lobe, x0, b = write_probe_lanes(cell, 1.2, np.tile(values, 2), shifts)
+    lobe, x0, b = write_probe_lanes(cell, 1.2, np.tile(values, 2))
     sets = np.repeat(np.arange(2), values.size)
+    vth = shift_rows(lobe.net, shifts)[sets]
     assert not lobe.decoupled
-    x, its, ladder, failed = lobe.solve_lanes(b, x0[0], sets)
+    x, its, ladder, failed = lobe.solve_lanes(b, x0[0], vth)
     assert ladder[sets == 0].all() and ladder[sets == 1].all()
     assert not np.array_equal(x[sets == 0], x[sets == 1])
-    for i, k in enumerate(sets):
-        alone = MnaSystem(lobe.net, vth_shift=[shifts[k]])
-        x_1, its_1, ladder_1, failed_1 = alone.solve_lanes(b[i : i + 1], x0[i])
+    for i in range(len(sets)):
+        alone = MnaSystem(lobe.net)
+        x_1, its_1, ladder_1, failed_1 = alone.solve_lanes(b[i : i + 1], x0[i], vth[i : i + 1])
         assert np.array_equal(x[i], x_1[0]) and its[i] == its_1[0] and ladder[i] == ladder_1[0]
         assert failed.get(i) == failed_1.get(0)
 
@@ -1066,9 +1086,9 @@ def test_write_margin_and_read_current_solve_only_decoupled_systems(cell, monkey
         real_init(self, *args, **kwargs)
         built.append(self)
 
-    def ladder(self, x0, b, sets):
+    def ladder(self, x0, *args):
         laddered.append(len(x0))
-        return real_ladder(self, x0, b, sets)
+        return real_ladder(self, x0, *args)
 
     monkeypatch.setattr(MnaSystem, "__init__", init)
     monkeypatch.setattr(MnaSystem, "_gmin_stepping", ladder)
@@ -1087,12 +1107,12 @@ def test_write_margin_and_read_current_fail_with_a_lane_that_fails(cell, monkeyp
     # analysis with the ladder's message, naming the node the refusals
     # name: here every lane of the system with BL free (write margin) or
     # of every system (read current).
-    refuse_newton(monkeypatch, lambda lobe, x0, b, g, sets: np.full(len(x0), bool(lobe.isources)))
+    refuse_newton(monkeypatch, lambda lobe, x0, b, vth, shunt: np.full(len(x0), bool(lobe.isources)))
     stalled = "^gmin stepping stalled below the minimum step; worst residual at node refused$"
     with pytest.raises(ConvergenceError, match=stalled):
         write_margin(cell, v_dd=1.2)
     monkeypatch.undo()
-    refuse_newton(monkeypatch, lambda lobe, x0, b, g, sets: np.full(len(x0), True))
+    refuse_newton(monkeypatch, lambda lobe, x0, b, vth, shunt: np.full(len(x0), True))
     with pytest.raises(ConvergenceError, match=stalled):
         read_current(cell, v_dd=1.2)
 
@@ -1293,7 +1313,7 @@ def poison_sample(monkeypatch, cell, vm, k):
     """Make every stamp of sample k of monte_carlo_snm(cell, vm=vm) return
     a non-finite residual.  Its lanes are those whose stamped rows all hold
     that sample's shifted V_th0 values, whichever devices are stamped."""
-    doomed = MnaSystem(cell, vth_shift=[sample_shifts(cell, vm)[k]]).mos_par[:, COL_VTH0]
+    doomed = MnaSystem(cell).mos_par[:, COL_VTH0] + shift_rows(cell, [sample_shifts(cell, vm)[k]])[0]
     real = engine.mos_stamp
 
     def poisoned(x_ext, mos_idx, par, vt, jac, res, at):
@@ -1309,7 +1329,7 @@ def test_failed_sample_is_nan_at_its_index_only(cell, monkeypatch):
     # fails.
     vm = VariationModel(3e-9, 10, 1)
     poison_sample(monkeypatch, cell, vm, 2)
-    monkeypatch.setattr(stability, "BATCH_LANES", 10**6)  # one batch, sets = samples
+    monkeypatch.setattr(stability, "BATCH_LANES", 10**6)  # one batch of every sample
     mc = monte_carlo_snm(cell, vm=vm, mode="hold", v_dd=1.8, grid=0.02)
     monkeypatch.undo()
     assert mc.failures == 1
@@ -1346,11 +1366,11 @@ def test_failed_coupled_sample_is_nan_at_its_index_only(cell, monkeypatch):
     assert np.array_equal(np.delete(mc.samples, 2), np.delete(want, 2))
 
 
-def test_coupled_monte_carlo_builds_one_system_per_batch(cell, monkeypatch):
-    # A coupled batch rides its samples' parameter sets, as a decoupled one
-    # does: one lobe-pair system for the nominal pair and one per batch,
-    # here of four samples, and every sample still equals its own
-    # butterfly bit for bit.
+def test_coupled_monte_carlo_builds_one_system(cell, monkeypatch):
+    # A coupled batch rides its samples' shift rows, as a decoupled one
+    # does: one lobe-pair system for the nominal pair and every batch, here
+    # of four samples, and every sample still equals its own butterfly bit
+    # for bit.
     gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
     coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
     vm = VariationModel(3e-9, 10, 1)
@@ -1365,7 +1385,7 @@ def test_coupled_monte_carlo_builds_one_system_per_batch(cell, monkeypatch):
     monkeypatch.setattr(stability, "BATCH_LANES", 4 * sweep_grid(0.0, 1.8, 0.05).size)
     mc = monte_carlo_snm(coupled, vm=vm, mode="hold", v_dd=1.8, grid=0.05)
     monkeypatch.undo()
-    assert built == [False] * 4  # the nominal pair, then batches of 4, 4 and 2 samples
+    assert built == [False]  # the nominal pair, then batches of 4, 4 and 2 samples, on it
     assert mc.failures == 0
     assert np.array_equal(mc.samples, per_sample_snm(coupled, vm, "hold", 1.8, 0.05))
 
@@ -1376,18 +1396,17 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
     # the samples its cold start, QBAR of the Q-driven lobe and Q of the
     # QBAR-driven one at 0 V; the shifted samples still solve, and the
     # unshifted ones fail as butterfly() does.
-    nominal_par = np.tile(MnaSystem(cell).mos_par, (2, 1))  # both lobes
     starts = []
     real_lanes = MnaSystem.solve_lanes
 
-    def lanes_spy(self, b, x0=None, sets=None):
+    def lanes_spy(self, b, x0=None, vth=None):
         starts.append((self, x0))
-        return real_lanes(self, b, x0, sets)
+        return real_lanes(self, b, x0, vth)
 
     cold = cold_at(0.5, "VSNMIN_A")
 
-    def refuse(lobe, x0, b, g, sets):
-        return cold(lobe, x0, b, g, sets) & (lobe.par_sets[sets] == nominal_par).all(axis=(1, 2))
+    def refuse(lobe, x0, b, vth, shunt):
+        return cold(lobe, x0, b, vth, shunt) & (vth == 0).all(axis=1)  # the nominal pair's lanes
 
     refuse_newton(monkeypatch, refuse)
     monkeypatch.setattr(MnaSystem, "solve_lanes", lanes_spy)
@@ -1397,7 +1416,7 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
     shift = dict(zip(CELL_MOS, (0.004, -0.003, 0.002, 0.001, -0.002, 0.003)))
     shifts = [{}, shift, dict.fromkeys(CELL_MOS, 0.0), {k: -v for k, v in shift.items()}]
     starts.clear()
-    out = list(stability._butterflies(cell, None, "read", 0.95, 0.0125, shifts))
+    out = list(stability._butterflies(cell, None, "read", 0.95, 0.0125, shift_rows(cell, shifts)))
     monkeypatch.undo()
     v_in = sweep_grid(0.0, 0.95, 0.0125)
     assert [x is None for _, x in starts] == [True, False]
@@ -1411,6 +1430,52 @@ def test_failed_nominal_lane_fails_no_shifted_sample(cell, monkeypatch):
         assert_matches_sequential(out[k], cell, shifts[k])
 
 
+def count_builds(monkeypatch):
+    """Whether each MnaSystem built from here on is decoupled, in order."""
+    built = []
+    real_init = MnaSystem.__init__
+
+    def init_spy(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.decoupled)
+
+    monkeypatch.setattr(MnaSystem, "__init__", init_spy)
+    return built
+
+
+def test_monte_carlo_and_shifted_butterfly_plan_one_system(cell, monkeypatch):
+    # The samples' V_th0 shifts are lane rows, not system state: a shifted
+    # butterfly, and a 200-sample Monte Carlo run over several batches on
+    # a decoupled cell and on a coupled one, each plan one lobe pair.
+    gnd, qbar, x = Node(GROUND), Node(cell.role_node("QBAR")), Node("X")
+    coupled = with_elements(cell, [ResElement("RX1", qbar, x, 1e6), ResElement("RX2", x, gnd, 1e6)])
+    built = count_builds(monkeypatch)
+    butterfly(cell, mode="read", v_dd=1.2, grid=0.05, vth_shift={"MPDL": 0.01, "MPGR": -0.01})
+    assert built == [True]
+    vm = VariationModel(3e-9, 200, 4)
+    for net, grid, want in ((cell, 0.01, True), (coupled, 0.2, False)):
+        built.clear()
+        assert 200 * sweep_grid(0.0, 1.8, grid).size > stability.BATCH_LANES
+        mc = monte_carlo_snm(net, vm=vm, mode="hold", v_dd=1.8, grid=grid)
+        assert built == [want] and mc.failures == 0
+
+
+def test_butterfly_refuses_a_shift_on_no_live_transistor(cell):
+    # A shift row holds the cell's live transistors alone, so a shift on
+    # any other id would be dropped without a word: it is refused, named.
+    q, qbar, gnd = Node(cell.role_node("Q")), Node(cell.role_node("QBAR")), Node(GROUND)
+    stub = with_elements(cell, [MosElement("MZ", q, qbar, gnd, gnd, "NMOS", 0.0, 0.0)])
+    for net, shift, bad in (
+        (cell, {"MPDL": 0.01, "MBOGUS": 0.01}, "MBOGUS"),
+        (cell, {"mpdl": 0.01}, "mpdl"),
+        (cell, {"VSNMIN": 0.0}, "VSNMIN"),
+        (stub, {"MZ": 0.01}, "MZ"),
+    ):
+        with pytest.raises(ValueError, match=f"^vth_shift names '{bad}', which is not a live transistor of the cell$"):
+            butterfly(net, mode="hold", v_dd=1.8, grid=0.1, vth_shift=shift)
+    assert butterfly(stub, mode="hold", v_dd=1.8, grid=0.1, vth_shift={"MPDL": 0.0}).snm > 0.0
+
+
 def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
     # The nominal lobes are the cold lanes of one lobe-pair system, one
     # solve_lanes call, stamp for stamp the lanes of each lobe solved on
@@ -1422,9 +1487,9 @@ def test_unshifted_butterfly_is_one_cold_solve_per_lobe(cell, monkeypatch):
         built.append(1)
         real_init(self, *args, **kwargs)
 
-    def lanes_spy(self, b, x0=None, sets=None):
+    def lanes_spy(self, b, x0=None, vth=None):
         starts.append(x0)
-        return real_lanes(self, b, x0, sets)
+        return real_lanes(self, b, x0, vth)
 
     monkeypatch.setattr(MnaSystem, "__init__", init_spy)
     monkeypatch.setattr(MnaSystem, "solve_lanes", lanes_spy)
@@ -1460,7 +1525,7 @@ def test_lobe_pair_leaves_each_driven_sides_devices_out_of_newton(cell, monkeypa
     assert {names[k] for k in pair._inert} == {"MPDL_A", "MPUL_A", "MPGL_A", "MPDR_B", "MPUR_B", "MPGR_B"}
     active = np.delete(np.arange(len(names)), pair._inert)
     assert np.array_equal(pair._active_idx, pair.mos_idx[active])
-    assert np.array_equal(pair._active_par, pair.par_sets[:, active])
+    assert np.array_equal(pair._active_par, pair.mos_par[active])
 
 
 def test_monte_carlo_kernel_calls_stay_within_the_pool(cell, monkeypatch):
@@ -1495,8 +1560,8 @@ def lone_lobes(cell, mode, v_dd, grid, shifts=None):
     """Each lobe, Q-driven then QBAR-driven, solved alone on a system of
     its own: the nominal lobe's cold lanes, and then, under each map of
     `shifts`, every grid point as a lane of one system started at the
-    nominal lobe's state there.  The probes, (samples, 2, points), one
-    sample when `shifts` is None."""
+    nominal lobe's state there, on the same system.  The probes, (samples,
+    2, points), one sample when `shifts` is None."""
     v_in = sweep_grid(0.0, v_dd, grid)
     out = []
     for drive, probe in (("Q", "QBAR"), ("QBAR", "Q")):
@@ -1504,9 +1569,8 @@ def lone_lobes(cell, mode, v_dd, grid, shifts=None):
         b = lobe.rhs(drive={"VIN": v_in})
         x, _, _, failed = lobe.solve_lanes(b)
         if shifts:
-            lobe = MnaSystem(lobe.net, vth_shift=shifts)
-            sets = np.repeat(np.arange(len(shifts)), v_in.size)
-            x, _, _, failed = lobe.solve_lanes(np.tile(b, (len(shifts), 1)), np.tile(x, (len(shifts), 1)), sets)
+            vth = np.repeat(shift_rows(lobe.net, shifts), v_in.size, axis=0)
+            x, _, _, failed = lobe.solve_lanes(np.tile(b, (len(shifts), 1)), np.tile(x, (len(shifts), 1)), vth)
         assert failed == {}
         out.append(x[:, lobe.node_index[cell.role_node(probe)]].reshape(-1, v_in.size))
     return np.stack(out, axis=1)
@@ -1533,7 +1597,7 @@ def test_shifted_pair_lobes_are_lone_lobe_solves(cell, mode, v_dd, seed):
     # lobe point of 200 Monte Carlo samples stays within the stop tolerance
     # of its lone solve, and each sample's margins within 1e-8 V.
     shifts = sample_shifts(cell, VariationModel(3e-9, 200, seed))
-    data = list(stability._butterflies(cell, None, mode, v_dd, 0.01, shifts))
+    data = list(stability._butterflies(cell, None, mode, v_dd, 0.01, shift_rows(cell, shifts)))
     got = np.array([(d.lobe_a.v_out, d.lobe_b.v_out) for d in data])
     want = lone_lobes(cell, mode, v_dd, 0.01, shifts)
     assert (np.abs(got - want) <= engine.RELTOL * np.abs(want) + engine.VNTOL).all()
